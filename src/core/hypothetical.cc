@@ -22,18 +22,19 @@ StatusOr<bool> CheckConsequent(Knowledgebase current, const Formula& consequent,
                          current.schema().Union(consequent_schema));
     KBT_ASSIGN_OR_RETURN(current, current.ExtendTo(extended));
   }
-  bool all = true;
-  bool some = false;
+  // The answer is settled by the first world that fails (necessarily) or
+  // holds (possibly). Stopping there drops no error: Satisfies fails only on
+  // schema and formula shape, which every world shares.
+  const bool necessarily = modality == Modality::kNecessarily;
   for (size_t i = 0; i < current.size(); ++i) {
     if (cancel != nullptr && cancel->Expired()) {
       return Status::DeadlineExceeded("query cancelled during consequent check");
     }
     Database db = current.World(i);  // Transient copy-on-write materialization.
     KBT_ASSIGN_OR_RETURN(bool holds, Satisfies(db, consequent));
-    all = all && holds;
-    some = some || holds;
+    if (holds != necessarily) return holds;
   }
-  return modality == Modality::kNecessarily ? all : some;
+  return necessarily;
 }
 
 }  // namespace

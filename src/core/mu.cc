@@ -1,6 +1,7 @@
 #include "core/mu.h"
 
 #include "core/mu_internal.h"
+#include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
 #include "logic/analysis.h"
 
@@ -41,19 +42,59 @@ void MuStats::MergeFrom(const MuStats& other) {
 
 StatusOr<Knowledgebase> Mu(const Formula& sentence, const Database& db,
                            const MuOptions& options, MuStats* stats) {
-  return internal::MuExec(sentence, db, options, stats, internal::MuExecContext());
+  const internal::MuExecContext no_exec;
+  KBT_ASSIGN_OR_RETURN(internal::PreparedMu prep,
+                       internal::PrepareMu(sentence, db, options, no_exec));
+  return internal::RunPreparedMu(sentence, db, prep, options, stats, no_exec);
 }
 
 namespace internal {
 
-StatusOr<std::shared_ptr<const exec::CachedGrounding>> ObtainGrounding(
-    const MuExecContext& exec, const Formula& sentence,
-    const std::vector<Value>& domain, const GrounderOptions& options) {
-  if (exec.ground_cache != nullptr) {
-    return exec.ground_cache->GetOrGround(sentence, domain, options);
+namespace {
+
+/// The grounding step of the SAT (`sat_route`) or reference strategy: one
+/// cache lookup (the CnfCache on the SAT route when the executor has one,
+/// else the GroundingCache, else an uncached grounding) plus the world's bits
+/// over ctx.extended_base.
+StatusOr<MuGrounding> GroundForMu(const Formula& sentence,
+                                  const UpdateContext& ctx,
+                                  const MuOptions& options,
+                                  const MuExecContext& exec, bool sat_route) {
+  GrounderOptions gopts;
+  gopts.max_nodes = options.max_ground_nodes;
+  // The grounding — and, with a CnfCache, the whole Tseitin encoding — is a
+  // pure function of (φ, domain): worlds sharing an active domain reuse one
+  // immutable circuit plus one frozen encoded prefix.
+  MuGrounding out;
+  if (sat_route && exec.cnf_cache != nullptr) {
+    KBT_ASSIGN_OR_RETURN(out.frozen,
+                         exec.cnf_cache->GetOrBuild(sentence, ctx.domain, gopts,
+                                                    exec.ground_cache));
+    out.grounding = out.frozen->grounding;
+  } else if (exec.ground_cache != nullptr) {
+    KBT_ASSIGN_OR_RETURN(out.grounding, exec.ground_cache->GetOrGround(
+                                            sentence, ctx.domain, gopts));
+  } else {
+    // Uncached, but wrapped in the same immutable CachedGrounding shape, so
+    // the strategies always borrow the precomputed mentioned-atom set.
+    KBT_ASSIGN_OR_RETURN(out.grounding,
+                         exec::MakeCachedGrounding(sentence, ctx.domain, gopts));
   }
-  return exec::MakeCachedGrounding(sentence, domain, options);
+  const Grounding& g = out.grounding->grounding;
+  const std::vector<int>& mentioned = out.grounding->mentioned;
+  out.bits.assign((mentioned.size() + 63) / 64, 0);
+  for (size_t k = 0; k < mentioned.size(); ++k) {
+    const GroundAtom& atom = g.atoms.AtomOf(mentioned[k]);
+    const Relation* r = ctx.extended_base.FindRelation(atom.relation);
+    if (r == nullptr) {
+      return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
+    }
+    if (r->Contains(atom.tuple)) out.bits[k / 64] |= uint64_t{1} << (k % 64);
+  }
+  return out;
 }
+
+}  // namespace
 
 StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
                                             const Database& probe) {
@@ -72,105 +113,127 @@ StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
   return plan;
 }
 
-StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
-                               const MuOptions& options, MuStats* stats,
+StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
+                               const MuOptions& options,
                                const MuExecContext& exec) {
   // Cheapest place to honor an already-expired request: before grounding.
   // The SAT strategy additionally polls the token inside the search.
   if (options.cancel != nullptr && options.cancel->Expired()) {
     return Status::DeadlineExceeded("μ cancelled before evaluation");
   }
-  UpdateContext ctx;
+  PreparedMu prep;
   if (exec.extended_schema != nullptr && exec.formula_constants != nullptr) {
     KBT_ASSIGN_OR_RETURN(
-        ctx, MakeUpdateContextOnSchema(*exec.extended_schema,
-                                       *exec.formula_constants, db));
+        prep.ctx, MakeUpdateContextOnSchema(*exec.extended_schema,
+                                            *exec.formula_constants, db));
   } else {
-    KBT_ASSIGN_OR_RETURN(ctx, MakeUpdateContext(sentence, db));
+    KBT_ASSIGN_OR_RETURN(prep.ctx, MakeUpdateContext(sentence, db));
   }
-  MuStats local;
-  MuStats* out = stats != nullptr ? stats : &local;
 
+  prep.strategy = options.strategy;
   switch (options.strategy) {
     case MuStrategy::kReference:
-      out->used = MuStrategy::kReference;
-      return internal::MuReference(sentence, db, ctx, options, out, exec);
     case MuStrategy::kSat:
-      out->used = MuStrategy::kSat;
-      return internal::MuSat(sentence, db, ctx, options, out, exec);
+      break;
     case MuStrategy::kDatalog: {
-      KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDatalog(sentence, db));
+      KBT_ASSIGN_OR_RETURN(auto plan, PlanDatalog(sentence, db));
       if (!plan) {
         return Status::Unsupported(
             "sentence is not Datalog-restricted with new head predicates");
       }
-      out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan, db, ctx, options, out);
+      prep.datalog = std::make_shared<const DatalogPlan>(std::move(*plan));
+      return prep;
     }
     case MuStrategy::kDefinitional: {
-      KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDefinitional(sentence, db));
+      KBT_ASSIGN_OR_RETURN(auto plan, PlanDefinitional(sentence, db));
       if (!plan) {
         return Status::Unsupported("sentence is not definitional over σ(db)");
       }
-      out->used = MuStrategy::kDefinitional;
-      return internal::MuDefinitional(*plan, db, ctx, options, out);
+      prep.definitional =
+          std::make_shared<const DefinitionalPlan>(std::move(*plan));
+      return prep;
     }
-    case MuStrategy::kAuto:
+    case MuStrategy::kAuto: {
+      // Automatic dispatch, cheapest applicable first. τ resolves the plan
+      // once per call — it depends only on (φ, schema), and all worlds share
+      // a schema — so each world goes straight to its strategy; a plain Mu()
+      // call plans for itself.
+      TauStrategyPlan own_plan;
+      const TauStrategyPlan* plan = exec.plan;
+      if (plan == nullptr) {
+        KBT_ASSIGN_OR_RETURN(own_plan, PlanTauStrategies(sentence, db));
+        plan = &own_plan;
+      }
+      prep.datalog = plan->datalog;
+      prep.definitional = plan->definitional;
+      if (plan->sentence_is_ground) {
+        // Theorem 4.7: ground updates touch at most |φ| atoms — reference
+        // enumeration is polynomial in the database. Very wide ground
+        // sentences fall through to the rest of the plan.
+        prep.strategy = MuStrategy::kReference;
+        prep.auto_fallback = true;
+      } else if (prep.datalog != nullptr) {
+        prep.strategy = MuStrategy::kDatalog;
+        return prep;
+      } else if (prep.definitional != nullptr) {
+        prep.strategy = MuStrategy::kDefinitional;
+        return prep;
+      } else {
+        prep.strategy = MuStrategy::kSat;
+      }
       break;
+    }
   }
+  KBT_ASSIGN_OR_RETURN(
+      prep.ground, GroundForMu(sentence, prep.ctx, options, exec,
+                               prep.strategy == MuStrategy::kSat));
+  return prep;
+}
 
-  // Automatic dispatch, cheapest applicable first. With a τ-provided plan the
-  // shape analysis (ground check, Datalog extraction, definitional parse) was
-  // resolved once per τ call — it depends only on (φ, schema), and all worlds
-  // share a schema — so each world goes straight to its strategy.
-  if (exec.plan != nullptr) {
-    const TauStrategyPlan& plan = *exec.plan;
-    if (plan.sentence_is_ground) {
+StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
+                                      const Database& db,
+                                      const PreparedMu& prep,
+                                      const MuOptions& options, MuStats* stats,
+                                      const MuExecContext& exec) {
+  MuStats local;
+  MuStats* out = stats != nullptr ? stats : &local;
+  const UpdateContext& ctx = prep.ctx;
+  switch (prep.strategy) {
+    case MuStrategy::kReference: {
       StatusOr<Knowledgebase> result =
-          internal::MuReference(sentence, db, ctx, options, out, exec);
-      if (result.ok() ||
+          MuReference(db, ctx, prep.ground, options, out);
+      if (result.ok() || !prep.auto_fallback ||
           result.status().code() != StatusCode::kResourceExhausted) {
         out->used = MuStrategy::kReference;
         return result;
       }
+      break;  // kAuto goes on with the rest of its plan.
     }
-    if (plan.datalog != nullptr) {
+    case MuStrategy::kSat:
+      out->used = MuStrategy::kSat;
+      return MuSat(db, ctx, prep.ground, options, out, exec);
+    case MuStrategy::kDatalog:
       out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan.datalog, db, ctx, options, out);
-    }
-    if (plan.definitional != nullptr) {
+      return MuDatalog(*prep.datalog, db, ctx, options, out);
+    case MuStrategy::kDefinitional:
       out->used = MuStrategy::kDefinitional;
-      return internal::MuDefinitional(*plan.definitional, db, ctx, options, out);
-    }
-    out->used = MuStrategy::kSat;
-    return internal::MuSat(sentence, db, ctx, options, out, exec);
+      return MuDefinitional(*prep.definitional, db, ctx, options, out);
+    case MuStrategy::kAuto:
+      return Status::Internal("μ strategy left unresolved");
   }
-  if (IsGround(sentence)) {
-    // Theorem 4.7: ground updates touch at most |φ| atoms — reference enumeration
-    // is polynomial in the database. Very wide ground sentences still go to SAT.
-    StatusOr<Knowledgebase> result =
-        internal::MuReference(sentence, db, ctx, options, out, exec);
-    if (result.ok() || result.status().code() != StatusCode::kResourceExhausted) {
-      out->used = MuStrategy::kReference;
-      return result;
-    }
+  if (prep.datalog != nullptr) {
+    out->used = MuStrategy::kDatalog;
+    return MuDatalog(*prep.datalog, db, ctx, options, out);
   }
-  {
-    KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDatalog(sentence, db));
-    if (plan) {
-      out->used = MuStrategy::kDatalog;
-      return internal::MuDatalog(*plan, db, ctx, options, out);
-    }
+  if (prep.definitional != nullptr) {
+    out->used = MuStrategy::kDefinitional;
+    return MuDefinitional(*prep.definitional, db, ctx, options, out);
   }
-  {
-    KBT_ASSIGN_OR_RETURN(auto plan, internal::PlanDefinitional(sentence, db));
-    if (plan) {
-      out->used = MuStrategy::kDefinitional;
-      return internal::MuDefinitional(*plan, db, ctx, options, out);
-    }
-  }
+  KBT_ASSIGN_OR_RETURN(MuGrounding sat_ground,
+                       GroundForMu(sentence, ctx, options, exec,
+                                   /*sat_route=*/true));
   out->used = MuStrategy::kSat;
-  return internal::MuSat(sentence, db, ctx, options, out, exec);
+  return MuSat(db, ctx, sat_ground, options, out, exec);
 }
 
 }  // namespace internal

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/mu.h"
 #include "core/universe.h"
@@ -79,32 +80,69 @@ struct MuExecContext {
 StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
                                             const Database& probe);
 
-/// The strategy dispatcher behind Mu(), with executor resources. Mu() forwards
-/// here with an empty context; the τ executor calls it directly.
-StatusOr<Knowledgebase> MuExec(const Formula& sentence, const Database& db,
-                               const MuOptions& options, MuStats* stats,
+/// What a grounded strategy (SAT or reference) reads of its grounding step:
+/// the grounding — through the CnfCache's frozen prefix on the SAT route when
+/// the executor has one — and the world's value on every atom it mentions.
+struct MuGrounding {
+  std::shared_ptr<const exec::CachedGrounding> grounding;
+  /// Engaged on the SAT route with an executor CnfCache.
+  std::shared_ptr<const exec::FrozenCnf> frozen;
+  /// Bit k (word k / 64, bit k % 64) is set iff ctx.extended_base holds the
+  /// k-th atom of grounding->mentioned. Atoms of relations new to σ(db) are
+  /// never set. These are the strategies' default values.
+  std::vector<uint64_t> bits;
+
+  bool Bit(size_t k) const { return ((bits[k / 64] >> (k % 64)) & 1) != 0; }
+};
+
+/// A μ call split where its strategy starts. PrepareMu honors an expired
+/// token, builds the update context, resolves the strategy (kAuto through the
+/// executor's plan, or one made for this call) and, on the grounded routes —
+/// SAT, reference and kAuto's resolution to them — makes the world's one
+/// cache lookup for the grounding and reads the world's bits. RunPreparedMu then runs the strategy on exactly
+/// these pieces. In between, τ keys its world classes on (ctx.domain,
+/// ground.bits): on a grounded route μ_φ(W) depends on W through nothing
+/// else (docs/exec.md, "World classes").
+struct PreparedMu {
+  UpdateContext ctx;
+  /// kReference, kSat, kDatalog or kDefinitional — never kAuto. kAuto on a
+  /// ground sentence resolves to kReference with `auto_fallback`: when the
+  /// reference enumeration is over budget (kResourceExhausted) the run goes
+  /// on through `datalog`, `definitional` and finally SAT, as kAuto does.
+  MuStrategy strategy = MuStrategy::kAuto;
+  bool auto_fallback = false;
+  std::shared_ptr<const DatalogPlan> datalog;
+  std::shared_ptr<const DefinitionalPlan> definitional;
+  /// Engaged (grounding non-null) iff `strategy` is kSat or kReference.
+  MuGrounding ground;
+
+  bool grounded() const { return ground.grounding != nullptr; }
+};
+
+StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
+                               const MuOptions& options,
                                const MuExecContext& exec);
 
-/// Grounds `sentence` over `domain` through the executor's cache when present,
-/// or locally (wrapped in the same immutable CachedGrounding shape) otherwise.
-/// Both grounding strategies go through this, so the cached mentioned-variable
-/// set is always borrowed, never re-collected or copied per world.
-StatusOr<std::shared_ptr<const exec::CachedGrounding>> ObtainGrounding(
-    const MuExecContext& exec, const Formula& sentence,
-    const std::vector<Value>& domain, const GrounderOptions& options);
+/// Runs the prepared strategy for `db` (the world PrepareMu saw). Mu() is
+/// PrepareMu then RunPreparedMu with an empty context.
+StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
+                                      const Database& db,
+                                      const PreparedMu& prep,
+                                      const MuOptions& options, MuStats* stats,
+                                      const MuExecContext& exec);
 
-/// Reference (specification) enumeration. Fails with kResourceExhausted when more
-/// than options.max_reference_atoms ground atoms are mentioned.
-StatusOr<Knowledgebase> MuReference(const Formula& sentence, const Database& db,
-                                    const UpdateContext& ctx, const MuOptions& options,
-                                    MuStats* stats,
-                                    const MuExecContext& exec = MuExecContext());
+/// Reference (specification) enumeration over a prepared grounding. Fails
+/// with kResourceExhausted when more than options.max_reference_atoms ground
+/// atoms are mentioned.
+StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx,
+                                    const MuGrounding& ground,
+                                    const MuOptions& options, MuStats* stats);
 
-/// CDCL-based minimal-model enumeration.
-StatusOr<Knowledgebase> MuSat(const Formula& sentence, const Database& db,
-                              const UpdateContext& ctx, const MuOptions& options,
-                              MuStats* stats,
-                              const MuExecContext& exec = MuExecContext());
+/// CDCL-based minimal-model enumeration over a prepared grounding.
+StatusOr<Knowledgebase> MuSat(const Database& db, const UpdateContext& ctx,
+                              const MuGrounding& ground,
+                              const MuOptions& options, MuStats* stats,
+                              const MuExecContext& exec);
 
 /// Datalog fast path plan: the extracted program (all head predicates new w.r.t.
 /// σ(db)). nullopt when φ is not of this shape.

@@ -7,7 +7,6 @@
 #include "core/mu_internal.h"
 #include "core/winslett_order.h"
 #include "exec/ground_cache.h"
-#include "logic/grounder.h"
 
 namespace kbt::internal {
 
@@ -49,17 +48,13 @@ struct MaskContext {
 
 }  // namespace
 
-StatusOr<Knowledgebase> MuReference(const Formula& sentence, const Database& db,
-                                    const UpdateContext& ctx, const MuOptions& options,
-                                    MuStats* stats, const MuExecContext& exec) {
-  GrounderOptions gopts;
-  gopts.max_nodes = options.max_ground_nodes;
+StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx,
+                                    const MuGrounding& ground,
+                                    const MuOptions& options, MuStats* stats) {
   // Same-domain worlds share one grounding (the circuit is read-only here);
   // ground updates over a τ fan-out hit this path via kAuto.
-  KBT_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CachedGrounding> shared,
-                       ObtainGrounding(exec, sentence, ctx.domain, gopts));
-  const Grounding& g = shared->grounding;
-  const std::vector<int>& vars = shared->mentioned;
+  const Grounding& g = ground.grounding->grounding;
+  const std::vector<int>& vars = ground.grounding->mentioned;
   stats->ground_nodes = g.circuit.size();
   stats->ground_atoms = vars.size();
 
@@ -70,20 +65,17 @@ StatusOr<Knowledgebase> MuReference(const Formula& sentence, const Database& db,
         std::to_string(options.max_reference_atoms));
   }
 
-  // Per-relation masks and defaults over the mentioned atoms.
+  // Per-relation masks over the mentioned atoms; at most 62 of them, so the
+  // world's bits are one word and that word is the default mask.
   const size_t k = vars.size();
   MaskContext masks;
+  if (k > 0) masks.default_mask = ground.bits[0];
   std::map<Symbol, uint64_t> old_groups;
   for (size_t i = 0; i < k; ++i) {
     const GroundAtom& atom = g.atoms.AtomOf(vars[i]);
     uint64_t bit = uint64_t{1} << i;
     if (IsOldAtom(atom, db)) {
       old_groups[atom.relation] |= bit;
-      const Relation* r = ctx.extended_base.FindRelation(atom.relation);
-      if (r == nullptr) {
-        return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
-      }
-      if (r->Contains(atom.tuple)) masks.default_mask |= bit;
     } else {
       masks.new_mask |= bit;
     }

@@ -8,7 +8,6 @@
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
 #include "exec/scratch.h"
-#include "logic/grounder.h"
 #include "sat/solver.h"
 #include "sat/tseitin.h"
 
@@ -60,24 +59,13 @@ class SatEnumerator {
         s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_),
         reuse_(options.reuse_assumption_trail) {}
 
-  StatusOr<Knowledgebase> Run(const Formula& sentence) {
-    GrounderOptions gopts;
-    gopts.max_nodes = options_.max_ground_nodes;
-    // The grounding — and, with a CnfCache, the whole Tseitin encoding — is a
-    // pure function of (φ, domain): worlds sharing an active domain reuse one
-    // immutable circuit (and its mentioned-var set, borrowed below) plus one
-    // frozen encoded prefix, and only the per-world defaults are recomputed.
-    std::shared_ptr<const exec::CachedGrounding> shared;
-    std::shared_ptr<const exec::FrozenCnf> frozen;
-    if (exec_.cnf_cache != nullptr) {
-      KBT_ASSIGN_OR_RETURN(frozen,
-                           exec_.cnf_cache->GetOrBuild(sentence, ctx_.domain,
-                                                       gopts, exec_.ground_cache));
-      shared = frozen->grounding;
-    } else {
-      KBT_ASSIGN_OR_RETURN(shared,
-                           ObtainGrounding(exec_, sentence, ctx_.domain, gopts));
-    }
+  StatusOr<Knowledgebase> Run(const MuGrounding& ground) {
+    // The grounding — and, with a CnfCache, the frozen encoded prefix — is
+    // shared by every world with this active domain (GroundForMu looked it
+    // up); only the per-world defaults are recomputed.
+    const std::shared_ptr<const exec::CachedGrounding>& shared =
+        ground.grounding;
+    const exec::FrozenCnf* frozen = ground.frozen.get();
     const Grounding* g = &shared->grounding;
     mentioned_ = &shared->mentioned;
     stats_->ground_nodes = g->circuit.size();
@@ -149,16 +137,10 @@ class SatEnumerator {
     s_.old_atoms.clear();
     s_.new_atoms.clear();
     s_.retired_acts.clear();
-    for (int atom_id : *mentioned_) {
-      const GroundAtom& atom = g->atoms.AtomOf(atom_id);
-      bool is_old = IsOldAtom(atom, db_);
-      const Relation* r = ctx_.extended_base.FindRelation(atom.relation);
-      if (r == nullptr) {
-        return Status::NotFound("relation not in schema: " +
-                                NameOf(atom.relation));
-      }
-      s_.default_value[static_cast<size_t>(atom_id)] =
-          is_old && r->Contains(atom.tuple);
+    for (size_t k = 0; k < mentioned_->size(); ++k) {
+      int atom_id = (*mentioned_)[k];
+      s_.default_value[static_cast<size_t>(atom_id)] = ground.Bit(k);
+      bool is_old = IsOldAtom(g->atoms.AtomOf(atom_id), db_);
       (is_old ? s_.old_atoms : s_.new_atoms).push_back(atom_id);
     }
 
@@ -547,11 +529,12 @@ class SatEnumerator {
 
 }  // namespace
 
-StatusOr<Knowledgebase> MuSat(const Formula& sentence, const Database& db,
-                              const UpdateContext& ctx, const MuOptions& options,
-                              MuStats* stats, const MuExecContext& exec) {
+StatusOr<Knowledgebase> MuSat(const Database& db, const UpdateContext& ctx,
+                              const MuGrounding& ground,
+                              const MuOptions& options, MuStats* stats,
+                              const MuExecContext& exec) {
   SatEnumerator enumerator(db, ctx, options, stats, exec);
-  return enumerator.Run(sentence);
+  return enumerator.Run(ground);
 }
 
 }  // namespace kbt::internal

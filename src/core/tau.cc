@@ -6,9 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "base/hash.h"
 #include "core/mu_internal.h"
 #include "exec/cnf_cache.h"
 #include "exec/ground_cache.h"
+#include "exec/once_cache.h"
 #include "exec/pool.h"
 #include "exec/scratch.h"
 #include "logic/analysis.h"
@@ -19,54 +21,83 @@ namespace kbt {
 
 namespace {
 
+/// A world class of one τ call: the worlds sharing the active domain B and
+/// their values on every atom the grounding over B mentions. On the grounded
+/// routes μ_φ(W) is a function of the class, so each class runs μ once.
+struct WorldClassKey {
+  std::vector<Value> domain;
+  std::vector<uint64_t> bits;
+
+  friend bool operator==(const WorldClassKey& a, const WorldClassKey& b) {
+    return a.domain == b.domain && a.bits == b.bits;
+  }
+};
+
+struct WorldClassKeyHash {
+  size_t operator()(const WorldClassKey& key) const {
+    size_t seed = exec::DomainHash()(key.domain);
+    for (uint64_t word : key.bits) seed = HashCombine(seed, word);
+    return static_cast<size_t>(Mix64(seed));
+  }
+};
+
+/// One μ computation: the result μ returned, anchored at world `anchor`
+/// extended to σ(kb) ∪ σ(φ), and whether that anchor is the anchor world's
+/// input overlay applied to the shared extended input base (`rebased`). A
+/// world answered from its class holds its leader's result.
+struct WorldResult {
+  Knowledgebase mu;
+  size_t anchor = 0;
+  bool rebased = false;
+  MuStrategy used = MuStrategy::kAuto;
+};
+
 /// Merges per-world outcomes into the final kb and stats. On failure the
 /// lowest-indexed recorded error wins; with threads=1 that is exactly the old
 /// sequential first-failure behavior, with threads>1 it is the first failure
 /// the executor observed (later worlds are skipped, not run-and-discarded).
 ///
 /// The merge never flattens: every μ result arrives as overlays against its
-/// own world extended to σ(kb) ∪ σ(φ), which is itself an overlay of the
+/// anchor world extended to σ(kb) ∪ σ(φ), which is itself an overlay of the
 /// shared extended input base (schema union appends declarations, so input
-/// overlay positions survive extension unchanged). Composing the two yields
-/// each output world as an overlay of one shared base, and a single
-/// canonicalization over those overlays — O(worlds × delta) — replaces the
-/// old flat UnionAll.
-StatusOr<Knowledgebase> MergeTauResults(const Knowledgebase& kb,
-                                        const Schema& extended_schema,
-                                        std::vector<Status> statuses,
-                                        std::vector<Knowledgebase> results,
-                                        std::vector<MuStats> world_stats,
-                                        const Knowledgebase::ParallelMap* pmap,
-                                        TauStats* out) {
+/// overlay positions survive extension unchanged). Composing each world's
+/// input overlay with its result's overlays yields each output world as an
+/// overlay of one shared base, and a single canonicalization over those
+/// overlays — O(worlds × delta) — replaces the old flat UnionAll. A class
+/// member composes its own input overlay with its leader's μ overlays: they
+/// touch only mentioned atoms, on which the member agrees with the leader, so
+/// they are canonical against the member's world too.
+StatusOr<Knowledgebase> MergeTauResults(
+    const Knowledgebase& kb, const Schema& extended_schema,
+    std::shared_ptr<const Database> ext_base, std::vector<Status> statuses,
+    std::vector<std::shared_ptr<const WorldResult>> results,
+    std::vector<MuStats> world_stats, const Knowledgebase::ParallelMap* pmap,
+    TauStats* out) {
   for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);
   for (const MuStats& s : world_stats) out->mu.MergeFrom(s);
 
-  KBT_ASSIGN_OR_RETURN(Database extended,
-                       kb.base()->ExtendTo(extended_schema));
-  auto ext_base = std::make_shared<const Database>(std::move(extended));
-
   size_t total = 0;
-  for (const Knowledgebase& r : results) total += r.size();
+  for (const auto& r : results) total += r->mu.size();
   std::vector<WorldOverlay> merged;
   merged.reserve(total);
   for (size_t i = 0; i < results.size(); ++i) {
-    const Knowledgebase& r = results[i];
-    if (r.empty()) continue;
-    if (r.schema() != extended_schema) {
+    const WorldResult& r = *results[i];
+    if (r.mu.empty()) continue;
+    if (r.mu.schema() != extended_schema) {
       return Status::InvalidArgument("knowledgebase union: schema mismatch");
     }
-    // μ anchors its result at ctx.extended_base, i.e. this input world
-    // extended — which is exactly the input overlay applied to the shared
-    // extended base. When that holds (deep check, but touched relations
-    // only), output overlays compose in O(delta); any other anchor falls
-    // back to an explicit diff.
     const WorldOverlay& input_ov = kb.overlays()[i];
-    bool rebased = r.base() != nullptr &&
-                   input_ov.ApplyEquals(*ext_base, *r.base());
-    for (size_t j = 0; j < r.size(); ++j) {
-      merged.push_back(rebased
-                           ? WorldOverlay::Compose(input_ov, r.overlays()[j])
-                           : WorldOverlay::FromDiff(*ext_base, r.World(j)));
+    if (r.rebased) {
+      for (const WorldOverlay& ov : r.mu.overlays()) {
+        merged.push_back(WorldOverlay::Compose(input_ov, ov));
+      }
+    } else if (r.anchor == i) {
+      // Any other anchor of a world's own result falls back to a diff.
+      for (size_t j = 0; j < r.mu.size(); ++j) {
+        merged.push_back(WorldOverlay::FromDiff(*ext_base, r.mu.World(j)));
+      }
+    } else {
+      return Status::Internal("world class result not anchored at its leader");
     }
   }
   if (merged.empty()) {
@@ -147,9 +178,22 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     base_exec.plan = &plan;
   }
 
+  // The shared input base extended to σ(kb) ∪ σ(φ): every μ result is
+  // checked against it once, by the world that computed it, and the merge
+  // anchors the output at it.
+  KBT_ASSIGN_OR_RETURN(Database extended, kb.base()->ExtendTo(extended_schema));
+  auto ext_base = std::make_shared<const Database>(std::move(extended));
+
   std::vector<Status> statuses(kb.size());
-  std::vector<Knowledgebase> results(kb.size());
+  std::vector<std::shared_ptr<const WorldResult>> results(kb.size());
   std::vector<MuStats> world_stats(kb.size());
+
+  // World classes (docs/exec.md): on the grounded routes each world keys
+  // itself by (B, its bits on the mentioned atoms) once its grounding is in
+  // hand, and the first world of a class computes μ for all of it, exactly
+  // once. Datalog and definitional μ never ground, so they stay per world.
+  exec::OnceCache<WorldClassKey, WorldResult, WorldClassKeyHash> classes;
+  std::atomic<size_t> shared_worlds{0};
 
   // After the first failure no further world starts a μ computation — the
   // error is going to be returned anyway, so the remaining work would be
@@ -160,13 +204,40 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     // Graceful degradation: one world failing — by Status or by throwing —
     // lands in its own result slot and fails the call, never the process.
     // Sibling worlds already running complete normally.
-    StatusOr<Knowledgebase> r = [&]() -> StatusOr<Knowledgebase> {
+    using Result = StatusOr<std::shared_ptr<const WorldResult>>;
+    Result r = [&]() -> Result {
       try {
         // The world is materialized transiently from the shared base — a
         // copy-on-write overlay application, never a stored flat copy.
         Database world = kb.World(i);
-        return internal::MuExec(sentence, world, options.mu, &world_stats[i],
-                                exec);
+        KBT_ASSIGN_OR_RETURN(
+            internal::PreparedMu prep,
+            internal::PrepareMu(sentence, world, options.mu, exec));
+        auto compute = [&]() -> Result {
+          KBT_ASSIGN_OR_RETURN(
+              Knowledgebase mu,
+              internal::RunPreparedMu(sentence, world, prep, options.mu,
+                                      &world_stats[i], exec));
+          bool rebased = mu.base() != nullptr &&
+                         kb.overlays()[i].ApplyEquals(*ext_base, *mu.base());
+          return std::make_shared<const WorldResult>(
+              WorldResult{std::move(mu), i, rebased, world_stats[i].used});
+        };
+        if (!prep.grounded()) return compute();
+        bool computed = false;
+        KBT_ASSIGN_OR_RETURN(
+            std::shared_ptr<const WorldResult> result,
+            classes.GetOrCompute(
+                WorldClassKey{prep.ctx.domain, prep.ground.bits}, [&] {
+                  computed = true;
+                  return compute();
+                }));
+        if (!computed) {
+          // Answered by the class: no μ work was done for this world.
+          world_stats[i].used = result->used;
+          shared_worlds.fetch_add(1, std::memory_order_relaxed);
+        }
+        return result;
       } catch (const std::exception& e) {
         return Status::Internal(std::string("world task threw: ") + e.what());
       } catch (...) {
@@ -252,6 +323,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   exec::CnfCache::Stats cnf_stats = cnf_cache->stats();
   out->cnf_cache_hits = cnf_stats.hits - cnf_stats_before.hits;
   out->cnf_cache_misses = cnf_stats.misses - cnf_stats_before.misses;
+  out->shared_worlds = shared_worlds.load(std::memory_order_relaxed);
 
   Knowledgebase::ParallelMap pmap;
   if (pool != nullptr) {
@@ -259,8 +331,9 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
       return pool->ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
     };
   }
-  return MergeTauResults(kb, extended_schema, std::move(statuses),
-                         std::move(results), std::move(world_stats),
+  return MergeTauResults(kb, extended_schema, std::move(ext_base),
+                         std::move(statuses), std::move(results),
+                         std::move(world_stats),
                          pool != nullptr ? &pmap : nullptr, out);
 }
 

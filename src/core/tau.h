@@ -10,10 +10,12 @@
 ///
 /// The member updates are independent, so τ runs on the exec/ subsystem: worlds
 /// are partitioned into stealable chunks over a work-stealing thread pool, each
-/// worker owns a reusable Solver, and worlds with identical active domains share
-/// one grounded circuit through a domain-keyed cache. threads = 1 (the default)
-/// is the plain sequential loop; every thread count produces the same canonical
-/// Knowledgebase bit for bit (tests/tau_parallel_test.cc).
+/// worker owns a reusable Solver, worlds with identical active domains share
+/// one grounded circuit through a domain-keyed cache, and worlds that also
+/// agree on every atom that circuit mentions share one μ computation.
+/// threads = 1 (the default) is the plain sequential loop; every thread count
+/// produces the same canonical Knowledgebase bit for bit
+/// (tests/tau_parallel_test.cc).
 
 #include "base/status.h"
 #include "core/mu.h"
@@ -92,6 +94,11 @@ struct TauStats {
   /// replaced by a bulk solver fork.
   uint64_t cnf_cache_hits = 0;
   uint64_t cnf_cache_misses = 0;
+  /// Worlds answered from their world class — another world with the same
+  /// active domain and the same values on every atom the grounding mentions
+  /// ran μ for them (SAT and reference routes only; docs/exec.md). Their μ
+  /// counters stay zero: `mu` counts only work actually done.
+  uint64_t shared_worlds = 0;
 };
 
 /// Computes τ_φ(kb). All members of `kb` share a schema, so every μ call works over

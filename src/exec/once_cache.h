@@ -2,14 +2,15 @@
 #define KBT_EXEC_ONCE_CACHE_H_
 
 /// \file
-/// The domain-keyed exactly-once cache shared by GroundingCache and CnfCache.
+/// The exactly-once cache shared by GroundingCache, CnfCache and τ's world
+/// classes.
 ///
-/// Both caches follow the same concurrency discipline: entries are created
+/// All three follow the same concurrency discipline: entries are created
 /// under a map lock but computed outside it, with a per-entry mutex giving
-/// exactly-once computation — concurrent lookups of one domain block until
-/// the single computation finishes rather than recomputing redundantly, and
+/// exactly-once computation — concurrent lookups of one key block until the
+/// single computation finishes rather than recomputing redundantly, and
 /// errors are cached like values. This header is the one implementation of
-/// that discipline; the concrete caches supply only the value type and the
+/// that discipline; the users supply only the key, the value type and the
 /// build function.
 ///
 /// Boundedness: a serving workload with a churning active domain (every
@@ -33,16 +34,23 @@
 
 namespace kbt::exec {
 
-/// Exactly-once cache from an active domain (sorted `std::vector<Value>`) to
-/// a shared immutable `V`. One cache instance serves one sentence — the
-/// sentence is deliberately not part of the key; callers create a fresh cache
-/// per τ call.
-template <typename V>
-class DomainKeyedOnceCache {
+/// Hash of an active domain (sorted `std::vector<Value>`).
+struct DomainHash {
+  size_t operator()(const std::vector<Value>& domain) const {
+    size_t seed = 0x517cc1b7;
+    for (Value v : domain) seed = HashCombine(seed, v);
+    return static_cast<size_t>(Mix64(seed));
+  }
+};
+
+/// Exactly-once cache from a `Key` (hashed by `KeyHash`) to a shared
+/// immutable `V`.
+template <typename Key, typename V, typename KeyHash>
+class OnceCache {
  public:
-  DomainKeyedOnceCache() = default;
-  DomainKeyedOnceCache(const DomainKeyedOnceCache&) = delete;
-  DomainKeyedOnceCache& operator=(const DomainKeyedOnceCache&) = delete;
+  OnceCache() = default;
+  OnceCache(const OnceCache&) = delete;
+  OnceCache& operator=(const OnceCache&) = delete;
 
   struct Stats {
     uint64_t hits = 0;    ///< Lookups served by an existing entry.
@@ -50,7 +58,7 @@ class DomainKeyedOnceCache {
     uint64_t evictions = 0;  ///< Entries dropped by the max_entries LRU cap.
   };
 
-  /// Caps the number of cached domains (0 = unbounded, the default). Beyond
+  /// Caps the number of cached keys (0 = unbounded, the default). Beyond
   /// the cap the least-recently-used entry is dropped when a new one is
   /// created. Setting a cap only changes *retention*: every lookup still
   /// returns the same value it would have computed uncached.
@@ -59,29 +67,29 @@ class DomainKeyedOnceCache {
     max_entries_ = n;
   }
 
-  /// Returns the cached value for `domain`, computing it via `build` on first
+  /// Returns the cached value for `key`, computing it via `build` on first
   /// use. `build` is `StatusOr<std::shared_ptr<const V>>()`; a failed build is
   /// cached too (repeat lookups return the same status without recomputing).
   template <typename BuildFn>
-  StatusOr<std::shared_ptr<const V>> GetOrCompute(
-      const std::vector<Value>& domain, BuildFn&& build) {
+  StatusOr<std::shared_ptr<const V>> GetOrCompute(const Key& key,
+                                                   BuildFn&& build) {
     std::shared_ptr<Entry> entry;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = map_.find(domain);
+      auto it = map_.find(key);
       if (it == map_.end()) {
         ++stats_.misses;
         if (max_entries_ > 0 && map_.size() >= max_entries_) {
-          // Evict the coldest domain. A borrower mid-computation keeps its
+          // Evict the coldest key. A borrower mid-computation keeps its
           // own shared_ptr<Entry>; only the cache's reference goes away.
-          map_.erase(lru_.back());
+          auto victim = map_.find(*lru_.back());
           lru_.pop_back();
+          map_.erase(victim);
           ++stats_.evictions;
         }
-        lru_.push_front(domain);
-        auto slot = std::make_shared<Entry>();
-        slot->lru_pos = lru_.begin();
-        it = map_.emplace(domain, std::move(slot)).first;
+        it = map_.emplace(key, std::make_shared<Entry>()).first;
+        lru_.push_front(&it->first);
+        it->second->lru_pos = lru_.begin();
       } else {
         ++stats_.hits;
         lru_.splice(lru_.begin(), lru_, it->second->lru_pos);
@@ -112,7 +120,7 @@ class DomainKeyedOnceCache {
     return stats_;
   }
 
-  /// Number of distinct domains seen.
+  /// Number of distinct keys seen.
   size_t entries() const {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
@@ -126,7 +134,7 @@ class DomainKeyedOnceCache {
     std::lock_guard<std::mutex> lock(mu_);
     size_t total = 0;
     for (const auto& [key, entry] : map_) {
-      total += key.capacity() * sizeof(Value);
+      total += key.capacity() * sizeof(typename Key::value_type);
       if (entry->done.load(std::memory_order_acquire) && entry->status.ok() &&
           entry->value != nullptr) {
         total += cost(*entry->value);
@@ -136,14 +144,7 @@ class DomainKeyedOnceCache {
   }
 
  private:
-  struct DomainHash {
-    size_t operator()(const std::vector<Value>& domain) const {
-      size_t seed = 0x517cc1b7;
-      for (Value v : domain) seed = HashCombine(seed, v);
-      return static_cast<size_t>(Mix64(seed));
-    }
-  };
-  /// One per distinct domain. The entry mutex serializes the single
+  /// One per distinct key. The entry mutex serializes the single
   /// computation; `done` flips exactly once, after which value/status are
   /// immutable.
   struct Entry {
@@ -151,16 +152,24 @@ class DomainKeyedOnceCache {
     std::atomic<bool> done{false};
     Status status;
     std::shared_ptr<const V> value;
-    std::list<std::vector<Value>>::iterator lru_pos;
+    typename std::list<const Key*>::iterator lru_pos;
   };
 
   mutable std::mutex mu_;
   size_t max_entries_ = 0;
-  std::unordered_map<std::vector<Value>, std::shared_ptr<Entry>, DomainHash> map_;
-  /// Domains in recency order; back() is the eviction candidate.
-  std::list<std::vector<Value>> lru_;
+  std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> map_;
+  /// The map's keys in recency order; back() is the eviction candidate.
+  /// Unordered-map nodes never move, so the pointers stay valid until their
+  /// entry is erased.
+  std::list<const Key*> lru_;
   Stats stats_;
 };
+
+/// The grounding and CNF caches: keyed by active domain alone. One cache
+/// instance serves one sentence — the sentence is deliberately not part of
+/// the key; callers create a fresh cache per τ call.
+template <typename V>
+using DomainKeyedOnceCache = OnceCache<std::vector<Value>, V, DomainHash>;
 
 }  // namespace kbt::exec
 

@@ -115,7 +115,8 @@ TEST(TauParallelTest, SharedDomainWorldsHitTheCache) {
   // whenever the sentence adds no new constants: one miss, size-1 hits. On the
   // SAT path the worlds hit the frozen-CNF-prefix cache; the grounding cache
   // behind it grounds exactly once (for the prefix build) and is never
-  // consulted again.
+  // consulted again. World classes leave these counts alone: every world,
+  // class member or not, still makes its one lookup before keying itself.
   std::mt19937_64 rng(5);
   std::vector<Database> dbs;
   for (int i = 0; i < 6; ++i) dbs.push_back(RandomDatabase(&rng));
