@@ -70,8 +70,9 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
     TauOptions step_options = options;
     step_options.ground_cache = step.ground_cache;
     step_options.cnf_cache = step.cnf_cache;
-    // Tau merges μ counters into whatever stats object arrives, so passing
-    // the same one per step accumulates across the chain.
+    // Tau adds its work counters into whatever stats object arrives, so
+    // passing the same one per step accumulates them across the chain
+    // (core/tau.h).
     KBT_ASSIGN_OR_RETURN(current,
                          Tau(*step.antecedent, current, step_options, stats));
   }

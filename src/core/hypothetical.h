@@ -60,9 +60,9 @@ struct ChainStep {
 /// per-call executor state is constructed beyond what the options leave null.
 /// Equivalent to NestedCounterfactual over the same formulas (property-tested
 /// in tests/serve_test.cc).
-/// `stats` (nullable) accumulates the per-step τ statistics — each step's μ
-/// counters merge into stats->mu, so a serving layer can surface solver
-/// budget/interrupt activity per request.
+/// `stats` (nullable) accumulates the per-step τ statistics — each step adds
+/// its μ, cache and class counters (core/tau.h), so a serving layer can
+/// surface solver budget/interrupt activity per request.
 StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
                                         const std::vector<ChainStep>& steps,
                                         const Formula& consequent,

@@ -80,8 +80,13 @@ StatusOr<MuGrounding> GroundForMu(const Formula& sentence,
     KBT_ASSIGN_OR_RETURN(out.grounding,
                          exec::MakeCachedGrounding(sentence, ctx.domain, gopts));
   }
+  // A split grounding has no prefix (exec/cnf_cache.h); a whole-root run on
+  // it encodes from scratch.
+  if (!out.grounding->components.empty()) out.frozen.reset();
   const Grounding& g = out.grounding->grounding;
   const std::vector<int>& mentioned = out.grounding->mentioned;
+  out.root = g.root;
+  out.atoms = &mentioned;
   out.bits.assign((mentioned.size() + 63) / 64, 0);
   for (size_t k = 0; k < mentioned.size(); ++k) {
     const GroundAtom& atom = g.atoms.AtomOf(mentioned[k]);
@@ -95,6 +100,8 @@ StatusOr<MuGrounding> GroundForMu(const Formula& sentence,
 }
 
 }  // namespace
+
+bool MuGrounding::whole() const { return atoms == &grounding->mentioned; }
 
 StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
                                             const Database& probe) {
@@ -115,14 +122,20 @@ StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
 
 StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
                                const MuOptions& options,
-                               const MuExecContext& exec) {
+                               const MuExecContext& exec,
+                               const PreparedPart* known) {
   // Cheapest place to honor an already-expired request: before grounding.
   // The SAT strategy additionally polls the token inside the search.
   if (options.cancel != nullptr && options.cancel->Expired()) {
     return Status::DeadlineExceeded("μ cancelled before evaluation");
   }
   PreparedMu prep;
-  if (exec.extended_schema != nullptr && exec.formula_constants != nullptr) {
+  if (known != nullptr && exec.extended_schema != nullptr) {
+    prep.ctx.schema = *exec.extended_schema;
+    prep.ctx.domain = *known->domain;
+    KBT_ASSIGN_OR_RETURN(prep.ctx.extended_base, db.ExtendTo(prep.ctx.schema));
+  } else if (exec.extended_schema != nullptr &&
+             exec.formula_constants != nullptr) {
     KBT_ASSIGN_OR_RETURN(
         prep.ctx, MakeUpdateContextOnSchema(*exec.extended_schema,
                                             *exec.formula_constants, db));
@@ -184,6 +197,10 @@ StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
       break;
     }
   }
+  if (known != nullptr) {
+    prep.ground = *known->ground;
+    return prep;
+  }
   KBT_ASSIGN_OR_RETURN(
       prep.ground, GroundForMu(sentence, prep.ctx, options, exec,
                                prep.strategy == MuStrategy::kSat));
@@ -220,6 +237,12 @@ StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
       return MuDefinitional(*prep.definitional, db, ctx, options, out);
     case MuStrategy::kAuto:
       return Status::Internal("μ strategy left unresolved");
+  }
+  // The fast paths evaluate the whole sentence, so a component of a split
+  // grounding falls back to SAT on the component.
+  if (!prep.ground.whole()) {
+    out->used = MuStrategy::kSat;
+    return MuSat(db, ctx, prep.ground, options, out, exec);
   }
   if (prep.datalog != nullptr) {
     out->used = MuStrategy::kDatalog;

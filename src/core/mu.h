@@ -52,8 +52,13 @@ struct MuOptions {
   /// Grounding circuit node budget (kResourceExhausted beyond it).
   size_t max_ground_nodes = 5'000'000;
   /// Reference enumeration: maximum mentioned ground atoms (2^k assignments).
+  /// τ runs μ per atom-disjoint component of the grounding, so there the
+  /// budget counts one component's atoms.
   size_t max_reference_atoms = 20;
   /// Maximum number of minimal models μ may return before kResourceExhausted.
+  /// In τ it bounds each world's result, the product of its components'
+  /// minimal models, checked before the product is built (and the SAT
+  /// strategy checks each component's own count as it enumerates).
   size_t max_models = 1'000'000;
   /// Ablation knob: block the full cone above each reported minimal model (one
   /// clause) instead of only its exact assignment. Off forces the enumerator to

@@ -82,27 +82,36 @@ StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
 
 /// What a grounded strategy (SAT or reference) reads of its grounding step:
 /// the grounding — through the CnfCache's frozen prefix on the SAT route when
-/// the executor has one — and the world's value on every atom it mentions.
+/// the executor has one — the part of it μ runs on, and the world's value on
+/// every atom that part mentions.
 struct MuGrounding {
   std::shared_ptr<const exec::CachedGrounding> grounding;
-  /// Engaged on the SAT route with an executor CnfCache.
+  /// Engaged on the SAT route with an executor CnfCache, for a whole root
+  /// that is one component.
   std::shared_ptr<const exec::FrozenCnf> frozen;
+  /// The part μ runs on: the grounding's root and `mentioned`, or one
+  /// component's root and atoms. `atoms` borrows from `grounding`.
+  int root = 0;
+  const std::vector<int>* atoms = nullptr;
   /// Bit k (word k / 64, bit k % 64) is set iff ctx.extended_base holds the
-  /// k-th atom of grounding->mentioned. Atoms of relations new to σ(db) are
-  /// never set. These are the strategies' default values.
+  /// k-th atom of `atoms`. Atoms of relations new to σ(db) are never set.
+  /// These are the strategies' default values.
   std::vector<uint64_t> bits;
 
   bool Bit(size_t k) const { return ((bits[k / 64] >> (k % 64)) & 1) != 0; }
+  /// True when μ runs on the grounding's whole root.
+  bool whole() const;
 };
 
 /// A μ call split where its strategy starts. PrepareMu honors an expired
 /// token, builds the update context, resolves the strategy (kAuto through the
 /// executor's plan, or one made for this call) and, on the grounded routes —
 /// SAT, reference and kAuto's resolution to them — makes the world's one
-/// cache lookup for the grounding and reads the world's bits. RunPreparedMu then runs the strategy on exactly
-/// these pieces. In between, τ keys its world classes on (ctx.domain,
-/// ground.bits): on a grounded route μ_φ(W) depends on W through nothing
-/// else (docs/exec.md, "World classes").
+/// cache lookup for the grounding and reads the world's bits over its whole
+/// root. RunPreparedMu then runs the strategy on exactly these pieces. In
+/// between, τ keys its world classes on (ctx.domain, component, the bits on
+/// that component): on a grounded route each component's minimal models
+/// depend on W through nothing else (docs/exec.md, "World classes").
 struct PreparedMu {
   UpdateContext ctx;
   /// kReference, kSat, kDatalog or kDefinitional — never kAuto. kAuto on a
@@ -119,12 +128,25 @@ struct PreparedMu {
   bool grounded() const { return ground.grounding != nullptr; }
 };
 
+/// A world τ has prepared once already, when its pass C prepares it again
+/// as a class leader: its active domain B and the part of its grounding the
+/// class covers. PrepareMu then neither rescans the world for B nor repeats
+/// the grounding lookup.
+struct PreparedPart {
+  const std::vector<Value>* domain = nullptr;
+  const MuGrounding* ground = nullptr;
+};
+
 StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
                                const MuOptions& options,
-                               const MuExecContext& exec);
+                               const MuExecContext& exec,
+                               const PreparedPart* known = nullptr);
 
 /// Runs the prepared strategy for `db` (the world PrepareMu saw). Mu() is
-/// PrepareMu then RunPreparedMu with an empty context.
+/// PrepareMu then RunPreparedMu with an empty context. kAuto's fallback from
+/// an over-budget reference μ goes on through the datalog and definitional
+/// plans only for a whole root: those evaluate the whole sentence, so a
+/// component falls back to SAT on the component.
 StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
                                       const Database& db,
                                       const PreparedMu& prep,
@@ -132,8 +154,8 @@ StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
                                       const MuExecContext& exec);
 
 /// Reference (specification) enumeration over a prepared grounding. Fails
-/// with kResourceExhausted when more than options.max_reference_atoms ground
-/// atoms are mentioned.
+/// with kResourceExhausted when the part it runs on mentions more than
+/// options.max_reference_atoms ground atoms.
 StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx,
                                     const MuGrounding& ground,
                                     const MuOptions& options, MuStats* stats);

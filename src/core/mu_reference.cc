@@ -52,9 +52,10 @@ StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx
                                     const MuGrounding& ground,
                                     const MuOptions& options, MuStats* stats) {
   // Same-domain worlds share one grounding (the circuit is read-only here);
-  // ground updates over a τ fan-out hit this path via kAuto.
+  // ground updates over a τ fan-out hit this path via kAuto. The enumeration
+  // covers ground.root's atoms: the whole root, or one component of it.
   const Grounding& g = ground.grounding->grounding;
-  const std::vector<int>& vars = ground.grounding->mentioned;
+  const std::vector<int>& vars = *ground.atoms;
   stats->ground_nodes = g.circuit.size();
   stats->ground_atoms = vars.size();
 
@@ -140,7 +141,7 @@ StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx
     }
     std::fill(memo.begin(), memo.end(), 0);
     ++stats->candidates_examined;
-    if (eval(g.root)) models.push_back(mask);
+    if (eval(ground.root)) models.push_back(mask);
   }
 
   // Minimal-element selection on masks: dominators have lexicographically

@@ -62,16 +62,18 @@ class SatEnumerator {
   StatusOr<Knowledgebase> Run(const MuGrounding& ground) {
     // The grounding — and, with a CnfCache, the frozen encoded prefix — is
     // shared by every world with this active domain (GroundForMu looked it
-    // up); only the per-world defaults are recomputed.
+    // up); only the per-world defaults are recomputed. μ runs on ground.root
+    // and its atoms: the whole root, or one component of it.
     const std::shared_ptr<const exec::CachedGrounding>& shared =
         ground.grounding;
     const exec::FrozenCnf* frozen = ground.frozen.get();
     const Grounding* g = &shared->grounding;
-    mentioned_ = &shared->mentioned;
+    const int root = ground.root;
+    mentioned_ = ground.atoms;
     stats_->ground_nodes = g->circuit.size();
     atoms_ = &g->atoms;
 
-    if (g->root == g->circuit.FalseNode()) {
+    if (root == g->circuit.FalseNode()) {
       return Knowledgebase(ctx_.schema);  // No models at all.
     }
 
@@ -108,7 +110,7 @@ class SatEnumerator {
       // enumeration only add plain clauses to the live solver — so only its
       // node-literal table (for phase seeding) outlives the block.
       sat::TseitinEncoder encoder(&g->circuit, solver_);
-      encoder.Assert(g->root);
+      encoder.Assert(root);
       for (int atom_id : *mentioned_) {
         s_.atom_var[static_cast<size_t>(atom_id)] = encoder.VarForAtom(atom_id);
       }
@@ -126,10 +128,11 @@ class SatEnumerator {
       Solver* s;
       ~LimitsGuard() { s->ClearLimits(); }
     } limits_guard{solver_};
-    // Valid previous evaluation of the same circuit on this worker: the next
+    // Valid previous evaluation of the same root on this worker: the next
     // world's defaults differ in a handful of atoms, so the circuit walk below
     // shrinks to the changed cone.
     const bool warm_eval = s_.eval_owner.get() == shared.get() &&
+                           s_.eval_root == root &&
                            s_.prev_default.size() == g->atoms.size() &&
                            s_.node_value.size() == g->circuit.size();
     s_.default_value.assign(g->atoms.size(), 0);
@@ -167,10 +170,11 @@ class SatEnumerator {
       g->circuit.ReevaluateInto(s_.dirty_atoms, default_of, shared->users,
                                 &s_.node_value, &s_.eval_heap);
     } else {
-      g->circuit.EvaluateAllInto(g->root, default_of, &s_.node_value);
+      g->circuit.EvaluateAllInto(root, default_of, &s_.node_value);
     }
     s_.prev_default = s_.default_value;
     s_.eval_owner = shared;
+    s_.eval_root = root;
     for (size_t id = 0; id < node_lits->size(); ++id) {
       sat::Lit lit = (*node_lits)[id];
       int8_t value = s_.node_value[id];

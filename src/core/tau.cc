@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "base/hash.h"
@@ -21,85 +25,324 @@ namespace kbt {
 
 namespace {
 
-/// A world class of one τ call: the worlds sharing the active domain B and
-/// their values on every atom the grounding over B mentions. On the grounded
-/// routes μ_φ(W) is a function of the class, so each class runs μ once.
-struct WorldClassKey {
+/// Part `c` of a grounding: component c, or the whole root when the root is
+/// one component. μ runs per part, and a world's class key for part c is
+/// (B, c, the world's bits on the part's atoms).
+size_t PartCount(const exec::CachedGrounding& g) {
+  return std::max<size_t>(1, g.components.size());
+}
+int PartRoot(const exec::CachedGrounding& g, size_t c) {
+  return g.components.empty() ? g.grounding.root : g.components[c].root;
+}
+const std::vector<int>& PartAtoms(const exec::CachedGrounding& g, size_t c) {
+  return g.components.empty() ? g.mentioned : g.components[c].atoms;
+}
+size_t Words(size_t bits) { return (bits + 63) / 64; }
+
+/// What pass A keeps of one world. On the grounded routes: its grounding and
+/// frozen prefix, B, and `key`, its bits on each part in turn, each part's
+/// starting on a word boundary (for a one-part grounding, just its bits);
+/// the world's Database and UpdateContext are dropped. On the datalog and
+/// definitional routes: the counters of the world's own μ.
+struct WorldSlot {
+  std::shared_ptr<const exec::CachedGrounding> grounding;
+  std::shared_ptr<const exec::FrozenCnf> frozen;
   std::vector<Value> domain;
-  std::vector<uint64_t> bits;
+  std::vector<uint64_t> key;
+  std::unique_ptr<MuStats> own_stats;
+  /// The world's output worlds as overlays of the extended input base: from
+  /// pass D on the grounded routes, from pass A otherwise.
+  std::vector<WorldOverlay> out;
 
-  friend bool operator==(const WorldClassKey& a, const WorldClassKey& b) {
-    return a.domain == b.domain && a.bits == b.bits;
+  bool grounded() const { return grounding != nullptr; }
+};
+
+/// Pass A's keying of a world on a grounded route. The bits of a split
+/// grounding are regrouped part by part, so pass B reads each part's key as
+/// one run of words and the per-key work runs in parallel here.
+void KeyWorld(internal::MuGrounding ground, std::vector<Value> domain,
+              WorldSlot* slot) {
+  slot->grounding = std::move(ground.grounding);
+  slot->frozen = std::move(ground.frozen);
+  slot->domain = std::move(domain);
+  const std::vector<exec::GroundingComponent>& components =
+      slot->grounding->components;
+  if (components.empty()) {
+    slot->key = std::move(ground.bits);
+    return;
   }
-};
-
-struct WorldClassKeyHash {
-  size_t operator()(const WorldClassKey& key) const {
-    size_t seed = exec::DomainHash()(key.domain);
-    for (uint64_t word : key.bits) seed = HashCombine(seed, word);
-    return static_cast<size_t>(Mix64(seed));
+  size_t words = 0;
+  for (const exec::GroundingComponent& c : components) {
+    words += Words(c.atoms.size());
   }
+  slot->key.assign(words, 0);
+  uint64_t* at = slot->key.data();
+  for (const exec::GroundingComponent& c : components) {
+    for (size_t k = 0; k < c.positions.size(); ++k) {
+      at[k / 64] |= uint64_t{ground.Bit(c.positions[k])} << (k % 64);
+    }
+    at += Words(c.atoms.size());
+  }
+}
+
+/// A world class: the worlds sharing B and their bits on one part of the
+/// grounding over B. μ runs once per class, on its lowest-indexed member, the
+/// leader; the class's bits are the leader's key from `word`.
+struct WorldClass {
+  size_t leader = 0;
+  uint32_t part = 0;
+  uint32_t word = 0;
 };
 
-/// One μ computation: the result μ returned, anchored at world `anchor`
-/// extended to σ(kb) ∪ σ(φ), and whether that anchor is the anchor world's
-/// input overlay applied to the shared extended input base (`rebased`). A
-/// world answered from its class holds its leader's result.
-struct WorldResult {
-  Knowledgebase mu;
-  size_t anchor = 0;
-  bool rebased = false;
-  MuStrategy used = MuStrategy::kAuto;
+/// Pass B's output: the classes in the order their leaders were met, and
+/// each world's class per part (`of[begin[i]] .. of[begin[i + 1] - 1]`).
+struct ClassTable {
+  std::vector<WorldClass> classes;
+  std::vector<uint32_t> of;
+  std::vector<size_t> begin;
+  uint64_t grounded_worlds = 0;
+  uint64_t leaders = 0;  ///< Grounded worlds that lead at least one class.
 };
 
-/// Merges per-world outcomes into the final kb and stats. On failure the
-/// lowest-indexed recorded error wins; with threads=1 that is exactly the old
-/// sequential first-failure behavior, with threads>1 it is the first failure
-/// the executor observed (later worlds are skipped, not run-and-discarded).
-///
-/// The merge never flattens: every μ result arrives as overlays against its
-/// anchor world extended to σ(kb) ∪ σ(φ), which is itself an overlay of the
-/// shared extended input base (schema union appends declarations, so input
-/// overlay positions survive extension unchanged). Composing each world's
-/// input overlay with its result's overlays yields each output world as an
-/// overlay of one shared base, and a single canonicalization over those
-/// overlays — O(worlds × delta) — replaces the old flat UnionAll. A class
-/// member composes its own input overlay with its leader's μ overlays: they
-/// touch only mentioned atoms, on which the member agrees with the leader, so
-/// they are canonical against the member's world too.
-StatusOr<Knowledgebase> MergeTauResults(
-    const Knowledgebase& kb, const Schema& extended_schema,
-    std::shared_ptr<const Database> ext_base, std::vector<Status> statuses,
-    std::vector<std::shared_ptr<const WorldResult>> results,
-    std::vector<MuStats> world_stats, const Knowledgebase::ParallelMap* pmap,
-    TauStats* out) {
+/// Pass B: numbers the (B, part, bits on the part) classes in world order, so
+/// the lowest-indexed member leads each class and class ids do not depend on
+/// scheduling. One thread and flat tables: a lock per key costs more than the
+/// μ work the classes save (docs/exec.md, "World classes").
+ClassTable AssignClasses(std::vector<WorldSlot>* slots) {
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  ClassTable t;
+  t.begin.reserve(slots->size() + 1);
+  t.begin.push_back(0);
+  if (!slots->empty() && (*slots)[0].grounded()) {
+    t.of.reserve(slots->size() * PartCount(*(*slots)[0].grounding));
+  }
+  // Worlds with equal B have equal groundings, part for part; a cached
+  // grounding is B's alone, so a repeat of the previous world's grounding
+  // skips hashing B.
+  std::unordered_map<std::vector<Value>, uint32_t, exec::DomainHash> groups;
+  const exec::CachedGrounding* last_grounding = nullptr;
+  uint32_t group = 0;
+  // Class k's key is (group, part, its leader's key words); `table` is
+  // open-addressed over the key hashes and at most half full.
+  std::vector<uint64_t> class_hash;
+  std::vector<uint32_t> class_group;
+  std::vector<uint32_t> table(64, kNone);
+  for (size_t i = 0; i < slots->size(); ++i) {
+    WorldSlot& slot = (*slots)[i];
+    if (slot.grounded()) {
+      ++t.grounded_worlds;
+      if (slot.grounding.get() != last_grounding) {
+        last_grounding = slot.grounding.get();
+        group = groups
+                    .try_emplace(slot.domain,
+                                 static_cast<uint32_t>(groups.size()))
+                    .first->second;
+      }
+      bool leads = false;
+      uint32_t word = 0;
+      for (uint32_t c = 0; c < PartCount(*slot.grounding); ++c) {
+        const uint64_t* key = slot.key.data() + word;
+        const size_t words = Words(PartAtoms(*slot.grounding, c).size());
+        uint64_t hash = HashCombine(group, c);
+        for (size_t w = 0; w < words; ++w) hash = HashCombine(hash, key[w]);
+        hash = Mix64(hash);
+        size_t at = hash & (table.size() - 1);
+        uint32_t k = table[at];
+        while (k != kNone) {
+          const WorldClass& other = t.classes[k];
+          if (class_hash[k] == hash && class_group[k] == group &&
+              other.part == c &&
+              std::equal(key, key + words,
+                         (*slots)[other.leader].key.data() + other.word)) {
+            break;
+          }
+          at = (at + 1) & (table.size() - 1);
+          k = table[at];
+        }
+        if (k == kNone) {
+          k = static_cast<uint32_t>(t.classes.size());
+          t.classes.push_back(WorldClass{i, c, word});
+          class_hash.push_back(hash);
+          class_group.push_back(group);
+          table[at] = k;
+          leads = true;
+          if (2 * t.classes.size() > table.size()) {
+            table.assign(2 * table.size(), kNone);
+            for (uint32_t j = 0; j < t.classes.size(); ++j) {
+              size_t free = class_hash[j] & (table.size() - 1);
+              while (table[free] != kNone) free = (free + 1) & (table.size() - 1);
+              table[free] = j;
+            }
+          }
+        }
+        t.of.push_back(k);
+        word += static_cast<uint32_t>(words);
+      }
+      if (leads) ++t.leaders;
+    }
+    t.begin.push_back(t.of.size());
+  }
+  return t;
+}
+
+/// Checks that a μ result is anchored where pass D composes it: every
+/// strategy returns its models as overlays of the world's context base, which
+/// must be the world's input overlay applied to the shared extended input
+/// base. Checked once per μ computation, by the world that ran it.
+Status CheckAnchored(const Knowledgebase& mu, const WorldOverlay& input,
+                     const Database& ext_base, const Schema& extended_schema) {
+  if (mu.empty()) return Status::OK();
+  if (mu.schema() != extended_schema) {
+    return Status::InvalidArgument("knowledgebase union: schema mismatch");
+  }
+  if (!input.ApplyEquals(ext_base, *mu.base())) {
+    return Status::Internal("μ result not anchored at its input world");
+  }
+  return Status::OK();
+}
+
+/// The union of models of distinct components: they touch disjoint atoms,
+/// so per position the adds, and the dels, are disjoint.
+WorldOverlay UnionOfParts(std::span<const WorldOverlay* const> parts) {
+  std::vector<const RelationDelta*> deltas;
+  for (const WorldOverlay* part : parts) {
+    for (const RelationDelta& d : part->deltas()) deltas.push_back(&d);
+  }
+  std::stable_sort(deltas.begin(), deltas.end(),
+                   [](const RelationDelta* a, const RelationDelta* b) {
+                     return a->pos < b->pos;
+                   });
+  std::vector<RelationDelta> out;
+  for (size_t i = 0; i < deltas.size();) {
+    size_t j = i + 1;
+    size_t adds_rows = deltas[i]->adds.size();
+    size_t dels_rows = deltas[i]->dels.size();
+    for (; j < deltas.size() && deltas[j]->pos == deltas[i]->pos; ++j) {
+      adds_rows += deltas[j]->adds.size();
+      dels_rows += deltas[j]->dels.size();
+    }
+    if (j == i + 1) {
+      out.push_back(*deltas[i]);
+    } else {
+      Relation::Builder adds(deltas[i]->adds.arity());
+      Relation::Builder dels(deltas[i]->dels.arity());
+      adds.Reserve(adds_rows);
+      dels.Reserve(dels_rows);
+      for (size_t k = i; k < j; ++k) {
+        for (TupleView row : deltas[k]->adds) adds.Append(row);
+        for (TupleView row : deltas[k]->dels) dels.Append(row);
+      }
+      out.push_back(RelationDelta{deltas[i]->pos, adds.Build(), dels.Build()});
+    }
+    i = j;
+  }
+  return WorldOverlay::FromDeltas(std::move(out));
+}
+
+/// Pass D for a world on the grounded routes: its input overlay composed with
+/// every combination of one model per component, each taken from the world's
+/// class for that component. A class's models touch only its component's
+/// atoms, on which the world agrees with the class leader, and distinct
+/// components touch disjoint atoms; so the union of one model per component
+/// is canonical against the world, and one Compose applies it. The product
+/// is counted before it is built: max_models bounds each world's result, as
+/// it bounds plain μ's.
+struct ComposeScratch {
+  std::vector<size_t> pick;
+  std::vector<const WorldOverlay*> chosen;
+};
+
+Status ComposeProduct(const WorldOverlay& input,
+                      std::span<const uint32_t> classes,
+                      const std::vector<Knowledgebase>& class_mu,
+                      size_t max_models, ComposeScratch* scratch,
+                      std::vector<WorldOverlay>* out) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  size_t count = 1;
+  for (uint32_t c : classes) {
+    const size_t models = class_mu[c].size();
+    if (models == 0) return Status::OK();  // A part without models: so is φ.
+    count = count > kMax / models ? kMax : count * models;
+  }
+  if (count > max_models) {
+    return Status::ResourceExhausted("μ produced more than " +
+                                     std::to_string(max_models) +
+                                     " minimal models");
+  }
+  out->reserve(count);
+  if (classes.size() == 1) {  // One part: no combinations to form.
+    for (const WorldOverlay& model : class_mu[classes[0]].overlays()) {
+      out->push_back(model.identity() ? input
+                                      : WorldOverlay::Compose(input, model));
+    }
+    return Status::OK();
+  }
+  // An odometer over the combinations; identity models contribute nothing.
+  std::vector<size_t>& pick = scratch->pick;
+  std::vector<const WorldOverlay*>& chosen = scratch->chosen;
+  pick.assign(classes.size(), 0);
+  while (true) {
+    chosen.clear();
+    for (size_t c = 0; c < classes.size(); ++c) {
+      const WorldOverlay& model = class_mu[classes[c]].overlays()[pick[c]];
+      if (!model.identity()) chosen.push_back(&model);
+    }
+    if (chosen.empty()) {
+      out->push_back(input);
+    } else if (chosen.size() == 1) {
+      out->push_back(WorldOverlay::Compose(input, *chosen[0]));
+    } else {
+      out->push_back(WorldOverlay::Compose(input, UnionOfParts(chosen)));
+    }
+    size_t c = 0;
+    while (c < classes.size() && ++pick[c] == class_mu[classes[c]].size()) {
+      pick[c++] = 0;
+    }
+    if (c == classes.size()) return Status::OK();
+  }
+}
+
+/// Runs `task`, turning a throw into a status: one world or class failing —
+/// by Status or by throwing — fails the call, never the process.
+template <typename Fn>
+Status Contained(const char* what, Fn&& task) {
+  try {
+    return task();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string(what) + " threw: " + e.what());
+  } catch (...) {
+    return Status::Internal(std::string(what) +
+                            " threw a non-standard exception");
+  }
+}
+
+/// The lowest-indexed recorded error; with threads=1 that is exactly the
+/// sequential first failure, with threads>1 the first failure the executor
+/// observed (later tasks are skipped, not run-and-discarded). A dispatch
+/// error of the pool itself surfaces only when no task recorded one.
+Status FirstError(const std::vector<Status>& statuses, const Status& pool) {
   for (const Status& s : statuses) KBT_RETURN_IF_ERROR(s);
-  for (const MuStats& s : world_stats) out->mu.MergeFrom(s);
+  return pool;
+}
 
+/// The merge: every output world arrives from pass D as an overlay of the
+/// shared extended input base (schema union appends declarations, so input
+/// overlay positions survive extension unchanged), and a single
+/// canonicalization over those overlays — O(worlds × delta) — replaces a
+/// flat UnionAll. No world is ever flattened.
+StatusOr<Knowledgebase> MergeTauResults(const Schema& extended_schema,
+                                        std::shared_ptr<const Database> ext_base,
+                                        std::vector<WorldSlot> slots,
+                                        const Knowledgebase::ParallelMap* pmap,
+                                        TauStats* out) {
   size_t total = 0;
-  for (const auto& r : results) total += r->mu.size();
+  for (const WorldSlot& slot : slots) total += slot.out.size();
   std::vector<WorldOverlay> merged;
   merged.reserve(total);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const WorldResult& r = *results[i];
-    if (r.mu.empty()) continue;
-    if (r.mu.schema() != extended_schema) {
-      return Status::InvalidArgument("knowledgebase union: schema mismatch");
-    }
-    const WorldOverlay& input_ov = kb.overlays()[i];
-    if (r.rebased) {
-      for (const WorldOverlay& ov : r.mu.overlays()) {
-        merged.push_back(WorldOverlay::Compose(input_ov, ov));
-      }
-    } else if (r.anchor == i) {
-      // Any other anchor of a world's own result falls back to a diff.
-      for (size_t j = 0; j < r.mu.size(); ++j) {
-        merged.push_back(WorldOverlay::FromDiff(*ext_base, r.mu.World(j)));
-      }
-    } else {
-      return Status::Internal("world class result not anchored at its leader");
-    }
+  for (WorldSlot& slot : slots) {
+    for (WorldOverlay& ov : slot.out) merged.push_back(std::move(ov));
   }
+  slots.clear();
   if (merged.empty()) {
     out->output_databases = 0;
     return Knowledgebase(extended_schema);
@@ -184,146 +427,182 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   KBT_ASSIGN_OR_RETURN(Database extended, kb.base()->ExtendTo(extended_schema));
   auto ext_base = std::make_shared<const Database>(std::move(extended));
 
-  std::vector<Status> statuses(kb.size());
-  std::vector<std::shared_ptr<const WorldResult>> results(kb.size());
-  std::vector<MuStats> world_stats(kb.size());
-
-  // World classes (docs/exec.md): on the grounded routes each world keys
-  // itself by (B, its bits on the mentioned atoms) once its grounding is in
-  // hand, and the first world of a class computes μ for all of it, exactly
-  // once. Datalog and definitional μ never ground, so they stay per world.
-  exec::OnceCache<WorldClassKey, WorldResult, WorldClassKeyHash> classes;
-  std::atomic<size_t> shared_worlds{0};
-
-  // After the first failure no further world starts a μ computation — the
-  // error is going to be returned anyway, so the remaining work would be
-  // discarded.
-  std::atomic<bool> failed{false};
-  auto run_world = [&](size_t i, internal::MuExecContext exec) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    // Graceful degradation: one world failing — by Status or by throwing —
-    // lands in its own result slot and fails the call, never the process.
-    // Sibling worlds already running complete normally.
-    using Result = StatusOr<std::shared_ptr<const WorldResult>>;
-    Result r = [&]() -> Result {
-      try {
-        // The world is materialized transiently from the shared base — a
-        // copy-on-write overlay application, never a stored flat copy.
-        Database world = kb.World(i);
-        KBT_ASSIGN_OR_RETURN(
-            internal::PreparedMu prep,
-            internal::PrepareMu(sentence, world, options.mu, exec));
-        auto compute = [&]() -> Result {
-          KBT_ASSIGN_OR_RETURN(
-              Knowledgebase mu,
-              internal::RunPreparedMu(sentence, world, prep, options.mu,
-                                      &world_stats[i], exec));
-          bool rebased = mu.base() != nullptr &&
-                         kb.overlays()[i].ApplyEquals(*ext_base, *mu.base());
-          return std::make_shared<const WorldResult>(
-              WorldResult{std::move(mu), i, rebased, world_stats[i].used});
-        };
-        if (!prep.grounded()) return compute();
-        bool computed = false;
-        KBT_ASSIGN_OR_RETURN(
-            std::shared_ptr<const WorldResult> result,
-            classes.GetOrCompute(
-                WorldClassKey{prep.ctx.domain, prep.ground.bits}, [&] {
-                  computed = true;
-                  return compute();
-                }));
-        if (!computed) {
-          // Answered by the class: no μ work was done for this world.
-          world_stats[i].used = result->used;
-          shared_worlds.fetch_add(1, std::memory_order_relaxed);
-        }
-        return result;
-      } catch (const std::exception& e) {
-        return Status::Internal(std::string("world task threw: ") + e.what());
-      } catch (...) {
-        return Status::Internal("world task threw a non-standard exception");
-      }
-    }();
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      statuses[i] = r.status();
-      failed.store(true, std::memory_order_relaxed);
-    }
-  };
-
   size_t threads = options.threads != 0
                        ? options.threads
                        : std::max<size_t>(1, std::thread::hardware_concurrency());
   threads = std::min(threads, kb.size());
 
-  // The pool outlives the per-world loop: the merge step reuses it to hash
+  // Per-worker μ resources. Sequentially: a session-pinned solver/scratch
+  // (serving reads) or per-call locals, so arena capacity and enumerator
+  // buffers stay warm across calls. In parallel: each worker owns a Solver
+  // reused (via Reset or a frozen-prefix fork) across every world and class
+  // it executes, plus a WorldScratch for the enumerator's per-world tables,
+  // on the caller's persistent pool (a serving loop re-entering
+  // Pipeline::Apply should not respawn threads per call) or one spawned for
+  // this call. The pool outlives the passes: the merge reuses it to hash
   // result overlays in parallel during canonicalization.
   exec::ThreadPool* pool = nullptr;
   std::unique_ptr<exec::ThreadPool> own_pool;
-
+  sat::Solver local_solver;
+  exec::WorldScratch local_scratch;
+  std::vector<std::unique_ptr<sat::Solver>> solvers;
+  std::vector<std::unique_ptr<exec::WorldScratch>> scratches;
+  std::vector<internal::MuExecContext> worker_exec;
   if (threads <= 1) {
-    // Sequential path: same per-world calls, same merge — the parallel path is
-    // bit-identical because results land in per-world slots either way. A
-    // session-pinned solver/scratch (serving reads) replaces the per-call
-    // locals so arena capacity and enumerator buffers stay warm across calls.
-    sat::Solver local_solver;
-    exec::WorldScratch local_scratch;
     internal::MuExecContext exec = base_exec;
     exec.solver = options.solver != nullptr ? options.solver : &local_solver;
     exec.scratch = options.scratch != nullptr ? options.scratch : &local_scratch;
-    for (size_t i = 0; i < kb.size() && !failed.load(std::memory_order_relaxed);
-         ++i) {
-      run_world(i, exec);
-    }
+    worker_exec.push_back(exec);
     out->threads_used = 1;
   } else {
-    // Each worker owns a Solver reused (via Reset or a frozen-prefix fork)
-    // across every world it executes — the PR 2 incremental machinery
-    // instantiated per thread — plus a WorldScratch holding the enumerator's
-    // per-world tables, so small worlds stop paying per-world allocation. The
-    // pool is the caller's persistent one when provided (a serving loop
-    // re-entering Pipeline::Apply should not respawn threads per call),
-    // otherwise spawned for this call.
     pool = options.pool;
     if (pool == nullptr) {
       own_pool = std::make_unique<exec::ThreadPool>(threads);
       pool = own_pool.get();
     }
-    size_t workers = pool->workers();
-    std::vector<std::unique_ptr<sat::Solver>> solvers;
-    std::vector<std::unique_ptr<exec::WorldScratch>> scratches;
-    solvers.reserve(workers);
-    scratches.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) {
+    for (size_t t = 0; t < pool->workers(); ++t) {
       solvers.push_back(std::make_unique<sat::Solver>());
       scratches.push_back(std::make_unique<exec::WorldScratch>());
+      internal::MuExecContext exec = base_exec;
+      exec.solver = solvers.back().get();
+      exec.scratch = scratches.back().get();
+      worker_exec.push_back(exec);
     }
-    Status pool_status =
-        pool->ParallelFor(kb.size(), [&](size_t i, size_t worker) {
-          internal::MuExecContext exec = base_exec;
-          exec.solver = solvers[worker].get();
-          exec.scratch = scratches[worker].get();
-          run_world(i, exec);
-        });
-    // run_world contains exceptions in per-world slots, so a pool-level error
-    // means the dispatch machinery itself failed; surface it unless a world
-    // already recorded a more specific one.
-    if (!pool_status.ok() &&
-        std::all_of(statuses.begin(), statuses.end(),
-                    [](const Status& s) { return s.ok(); })) {
-      return pool_status;
-    }
-    out->threads_used = std::min(workers, kb.size());
+    out->threads_used = std::min(pool->workers(), kb.size());
   }
 
+  // Runs body(i, worker) for every i < n — in order in the calling thread,
+  // or on the pool; `worker` indexes worker_exec. After the first failure no
+  // further task starts: the error is going to be returned anyway.
+  std::atomic<bool> failed{false};
+  auto for_each = [&](size_t n, std::vector<Status>* statuses,
+                      const auto& body) {
+    auto task = [&](size_t i, size_t worker) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      Status s = Contained("τ task", [&] { return body(i, worker); });
+      if (!s.ok()) {
+        (*statuses)[i] = std::move(s);
+        failed.store(true, std::memory_order_relaxed);
+      }
+    };
+    Status dispatched;
+    if (pool == nullptr) {
+      for (size_t i = 0; i < n; ++i) task(i, 0);
+    } else {
+      dispatched = pool->ParallelFor(n, task);
+    }
+    return FirstError(*statuses, dispatched);
+  };
+
+  // World classes in four passes (docs/exec.md, "World classes").
+  std::vector<WorldSlot> slots(kb.size());
+  ClassTable table;
+  std::vector<Knowledgebase> class_mu;
+  std::vector<MuStats> class_stats;
+  Status status = [&]() -> Status {
+    // A — key, per world: the world's one grounding lookup and its bits on
+    // the grounded routes (SAT, reference and kAuto's resolution to them).
+    // Datalog and definitional μ never ground: they run here, per world, and
+    // compose their models onto the world's input overlay at once.
+    // Passes A and D share `world_status`: D runs only when A failed nowhere.
+    std::vector<Status> world_status(kb.size());
+    KBT_RETURN_IF_ERROR(for_each(
+        kb.size(), &world_status,
+        [&](size_t i, size_t worker) -> Status {
+          const internal::MuExecContext& exec = worker_exec[worker];
+          // The world is materialized transiently from the shared base — a
+          // copy-on-write overlay application, never a stored flat copy.
+          Database world = kb.World(i);
+          KBT_ASSIGN_OR_RETURN(
+              internal::PreparedMu prep,
+              internal::PrepareMu(sentence, world, options.mu, exec));
+          WorldSlot& slot = slots[i];
+          if (prep.grounded()) {
+            KeyWorld(std::move(prep.ground), std::move(prep.ctx.domain), &slot);
+            return Status::OK();
+          }
+          slot.own_stats = std::make_unique<MuStats>();
+          KBT_ASSIGN_OR_RETURN(
+              Knowledgebase mu,
+              internal::RunPreparedMu(sentence, world, prep, options.mu,
+                                      slot.own_stats.get(), exec));
+          const WorldOverlay& input = kb.overlays()[i];
+          KBT_RETURN_IF_ERROR(
+              CheckAnchored(mu, input, *ext_base, extended_schema));
+          for (const WorldOverlay& ov : mu.overlays()) {
+            slot.out.push_back(WorldOverlay::Compose(input, ov));
+          }
+          return Status::OK();
+        }));
+
+    // B — classes, on this thread.
+    table = AssignClasses(&slots);
+
+    // C — μ, per class.
+    class_mu.resize(table.classes.size());
+    class_stats.resize(table.classes.size());
+    std::vector<Status> class_status(table.classes.size());
+    KBT_RETURN_IF_ERROR(for_each(
+        table.classes.size(), &class_status,
+        [&](size_t k, size_t worker) -> Status {
+          // Only the leader's world and context are rebuilt, from what pass
+          // A kept: B and the grounding.
+          const WorldClass& wc = table.classes[k];
+          const WorldSlot& leader = slots[wc.leader];
+          internal::MuGrounding part;
+          part.grounding = leader.grounding;
+          part.frozen = leader.frozen;
+          part.root = PartRoot(*leader.grounding, wc.part);
+          part.atoms = &PartAtoms(*leader.grounding, wc.part);
+          part.bits.assign(
+              leader.key.begin() + wc.word,
+              leader.key.begin() + wc.word + Words(part.atoms->size()));
+          const internal::PreparedPart known{&leader.domain, &part};
+          Database world = kb.World(wc.leader);
+          KBT_ASSIGN_OR_RETURN(
+              internal::PreparedMu prep,
+              internal::PrepareMu(sentence, world, options.mu,
+                                  worker_exec[worker], &known));
+          KBT_ASSIGN_OR_RETURN(
+              class_mu[k],
+              internal::RunPreparedMu(sentence, world, prep, options.mu,
+                                      &class_stats[k], worker_exec[worker]));
+          return CheckAnchored(class_mu[k], kb.overlays()[wc.leader],
+                               *ext_base, extended_schema);
+        }));
+
+    // D — compose, per world: the world's input overlay with the product of
+    // its classes' models.
+    std::vector<ComposeScratch> compose_scratch(worker_exec.size());
+    return for_each(
+        kb.size(), &world_status, [&](size_t i, size_t worker) -> Status {
+          if (!slots[i].grounded()) return Status::OK();
+          return ComposeProduct(
+              kb.overlays()[i],
+              std::span<const uint32_t>(table.of).subspan(
+                  table.begin[i], table.begin[i + 1] - table.begin[i]),
+              class_mu, options.mu.max_models, &compose_scratch[worker],
+              &slots[i].out);
+        });
+  }();
+
+  // Work counters add up across calls sharing one stats object (a chain);
+  // sizes and threads_used describe this call alone.
   exec::GroundingCache::Stats cache_stats = cache->stats();
-  out->ground_cache_hits = cache_stats.hits - ground_stats_before.hits;
-  out->ground_cache_misses = cache_stats.misses - ground_stats_before.misses;
+  out->ground_cache_hits += cache_stats.hits - ground_stats_before.hits;
+  out->ground_cache_misses += cache_stats.misses - ground_stats_before.misses;
   exec::CnfCache::Stats cnf_stats = cnf_cache->stats();
-  out->cnf_cache_hits = cnf_stats.hits - cnf_stats_before.hits;
-  out->cnf_cache_misses = cnf_stats.misses - cnf_stats_before.misses;
-  out->shared_worlds = shared_worlds.load(std::memory_order_relaxed);
+  out->cnf_cache_hits += cnf_stats.hits - cnf_stats_before.hits;
+  out->cnf_cache_misses += cnf_stats.misses - cnf_stats_before.misses;
+  out->shared_worlds += table.grounded_worlds - table.leaders;
+  out->mu_classes += table.classes.size();
+  KBT_RETURN_IF_ERROR(status);
+  // In world order, then class order: independent of execution interleaving.
+  for (const WorldSlot& slot : slots) {
+    if (slot.own_stats != nullptr) out->mu.MergeFrom(*slot.own_stats);
+  }
+  for (const MuStats& s : class_stats) out->mu.MergeFrom(s);
+  class_mu.clear();
 
   Knowledgebase::ParallelMap pmap;
   if (pool != nullptr) {
@@ -331,10 +610,9 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
       return pool->ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
     };
   }
-  return MergeTauResults(kb, extended_schema, std::move(ext_base),
-                         std::move(statuses), std::move(results),
-                         std::move(world_stats),
-                         pool != nullptr ? &pmap : nullptr, out);
+  return MergeTauResults(extended_schema, std::move(ext_base),
+                         std::move(slots), pool != nullptr ? &pmap : nullptr,
+                         out);
 }
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,

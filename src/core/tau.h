@@ -11,8 +11,9 @@
 /// The member updates are independent, so τ runs on the exec/ subsystem: worlds
 /// are partitioned into stealable chunks over a work-stealing thread pool, each
 /// worker owns a reusable Solver, worlds with identical active domains share
-/// one grounded circuit through a domain-keyed cache, and worlds that also
-/// agree on every atom that circuit mentions share one μ computation.
+/// one grounded circuit through a domain-keyed cache, and μ runs once per
+/// world class: per atom-disjoint component of that circuit and per pattern
+/// of the worlds' values on the component's atoms (docs/exec.md).
 /// threads = 1 (the default) is the plain sequential loop; every thread count
 /// produces the same canonical Knowledgebase bit for bit
 /// (tests/tau_parallel_test.cc).
@@ -76,12 +77,17 @@ struct TauOptions {
   exec::WorldScratch* scratch = nullptr;
 };
 
+/// One τ call's counters. A stats object passed to several calls (one per
+/// step of a chain, as NestedCounterfactualExec does) adds up the work
+/// counters — `mu`, the cache counters, `shared_worlds` and `mu_classes` —
+/// across the calls, while `input_databases`, `output_databases` and
+/// `threads_used` describe the last call alone.
 struct TauStats {
   /// Sizes before and after.
   size_t input_databases = 0;
   size_t output_databases = 0;
-  /// Aggregated μ counters (merged in world order, independent of execution
-  /// interleaving).
+  /// Aggregated μ counters (merged in world order, then class order,
+  /// independent of execution interleaving).
   MuStats mu;
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;
@@ -94,11 +100,14 @@ struct TauStats {
   /// replaced by a bulk solver fork.
   uint64_t cnf_cache_hits = 0;
   uint64_t cnf_cache_misses = 0;
-  /// Worlds answered from their world class — another world with the same
-  /// active domain and the same values on every atom the grounding mentions
-  /// ran μ for them (SAT and reference routes only; docs/exec.md). Their μ
-  /// counters stay zero: `mu` counts only work actually done.
+  /// Worlds that ran no μ of their own: on every component of the grounding,
+  /// a lower-indexed world with the same active domain and the same values
+  /// on the component's atoms ran it (SAT and reference routes only;
+  /// docs/exec.md). `mu` counts only work actually done.
   uint64_t shared_worlds = 0;
+  /// μ computations run on the SAT and reference routes: one per distinct
+  /// (active domain, component, values on the component's atoms).
+  uint64_t mu_classes = 0;
 };
 
 /// Computes τ_φ(kb). All members of `kb` share a schema, so every μ call works over

@@ -17,8 +17,10 @@ StatusOr<std::shared_ptr<const FrozenCnf>> MakeFrozenCnf(
   }
   const Grounding& g = cnf->grounding->grounding;
   // A root of ⊥ has no models: the enumerator bails out before touching a
-  // solver, so the prefix stays empty (and costs nothing to build).
-  if (g.root != g.circuit.FalseNode()) {
+  // solver, so the prefix stays empty (and costs nothing to build). A split
+  // grounding gets none either: τ runs μ per component, each encoding its
+  // own part, so a prefix of the whole root would never be forked.
+  if (g.root != g.circuit.FalseNode() && cnf->grounding->components.empty()) {
     // Encode into a scratch solver exactly as the enumerator would, then
     // freeze. Encoding the root creates the solver variable of every atom
     // mentioned by it (left-to-right, as a fresh per-world encoder does), so

@@ -56,7 +56,9 @@ struct FrozenCnf {
 /// Builds the frozen prefix of `sentence` over `domain`: grounds (through
 /// `ground_cache` when non-null, so the circuit is shared with non-SAT
 /// strategies of the same τ call), encodes into a scratch solver, freezes.
-/// The single constructor for cache entries and uncached builds alike.
+/// A grounding split into components gets an empty prefix (μ encodes each
+/// component on its own). The single constructor for cache entries and
+/// uncached builds alike.
 StatusOr<std::shared_ptr<const FrozenCnf>> MakeFrozenCnf(
     const Formula& sentence, const std::vector<Value>& domain,
     const GrounderOptions& options, GroundingCache* ground_cache);

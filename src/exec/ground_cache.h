@@ -26,20 +26,33 @@
 
 namespace kbt::exec {
 
+/// One atom-disjoint part of a grounding's root: a child of the root AND, or
+/// the AND of several children that share atoms.
+struct GroundingComponent {
+  int root = 0;                     ///< Circuit node of the part.
+  std::vector<int> atoms;           ///< Sorted atom ids the part mentions.
+  std::vector<uint32_t> positions;  ///< Index of each atom in `mentioned`.
+};
+
 /// An immutable grounding plus the precomputed mentioned-variable set
 /// (CollectVars of the root) every strategy needs right after grounding.
 struct CachedGrounding {
   Grounding grounding;
   std::vector<int> mentioned;  ///< Sorted external var ids reachable from root.
+  /// The root's conjuncts grouped into atom-disjoint components, ordered by
+  /// their first child. Empty when the root is one component (not an AND, or
+  /// all its children connected through shared atoms); τ then runs μ on the
+  /// whole root (docs/exec.md, "World classes").
+  std::vector<GroundingComponent> components;
   /// Child → parent adjacency of the circuit, for incremental default
   /// re-evaluation across the worlds sharing this grounding (PR 7).
   CircuitUsers users;
 };
 
 /// Grounds `sentence` over `domain` and wraps the result in the immutable
-/// CachedGrounding shape (mentioned vars precomputed). The single constructor
-/// for cache entries and for uncached per-call groundings alike, so both paths
-/// precompute the same fields.
+/// CachedGrounding shape (mentioned vars and components precomputed). The
+/// single constructor for cache entries and for uncached per-call groundings
+/// alike, so both paths precompute the same fields.
 StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
     const Formula& sentence, const std::vector<Value>& domain,
     const GrounderOptions& options);
@@ -71,10 +84,15 @@ class GroundingCache {
   /// adjacency — a sizing heuristic, not an exact meter).
   size_t approx_bytes() const {
     return cache_.ApproxBytes([](const CachedGrounding& g) {
-      return g.grounding.circuit.size() * 16 + g.grounding.atoms.size() * 24 +
-             g.mentioned.size() * sizeof(int) +
-             g.users.offset.size() * sizeof(uint32_t) +
-             g.users.data.size() * sizeof(int32_t);
+      size_t bytes = g.grounding.circuit.size() * 16 +
+                     g.grounding.atoms.size() * 24 +
+                     g.mentioned.size() * sizeof(int) +
+                     g.users.offset.size() * sizeof(uint32_t) +
+                     g.users.data.size() * sizeof(int32_t);
+      for (const GroundingComponent& c : g.components) {
+        bytes += sizeof(c) + c.atoms.size() * (sizeof(int) + sizeof(uint32_t));
+      }
+      return bytes;
     });
   }
 

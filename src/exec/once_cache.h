@@ -2,16 +2,17 @@
 #define KBT_EXEC_ONCE_CACHE_H_
 
 /// \file
-/// The exactly-once cache shared by GroundingCache, CnfCache and τ's world
-/// classes.
+/// The exactly-once, domain-keyed cache shared by GroundingCache and
+/// CnfCache.
 ///
-/// All three follow the same concurrency discipline: entries are created
+/// Both follow the same concurrency discipline: entries are created
 /// under a map lock but computed outside it, with a per-entry mutex giving
 /// exactly-once computation — concurrent lookups of one key block until the
 /// single computation finishes rather than recomputing redundantly, and
 /// errors are cached like values. This header is the one implementation of
-/// that discipline; the users supply only the key, the value type and the
-/// build function.
+/// that discipline; the users supply only the value type and the build
+/// function. One cache instance serves one sentence — the sentence is
+/// deliberately not part of the key, which is the active domain alone.
 ///
 /// Boundedness: a serving workload with a churning active domain (every
 /// commit growing or shifting the domain) makes each lookup a fresh key, so
@@ -43,14 +44,16 @@ struct DomainHash {
   }
 };
 
-/// Exactly-once cache from a `Key` (hashed by `KeyHash`) to a shared
-/// immutable `V`.
-template <typename Key, typename V, typename KeyHash>
-class OnceCache {
+/// Exactly-once cache from an active domain (sorted `std::vector<Value>`) to
+/// a shared immutable `V`.
+template <typename V>
+class DomainKeyedOnceCache {
  public:
-  OnceCache() = default;
-  OnceCache(const OnceCache&) = delete;
-  OnceCache& operator=(const OnceCache&) = delete;
+  using Key = std::vector<Value>;
+
+  DomainKeyedOnceCache() = default;
+  DomainKeyedOnceCache(const DomainKeyedOnceCache&) = delete;
+  DomainKeyedOnceCache& operator=(const DomainKeyedOnceCache&) = delete;
 
   struct Stats {
     uint64_t hits = 0;    ///< Lookups served by an existing entry.
@@ -134,7 +137,7 @@ class OnceCache {
     std::lock_guard<std::mutex> lock(mu_);
     size_t total = 0;
     for (const auto& [key, entry] : map_) {
-      total += key.capacity() * sizeof(typename Key::value_type);
+      total += key.capacity() * sizeof(Value);
       if (entry->done.load(std::memory_order_acquire) && entry->status.ok() &&
           entry->value != nullptr) {
         total += cost(*entry->value);
@@ -157,19 +160,13 @@ class OnceCache {
 
   mutable std::mutex mu_;
   size_t max_entries_ = 0;
-  std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> map_;
+  std::unordered_map<Key, std::shared_ptr<Entry>, DomainHash> map_;
   /// The map's keys in recency order; back() is the eviction candidate.
   /// Unordered-map nodes never move, so the pointers stay valid until their
   /// entry is erased.
   std::list<const Key*> lru_;
   Stats stats_;
 };
-
-/// The grounding and CNF caches: keyed by active domain alone. One cache
-/// instance serves one sentence — the sentence is deliberately not part of
-/// the key; callers create a fresh cache per τ call.
-template <typename V>
-using DomainKeyedOnceCache = OnceCache<std::vector<Value>, V, DomainHash>;
 
 }  // namespace kbt::exec
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -67,6 +68,45 @@ TEST(GroundCacheTest, MatchesDirectGrounding) {
   for (size_t i = 0; i < direct->atoms.size(); ++i) {
     EXPECT_EQ((*cached)->grounding.atoms.AtomOf(static_cast<int>(i)),
               direct->atoms.AtomOf(static_cast<int>(i)));
+  }
+}
+
+TEST(GroundCacheTest, SplitsTheRootIntoAtomDisjointComponents) {
+  GrounderOptions opts;
+  std::vector<Value> domain = Domain({"a", "b", "c"});
+  // The last two conjuncts share Q(b, a): one component of three atoms.
+  auto split = MakeCachedGrounding(
+      *ParseSentence("P(a) & !P(b) & (Q(a, b) | Q(b, a)) & (Q(b, a) | P(c))"),
+      domain, opts);
+  ASSERT_TRUE(split.ok());
+  const CachedGrounding& g = **split;
+  ASSERT_EQ(g.components.size(), 3u);
+  std::vector<size_t> sizes;
+  std::vector<int> all;
+  for (const GroundingComponent& c : g.components) {
+    sizes.push_back(c.atoms.size());
+    EXPECT_EQ(g.grounding.circuit.CollectVars(c.root), c.atoms);
+    ASSERT_EQ(c.positions.size(), c.atoms.size());
+    for (size_t k = 0; k < c.atoms.size(); ++k) {
+      EXPECT_EQ(g.mentioned[c.positions[k]], c.atoms[k]);
+    }
+    all.insert(all.end(), c.atoms.begin(), c.atoms.end());
+  }
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, 1, 3}));
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, g.mentioned);  // A partition of the mentioned atoms.
+
+  // ∀ over three values: one component per value.
+  auto per_value = MakeCachedGrounding(
+      *ParseSentence("forall x: P(x) -> Q(x, x)"), domain, opts);
+  ASSERT_TRUE(per_value.ok());
+  EXPECT_EQ((*per_value)->components.size(), 3u);
+
+  // A root that is one component records none.
+  for (const char* text : {"P(a) | P(b)", "(P(a) | P(b)) & (P(b) | P(c))"}) {
+    auto whole = MakeCachedGrounding(*ParseSentence(text), domain, opts);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_TRUE((*whole)->components.empty()) << text;
   }
 }
 

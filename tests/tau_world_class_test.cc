@@ -1,10 +1,11 @@
 /// \file
-/// τ's world classes: worlds that share an active domain and agree on every
-/// atom the grounding mentions share one μ computation. Checked against an
+/// τ's world classes: the grounding's root splits into atom-disjoint
+/// components, and worlds that share an active domain and agree on every atom
+/// of a component share that component's μ computation. Checked against an
 /// oracle that bypasses Tau entirely — UnionAll of plain Mu per flat
 /// World(i) — across strategies, thread counts and the serving layer's cache
-/// plumbing, with exact `shared_worlds` counts and TauStats that do not
-/// depend on the thread count.
+/// plumbing, with exact `shared_worlds` and `mu_classes` counts and TauStats
+/// that do not depend on the thread count.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "core/kbt.h"
 #include "eval/model_check.h"
@@ -52,6 +54,7 @@ void ExpectSameStats(const TauStats& a, const TauStats& b,
   EXPECT_EQ(a.cnf_cache_hits, b.cnf_cache_hits) << where;
   EXPECT_EQ(a.cnf_cache_misses, b.cnf_cache_misses) << where;
   EXPECT_EQ(a.shared_worlds, b.shared_worlds) << where;
+  EXPECT_EQ(a.mu_classes, b.mu_classes) << where;
   EXPECT_EQ(a.mu.used, b.mu.used) << where;
   EXPECT_EQ(a.mu.minimal_models, b.mu.minimal_models) << where;
   EXPECT_EQ(a.mu.candidates_examined, b.mu.candidates_examined) << where;
@@ -173,6 +176,128 @@ TEST(TauWorldClassTest, MatchesPerWorldMuOracleOnRepeatedPatterns) {
   EXPECT_GT(shared_total, 0u);  // The patterns do repeat.
 }
 
+/// A random formula over `atoms` (ground atom texts) of depth at most
+/// `depth`.
+std::string RandomOver(const std::vector<std::string>& atoms, int depth,
+                       std::mt19937_64* rng) {
+  std::bernoulli_distribution coin(0.5);
+  if (depth == 0 || coin(*rng)) {
+    std::uniform_int_distribution<size_t> pick(0, atoms.size() - 1);
+    return (coin(*rng) ? "!" : "") + atoms[pick(*rng)];
+  }
+  return "(" + RandomOver(atoms, depth - 1, rng) +
+         (coin(*rng) ? " & " : " | ") + RandomOver(atoms, depth - 1, rng) + ")";
+}
+
+/// A conjunction of 1–6 parts over pairwise disjoint ground atoms of P, Q
+/// (old) and N, M (new): random formulas, parts with two minimal models,
+/// unsatisfiable parts, parts over new relations only, and pairs of parts
+/// that share one atom and so must stay one component.
+std::string SplitSentence(std::mt19937_64* rng) {
+  std::vector<std::string> old_atoms, new_atoms;
+  for (const std::string& x : testutil::TestConstants()) {
+    old_atoms.push_back("P(" + x + ")");
+    for (const std::string& y : testutil::TestConstants()) {
+      old_atoms.push_back("Q(" + x + ", " + y + ")");
+    }
+    new_atoms.push_back("N(" + x + ")");
+    new_atoms.push_back("M(" + x + ")");
+  }
+  std::shuffle(old_atoms.begin(), old_atoms.end(), *rng);
+  std::shuffle(new_atoms.begin(), new_atoms.end(), *rng);
+  auto take = [](std::vector<std::string>* pool, size_t n) {
+    std::vector<std::string> out;
+    while (out.size() < n && !pool->empty()) {
+      out.push_back(pool->back());
+      pool->pop_back();
+    }
+    return out;
+  };
+  std::uniform_int_distribution<int> part_count(1, 6);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::uniform_int_distribution<size_t> width(1, 3);
+  std::vector<std::string> parts;
+  for (int p = part_count(*rng); p > 0; --p) {
+    const int k = kind(*rng);
+    if (k == 0) {  // Unsatisfiable: this world's μ, and so τ, is empty.
+      std::vector<std::string> a = take(&old_atoms, 2);
+      if (a.size() == 2) {
+        parts.push_back("(" + a[0] + " | " + a[1] + ") & !" + a[0] + " & !" +
+                        a[1]);
+      }
+    } else if (k <= 2) {  // New relations only.
+      std::vector<std::string> a = take(&new_atoms, 2);
+      if (a.size() == 2) parts.push_back("(" + a[0] + " | " + a[1] + ")");
+    } else if (k <= 4) {  // Two minimal models where both atoms are false.
+      std::vector<std::string> a = take(&old_atoms, 2);
+      if (a.size() == 2) parts.push_back("(" + a[0] + " | " + a[1] + ")");
+    } else if (k == 5) {  // Two parts sharing a[1]: one component.
+      std::vector<std::string> a = take(&old_atoms, 3);
+      if (a.size() == 3) {
+        parts.push_back("(" + a[0] + " | " + a[1] + ")");
+        parts.push_back("(!" + a[1] + " | " + a[2] + ")");
+      }
+    } else {
+      std::vector<std::string> a = take(&old_atoms, width(*rng));
+      if (!a.empty()) parts.push_back(RandomOver(a, 2, rng));
+    }
+  }
+  if (parts.empty()) parts.push_back(take(&old_atoms, 1)[0]);
+  std::string text = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) text += " & " + parts[i];
+  return text;
+}
+
+TEST(TauWorldClassTest, SplitSentencesMatchPerWorldMuOracle) {
+  std::mt19937_64 rng(20261017);
+  int compared = 0;
+  int split = 0;
+  int products = 0;
+  for (int iter = 0; iter < 32; ++iter) {
+    Knowledgebase kb = RepeatingPatternKb(&rng);
+    const std::string text = SplitSentence(&rng);
+    Formula phi = *ParseSentence(text);
+    for (MuStrategy strategy :
+         {MuStrategy::kAuto, MuStrategy::kSat, MuStrategy::kReference}) {
+      MuOptions mu;
+      mu.strategy = strategy;
+      StatusOr<Knowledgebase> expected = Oracle(phi, kb, mu);
+      ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
+      for (bool serving : {false, true}) {
+        TauStats stats_at[2];
+        for (int t = 0; t < 2; ++t) {
+          const size_t threads = t == 0 ? 1 : 4;
+          const std::string where = text + " strategy " +
+                                    MuStrategyName(strategy) + " serving " +
+                                    std::to_string(serving) + " threads " +
+                                    std::to_string(threads);
+          ServingResources resources;
+          TauOptions options;
+          options.mu = mu;
+          options.threads = threads;
+          if (serving) resources.Lend(&options);
+          StatusOr<Knowledgebase> got = Tau(phi, kb, options, &stats_at[t]);
+          ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+          EXPECT_EQ(*expected, *got) << where;
+          ++compared;
+        }
+        ExpectSameStats(stats_at[0], stats_at[1],
+                        text + " strategy " + MuStrategyName(strategy));
+        const TauStats& stats = stats_at[0];
+        // More classes than worlds leading them: some world ran μ on
+        // several components.
+        if (stats.mu_classes > stats.input_databases - stats.shared_worlds) {
+          ++split;
+        }
+        if (stats.mu.minimal_models > stats.mu_classes) ++products;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+  EXPECT_GT(split, 0);
+  EXPECT_GT(products, 0);  // Some class had several minimal models.
+}
+
 // --- The read_cold shape: 16 worlds over Dom/R/P/Q told apart by P. ---
 
 std::string C(int i) { return "n" + std::to_string(i); }
@@ -285,16 +410,26 @@ TEST(TauWorldClassTest, WorldsOverDifferentActiveDomainsShareNothing) {
 }
 
 TEST(TauWorldClassTest, GroundInsertRunsOneReferenceMuPerPattern) {
-  // kAuto resolves a ground sentence to reference μ; its classes are the
-  // distinct values of the two atoms it mentions.
+  // kAuto resolves a ground sentence to reference μ. P(n1) and !P(n3) share
+  // no atom, so each is a component of its own, and the classes are each
+  // component's distinct values: one reference μ over one atom apiece. A
+  // world runs μ of its own when it is the first with some component's value.
   Knowledgebase kb = ReadColdKb();
   Formula phi = *ParseSentence("P(n1) & !P(n3)");
-  std::set<std::pair<bool, bool>> patterns;
-  for (int w = 0; w < 16; ++w) patterns.insert({(w & 2) != 0, (w & 8) != 0});
+  std::set<std::pair<int, bool>> patterns;  // (component's atom, its value)
+  std::set<int> leaders;
+  for (int w = 0; w < 16; ++w) {
+    for (int atom : {1, 3}) {
+      if (patterns.insert({atom, ((w >> atom) & 1) != 0}).second) {
+        leaders.insert(w);
+      }
+    }
+  }
   TauStats stats = CheckTau(phi, kb, MuOptions());
   EXPECT_EQ(stats.mu.used, MuStrategy::kReference);
-  EXPECT_EQ(stats.shared_worlds, 16u - patterns.size());
-  EXPECT_EQ(stats.mu.candidates_examined, patterns.size() * 4);
+  EXPECT_EQ(stats.mu_classes, patterns.size());
+  EXPECT_EQ(stats.shared_worlds, 16u - leaders.size());
+  EXPECT_EQ(stats.mu.candidates_examined, patterns.size() * 2);
 }
 
 TEST(TauWorldClassTest, DatalogAndDefinitionalMuStayPerWorld) {
@@ -378,6 +513,289 @@ TEST(TauWorldClassTest, CounterfactualsMatchAFullFoldOverOracleWorlds) {
     ASSERT_TRUE(possibly.ok()) << possibly.status();
     EXPECT_EQ(*necessarily, all) << text;
     EXPECT_EQ(*possibly, some) << text;
+  }
+}
+
+// --- Orient: the SAT sentence of the tau_worlds benchmark workload. ---
+
+TEST(TauWorldClassTest, OrientRunsOneMuPerComponentPattern) {
+  // Over n0..n5 the grounding has one conjunct per ordered pair x ≠ y, and
+  // the conjuncts of (x, y) and (y, x) share their four atoms R(x, y),
+  // R(y, x), S(x, y), S(y, x): one component per unordered pair. S is new,
+  // so a component's class is its pair and the world's two R values there.
+  constexpr int kDomain = 6;
+  std::mt19937_64 rng(13);
+  Schema schema = *Schema::Of({{"Dom", 1}, {"R", 2}});
+  std::vector<int> all(kDomain);
+  for (int i = 0; i < kDomain; ++i) all[i] = i;
+  std::bernoulli_distribution coin(0.35);
+  std::vector<bool> base(kDomain * kDomain);
+  for (int cell = 0; cell < kDomain * kDomain; ++cell) base[cell] = coin(rng);
+  std::uniform_int_distribution<int> cell_of(0, kDomain * kDomain - 1);
+  std::vector<std::vector<bool>> cells;
+  std::vector<Database> dbs;
+  for (int w = 0; w < 40; ++w) {
+    std::vector<bool> world = base;
+    for (int f = 0; f < 2 + w % 2; ++f) {
+      int cell = cell_of(rng);
+      world[cell] = !world[cell];
+    }
+    Relation::Builder r(2);
+    for (int cell = 0; cell < kDomain * kDomain; ++cell) {
+      if (world[cell]) r.Append({Name(C(cell / kDomain)), Name(C(cell % kDomain))});
+    }
+    cells.push_back(world);
+    dbs.push_back(*Database::Create(schema, {Unary(all), r.Build()}));
+  }
+  Knowledgebase kb = *Knowledgebase::FromDatabases(std::move(dbs));
+  // FromDatabases sorts and deduplicates: read the cells back per world.
+  cells.clear();
+  for (size_t w = 0; w < kb.size(); ++w) {
+    Database world = kb.World(w);
+    std::vector<bool> row(kDomain * kDomain);
+    for (TupleView t : *world.FindRelation(Name("R"))) {
+      int x = std::stoi(NameOf(t[0]).substr(1));
+      int y = std::stoi(NameOf(t[1]).substr(1));
+      row[x * kDomain + y] = true;
+    }
+    cells.push_back(row);
+  }
+  std::set<std::tuple<int, int, bool, bool>> patterns;
+  std::set<size_t> leaders;
+  for (size_t w = 0; w < cells.size(); ++w) {
+    for (int x = 0; x < kDomain; ++x) {
+      for (int y = x + 1; y < kDomain; ++y) {
+        if (patterns
+                .insert({x, y, cells[w][x * kDomain + y],
+                         cells[w][y * kDomain + x]})
+                .second) {
+          leaders.insert(w);
+        }
+      }
+    }
+  }
+  Formula orient = *ParseSentence(
+      "forall x, y: (R(x, y) & !R(y, x)) -> (S(x, y) & !S(y, x))");
+  for (MuStrategy strategy : {MuStrategy::kAuto, MuStrategy::kSat}) {
+    MuOptions mu;
+    mu.strategy = strategy;
+    TauStats stats = CheckTau(orient, kb, mu);
+    EXPECT_EQ(stats.mu.used, MuStrategy::kSat);
+    EXPECT_EQ(stats.mu_classes, patterns.size());
+    EXPECT_EQ(stats.shared_worlds, kb.size() - leaders.size());
+  }
+}
+
+// --- Budgets on the split. ---
+
+/// `members` worlds over R/1 = e0..e9 and U/1, told apart by U.
+Knowledgebase TenElementKb(int members) {
+  Schema schema = *Schema::Of({{"R", 1}, {"U", 1}});
+  std::vector<Tuple> elems;
+  for (int i = 0; i < 10; ++i) elems.push_back(Tuple{Name("e" + std::to_string(i))});
+  std::vector<Database> dbs;
+  for (int w = 0; w < members; ++w) {
+    dbs.push_back(*Database::Create(
+        schema, {Relation(1, elems), Relation(1, {elems[static_cast<size_t>(w)]})}));
+  }
+  return *Knowledgebase::FromDatabases(std::move(dbs));
+}
+
+TEST(TauWorldClassTest, MaxModelsBoundsEachWorldsProduct) {
+  // ResourceGuardTest.MaxModelsTrips's sentence: ten components
+  // R(e_i) -> R2(e_i) | R3(e_i) with two minimal models each, so every
+  // world's μ has 2^10 = 1024 models although no component has more than two.
+  Knowledgebase kb = TenElementKb(3);
+  Formula phi = *ParseSentence("forall x: R(x) -> R2(x) | R3(x)");
+  for (bool serving : {false, true}) {
+    for (size_t threads : {1u, 4u}) {
+      ServingResources resources;
+      TauOptions options;
+      options.mu.strategy = MuStrategy::kSat;
+      options.mu.max_models = 100;
+      options.threads = threads;
+      if (serving) resources.Lend(&options);
+      StatusOr<Knowledgebase> over = Tau(phi, kb, options);
+      ASSERT_FALSE(over.ok()) << "threads " << threads;
+      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+
+      // A budget of exactly one product admits it.
+      options.mu.max_models = 1024;
+      TauStats stats;
+      StatusOr<Knowledgebase> exact = Tau(phi, kb, options, &stats);
+      ASSERT_TRUE(exact.ok()) << exact.status();
+      EXPECT_EQ(exact->size(), 3u * 1024);
+      EXPECT_EQ(stats.mu_classes, 10u);
+    }
+  }
+  MuOptions sat;
+  sat.strategy = MuStrategy::kSat;
+  TauStats stats = CheckTau(phi, kb, sat);
+  EXPECT_EQ(stats.output_databases, 3u * 1024);
+}
+
+TEST(TauWorldClassTest, ReferenceBudgetCountsOneComponentsAtoms) {
+  // Thirty one-atom components: each reference μ enumerates one atom, while
+  // plain reference μ over all thirty is over max_reference_atoms (20), so
+  // the oracle is plain SAT μ.
+  Knowledgebase kb = ReadColdKb();
+  std::vector<std::string> atoms;
+  for (int i = 0; i < 12; ++i) atoms.push_back("P(" + C(i) + ")");
+  for (int i = 0; i < 12; ++i) atoms.push_back("Q(" + C(i) + ")");
+  for (int i = 0; i < 6; ++i) atoms.push_back("R(" + C(i) + ", " + C(i) + ")");
+  std::string text;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    text += (i == 0 ? "" : " & ") + std::string(i % 3 == 0 ? "!" : "") + atoms[i];
+  }
+  Formula phi = *ParseSentence(text);
+  MuOptions reference;
+  reference.strategy = MuStrategy::kReference;
+  StatusOr<Knowledgebase> flat = Mu(phi, kb.World(0), reference);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_EQ(flat.status().code(), StatusCode::kResourceExhausted);
+
+  // One class per (atom, value) the worlds show.
+  std::set<std::pair<size_t, bool>> patterns;
+  for (size_t w = 0; w < kb.size(); ++w) {
+    Database world = kb.World(w);
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      StatusOr<bool> holds = Satisfies(world, *ParseSentence(atoms[i]));
+      ASSERT_TRUE(holds.ok());
+      patterns.insert({i, *holds});
+    }
+  }
+  MuOptions sat;
+  sat.strategy = MuStrategy::kSat;
+  StatusOr<Knowledgebase> expected = Oracle(phi, kb, sat);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  for (bool serving : {false, true}) {
+    TauStats stats_at[2];
+    for (int t = 0; t < 2; ++t) {
+      ServingResources resources;
+      TauOptions options;
+      options.mu = reference;
+      options.threads = t == 0 ? 1 : 4;
+      if (serving) resources.Lend(&options);
+      StatusOr<Knowledgebase> got = Tau(phi, kb, options, &stats_at[t]);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*expected, *got);
+      EXPECT_EQ(stats_at[t].mu.used, MuStrategy::kReference);
+      EXPECT_EQ(stats_at[t].mu_classes, patterns.size());
+    }
+    ExpectSameStats(stats_at[0], stats_at[1], "serving " + std::to_string(serving));
+  }
+
+  // Under kAuto an over-budget component falls back to SAT on that
+  // component alone (a 21-atom disjunction beside one-atom parts), also
+  // when the sentence has a datalog plan (a ground Horn clause with a
+  // 22-atom component, beside a new fact).
+  std::string wide = "(" + atoms[0];
+  for (size_t i = 1; i < 21; ++i) wide += " | " + atoms[i];
+  wide += ") & !" + atoms[21] + " & " + atoms[22];
+  std::string horn = "(" + atoms[0];
+  for (size_t i = 1; i < 21; ++i) horn += " & " + atoms[i];
+  horn += " -> T(n0)) & T2(n1)";
+  for (const std::string& fallback : {wide, horn}) {
+    TauStats stats = CheckTau(*ParseSentence(fallback), kb, MuOptions());
+    EXPECT_GT(stats.mu_classes, kb.size() - stats.shared_worlds) << fallback;
+  }
+
+  // max_ground_nodes still bounds the whole grounding.
+  for (size_t threads : {1u, 4u}) {
+    TauOptions options;
+    options.mu = reference;
+    options.mu.max_ground_nodes = 20;
+    options.threads = threads;
+    StatusOr<Knowledgebase> big = Tau(phi, kb, options);
+    ASSERT_FALSE(big.ok()) << "threads " << threads;
+    EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(TauWorldClassTest, DeadlineAndBudgetFailASplitSentence) {
+  // The existential part is the component that needs SAT conflicts; the
+  // other parts are components of their own. An expired token fails τ
+  // before any class runs, the conflict budget inside the existential
+  // part's class: both with kDeadlineExceeded at every thread count.
+  Knowledgebase kb = ReadColdKb();
+  Formula phi = *ParseSentence(
+      "(exists x: R(n0, x) & S(x, n1) & !Q(n2)) & !P(n1) & (Q(n5) | P(n9))");
+  MuOptions sat;
+  sat.strategy = MuStrategy::kSat;
+  TauStats unlimited = CheckTau(phi, kb, sat);
+  ASSERT_GT(unlimited.mu_classes, 1u);
+  ASSERT_GT(unlimited.mu.sat_conflicts, 1u);
+
+  CancelToken expired;
+  expired.set_deadline_after(std::chrono::milliseconds(-1));
+  for (bool serving : {false, true}) {
+    for (size_t threads : {1u, 4u}) {
+      ServingResources resources;
+      TauOptions options;
+      options.mu.strategy = MuStrategy::kSat;
+      options.threads = threads;
+      if (serving) resources.Lend(&options);
+
+      TauOptions deadline = options;
+      deadline.mu.cancel = &expired;
+      StatusOr<Knowledgebase> late = Tau(phi, kb, deadline);
+      ASSERT_FALSE(late.ok()) << "threads " << threads;
+      EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+
+      TauOptions budget = options;
+      budget.mu.sat_conflict_budget = 1;
+      TauStats tripped_stats;
+      StatusOr<Knowledgebase> tripped = Tau(phi, kb, budget, &tripped_stats);
+      ASSERT_FALSE(tripped.ok()) << "threads " << threads;
+      EXPECT_EQ(tripped.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(tripped_stats.mu_classes, unlimited.mu_classes);
+
+      // The trip left the borrowed solver and caches usable.
+      StatusOr<Knowledgebase> healthy = Tau(phi, kb, options);
+      ASSERT_TRUE(healthy.ok()) << healthy.status();
+    }
+  }
+}
+
+// --- Counters across a chain. ---
+
+TEST(TauWorldClassTest, ChainStatsAreTheSumOfItsSteps) {
+  Knowledgebase kb = ReadColdKb();
+  Formula first =
+      *ParseSentence("exists x: (R(n0, x) | Q(x)) & S(x, n1) & !P(n2)");
+  Formula second = *ParseSentence("P(n1) & !P(n3) & (S(n4, n5) | P(n6))");
+  Formula consequent = *ParseSentence("P(n1)");
+  for (size_t threads : {1u, 4u}) {
+    TauOptions options;
+    options.threads = threads;
+    TauStats one, two;
+    StatusOr<Knowledgebase> middle = Tau(first, kb, options, &one);
+    ASSERT_TRUE(middle.ok()) << middle.status();
+    ASSERT_TRUE(Tau(second, *middle, options, &two).ok());
+
+    TauStats chain;
+    std::vector<ChainStep> steps(2);
+    steps[0].antecedent = &first;
+    steps[1].antecedent = &second;
+    StatusOr<bool> holds = NestedCounterfactualExec(
+        kb, steps, consequent, Modality::kNecessarily, options, &chain);
+    ASSERT_TRUE(holds.ok()) << holds.status();
+    EXPECT_TRUE(*holds);
+
+    // Work counters add up; sizes and threads are the last step's.
+    EXPECT_GT(one.shared_worlds, 0u);
+    EXPECT_GT(two.mu_classes, 0u);
+    TauStats sum = two;
+    sum.mu = one.mu;
+    sum.mu.MergeFrom(two.mu);
+    sum.ground_cache_hits += one.ground_cache_hits;
+    sum.ground_cache_misses += one.ground_cache_misses;
+    sum.cnf_cache_hits += one.cnf_cache_hits;
+    sum.cnf_cache_misses += one.cnf_cache_misses;
+    sum.shared_worlds += one.shared_worlds;
+    sum.mu_classes += one.mu_classes;
+    EXPECT_EQ(chain.threads_used, two.threads_used);
+    ExpectSameStats(chain, sum, "threads " + std::to_string(threads));
   }
 }
 
