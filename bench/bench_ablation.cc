@@ -1,10 +1,8 @@
 /// \file
-/// E9 — ablations of the engineering choices DESIGN.md calls out:
-///
-///   * CDCL enumeration vs. the reference 2^k enumeration on identical instances
-///     (the scalable engine is why non-toy updates run at all);
-///   * cone-blocking clauses on/off (off forces rediscovery of dominated models);
-///   * semi-naive vs. naive Datalog fixpoint (rounds × re-derivation work).
+/// E9 — ablation: CDCL enumeration vs. the reference 2^k enumeration on
+/// identical instances (the scalable engine is why non-toy updates run at
+/// all). Both are strategies the engine keeps; cone blocking and semi-naive
+/// Datalog have no off-path left to ablate (docs/perf.md, "Retired toggles").
 
 #include <benchmark/benchmark.h>
 
@@ -32,51 +30,6 @@ void BM_Ablation_SatVsReference(benchmark::State& state) {
 BENCHMARK(BM_Ablation_SatVsReference)
     ->Args({6, 0})->Args({10, 0})->Args({14, 0})->Args({18, 0})
     ->Args({6, 1})->Args({10, 1})->Args({14, 1})->Args({18, 1});
-
-void BM_Ablation_ConeBlocking(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  bool cones = state.range(1) != 0;
-  Database db = *Database::Create(*Schema::Of({{"R", 1}}), {UnarySet(n)});
-  // Partition insert: 2^n minimal models (every split of R into R2 | R3).
-  Formula phi = *ParseFormula("forall x: R(x) -> R2(x) | R3(x)");
-  MuOptions options;
-  options.strategy = MuStrategy::kSat;
-  options.use_cone_blocking = cones;
-  MuStats stats;
-  for (auto _ : state) {
-    auto out = Mu(phi, db, options, &stats);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetLabel(cones ? "cone-blocking" : "exact-blocking");
-  state.counters["minimal_models"] = static_cast<double>(stats.minimal_models);
-  state.counters["sat_calls"] = static_cast<double>(stats.sat_solve_calls);
-}
-BENCHMARK(BM_Ablation_ConeBlocking)
-    ->Args({4, 1})->Args({6, 1})->Args({8, 1})
-    ->Args({2, 0})->Args({3, 0})->Args({4, 0})  // Exact blocking: 3^n crawl.
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Ablation_SeminaiveVsNaive(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  bool seminaive = state.range(1) != 0;
-  Knowledgebase kb = GraphKb("R", ChainEdges(n));
-  Formula phi = *ParseFormula(
-      "forall x, y, z: (T(x, y) & R(y, z)) | R(x, z) -> T(x, z)");
-  MuOptions options;
-  options.strategy = MuStrategy::kDatalog;
-  options.use_seminaive = seminaive;
-  for (auto _ : state) {
-    auto out = Mu(phi, kb.databases()[0], options);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetLabel(seminaive ? "semi-naive" : "naive");
-}
-BENCHMARK(BM_Ablation_SeminaiveVsNaive)
-    ->Args({16, 1})->Args({48, 1})->Args({96, 1})
-    ->Args({16, 0})->Args({48, 0})->Args({96, 0})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kbt::bench

@@ -59,7 +59,7 @@ BenchRecord DatalogStratified(int n) {
   datalog::EvalStats stats;
   double ms = MeasureMs([&] {
     stats = datalog::EvalStats();
-    auto out = datalog::Evaluate(program, db, {}, &stats);
+    auto out = datalog::Evaluate(program, db, &stats);
     if (!out.ok()) std::abort();
   });
   return Record("datalog_stratified", n, ms, stats.rounds, stats.derived_tuples);

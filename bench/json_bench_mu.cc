@@ -6,11 +6,11 @@
 /// leaves a diffable perf trajectory next to BENCH_datalog.json.
 ///
 /// Rows are rev-tagged (like json_bench_tau's) so revisions coexist in
-/// BENCH_mu.json, and every μ workload is measured twice: with assumption-trail
-/// reuse (the default) and as `<name>_noreuse` — the pre-reuse solver call
-/// sequence, bit-identical to earlier revisions. reused_levels / saved_props
-/// are the new trail-saving counters; rows where they are 0 don't descend
-/// under assumptions (raw single-solve CDCL workloads).
+/// BENCH_mu.json. reused_levels / saved_props are the solver's trail-saving
+/// counters; rows where they are 0 don't descend under assumptions (raw
+/// single-solve CDCL workloads). The `<name>_noreuse` rows of earlier
+/// revisions measured the solver without trail saving, which is retired
+/// (docs/perf.md).
 ///
 /// Usage: json_bench_mu [output.json]   (default: BENCH_mu.json; when the file
 /// should keep older revisions, write elsewhere and append by hand.)
@@ -85,22 +85,18 @@ MuBenchRecord Record(const std::string& name, int n, double ms,
   return r;
 }
 
-/// Measures one μ call in both trail-reuse modes and appends the two rows
-/// (`name` with reuse — the default configuration — and `name_noreuse`).
+/// Measures one SAT-strategy μ call and appends its row.
 void MeasureMu(const std::string& name, const Formula& phi, const Database& db,
                int n, std::vector<MuBenchRecord>* out) {
-  for (bool reuse : {true, false}) {
-    MuOptions options;
-    options.strategy = MuStrategy::kSat;
-    options.reuse_assumption_trail = reuse;
-    MuStats stats;
-    double ms = MeasureMs([&] {
-      stats = MuStats();
-      auto result = Mu(phi, db, options, &stats);
-      if (!result.ok()) std::abort();
-    });
-    out->push_back(Record(reuse ? name : name + "_noreuse", n, ms, stats));
-  }
+  MuOptions options;
+  options.strategy = MuStrategy::kSat;
+  MuStats stats;
+  double ms = MeasureMs([&] {
+    stats = MuStats();
+    auto result = Mu(phi, db, options, &stats);
+    if (!result.ok()) std::abort();
+  });
+  out->push_back(Record(name, n, ms, stats));
 }
 
 /// μ through the full grounding → Tseitin → CDCL enumeration pipeline.
@@ -173,8 +169,8 @@ MuBenchRecord DirectCdcl(const std::string& name, int num_vars, double ratio,
 
 /// Descend-and-block over random 3CNF: enumerate models, pinning a canonical
 /// prefix of the variables per solve — the μ descent's solver call pattern
-/// isolated from grounding. Both reuse modes are measured; the reuse row's
-/// reused_levels counter is the direct evidence of trail saving.
+/// isolated from grounding. The row's reused_levels counter is the direct
+/// evidence of trail saving.
 void DirectDescent(const std::string& name, int num_vars, double ratio,
                    uint64_t seed, std::vector<MuBenchRecord>* out) {
   std::mt19937_64 rng(seed);
@@ -188,80 +184,74 @@ void DirectDescent(const std::string& name, int num_vars, double ratio,
                        sat::MkLit(var(rng), sign(rng)),
                        sat::MkLit(var(rng), sign(rng))});
   }
-  for (bool reuse : {true, false}) {
-    uint64_t solve_calls = 0, conflicts = 0, reused = 0, saved = 0;
-    double ms = MeasureMs([&] {
-      sat::Solver solver;
-      sat::SolverOptions sopts;
-      sopts.reuse_assumption_trail = reuse;
-      solver.set_options(sopts);
-      for (int i = 0; i < num_vars; ++i) solver.NewVar();
-      for (const auto& clause : clauses) {
-        solver.AddClause({clause[0], clause[1], clause[2]});
-      }
-      // Minimize-true-vars greedily, μ-style: pin the false set (canonical
-      // variable order), guard each refinement with a fresh activation
-      // literal placed last, block the fixpoint, repeat up to 16 models.
-      // Guard retirement is deferred to the next enumeration probe exactly as
-      // the μ descent does — an eager ¬act unit would surrender the retained
-      // trail between refinement solves.
-      std::vector<sat::Lit> assumptions;
-      std::vector<sat::Lit> guard;
-      std::vector<sat::Var> retired;
-      for (int model = 0; model < 16; ++model) {
-        for (sat::Var act : retired) solver.AddClause({sat::MkLit(act, true)});
-        retired.clear();
-        if (solver.Solve() == sat::SolveResult::kUnsat) break;
-        std::vector<int8_t> value(static_cast<size_t>(num_vars), 0);
-        for (int v = 0; v < num_vars; ++v) value[v] = solver.ModelValue(v) ? 1 : 0;
-        for (;;) {
-          guard.clear();
-          sat::Var act = solver.NewVar();
-          guard.push_back(sat::MkLit(act, true));
-          for (int v = 0; v < num_vars; ++v) {
-            if (value[v]) guard.push_back(sat::MkLit(v, true));
-          }
-          if (guard.size() == 1) break;  // Nothing left to shrink.
-          solver.AddClause(guard);
-          assumptions.clear();
-          for (int v = 0; v < num_vars; ++v) {
-            if (!value[v]) assumptions.push_back(sat::MkLit(v, true));
-          }
-          assumptions.push_back(sat::MkLit(act));
-          sat::SolveResult r = solver.Solve(assumptions);
-          retired.push_back(act);
-          solver.SetPhase(act, false);
-          if (r == sat::SolveResult::kUnsat) break;
-          for (int v = 0; v < num_vars; ++v) {
-            value[v] = solver.ModelValue(v) ? 1 : 0;
-          }
-        }
-        // Block this minimal model exactly.
+  uint64_t solve_calls = 0, conflicts = 0, reused = 0, saved = 0;
+  double ms = MeasureMs([&] {
+    sat::Solver solver;
+    for (int i = 0; i < num_vars; ++i) solver.NewVar();
+    for (const auto& clause : clauses) {
+      solver.AddClause({clause[0], clause[1], clause[2]});
+    }
+    // Minimize-true-vars greedily, μ-style: pin the false set (canonical
+    // variable order), guard each refinement with a fresh activation
+    // literal placed last, block the fixpoint, repeat up to 16 models.
+    // Guard retirement is deferred to the next enumeration probe exactly as
+    // the μ descent does — an eager ¬act unit would surrender the retained
+    // trail between refinement solves.
+    std::vector<sat::Lit> assumptions;
+    std::vector<sat::Lit> guard;
+    std::vector<sat::Var> retired;
+    for (int model = 0; model < 16; ++model) {
+      for (sat::Var act : retired) solver.AddClause({sat::MkLit(act, true)});
+      retired.clear();
+      if (solver.Solve() == sat::SolveResult::kUnsat) break;
+      std::vector<int8_t> value(static_cast<size_t>(num_vars), 0);
+      for (int v = 0; v < num_vars; ++v) value[v] = solver.ModelValue(v) ? 1 : 0;
+      for (;;) {
         guard.clear();
+        sat::Var act = solver.NewVar();
+        guard.push_back(sat::MkLit(act, true));
         for (int v = 0; v < num_vars; ++v) {
-          guard.push_back(sat::MkLit(v, value[v] != 0));
+          if (value[v]) guard.push_back(sat::MkLit(v, true));
         }
-        if (!solver.AddClause(guard)) break;
+        if (guard.size() == 1) break;  // Nothing left to shrink.
+        solver.AddClause(guard);
+        assumptions.clear();
+        for (int v = 0; v < num_vars; ++v) {
+          if (!value[v]) assumptions.push_back(sat::MkLit(v, true));
+        }
+        assumptions.push_back(sat::MkLit(act));
+        sat::SolveResult r = solver.Solve(assumptions);
+        retired.push_back(act);
+        solver.SetPhase(act, false);
+        if (r == sat::SolveResult::kUnsat) break;
+        for (int v = 0; v < num_vars; ++v) {
+          value[v] = solver.ModelValue(v) ? 1 : 0;
+        }
       }
-      solve_calls = solver.stats().solve_calls;
-      conflicts = solver.stats().conflicts;
-      reused = solver.stats().reused_assumption_levels;
-      saved = solver.stats().saved_propagations;
-    });
-    MuStats stats;
-    stats.sat_solve_calls = solve_calls;
-    stats.sat_conflicts = conflicts;
-    stats.sat_reused_levels = reused;
-    stats.sat_saved_propagations = saved;
-    out->push_back(
-        Record(reuse ? name : name + "_noreuse", num_vars, ms, stats));
-  }
+      // Block this minimal model exactly.
+      guard.clear();
+      for (int v = 0; v < num_vars; ++v) {
+        guard.push_back(sat::MkLit(v, value[v] != 0));
+      }
+      if (!solver.AddClause(guard)) break;
+    }
+    solve_calls = solver.stats().solve_calls;
+    conflicts = solver.stats().conflicts;
+    reused = solver.stats().reused_assumption_levels;
+    saved = solver.stats().saved_propagations;
+  });
+  MuStats stats;
+  stats.sat_solve_calls = solve_calls;
+  stats.sat_conflicts = conflicts;
+  stats.sat_reused_levels = reused;
+  stats.sat_saved_propagations = saved;
+  out->push_back(Record(name, num_vars, ms, stats));
 }
 
 /// The paper-motivated serving shape: one encoded base formula, a long chain
 /// of hypothetical queries whose assumption vector differs from the previous
-/// one by a small tail delta. With trail saving each query re-propagates only
-/// the delta; without it, all `pins` levels are re-decided per query.
+/// one by a small tail delta. Trail saving re-propagates only the delta per
+/// query instead of re-deciding all `pins` levels.
 void AssumptionChain(const std::string& name, int num_vars, double ratio,
                      int pins, int queries, uint64_t seed,
                      std::vector<MuBenchRecord>* out) {
@@ -276,38 +266,32 @@ void AssumptionChain(const std::string& name, int num_vars, double ratio,
                        sat::MkLit(var(rng), sign(rng)),
                        sat::MkLit(var(rng), sign(rng))});
   }
-  // One fixed mutation schedule for both modes: flip one of the last 8 pins.
+  // One fixed mutation schedule: flip one of the last 8 pins.
   std::vector<int> flip_schedule;
   std::uniform_int_distribution<int> tail(pins - 8, pins - 1);
   for (int q = 0; q < queries; ++q) flip_schedule.push_back(tail(rng));
-  for (bool reuse : {true, false}) {
-    MuStats stats;
-    double ms = MeasureMs([&] {
-      sat::Solver solver;
-      sat::SolverOptions sopts;
-      sopts.reuse_assumption_trail = reuse;
-      solver.set_options(sopts);
-      for (int i = 0; i < num_vars; ++i) solver.NewVar();
-      for (const auto& clause : clauses) {
-        solver.AddClause({clause[0], clause[1], clause[2]});
-      }
-      std::vector<sat::Lit> assumptions;
-      for (int i = 0; i < pins; ++i) assumptions.push_back(sat::MkLit(i));
-      for (int q = 0; q < queries; ++q) {
-        size_t at = static_cast<size_t>(flip_schedule[static_cast<size_t>(q)]);
-        assumptions[at] = sat::Negate(assumptions[at]);
-        auto r = solver.Solve(assumptions);
-        static_cast<void>(r);
-      }
-      stats.sat_solve_calls = solver.stats().solve_calls;
-      stats.sat_conflicts = solver.stats().conflicts;
-      stats.sat_reused_levels = solver.stats().reused_assumption_levels;
-      stats.sat_saved_propagations = solver.stats().saved_propagations;
-    });
-    ms /= queries;  // Per query, the serving-rate view.
-    out->push_back(
-        Record(reuse ? name : name + "_noreuse", num_vars, ms, stats));
-  }
+  MuStats stats;
+  double ms = MeasureMs([&] {
+    sat::Solver solver;
+    for (int i = 0; i < num_vars; ++i) solver.NewVar();
+    for (const auto& clause : clauses) {
+      solver.AddClause({clause[0], clause[1], clause[2]});
+    }
+    std::vector<sat::Lit> assumptions;
+    for (int i = 0; i < pins; ++i) assumptions.push_back(sat::MkLit(i));
+    for (int q = 0; q < queries; ++q) {
+      size_t at = static_cast<size_t>(flip_schedule[static_cast<size_t>(q)]);
+      assumptions[at] = sat::Negate(assumptions[at]);
+      auto r = solver.Solve(assumptions);
+      static_cast<void>(r);
+    }
+    stats.sat_solve_calls = solver.stats().solve_calls;
+    stats.sat_conflicts = solver.stats().conflicts;
+    stats.sat_reused_levels = solver.stats().reused_assumption_levels;
+    stats.sat_saved_propagations = solver.stats().saved_propagations;
+  });
+  ms /= queries;  // Per query, the serving-rate view.
+  out->push_back(Record(name, num_vars, ms, stats));
 }
 
 /// Pigeonhole PHP(n+1, n): resolution-hard UNSAT, heavy on conflict analysis,
@@ -350,8 +334,7 @@ MuBenchRecord Pigeonhole(int holes) {
 int Main(int argc, char** argv) {
   const char* path = argc > 1 ? argv[1] : "BENCH_mu.json";
   std::vector<MuBenchRecord> records;
-  // μ pipeline workloads (grounding + incremental Tseitin + enumeration), each
-  // in reuse and _noreuse mode.
+  // μ pipeline workloads (grounding + incremental Tseitin + enumeration).
   for (int n : {8, 32}) {
     MuWorkload("mu_copy_insert", "forall x, y: R(x, y) -> S(x, y)", n, 3.0, 17,
                &records);

@@ -11,10 +11,10 @@
 ///
 ///   * ops_per_sec       — total operations / wall time,
 ///   * p50_ms / p99_ms   — read latency percentiles (reads only: writes are
-///                         serialized and measured implicitly by throughput),
-///   * nobatch_*         — the single-thread no-batch twin of the same mix
-///                         (cache bank off, one request at a time): what the
-///                         same traffic costs without the serving machinery.
+///                         serialized and measured implicitly by throughput).
+///
+/// Rows of earlier revisions also carry `nobatch_*` fields: a single-thread
+/// twin with the cache bank off, which the server no longer has (docs/perf.md).
 ///
 /// Thread counts beyond the machine's cores measure oversubscription overhead,
 /// honestly (the CI box is single-core; see ROADMAP perf notes).
@@ -45,9 +45,6 @@ struct ServeBenchRecord {
   double ops_per_sec = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double nobatch_ops_per_sec = 0.0;
-  double nobatch_p50_ms = 0.0;
-  double nobatch_p99_ms = 0.0;
 };
 
 bool WriteServeBenchJson(const std::string& path,
@@ -61,12 +58,9 @@ bool WriteServeBenchJson(const std::string& path,
              f,
              "    {\"name\": \"%s\", \"rev\": \"%s\", \"threads\": %d, "
              "\"read_frac\": %.2f, \"ops\": %d, \"ops_per_sec\": %.3f, "
-             "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-             "\"nobatch_ops_per_sec\": %.3f, \"nobatch_p50_ms\": %.4f, "
-             "\"nobatch_p99_ms\": %.4f}%s\n",
+             "\"p50_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
              r.name.c_str(), kRev, r.threads, r.read_frac, r.ops, r.ops_per_sec,
-             r.p50_ms, r.p99_ms, r.nobatch_ops_per_sec, r.nobatch_p50_ms,
-             r.nobatch_p99_ms, i + 1 < records.size() ? "," : "") >= 0 &&
+             r.p50_ms, r.p99_ms, i + 1 < records.size() ? "," : "") >= 0 &&
          ok;
   }
   ok = std::fprintf(f, "  ]\n}\n") >= 0 && ok;
@@ -125,11 +119,14 @@ struct MixResult {
   double p99_ms = 0.0;
 };
 
+/// Read requests per ExecuteBatch call.
+constexpr size_t kBatch = 8;
+
 /// Runs `total_ops` at `read_frac` over `threads` sessions. Thread 0 owns the
 /// writes (the write path is serialized anyway); batching groups each thread's
-/// read stream into ExecuteBatch calls of `batch` when > 1.
+/// read stream into ExecuteBatch calls of kBatch.
 MixResult RunMix(serve::Server& server, int threads, double read_frac,
-                 int total_ops, size_t batch) {
+                 int total_ops) {
   using Clock = std::chrono::steady_clock;
   const std::vector<serve::ReadRequest> pool = ReadPool();
   const int writes = static_cast<int>(total_ops * (1.0 - read_frac));
@@ -143,7 +140,7 @@ MixResult RunMix(serve::Server& server, int threads, double read_frac,
     lat.reserve(reads_per_thread);
     int done = 0;
     while (done < reads_per_thread) {
-      size_t n = std::min<size_t>(batch, reads_per_thread - done);
+      size_t n = std::min<size_t>(kBatch, reads_per_thread - done);
       std::vector<serve::ReadRequest> requests;
       requests.reserve(n);
       for (size_t j = 0; j < n; ++j) {
@@ -206,21 +203,12 @@ int Main(int argc, char** argv) {
   std::vector<ServeBenchRecord> records;
 
   constexpr int kOps = 600;
-  constexpr size_t kBatch = 8;
   const double mixes[] = {1.0, 0.95, 0.5};
 
   for (double read_frac : mixes) {
-    // The single-thread no-batch twin: cache bank off, one request at a time.
-    MixResult nobatch;
-    {
-      serve::ServerOptions options;
-      options.use_cache_bank = false;
-      serve::Server server(ServingKb(6), options);
-      nobatch = RunMix(server, 1, read_frac, kOps, 1);
-    }
     for (int threads : {1, 2, 4}) {
       serve::Server server(ServingKb(6));
-      MixResult mix = RunMix(server, threads, read_frac, kOps, kBatch);
+      MixResult mix = RunMix(server, threads, read_frac, kOps);
       ServeBenchRecord r;
       r.name = "serve_mixed";
       r.threads = threads;
@@ -229,9 +217,6 @@ int Main(int argc, char** argv) {
       r.ops_per_sec = mix.ops_per_sec;
       r.p50_ms = mix.p50_ms;
       r.p99_ms = mix.p99_ms;
-      r.nobatch_ops_per_sec = nobatch.ops_per_sec;
-      r.nobatch_p50_ms = nobatch.p50_ms;
-      r.nobatch_p99_ms = nobatch.p99_ms;
       records.push_back(r);
     }
   }
@@ -241,11 +226,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
   for (const ServeBenchRecord& r : records) {
-    std::printf(
-        "%-12s t=%d read=%.2f %10.2f ops/s  p50=%.4f ms p99=%.4f ms  "
-        "(nobatch %.2f ops/s p50=%.4f p99=%.4f)\n",
-        r.name.c_str(), r.threads, r.read_frac, r.ops_per_sec, r.p50_ms,
-        r.p99_ms, r.nobatch_ops_per_sec, r.nobatch_p50_ms, r.nobatch_p99_ms);
+    std::printf("%-12s t=%d read=%.2f %10.2f ops/s  p50=%.4f ms p99=%.4f ms\n",
+                r.name.c_str(), r.threads, r.read_frac, r.ops_per_sec, r.p50_ms,
+                r.p99_ms);
   }
   std::printf("wrote %s\n", path);
   return 0;

@@ -5,18 +5,15 @@
 ///
 ///   * pr2     — the pre-executor loop (fresh μ per world, repeated pairwise
 ///               UnionWith), reconstructed here as the baseline,
-///   * t1_nocache  — threads=1, all domain-keyed sharing off (per-world
-///                   grounding AND per-world Tseitin encoding),
-///   * t1_noprefix — threads=1 with the grounding cache but no prefix
-///                   sharing (the PR 3 configuration),
 ///   * t1      — threads=1, grounding cache + frozen-CNF-prefix solver forks,
-///   * t2/t4   — Tau with 2 and 4 worker threads (all sharing on),
+///   * t2/t4   — Tau with 2 and 4 worker threads,
 ///
 /// and tagged with `rev` so rows can be appended to BENCH_tau.json next to
 /// earlier revisions' rows — the perf trajectory stays diffable across PRs.
 /// speedup_vs_pr2 is the headline number; the cache and prefix hit counters
-/// separate grounding reuse, encoding reuse and thread scaling (on a
-/// single-core host the first two are the entire win).
+/// show the grounding and encoding reuse behind it. The `_t1_nocache` and
+/// `_t1_noprefix` rows of earlier revisions measured τ with that sharing
+/// switched off, which is no longer possible (docs/perf.md).
 ///
 /// Usage: json_bench_tau [output.json]   (default: BENCH_tau.json; when the
 /// file should keep older revisions, write elsewhere and append by hand.)
@@ -226,25 +223,10 @@ void MeasureWorkload(const std::string& name, const Formula& sentence,
     out->push_back(r);
   }
 
-  struct Mode {
-    const char* suffix;
-    size_t threads;
-    bool cache;
-    bool prefix;
-  };
-  const Mode modes[] = {
-      {"_t1_nocache", 1, false, false},
-      {"_t1_noprefix", 1, true, false},
-      {"_t1", 1, true, true},
-      {"_t2", 2, true, true},
-      {"_t4", 4, true, true},
-  };
-  for (const Mode& mode : modes) {
+  for (size_t threads : {1u, 2u, 4u}) {
     TauOptions options;
     options.mu = mu;
-    options.threads = mode.threads;
-    options.use_ground_cache = mode.cache;
-    options.use_cnf_prefix = mode.prefix;
+    options.threads = threads;
     TauStats stats;
     double ms = MeasureMs([&] {
       stats = TauStats();
@@ -252,7 +234,7 @@ void MeasureWorkload(const std::string& name, const Formula& sentence,
       if (!r.ok()) std::abort();
     });
     TauBenchRecord r;
-    r.name = name + mode.suffix;
+    r.name = name + "_t" + std::to_string(threads);
     r.worlds = static_cast<int>(kb.size());
     r.threads = static_cast<int>(stats.threads_used);
     r.ms_per_op = ms;

@@ -56,8 +56,6 @@ StatusOr<Knowledgebase> Engine::ApplySteps(const Pipeline& pipeline,
   TauOptions tau_options;
   tau_options.mu = options_.mu;
   tau_options.threads = options_.tau_threads;
-  tau_options.use_ground_cache = options_.tau_ground_cache;
-  tau_options.use_cnf_prefix = options_.tau_cnf_prefix;
   // Serving-style reuse: lend the lazily-started persistent pool to every τ
   // step instead of letting each call spawn (and join) its own workers.
   size_t resolved = options_.tau_threads != 0

@@ -41,11 +41,6 @@ struct EngineOptions {
   /// Worker threads for τ's world fan-out (see TauOptions::threads):
   /// 1 = sequential, 0 = one per hardware thread.
   size_t tau_threads = 1;
-  /// Share groundings across same-domain worlds in τ.
-  bool tau_ground_cache = true;
-  /// Share frozen CNF prefixes (fork per-world solvers) across same-domain
-  /// worlds in τ (see TauOptions::use_cnf_prefix).
-  bool tau_cnf_prefix = true;
   /// Collect per-step traces into Engine::last_trace().
   bool trace = false;
 };

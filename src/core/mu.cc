@@ -231,7 +231,7 @@ StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
       return MuSat(db, ctx, prep.ground, options, out, exec);
     case MuStrategy::kDatalog:
       out->used = MuStrategy::kDatalog;
-      return MuDatalog(*prep.datalog, db, ctx, options, out);
+      return MuDatalog(*prep.datalog, db, ctx, out);
     case MuStrategy::kDefinitional:
       out->used = MuStrategy::kDefinitional;
       return MuDefinitional(*prep.definitional, db, ctx, options, out);
@@ -246,7 +246,7 @@ StatusOr<Knowledgebase> RunPreparedMu(const Formula& sentence,
   }
   if (prep.datalog != nullptr) {
     out->used = MuStrategy::kDatalog;
-    return MuDatalog(*prep.datalog, db, ctx, options, out);
+    return MuDatalog(*prep.datalog, db, ctx, out);
   }
   if (prep.definitional != nullptr) {
     out->used = MuStrategy::kDefinitional;

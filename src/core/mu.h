@@ -60,19 +60,6 @@ struct MuOptions {
   /// minimal models, checked before the product is built (and the SAT
   /// strategy checks each component's own count as it enumerates).
   size_t max_models = 1'000'000;
-  /// Ablation knob: block the full cone above each reported minimal model (one
-  /// clause) instead of only its exact assignment. Off forces the enumerator to
-  /// rediscover and re-descend dominated models; bench_ablation measures the gap.
-  bool use_cone_blocking = true;
-  /// Datalog strategy: semi-naive vs naive fixpoint (bench_ablation).
-  bool use_seminaive = true;
-  /// SAT strategy: incremental solving under assumptions via trail saving
-  /// (sat::SolverOptions::reuse_assumption_trail) plus the descent's
-  /// prefix-stable assumption ordering and deferred guard retirement that
-  /// exploit it. Off reproduces the pre-reuse solver call sequence bit for bit
-  /// (the json_bench_mu `_noreuse` mode); either way μ returns the identical
-  /// minimal-model set (property-tested in tests/pipeline_fuzz_test.cc).
-  bool reuse_assumption_trail = true;
   /// Cooperative cancellation: checked at enumeration boundaries and polled
   /// inside the SAT search; an expired token makes μ return kDeadlineExceeded.
   /// Must outlive the call. nullptr (the default) disables every check — the
@@ -100,7 +87,7 @@ struct MuStats {
   uint64_t sat_conflicts = 0;
   uint64_t sat_decisions = 0;
   /// Assumption decision levels retained across descent solves, and the trail
-  /// literals those levels kept enqueued (0 with reuse_assumption_trail off).
+  /// literals those levels kept enqueued (sat::Solver's trail saving).
   uint64_t sat_reused_levels = 0;
   uint64_t sat_saved_propagations = 0;
   /// Interrupt-token polls inside the SAT search and solves abandoned by a

@@ -24,13 +24,10 @@ StatusOr<std::optional<DatalogPlan>> PlanDatalog(const Formula& sentence,
 }
 
 StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
-                                  const UpdateContext& ctx, const MuOptions& options,
-                                  MuStats* stats) {
-  datalog::EvalOptions eopts;
-  eopts.use_seminaive = options.use_seminaive;
+                                  const UpdateContext& ctx, MuStats* stats) {
   datalog::EvalStats estats;
   KBT_ASSIGN_OR_RETURN(Database least,
-                       datalog::Evaluate(plan.program, db, eopts, &estats));
+                       datalog::Evaluate(plan.program, db, &estats));
   stats->datalog_rounds = estats.rounds;
   stats->datalog_derived_tuples = estats.derived_tuples;
   stats->minimal_models = 1;

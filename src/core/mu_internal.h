@@ -174,8 +174,7 @@ struct DatalogPlan {
 StatusOr<std::optional<DatalogPlan>> PlanDatalog(const Formula& sentence,
                                                  const Database& db);
 StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
-                                  const UpdateContext& ctx, const MuOptions& options,
-                                  MuStats* stats);
+                                  const UpdateContext& ctx, MuStats* stats);
 
 /// Definitional fast path plan: conjuncts ∀x̄ (ψ → H(x̄')) / ∀x̄ (ψ ↔ H(x̄)), H new,
 /// bodies over σ(db). nullopt when φ is not of this shape.

@@ -56,8 +56,7 @@ class SatEnumerator {
         options_(options),
         stats_(stats),
         exec_(exec),
-        s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_),
-        reuse_(options.reuse_assumption_trail) {}
+        s_(exec.scratch != nullptr ? *exec.scratch : own_scratch_) {}
 
   StatusOr<Knowledgebase> Run(const MuGrounding& ground) {
     // The grounding — and, with a CnfCache, the frozen encoded prefix — is
@@ -86,9 +85,6 @@ class SatEnumerator {
     } else {
       solver_ = &own_solver_;
     }
-    sat::SolverOptions sopts;
-    sopts.reuse_assumption_trail = reuse_;
-    solver_->set_options(sopts);
 
     stats_->ground_atoms = mentioned_->size();
     s_.atom_var.assign(g->atoms.size(), -1);
@@ -216,7 +212,7 @@ class SatEnumerator {
           break;
         }
       }
-      bool exhausted = BlockAbove(candidate, options_.use_cone_blocking);
+      bool exhausted = BlockAbove(candidate);
       if (!dominated) minimal.push_back(std::move(candidate));
       if (exhausted) break;
       if (minimal.size() > options_.max_models) {
@@ -247,33 +243,10 @@ class SatEnumerator {
   ///  (b) flips(M) ⊇ flips(c) ∧ newtrue(M) ⊇ newtrue(c) ⟹ c ≤_db M:
   ///      the cone clause (⋁_{a∈flips(c)} keep(a)) ∨ (⋁_{n∈newtrue(c)} ¬n).
   ///
-  /// With `strong` false (the ablation's exact-blocking mode) only the candidate's
-  /// own assignment is excluded. Returns true when the whole space is now blocked
-  /// (the candidate was the global minimum), letting the caller stop immediately.
-  bool BlockAbove(const FoundModel& candidate, bool strong) {
+  /// Returns true when the whole space is now blocked (the candidate was the
+  /// global minimum), letting the caller stop immediately.
+  bool BlockAbove(const FoundModel& candidate) {
     std::vector<Lit>& clause = s_.clause_lits;
-    if (!strong) {
-      auto candidate_value = [&](int a) {
-        if (std::binary_search(candidate.flipped_old.begin(),
-                               candidate.flipped_old.end(), a)) {
-          return s_.default_value[static_cast<size_t>(a)] == 0;
-        }
-        if (std::binary_search(candidate.true_new.begin(),
-                               candidate.true_new.end(), a)) {
-          return true;
-        }
-        // New atoms default to false.
-        return s_.default_value[static_cast<size_t>(a)] != 0;
-      };
-      clause.clear();
-      clause.reserve(mentioned_->size());
-      for (int a : *mentioned_) {
-        clause.push_back(MkLit(AtomVar(a), candidate_value(a)));
-      }
-      if (clause.empty()) return true;  // Single possible assignment.
-      solver_->AddClause(clause);
-      return false;
-    }
     std::vector<Lit>& core = s_.core_lits;
     core.clear();
     for (int a : candidate.flipped_old) core.push_back(KeepLit(a));
@@ -362,21 +335,17 @@ class SatEnumerator {
     }
   }
 
-  /// Retires a descent guard. Classic mode asserts ¬act immediately; a unit is
-  /// a root fact, though, and would surrender the whole retained assumption
-  /// trail, so reuse mode defers the unit until the next enumeration probe
-  /// (which starts from level 0 regardless) and meanwhile just biases the
-  /// activation variable false so the dead guard cannot force its keeps.
+  /// Retires a descent guard. Asserting ¬act now would add a unit — a root
+  /// fact — and surrender the whole retained assumption trail, so the unit
+  /// waits until the next enumeration probe (which starts from level 0
+  /// regardless); meanwhile the activation variable is biased false so the
+  /// dead guard cannot force its keeps.
   void RetireGuard(Var act) {
-    if (!reuse_) {
-      solver_->AddClause({MkLit(act, true)});
-      return;
-    }
     s_.retired_acts.push_back(act);
     solver_->SetPhase(act, false);
   }
 
-  /// Flushes deferred guard retirements (no-op in classic mode).
+  /// Asserts the deferred guard retirements.
   void FlushRetiredGuards() {
     for (Var act : s_.retired_acts) {
       solver_->AddClause({MkLit(act, true)});
@@ -389,11 +358,11 @@ class SatEnumerator {
   /// by asserting ¬act) to the live solver — no re-grounding, no re-encoding, and
   /// no per-step containers beyond the reused scratch buffers.
   ///
-  /// With assumption-trail reuse the per-step assumption vectors are ordered
-  /// canonically — atom pins in the stable old_atoms/new_atoms order first,
-  /// the (always-fresh) activation literal last — so consecutive solves share
-  /// a maximal assumption prefix and the solver re-enqueues only the delta:
-  /// stage 2 re-propagates its |old| pins exactly once across all its steps.
+  /// The per-step assumption vectors are ordered canonically — atom pins in the
+  /// stable old_atoms/new_atoms order first, the (always-fresh) activation
+  /// literal last — so consecutive solves share a maximal assumption prefix and
+  /// the solver's trail saving re-enqueues only the delta: stage 2
+  /// re-propagates its |old| pins exactly once across all its steps.
   StatusOr<FoundModel> Descend() {
     SnapshotModel();
     auto val = [&](int a) { return s_.value[static_cast<size_t>(a)] != 0; };
@@ -417,17 +386,10 @@ class SatEnumerator {
       for (int a : deviating) guard.push_back(KeepLit(a));
       solver_->AddClause(guard);
       assumptions.clear();
-      if (reuse_) {
-        for (int a : s_.old_atoms) {
-          if (val(a) == DefaultOf(a)) assumptions.push_back(KeepLit(a));
-        }
-        assumptions.push_back(MkLit(act));
-      } else {
-        assumptions.push_back(MkLit(act));
-        for (int a : s_.old_atoms) {
-          if (val(a) == DefaultOf(a)) assumptions.push_back(KeepLit(a));
-        }
+      for (int a : s_.old_atoms) {
+        if (val(a) == DefaultOf(a)) assumptions.push_back(KeepLit(a));
       }
+      assumptions.push_back(MkLit(act));
       SeedDefaultPhases();
       SolveResult r = Solve(assumptions);
       RetireGuard(act);
@@ -450,19 +412,11 @@ class SatEnumerator {
       for (int a : deviating) guard.push_back(ValueLit(a, false));
       solver_->AddClause(guard);
       assumptions.clear();
-      if (reuse_) {
-        for (int a : s_.old_atoms) assumptions.push_back(ValueLit(a, val(a)));
-        for (int a : s_.new_atoms) {
-          if (!val(a)) assumptions.push_back(ValueLit(a, false));
-        }
-        assumptions.push_back(MkLit(act));
-      } else {
-        assumptions.push_back(MkLit(act));
-        for (int a : s_.old_atoms) assumptions.push_back(ValueLit(a, val(a)));
-        for (int a : s_.new_atoms) {
-          if (!val(a)) assumptions.push_back(ValueLit(a, false));
-        }
+      for (int a : s_.old_atoms) assumptions.push_back(ValueLit(a, val(a)));
+      for (int a : s_.new_atoms) {
+        if (!val(a)) assumptions.push_back(ValueLit(a, false));
       }
+      assumptions.push_back(MkLit(act));
       SeedDefaultPhases();
       SolveResult r = Solve(assumptions);
       RetireGuard(act);
@@ -475,7 +429,7 @@ class SatEnumerator {
     // serve (what follows is BlockAbove's clause burst and an assumption-free
     // probe), so surrender it now and let those AddClauses take the level-0
     // fast path instead of trail-aware placement.
-    if (reuse_) solver_->BacktrackToRoot();
+    solver_->BacktrackToRoot();
 
     FoundModel out;
     for (int a : s_.old_atoms) {
@@ -522,8 +476,6 @@ class SatEnumerator {
   /// Per-world tables and loop scratch: exec_.scratch (worker-pooled) or
   /// own_scratch_.
   exec::WorldScratch& s_;
-  /// Assumption-trail reuse engaged (solver knob + descent ordering).
-  const bool reuse_;
   /// Scratch-parked materializer, lazily rebuilt on the second model.
   ModelMaterializer* materializer_ = nullptr;
   /// Models materialized so far in this run (drives materializer laziness).

@@ -368,6 +368,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     Database probe(kb.schema());
     KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
     out->output_databases = 0;
+    out->threads_used = 1;
     return Knowledgebase(ctx.schema);
   }
 
@@ -402,13 +403,12 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   std::vector<Value> formula_constants = ConstantsOf(sentence);
   base_exec.extended_schema = &extended_schema;
   base_exec.formula_constants = &formula_constants;
-  if (options.use_ground_cache) base_exec.ground_cache = cache;
+  base_exec.ground_cache = cache;
   // Freezing and forking only pays for itself when a prefix is reused: a
   // singleton kb would encode once either way but add a snapshot copy, so the
   // prefix path needs at least two worlds — unless the cache outlives this
   // call, where the fork amortizes across calls instead.
-  if (options.use_cnf_prefix &&
-      (kb.size() > 1 || options.cnf_cache != nullptr)) {
+  if (kb.size() > 1 || options.cnf_cache != nullptr) {
     base_exec.cnf_cache = cnf_cache;
   }
 

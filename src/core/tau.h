@@ -44,14 +44,6 @@ struct TauOptions {
   /// Worker threads for the world fan-out. 1 = sequential in the calling
   /// thread; 0 = one per hardware thread.
   size_t threads = 1;
-  /// Share groundings across worlds with identical active domains (both the
-  /// sequential and the parallel path benefit).
-  bool use_ground_cache = true;
-  /// Share the frozen Tseitin-encoded CNF prefix across same-domain worlds on
-  /// the SAT path: encode once, fork per-world solvers from the snapshot
-  /// instead of replaying AddClause (see exec/cnf_cache.h). Results are
-  /// bit-identical either way.
-  bool use_cnf_prefix = true;
   /// Borrowed persistent worker pool. When set (and the resolved thread count
   /// is > 1), τ fans out on this pool instead of spawning one per call — the
   /// serving-loop configuration Engine sets up; see EngineOptions. Must outlive
@@ -91,13 +83,13 @@ struct TauStats {
   MuStats mu;
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;
-  /// Domain-keyed grounding cache counters (0/0 when the cache is off or no
-  /// world took a grounding strategy).
+  /// Domain-keyed grounding cache counters (0/0 when no world took a
+  /// grounding strategy).
   uint64_t ground_cache_hits = 0;
   uint64_t ground_cache_misses = 0;
-  /// Frozen-CNF-prefix cache counters (0/0 when prefix sharing is off or no
-  /// world took the SAT strategy). A hit is one world's Tseitin encoding
-  /// replaced by a bulk solver fork.
+  /// Frozen-CNF-prefix cache counters (0/0 for a singleton kb without an
+  /// external cnf_cache, or when no world took the SAT strategy). A hit is
+  /// one world's Tseitin encoding replaced by a bulk solver fork.
   uint64_t cnf_cache_hits = 0;
   uint64_t cnf_cache_misses = 0;
   /// Worlds that ran no μ of their own: on every component of the grounding,

@@ -471,7 +471,7 @@ class RuleRunner {
 }  // namespace
 
 StatusOr<Database> Evaluate(const Program& program, const Database& edb,
-                            const EvalOptions& options, EvalStats* stats) {
+                            EvalStats* stats) {
   KBT_RETURN_IF_ERROR(CheckSafety(program));
   KBT_ASSIGN_OR_RETURN(Schema program_schema, ProgramSchema(program));
   KBT_ASSIGN_OR_RETURN(std::vector<std::vector<Symbol>> strata, Stratify(program));
@@ -508,27 +508,7 @@ StatusOr<Database> Evaluate(const Program& program, const Database& edb,
     }
     if (runners.empty()) continue;
 
-    if (!options.use_seminaive) {
-      // Naive: re-derive everything until no growth.
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        if (stats != nullptr) ++stats->rounds;
-        for (RuleRunner& runner : runners) {
-          const Relation& head = store.at(runner.head_pred()).rel;
-          KBT_RETURN_IF_ERROR(runner.Run(nullptr, 0, &head));
-          Relation fresh = runner.Take();
-          if (!fresh.empty()) {
-            if (stats != nullptr) stats->derived_tuples += fresh.size();
-            update_head(runner.head_pred(), fresh);
-            grew = true;
-          }
-        }
-      }
-      continue;
-    }
-
-    // Semi-naive. Round 0 evaluates every rule in full (this seeds facts and
+    // Round 0 evaluates every rule in full (this seeds facts and
     // captures contributions of lower strata); afterwards only rules with a
     // recursive positive literal re-fire, instantiated through the deltas.
     std::unordered_map<Symbol, Relation> delta;

@@ -2,26 +2,21 @@
 #define KBT_DATALOG_EVAL_H_
 
 /// \file
-/// Bottom-up Datalog evaluation: naive and semi-naive fixpoint computation, stratum
-/// by stratum.
+/// Bottom-up Datalog evaluation: semi-naive fixpoint computation, stratum by
+/// stratum.
 ///
 /// Theorem 4.8's PTIME bound rests on "Datalog programs have a unique least model
 /// that can be computed using naive evaluation in PTIME"; semi-naive is the standard
-/// differential refinement and is the default here (bench/bench_ablation.cc measures
-/// the gap). Stratified negation implements the paper's remark that the iterative
-/// fixpoint of a stratified program is obtained by updating with the strata in
-/// hierarchical order.
+/// differential refinement of it (each round joins through the previous round's new
+/// tuples only) and reaches the same least model. Stratified negation implements the
+/// paper's remark that the iterative fixpoint of a stratified program is obtained by
+/// updating with the strata in hierarchical order.
 
 #include "base/status.h"
 #include "datalog/ast.h"
 #include "rel/database.h"
 
 namespace kbt::datalog {
-
-struct EvalOptions {
-  /// Use semi-naive (differential) evaluation; naive otherwise.
-  bool use_seminaive = true;
-};
 
 struct EvalStats {
   /// Fixpoint rounds summed over strata.
@@ -39,7 +34,6 @@ struct EvalStats {
 /// in `edb` keeps its stored tuples as additional facts. The program must be safe
 /// and stratifiable.
 kbt::StatusOr<kbt::Database> Evaluate(const Program& program, const kbt::Database& edb,
-                                      const EvalOptions& options = EvalOptions(),
                                       EvalStats* stats = nullptr);
 
 }  // namespace kbt::datalog

@@ -90,7 +90,7 @@ void Solver::Reset() {
   seen_.clear();
   level_seen_.clear();
   level_seen_clear_.clear();
-  last_assumptions_.clear();  // options_ survives: configuration, not state.
+  last_assumptions_.clear();
   ClearLimits();  // Budgets are per-request state, like the assumptions.
   stats_ = Stats();
 }
@@ -249,8 +249,6 @@ uint32_t Solver::ComputeLbd(std::span<const Lit> lits) {
 
 bool Solver::AddClause(std::span<const Lit> lits) {
   if (!ok_) return false;
-  assert((DecisionLevel() == 0 || options_.reuse_assumption_trail) &&
-         "AddClause above level 0 requires reuse_assumption_trail");
   const bool above_root = DecisionLevel() > 0;
   add_tmp_.assign(lits.begin(), lits.end());
   std::sort(add_tmp_.begin(), add_tmp_.end());
@@ -284,7 +282,7 @@ bool Solver::AddClause(std::span<const Lit> lits) {
   }
   if (add_tmp_.size() == 1) {
     // A unit is a root fact: surrender any retained trail and propagate it at
-    // level 0 (no-op backtrack on the classic path).
+    // level 0.
     CancelUntil(0);
     Enqueue(add_tmp_[0], kNoClause);
     if (Propagate() != kNoClause) ok_ = false;
@@ -678,29 +676,25 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
   // An already-tripped budget or an expired token abandons the call up front
   // (the session's token usually fired between requests, not mid-search).
   if (limits_active_ && Interrupted(/*poll_token=*/true)) return AbortSolve();
-  if (options_.reuse_assumption_trail) {
-    // Trail saving: level i+1, while still on the trail, holds exactly the
-    // decision + propagation of last_assumptions_[i], so the prefix shared
-    // with the new vector is adopted wholesale and only the first divergent
-    // level onward is undone. AddClause may already have backtracked below
-    // the saved prefix — DecisionLevel() bounds what is reusable.
-    size_t matched = 0;
-    size_t limit =
-        std::min(std::min(assumptions.size(), last_assumptions_.size()),
-                 static_cast<size_t>(DecisionLevel()));
-    while (matched < limit && assumptions[matched] == last_assumptions_[matched]) {
-      ++matched;
-    }
-    CancelUntil(static_cast<int>(matched));
-    if (matched > 0) {
-      stats_.reused_assumption_levels += matched;
-      stats_.saved_propagations +=
-          trail_.size() - static_cast<size_t>(trail_lim_[0]);
-    }
-    last_assumptions_.assign(assumptions.begin(), assumptions.end());
-  } else {
-    CancelUntil(0);
+  // Trail saving: level i+1, while still on the trail, holds exactly the
+  // decision + propagation of last_assumptions_[i], so the prefix shared with
+  // the new vector is adopted wholesale and only the first divergent level
+  // onward is undone. AddClause may already have backtracked below the saved
+  // prefix — DecisionLevel() bounds what is reusable.
+  size_t matched = 0;
+  size_t limit =
+      std::min(std::min(assumptions.size(), last_assumptions_.size()),
+               static_cast<size_t>(DecisionLevel()));
+  while (matched < limit && assumptions[matched] == last_assumptions_[matched]) {
+    ++matched;
   }
+  CancelUntil(static_cast<int>(matched));
+  if (matched > 0) {
+    stats_.reused_assumption_levels += matched;
+    stats_.saved_propagations +=
+        trail_.size() - static_cast<size_t>(trail_lim_[0]);
+  }
+  last_assumptions_.assign(assumptions.begin(), assumptions.end());
   if (DecisionLevel() == 0 && Propagate() != kNoClause) {
     ok_ = false;
     return SolveResult::kUnsat;
@@ -783,9 +777,8 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
       Lit a = assumptions[static_cast<size_t>(DecisionLevel())];
       LBool v = ValueOf(a);
       if (v == LBool::kFalse) {
-        // Assumption contradicted. With trail reuse the consistent prefix
-        // decided so far stays on the trail for the next call.
-        if (!options_.reuse_assumption_trail) CancelUntil(0);
+        // Assumption contradicted. The consistent prefix decided so far stays
+        // on the trail for the next call.
         return SolveResult::kUnsat;
       }
       NewDecisionLevel();
@@ -798,16 +791,14 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
 
     Var next = PickBranchVar();
     if (next < 0) {
-      // All variables assigned: model found. With trail reuse the assumption
-      // levels (re-established by the decision loop after any restart) stay on
-      // the trail; only the free search levels above them are undone.
+      // All variables assigned: model found. The assumption levels
+      // (re-established by the decision loop after any restart) stay on the
+      // trail; only the free search levels above them are undone.
       model_.assign(values_.size(), 0);
       for (size_t i = 0; i < values_.size(); ++i) {
         model_[i] = values_[i] == LBool::kTrue ? 1 : -1;
       }
-      CancelUntil(options_.reuse_assumption_trail
-                      ? static_cast<int>(assumptions.size())
-                      : 0);
+      CancelUntil(static_cast<int>(assumptions.size()));
       return SolveResult::kSat;
     }
     ++stats_.decisions;

@@ -14,7 +14,10 @@
 ///   * VSIDS-style variable activities with phase saving,
 ///   * Luby restarts,
 ///   * LBD-aware learned-clause database reduction with arena garbage collection,
-///   * solving under assumptions (for the minimization descent),
+///   * solving under assumptions with trail saving (for the minimization
+///     descent): assumption decision levels persist across Solve() calls, and
+///     the next call backtracks only to the first level whose assumption
+///     differs from the previous vector,
 ///   * incremental clause addition between Solve() calls (for blocking clauses and
 ///     activation-literal-guarded constraints), and
 ///   * forking from a frozen prefix (Freeze / InitFromFrozen): the encoded state
@@ -58,24 +61,6 @@ inline Lit Negate(Lit l) { return l ^ 1; }
 /// not answered. The solver backtracks to the root and stays fully usable —
 /// clauses, activities and learned state are all intact.
 enum class SolveResult { kSat, kUnsat, kUnknown };
-
-/// Behavioral knobs, set once per solver (between Solve calls; typically right
-/// after construction / Reset / InitFromFrozen).
-struct SolverOptions {
-  /// Incremental solving under assumptions via trail saving (MiniSat/Glucose
-  /// incremental mode): assumption decision levels persist across Solve()
-  /// calls, and the next call backtracks only to the first level whose
-  /// assumption differs from the previous vector instead of to level 0 —
-  /// per-solve cost becomes proportional to the assumption *delta*. Callers
-  /// that keep a stable assumption-vector prefix (the μ descent orders its
-  /// atom pins canonically and puts activation literals last) re-enqueue and
-  /// re-propagate only what changed. With the knob on, AddClause between
-  /// solves becomes trail-aware: it backtracks only to the deepest level at
-  /// which the new clause has two watchable literals. Off (the default) is
-  /// bit-identical to the classic behavior: every Solve starts and ends at
-  /// decision level 0.
-  bool reuse_assumption_trail = false;
-};
 
 /// Truth value of a variable or literal: kUndef until assigned.
 enum class LBool : int8_t { kFalse = -1, kUndef = 0, kTrue = 1 };
@@ -128,8 +113,7 @@ class Solver {
     uint64_t glue_clauses = 0;       ///< Learned clauses born with LBD ≤ 2
                                      ///< (kept unconditionally by ReduceDb).
     uint64_t reused_assumption_levels = 0;  ///< Assumption decision levels
-                                            ///< retained across Solve calls
-                                            ///< (reuse_assumption_trail only).
+                                            ///< retained across Solve calls.
     uint64_t saved_propagations = 0;        ///< Trail literals kept enqueued by
                                             ///< reuse instead of re-propagated.
     uint64_t interrupt_checks = 0;  ///< Times the interrupt token was polled
@@ -183,8 +167,9 @@ class Solver {
   };
 
   /// Snapshots the complete solver state into `out`. Must be called at decision
-  /// level 0 (i.e. between Solve calls); the snapshot is independent of this
-  /// solver and may be shared read-only across threads.
+  /// level 0: before any Solve, or after BacktrackToRoot (a Solve under
+  /// assumptions leaves its assumption levels on the trail). The snapshot is
+  /// independent of this solver and may be shared read-only across threads.
   void Freeze(Frozen* out) const;
 
   /// Replaces this solver's entire state with a copy of `frozen`, reusing the
@@ -208,26 +193,20 @@ class Solver {
   /// Number of variables created.
   int num_vars() const { return static_cast<int>(values_.size()); }
 
-  /// Sets the behavioral knobs. Configuration, not solver state: it survives
-  /// Reset and InitFromFrozen (both of which drop any retained trail, so
-  /// toggling there is always safe). Turning reuse off mid-stream backtracks
-  /// to level 0 on the next Solve.
-  void set_options(const SolverOptions& options) { options_ = options; }
-  const SolverOptions& options() const { return options_; }
-
   /// Adds a clause (a disjunction of literals over existing variables).
   /// Tautologies are silently dropped; duplicate literals are merged; the empty
   /// clause makes the solver permanently unsatisfiable. Returns false iff the
   /// solver is already known unsatisfiable after this call. The literals are
   /// copied into the arena; the caller's buffer is not retained.
   ///
-  /// With reuse_assumption_trail on, the solver may sit at a non-zero decision
-  /// level between Solve calls; AddClause then backtracks only as far as the
-  /// new clause requires — to level 0 for a unit, otherwise to the deepest
-  /// level at which the clause has two non-false literals to watch (blocking
-  /// clauses over already-released atoms typically cost no backtracking at
-  /// all). Only root-level assignments are used to simplify the clause, so the
-  /// stored clause is the same one the level-0 path would store.
+  /// After a Solve under assumptions the solver sits at a non-zero decision
+  /// level (the retained assumption trail); AddClause then backtracks only as
+  /// far as the new clause requires — to level 0 for a unit, otherwise to the
+  /// deepest level at which the clause has two non-false literals to watch
+  /// (blocking clauses over already-released atoms typically cost no
+  /// backtracking at all). Only root-level assignments are used to simplify
+  /// the clause, so the stored clause is the same one the level-0 path would
+  /// store.
   bool AddClause(std::span<const Lit> lits);
   bool AddClause(std::initializer_list<Lit> lits) {
     return AddClause(std::span<const Lit>(lits.begin(), lits.size()));
@@ -248,16 +227,20 @@ class Solver {
   }
 
   /// Solves the current formula under the given assumption literals. Further
-  /// clauses may be added afterwards and Solve called again. With
-  /// reuse_assumption_trail on, the assumption levels shared with the previous
-  /// call's vector are not re-decided or re-propagated (see SolverOptions).
+  /// clauses may be added afterwards and Solve called again. Trail saving: the
+  /// assumption levels stay on the trail when Solve returns, and the next call
+  /// adopts the prefix its vector shares with this one instead of re-deciding
+  /// and re-propagating it — per-solve cost follows the assumption *delta*.
+  /// Callers that keep a stable prefix (the μ descent orders its atom pins
+  /// canonically and puts activation literals last) re-enqueue only what
+  /// changed. An assumption-free Solve starts and ends at decision level 0.
   SolveResult Solve(const std::vector<Lit>& assumptions = {});
 
-  /// Undoes every decision level, including assumption levels retained by
-  /// reuse_assumption_trail. Call when the retained trail has no further value
-  /// — e.g. the μ descent just ended and only assumption-free probes or bulk
-  /// clause additions follow — so later AddClause calls take the cheap level-0
-  /// path instead of computing trail-aware placements. No-op at level 0.
+  /// Undoes every decision level, including retained assumption levels. Call
+  /// when the retained trail has no further value — e.g. the μ descent just
+  /// ended and only assumption-free probes or bulk clause additions follow —
+  /// so later AddClause calls take the cheap level-0 path instead of
+  /// computing trail-aware placements. No-op at level 0.
   void BacktrackToRoot() {
     CancelUntil(0);
     last_assumptions_.clear();
@@ -347,8 +330,8 @@ class Solver {
   }
 
   ClauseRef AllocClause(std::span<const Lit> lits, bool learned, uint32_t lbd = 0);
-  /// AddClause tail for a non-zero decision level (reuse_assumption_trail):
-  /// `lits` is the root-simplified clause (≥ 2 literals, no root-true literal).
+  /// AddClause tail above the root (a retained assumption trail): `lits` is
+  /// the root-simplified clause (≥ 2 literals, no root-true literal).
   /// Backtracks to the deepest level with two watchable literals and attaches.
   bool AddClauseAboveRoot();
   /// Distinct decision levels among the literals (computed before backtracking,
@@ -430,7 +413,6 @@ class Solver {
   std::vector<int> heap_pos_;   // Var → slot in heap_, -1 when absent.
   std::vector<int8_t> saved_phase_;
 
-  SolverOptions options_;
   /// Cooperative limits (SetBudget/SetInterrupt). limits_active_ is the single
   /// off-path guard: when false, Solve takes no limit branches at all and the
   /// search is bit-identical to a limit-free build. The limits are absolute
@@ -439,9 +421,9 @@ class Solver {
   uint64_t conflict_limit_ = 0;
   uint64_t propagation_limit_ = 0;
   const CancelToken* interrupt_ = nullptr;
-  /// The previous Solve's assumption vector (reuse_assumption_trail only):
-  /// compared against the next call's vector to find the shared prefix whose
-  /// decision levels — still on the trail — can be kept.
+  /// The previous Solve's assumption vector: compared against the next call's
+  /// vector to find the shared prefix whose decision levels — still on the
+  /// trail — can be kept.
   std::vector<Lit> last_assumptions_;
 
   std::vector<int8_t> model_;

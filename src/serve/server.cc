@@ -215,40 +215,24 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
   // Resolve the antecedent chain. Bank entries are held for the duration of
   // the call so LRU eviction cannot pull a formula out from under a step.
   std::vector<std::shared_ptr<SentenceCaches>> entries;
-  std::vector<Formula> local_parses;
   std::vector<ChainStep> steps;
+  entries.reserve(request.antecedents.size());
   steps.reserve(request.antecedents.size());
-  if (options_.use_cache_bank) {
-    entries.reserve(request.antecedents.size());
-    for (const std::string& text : request.antecedents) {
-      KBT_ASSIGN_OR_RETURN(std::shared_ptr<SentenceCaches> entry,
-                           bank_.Get(text));
-      ChainStep step;
-      step.antecedent = &entry->sentence;
-      step.ground_cache = &entry->ground;
-      step.cnf_cache = &entry->cnf;
-      steps.push_back(step);
-      entries.push_back(std::move(entry));
-    }
-  } else {
-    local_parses.reserve(request.antecedents.size());
-    for (const std::string& text : request.antecedents) {
-      KBT_ASSIGN_OR_RETURN(Formula parsed, ParseSentence(text));
-      local_parses.push_back(parsed);
-    }
-    for (const Formula& parsed : local_parses) {
-      ChainStep step;
-      step.antecedent = &parsed;
-      steps.push_back(step);
-    }
+  for (const std::string& text : request.antecedents) {
+    KBT_ASSIGN_OR_RETURN(std::shared_ptr<SentenceCaches> entry,
+                         bank_.Get(text));
+    ChainStep step;
+    step.antecedent = &entry->sentence;
+    step.ground_cache = &entry->ground;
+    step.cnf_cache = &entry->cnf;
+    steps.push_back(step);
+    entries.push_back(std::move(entry));
   }
   KBT_ASSIGN_OR_RETURN(Formula consequent, ParseSentence(request.consequent));
 
   TauOptions tau_options;
   tau_options.mu = options_.engine.mu;
   tau_options.threads = options_.read_threads;
-  tau_options.use_ground_cache = options_.engine.tau_ground_cache;
-  tau_options.use_cnf_prefix = options_.engine.tau_cnf_prefix;
   tau_options.pool = read_pool_;
   tau_options.solver = &session.solver_;
   tau_options.scratch = &session.scratch_;

@@ -22,9 +22,8 @@
 ///
 /// Batching: ExecuteBatch groups a vector of read requests by their antecedent
 /// chain, so within a group the first request fills the per-sentence caches
-/// (one grounding, one CNF prefix per active domain) and the rest fork — the
-/// same-domain batching the ROADMAP asks for, measured in
-/// bench/json_bench_serving.cc against its one-at-a-time twin.
+/// (one grounding, one CNF prefix per active domain) and the rest fork —
+/// measured in bench/json_bench_serving.cc.
 ///
 /// Consistency model: a read sees exactly one published snapshot (its
 /// ReadResult carries the version); a write is visible to reads that acquire
@@ -58,9 +57,6 @@ struct ServerOptions {
   EngineOptions engine;
   /// Distinct sentences the shared cache bank holds (LRU beyond it).
   size_t cache_bank_capacity = 64;
-  /// Off = every read builds per-call executor state (the no-batch baseline;
-  /// bench twin `_nobatch`).
-  bool use_cache_bank = true;
   /// τ worker threads for read-path chains (>1 borrows the engine's persistent
   /// pool — useful for many-world snapshots; 1 = on the session's thread).
   size_t read_threads = 1;

@@ -96,72 +96,5 @@ TEST_P(PipelineFuzzTest, RandomPipelinesKeepInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzzTest, ::testing::Range(0, 15));
 
-class TrailReusePipelineFuzzTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TrailReusePipelineFuzzTest, ReuseOnAndOffProduceIdenticalResults) {
-  // Assumption-trail reuse changes *how* the SAT descent searches (retained
-  // levels, deferred guard retirement, reordered assumptions) but never *what*
-  // μ computes: on randomized pipelines the reuse-on and reuse-off runs must
-  // produce the identical canonical knowledgebase — same minimal-model set,
-  // same final databases — or fail identically.
-  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 7477 + 5);
-  testutil::RandomSentenceGenerator gen(&rng, 0.15);
-  std::uniform_int_distribution<int> step_count(1, 3);
-  std::uniform_int_distribution<int> step_kind(0, 2);
-
-  for (int trial = 0; trial < 4; ++trial) {
-    Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
-    Pipeline pipeline;
-    int steps = step_count(rng);
-    for (int i = 0; i < steps; ++i) {
-      switch (step_kind(rng)) {
-        case 0:
-          pipeline.Tau(gen.Generate(2));
-          break;
-        case 1:
-          pipeline.Filter(gen.Generate(2));
-          break;
-        default:
-          pipeline.Lub();
-          break;
-      }
-    }
-    MuOptions with_reuse;
-    with_reuse.reuse_assumption_trail = true;
-    MuOptions without_reuse;
-    without_reuse.reuse_assumption_trail = false;
-    StatusOr<Knowledgebase> on = pipeline.Apply(kb, with_reuse);
-    StatusOr<Knowledgebase> off = pipeline.Apply(kb, without_reuse);
-    ASSERT_EQ(on.ok(), off.ok()) << pipeline.ToString();
-    if (!on.ok()) {
-      EXPECT_EQ(on.status().code(), off.status().code()) << pipeline.ToString();
-      continue;
-    }
-    EXPECT_EQ(testutil::KbAsStrings(*on), testutil::KbAsStrings(*off))
-        << pipeline.ToString();
-  }
-
-  // The same property with the SAT strategy forced, so the descent engine is
-  // exercised even where the auto dispatcher would pick a fast path.
-  for (int trial = 0; trial < 4; ++trial) {
-    Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
-    Formula phi = gen.Generate(2);
-    TauOptions on_options;
-    on_options.mu.strategy = MuStrategy::kSat;
-    on_options.mu.reuse_assumption_trail = true;
-    TauOptions off_options = on_options;
-    off_options.mu.reuse_assumption_trail = false;
-    StatusOr<Knowledgebase> on = Tau(phi, kb, on_options);
-    StatusOr<Knowledgebase> off = Tau(phi, kb, off_options);
-    ASSERT_EQ(on.ok(), off.ok());
-    if (on.ok()) {
-      EXPECT_EQ(testutil::KbAsStrings(*on), testutil::KbAsStrings(*off));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TrailReusePipelineFuzzTest,
-                         ::testing::Range(0, 10));
-
 }  // namespace
 }  // namespace kbt

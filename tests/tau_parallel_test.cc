@@ -1,9 +1,10 @@
 /// \file
 /// The τ executor's determinism contract: for every knowledgebase and sentence,
-/// Tau with threads=N and any cache setting returns a Knowledgebase *equal* to
-/// the sequential result — same canonical member list, bit for bit. Verified on
-/// randomized inputs across strategies (auto dispatch and forced SAT), plus
-/// deterministic error propagation and stats sanity.
+/// Tau with threads=N returns a Knowledgebase *equal* to the sequential result
+/// and to the specification oracle (testutil::OracleTau) — same canonical
+/// member list, bit for bit. Verified on randomized inputs across strategies
+/// (auto dispatch and forced SAT), plus deterministic error propagation and
+/// stats sanity.
 
 #include <gtest/gtest.h>
 
@@ -69,42 +70,29 @@ TEST(TauParallelTest, MatchesSequentialOnRandomInputsAutoStrategy) {
 }
 
 TEST(TauParallelTest, MatchesSequentialForcedSatAcrossCacheAndPrefixModes) {
-  // The bit-identity contract of prefix sharing: for every (kb, φ), τ with the
-  // frozen-CNF-prefix fork on or off — across thread counts and grounding
-  // cache settings — returns the same canonical knowledgebase as the plain
-  // sequential, cacheless run. Forked solvers replay the exact search of
-  // freshly encoded ones, so this holds bit for bit, not just set-equal.
+  // The bit-identity contract of the shared grounding cache and the frozen
+  // CNF prefix: for every (kb, φ), forced-SAT τ at 1 and 4 threads returns
+  // the same canonical knowledgebase as the oracle, plain μ on each flat
+  // world with a freshly encoded solver. Forked solvers replay the exact
+  // search of freshly encoded ones, so this holds bit for bit.
   std::mt19937_64 rng(77);
   RandomSentenceGenerator gen(&rng, /*new_relation_prob=*/0.4);
+  MuOptions sat;
+  sat.strategy = MuStrategy::kSat;
   for (int iter = 0; iter < 20; ++iter) {
     Knowledgebase kb = RandomWideKb(&rng, 3, 6);
     Formula phi = gen.Generate(2);
-
-    TauOptions seq_nocache;
-    seq_nocache.mu.strategy = MuStrategy::kSat;
-    seq_nocache.threads = 1;
-    seq_nocache.use_ground_cache = false;
-    seq_nocache.use_cnf_prefix = false;
-    StatusOr<Knowledgebase> expected = Tau(phi, kb, seq_nocache);
+    StatusOr<Knowledgebase> expected = testutil::OracleTau(phi, kb, sat);
 
     for (size_t threads : {1u, 4u}) {
-      for (bool cache : {false, true}) {
-        for (bool prefix : {false, true}) {
-          TauOptions par;
-          par.mu.strategy = MuStrategy::kSat;
-          par.threads = threads;
-          par.use_ground_cache = cache;
-          par.use_cnf_prefix = prefix;
-          StatusOr<Knowledgebase> got = Tau(phi, kb, par);
-          ASSERT_EQ(expected.ok(), got.ok())
-              << "iter " << iter << " threads " << threads << " cache " << cache
-              << " prefix " << prefix;
-          if (expected.ok()) {
-            EXPECT_EQ(*expected, *got)
-                << "iter " << iter << " threads " << threads << " cache "
-                << cache << " prefix " << prefix;
-          }
-        }
+      TauOptions options;
+      options.mu = sat;
+      options.threads = threads;
+      StatusOr<Knowledgebase> got = Tau(phi, kb, options);
+      ASSERT_EQ(expected.ok(), got.ok())
+          << "iter " << iter << " threads " << threads;
+      if (expected.ok()) {
+        EXPECT_EQ(*expected, *got) << "iter " << iter << " threads " << threads;
       }
     }
   }
@@ -136,26 +124,9 @@ TEST(TauParallelTest, SharedDomainWorldsHitTheCache) {
   EXPECT_EQ(stats.ground_cache_hits, 0u);
   EXPECT_EQ(stats.threads_used, 2u);
 
-  // With prefix sharing off, the per-world encodings fall back to the shared
-  // grounding: size-1 grounding-cache hits instead.
-  TauOptions noprefix = options;
-  noprefix.use_cnf_prefix = false;
-  TauStats noprefix_stats;
-  StatusOr<Knowledgebase> noprefix_result = Tau(phi, kb, noprefix, &noprefix_stats);
-  ASSERT_TRUE(noprefix_result.ok()) << noprefix_result.status();
-  EXPECT_EQ(noprefix_stats.ground_cache_misses, 1u);
-  EXPECT_EQ(noprefix_stats.ground_cache_hits, worlds - 1);
-  EXPECT_EQ(noprefix_stats.cnf_cache_hits, 0u);
-  EXPECT_EQ(noprefix_stats.cnf_cache_misses, 0u);
-  EXPECT_EQ(*noprefix_result, *result);
-
-  // And the cached run agrees with the uncached sequential one.
-  TauOptions plain;
-  plain.mu.strategy = MuStrategy::kSat;
-  plain.use_ground_cache = false;
-  plain.use_cnf_prefix = false;
-  StatusOr<Knowledgebase> expected = Tau(phi, kb, plain);
-  ASSERT_TRUE(expected.ok());
+  // And the cached run agrees with the oracle, which uses no cache.
+  StatusOr<Knowledgebase> expected = testutil::OracleTau(phi, kb, options.mu);
+  ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(*expected, *result);
 }
 

@@ -1,11 +1,11 @@
 /// \file
 /// τ's world classes: the grounding's root splits into atom-disjoint
 /// components, and worlds that share an active domain and agree on every atom
-/// of a component share that component's μ computation. Checked against an
-/// oracle that bypasses Tau entirely — UnionAll of plain Mu per flat
-/// World(i) — across strategies, thread counts and the serving layer's cache
-/// plumbing, with exact `shared_worlds` and `mu_classes` counts and TauStats
-/// that do not depend on the thread count.
+/// of a component share that component's μ computation. Checked against the
+/// oracle that bypasses Tau entirely (testutil::OracleTau: UnionAll of plain
+/// Mu per flat World(i)) across strategies, thread counts and the serving
+/// layer's cache plumbing, with exact `shared_worlds` and `mu_classes` counts
+/// and TauStats that do not depend on the thread count.
 
 #include <gtest/gtest.h>
 
@@ -30,19 +30,10 @@
 namespace kbt {
 namespace {
 
+using testutil::OracleHolds;
+using testutil::OracleTau;
 using testutil::RandomDatabase;
 using testutil::RandomSentenceGenerator;
-
-/// The specification τ: plain μ on every flat world, unioned.
-StatusOr<Knowledgebase> Oracle(const Formula& phi, const Knowledgebase& kb,
-                               const MuOptions& mu) {
-  std::vector<Knowledgebase> parts;
-  for (size_t i = 0; i < kb.size(); ++i) {
-    KBT_ASSIGN_OR_RETURN(Knowledgebase part, Mu(phi, kb.World(i), mu));
-    parts.push_back(std::move(part));
-  }
-  return Knowledgebase::UnionAll(std::move(parts));
-}
 
 /// Every TauStats field except threads_used.
 void ExpectSameStats(const TauStats& a, const TauStats& b,
@@ -129,7 +120,7 @@ TEST(TauWorldClassTest, MatchesPerWorldMuOracleOnRepeatedPatterns) {
          {MuStrategy::kAuto, MuStrategy::kSat, MuStrategy::kReference}) {
       MuOptions mu;
       mu.strategy = strategy;
-      StatusOr<Knowledgebase> expected = Oracle(phi, kb, mu);
+      StatusOr<Knowledgebase> expected = OracleTau(phi, kb, mu);
       for (bool serving : {false, true}) {
         TauStats stats_at[2];
         for (int t = 0; t < 2; ++t) {
@@ -261,7 +252,7 @@ TEST(TauWorldClassTest, SplitSentencesMatchPerWorldMuOracle) {
          {MuStrategy::kAuto, MuStrategy::kSat, MuStrategy::kReference}) {
       MuOptions mu;
       mu.strategy = strategy;
-      StatusOr<Knowledgebase> expected = Oracle(phi, kb, mu);
+      StatusOr<Knowledgebase> expected = OracleTau(phi, kb, mu);
       ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
       for (bool serving : {false, true}) {
         TauStats stats_at[2];
@@ -344,7 +335,7 @@ Knowledgebase ReadColdKb(const std::function<std::vector<int>(int)>& extra_dom =
 /// checking they equal the threads-4 ones.
 TauStats CheckTau(const Formula& phi, const Knowledgebase& kb,
                   const MuOptions& mu) {
-  StatusOr<Knowledgebase> expected = Oracle(phi, kb, mu);
+  StatusOr<Knowledgebase> expected = OracleTau(phi, kb, mu);
   EXPECT_TRUE(expected.ok()) << expected.status();
   TauStats first;
   for (bool serving : {false, true}) {
@@ -487,32 +478,24 @@ TEST(TauWorldClassTest, DeadlineAndBudgetFailTheSameAtOneAndFourThreads) {
 
 TEST(TauWorldClassTest, CounterfactualsMatchAFullFoldOverOracleWorlds) {
   // The consequent check stops at the first world that settles the answer;
-  // the answer must equal folding Satisfies over every oracle world.
+  // the answer must equal the oracle's fold of Satisfies over every world.
   Knowledgebase kb = ReadColdKb();
   Formula antecedent = *ParseSentence(
       "exists x: (R(n0, x) | Q(x)) & S(x, n1) & !P(n2)");
-  StatusOr<Knowledgebase> worlds = Oracle(antecedent, kb, MuOptions());
-  ASSERT_TRUE(worlds.ok()) << worlds.status();
   for (const char* text :
        {"P(n0)", "!P(n2)", "exists x: S(x, n1)", "S(n0, n1)", "Q(n1)",
         "exists x: P(x) & S(x, n1)", "forall x: S(x, n1) -> Q(x)"}) {
     Formula consequent = *ParseSentence(text);
-    bool all = true;
-    bool some = false;
-    for (size_t i = 0; i < worlds->size(); ++i) {
-      StatusOr<bool> holds = Satisfies(worlds->World(i), consequent);
-      ASSERT_TRUE(holds.ok()) << holds.status();
-      all = all && *holds;
-      some = some || *holds;
+    for (Modality modality : {Modality::kNecessarily, Modality::kPossibly}) {
+      StatusOr<bool> expected =
+          OracleHolds(kb, {antecedent}, consequent, modality);
+      StatusOr<bool> got =
+          NestedCounterfactual(kb, {antecedent}, consequent, modality);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, *expected)
+          << text << (modality == Modality::kPossibly ? " (possibly)" : "");
     }
-    StatusOr<bool> necessarily = NestedCounterfactual(
-        kb, {antecedent}, consequent, Modality::kNecessarily);
-    StatusOr<bool> possibly = NestedCounterfactual(
-        kb, {antecedent}, consequent, Modality::kPossibly);
-    ASSERT_TRUE(necessarily.ok()) << necessarily.status();
-    ASSERT_TRUE(possibly.ok()) << possibly.status();
-    EXPECT_EQ(*necessarily, all) << text;
-    EXPECT_EQ(*possibly, some) << text;
   }
 }
 
@@ -666,7 +649,7 @@ TEST(TauWorldClassTest, ReferenceBudgetCountsOneComponentsAtoms) {
   }
   MuOptions sat;
   sat.strategy = MuStrategy::kSat;
-  StatusOr<Knowledgebase> expected = Oracle(phi, kb, sat);
+  StatusOr<Knowledgebase> expected = OracleTau(phi, kb, sat);
   ASSERT_TRUE(expected.ok()) << expected.status();
   for (bool serving : {false, true}) {
     TauStats stats_at[2];
@@ -797,6 +780,37 @@ TEST(TauWorldClassTest, ChainStatsAreTheSumOfItsSteps) {
     EXPECT_EQ(chain.threads_used, two.threads_used);
     ExpectSameStats(chain, sum, "threads " + std::to_string(threads));
   }
+}
+
+TEST(TauWorldClassTest, StepOnAnEmptyKbReportsItsOwnThreads) {
+  // The first step is inconsistent, so the second runs on an empty kb. Like
+  // the sizes, threads_used then describes that last call alone: the value a
+  // lone τ on the empty kb reports, not the first step's fan-out.
+  Knowledgebase kb = ReadColdKb();
+  Formula contradiction = *ParseSentence("P(n1) & !P(n1)");
+  Formula second = *ParseSentence("P(n2)");
+  TauOptions options;
+  options.threads = 4;
+  TauStats first;
+  StatusOr<Knowledgebase> empty = Tau(contradiction, kb, options, &first);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  ASSERT_TRUE(empty->empty());
+  EXPECT_EQ(first.threads_used, 4u);
+  TauStats lone;
+  ASSERT_TRUE(Tau(second, *empty, options, &lone).ok());
+  EXPECT_EQ(lone.threads_used, 1u);
+
+  TauStats chain;
+  std::vector<ChainStep> steps(2);
+  steps[0].antecedent = &contradiction;
+  steps[1].antecedent = &second;
+  StatusOr<bool> holds = NestedCounterfactualExec(
+      kb, steps, second, Modality::kNecessarily, options, &chain);
+  ASSERT_TRUE(holds.ok()) << holds.status();
+  EXPECT_TRUE(*holds);  // Vacuously: no world is left.
+  EXPECT_EQ(chain.input_databases, 0u);
+  EXPECT_EQ(chain.output_databases, 0u);
+  EXPECT_EQ(chain.threads_used, lone.threads_used);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 /// \file
 /// Shared test utilities: independent reference implementations of the graph
 /// notions the paper's §3 examples compute through transformations (so the tests
-/// never compare the engine against itself), plus random generators for databases
-/// and sentences used by the property tests.
+/// never compare the engine against itself), the specification oracle for τ and
+/// counterfactual chains (plain μ on flat worlds), plus random generators for
+/// databases and sentences used by the property tests.
 
 #include <algorithm>
 #include <random>
@@ -303,6 +304,53 @@ class RandomSentenceGenerator {
   std::mt19937_64* rng_;
   double new_relation_prob_;
 };
+
+// ---------------------------------------------------------------------------
+// The specification oracle: what every fast path of τ is checked against.
+// ---------------------------------------------------------------------------
+
+/// The specification τ (eq. 10): plain μ on every flat World(i), unioned. It
+/// bypasses Tau entirely — no world classes, shared caches, pools or forked
+/// solvers.
+inline StatusOr<Knowledgebase> OracleTau(const Formula& phi,
+                                         const Knowledgebase& kb,
+                                         const MuOptions& mu = MuOptions()) {
+  std::vector<Knowledgebase> parts;
+  for (size_t i = 0; i < kb.size(); ++i) {
+    KBT_ASSIGN_OR_RETURN(Knowledgebase part, Mu(phi, kb.World(i), mu));
+    parts.push_back(std::move(part));
+  }
+  return Knowledgebase::UnionAll(std::move(parts));
+}
+
+/// The specification counterfactual chain: OracleTau folded over the
+/// antecedents, then Satisfies folded over every flat world, each extended to
+/// the consequent's relations (empty under the closed-world assumption). No
+/// early exit: every world is checked.
+inline StatusOr<bool> OracleHolds(const Knowledgebase& kb,
+                                  const std::vector<Formula>& antecedents,
+                                  const Formula& consequent, Modality modality,
+                                  const MuOptions& mu = MuOptions()) {
+  Knowledgebase current = kb;
+  for (const Formula& antecedent : antecedents) {
+    KBT_ASSIGN_OR_RETURN(current, OracleTau(antecedent, current, mu));
+  }
+  KBT_ASSIGN_OR_RETURN(Schema consequent_schema, SchemaOf(consequent));
+  bool all = true;
+  bool some = false;
+  for (size_t i = 0; i < current.size(); ++i) {
+    Database world = current.World(i);
+    if (!world.schema().Includes(consequent_schema)) {
+      KBT_ASSIGN_OR_RETURN(Schema extended,
+                           world.schema().Union(consequent_schema));
+      KBT_ASSIGN_OR_RETURN(world, world.ExtendTo(extended));
+    }
+    KBT_ASSIGN_OR_RETURN(bool holds, Satisfies(world, consequent));
+    all = all && holds;
+    some = some || holds;
+  }
+  return modality == Modality::kNecessarily ? all : some;
+}
 
 /// Knowledgebase as a set of database strings, for order-insensitive asserts.
 inline std::set<std::string> KbAsStrings(const Knowledgebase& kb) {
