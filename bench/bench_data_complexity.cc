@@ -33,7 +33,7 @@ void BM_DataComplexity_CopyInsert(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.counters["tuples"] = static_cast<double>(
-      kb.databases()[0].TupleCount());
+      kb.World(0).TupleCount());
 }
 BENCHMARK(BM_DataComplexity_CopyInsert)->Arg(4)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 

@@ -28,7 +28,7 @@ void BM_Datalog_TransitiveClosure(benchmark::State& state) {
   options.strategy = MuStrategy::kDatalog;
   MuStats stats;
   for (auto _ : state) {
-    auto out = Mu(phi, kb.databases()[0], options, &stats);
+    auto out = Mu(phi, kb.World(0), options, &stats);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -49,7 +49,7 @@ void BM_Datalog_TransitiveClosureViaGenericEngine(benchmark::State& state) {
   options.strategy = MuStrategy::kSat;
   options.max_ground_nodes = 50'000'000;
   for (auto _ : state) {
-    auto out = Mu(phi, kb.databases()[0], options);
+    auto out = Mu(phi, kb.World(0), options);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

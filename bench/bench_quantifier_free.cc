@@ -29,12 +29,12 @@ void BM_QuantifierFree_DatabaseScaling(benchmark::State& state) {
   for (auto _ : state) {
     MuOptions options;  // Auto picks the Theorem 4.7 reference path.
     MuStats stats;
-    auto out = Mu(phi, kb.databases()[0], options, &stats);
+    auto out = Mu(phi, kb.World(0), options, &stats);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
   state.counters["db_tuples"] =
-      static_cast<double>(kb.databases()[0].TupleCount());
+      static_cast<double>(kb.World(0).TupleCount());
 }
 BENCHMARK(BM_QuantifierFree_DatabaseScaling)
     ->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
@@ -53,7 +53,7 @@ void BM_QuantifierFree_DisjunctionWidth(benchmark::State& state) {
   MuOptions options;
   options.strategy = MuStrategy::kReference;
   for (auto _ : state) {
-    auto out = Mu(phi, kb.databases()[0], options);
+    auto out = Mu(phi, kb.World(0), options);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -70,7 +70,7 @@ void BM_QuantifierFree_SatVsReference(benchmark::State& state) {
   MuOptions options;
   options.strategy = MuStrategy::kSat;
   for (auto _ : state) {
-    auto out = Mu(phi, kb.databases()[0], options);
+    auto out = Mu(phi, kb.World(0), options);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

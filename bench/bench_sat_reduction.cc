@@ -67,7 +67,8 @@ void BM_SatReduction_Transformation(benchmark::State& state) {
     auto out = engine.Apply(kReductionExpr, kb);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     satisfiable = false;
-    for (const Database& db : *out) {
+    for (size_t w = 0; w < out->size(); ++w) {
+      const Database db = out->World(w);
       if (db.RelationFor("R3")->empty()) satisfiable = true;
     }
     benchmark::DoNotOptimize(satisfiable);

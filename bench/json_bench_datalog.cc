@@ -38,7 +38,7 @@ BenchRecord DatalogTransitiveClosure(int n) {
   options.strategy = MuStrategy::kDatalog;
   MuStats stats;
   double ms = MeasureMs([&] {
-    auto out = Mu(phi, kb.databases()[0], options, &stats);
+    auto out = Mu(phi, kb.World(0), options, &stats);
     if (!out.ok()) std::abort();
   });
   return Record("datalog_tc", n, ms, stats.datalog_rounds,

@@ -104,7 +104,7 @@ void MuWorkload(const std::string& name, const std::string& sentence, int n,
                 double degree, uint64_t seed, std::vector<MuBenchRecord>* out) {
   Knowledgebase kb = GraphKb("R", RandomEdges(n, degree, seed));
   Formula phi = *ParseFormula(sentence);
-  MeasureMu(name, phi, kb.databases()[0], n, out);
+  MeasureMu(name, phi, kb.World(0), n, out);
 }
 
 /// φ_k = ∀x1..xk ((R(x1,x2) ∧ ... ∧ R(x_{k-1},x_k)) → S(x1,xk)): the
@@ -120,7 +120,7 @@ void MuPathDepth(int depth, std::vector<MuBenchRecord>* out) {
   Formula head = Atom("S", {Term::Var(vars.front()), Term::Var(vars.back())});
   Formula phi = Forall(vars, Implies(And(std::move(body)), head));
   Knowledgebase kb = GraphKb("R", RandomEdges(5, 2.0, 31));
-  MeasureMu("mu_path_depth", phi, kb.databases()[0], depth, out);
+  MeasureMu("mu_path_depth", phi, kb.World(0), depth, out);
 }
 
 /// The orient sentence of json_bench_tau on a single dense world: a real
@@ -131,7 +131,7 @@ void MuOrient(int n, double degree, uint64_t seed,
   Knowledgebase kb = GraphKb("R", RandomEdges(n, degree, seed));
   Formula phi = *ParseFormula(
       "forall x, y: (R(x, y) & !R(y, x)) -> (S(x, y) & !S(y, x))");
-  MeasureMu("mu_orient", phi, kb.databases()[0], n, out);
+  MeasureMu("mu_orient", phi, kb.World(0), n, out);
 }
 
 /// Raw CDCL on random 3CNF at the given clause/variable ratio (the
@@ -355,7 +355,7 @@ int Main(int argc, char** argv) {
     Knowledgebase kb = GraphKb("R", RandomEdges(5, 2.0, 53));
     Formula phi =
         *ParseFormula("forall x, y: R(x, y) -> (S(x, y) | S(y, x))");
-    MeasureMu("mu_orient_enum", phi, kb.databases()[0], 5, &records);
+    MeasureMu("mu_orient_enum", phi, kb.World(0), 5, &records);
   }
   // Raw solver workloads (clause arena, watchers, learned-clause store).
   records.push_back(DirectCdcl("sat_random3_easy", 120, 3.0, 67));

@@ -111,7 +111,8 @@ Knowledgebase TauPr2Baseline(const Formula& sentence, const Knowledgebase& kb,
                              const MuOptions& options) {
   Knowledgebase result;
   bool first = true;
-  for (const Database& db : kb) {
+  for (size_t w = 0; w < kb.size(); ++w) {
+    const Database db = kb.World(w);
     Knowledgebase models = *Mu(sentence, db, options);
     if (first) {
       result = std::move(models);

@@ -37,7 +37,7 @@ int main() {
     haschild(X)   :- calls(X, Y).
   )");
   Knowledgebase derived = *InsertStratified(program, kb);
-  const Database& world = derived.databases()[0];
+  const Database world = derived.World(0);
   std::printf("after inserting the program stratum by stratum (the [ABW88] "
               "remark):\n");
   std::printf("  depends    = %s\n", world.RelationFor("depends")->ToString().c_str());
@@ -69,6 +69,6 @@ int main() {
       "(forall y: calls(x, y) -> !Down(y)) -> AllUp(x) } >> glb >> pi[AllUp]",
       after_alarm);
   std::printf("certainly unaffected (direct deps all up) after the alarm:\n  %s\n",
-              ok_services.databases()[0].RelationFor("AllUp")->ToString().c_str());
+              ok_services.World(0).RelationFor("AllUp")->ToString().c_str());
   return 0;
 }

@@ -50,7 +50,8 @@ int main() {
           "tau{ (forall x1, x2: R5(x1, x2) -> R2(x1, x2)) -> R4() } >> pi[R4]",
       with_query);
   bool in_every = false;
-  for (const Database& db : verdict) {
+  for (size_t i = 0; i < verdict.size(); ++i) {
+    const Database db = verdict.World(i);
     if (db.RelationFor("R4")->Contains(Tuple())) in_every = true;
   }
   std::printf("Example 3 - is a->d in every reduction? %s\n\n",
@@ -69,7 +70,8 @@ int main() {
   parity.Tau(DifferenceFormula("R1", "R5", "R6", 1));
   Knowledgebase parity_out = *engine.Apply(parity, vertices);
   bool even = false;
-  for (const Database& db : parity_out) {
+  for (size_t i = 0; i < parity_out.size(); ++i) {
+    const Database db = parity_out.World(i);
     if (db.RelationFor("R6")->empty()) even = true;
   }
   std::printf("Example 6 - |V| = 4 has even parity? %s\n\n",
@@ -93,9 +95,10 @@ int main() {
       "(forall x1, x2: R5(x1, x2) -> R2(x1) & R4(x2))");
   Knowledgebase clique_out = *Tau(clique_sentence, clique_kb);
   bool has_triangle = false;
-  for (const Database& db : clique_out) {
-    if (*db.RelationFor("R1") == *clique_kb.databases()[0].RelationFor("R1") &&
-        *db.RelationFor("R2") == *clique_kb.databases()[0].RelationFor("R2")) {
+  for (size_t i = 0; i < clique_out.size(); ++i) {
+    const Database db = clique_out.World(i);
+    if (*db.RelationFor("R1") == *clique_kb.World(0).RelationFor("R1") &&
+        *db.RelationFor("R2") == *clique_kb.World(0).RelationFor("R2")) {
       has_triangle = true;
       Relation r4 = *db.RelationFor("R4");
       std::printf("Example 7 - 3-clique found: %s\n", r4.ToString().c_str());

@@ -20,8 +20,8 @@ void Report(const kbt::Knowledgebase& kb, const char* when) {
   kbt::Knowledgebase possible = kb.Lub();
   std::printf("%s\n  worlds:   %zu\n  certain:  %s\n  possible: %s\n\n", when,
               kb.size(),
-              certain.databases()[0].RelationFor("Failed")->ToString().c_str(),
-              possible.databases()[0].RelationFor("Failed")->ToString().c_str());
+              certain.World(0).RelationFor("Failed")->ToString().c_str(),
+              possible.World(0).RelationFor("Failed")->ToString().c_str());
 }
 
 }  // namespace
@@ -52,6 +52,6 @@ int main() {
   // certain failure? Counterfactual via a nested transformation.
   Knowledgebase hypo = *engine.Apply("tau{ Failed(web1) } >> glb", kb);
   std::printf("hypothetically failing web1, the certain set becomes:\n  %s\n",
-              hypo.databases()[0].RelationFor("Failed")->ToString().c_str());
+              hypo.World(0).RelationFor("Failed")->ToString().c_str());
   return 0;
 }

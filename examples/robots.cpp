@@ -34,7 +34,7 @@ int main() {
   std::printf("update with \"V landed\" (Katsuno-Mendelzon, Winslett order):\n"
               "  %s\n", updated.ToString().c_str());
   Knowledgebase lub = updated.Lub();
-  bool w_possible = lub.databases()[0].RelationFor("R1")->Contains(
+  bool w_possible = lub.World(0).RelationFor("R1")->Contains(
       Tuple{Name("w")});
   std::printf("  => is W's landing still possible? %s (the paper's answer)\n\n",
               w_possible ? "yes" : "no");
@@ -44,7 +44,8 @@ int main() {
   std::printf("AGM-style revision with the same sentence:\n  %s\n",
               revised.ToString().c_str());
   bool w_in_revised = false;
-  for (const Database& db : revised) {
+  for (size_t i = 0; i < revised.size(); ++i) {
+    const Database db = revised.World(i);
     if (db.RelationFor("R1")->Contains(Tuple{Name("w")})) w_in_revised = true;
   }
   std::printf("  => revision concludes W %s landed — Example 1.1 explains why "
@@ -55,7 +56,7 @@ int main() {
   // orbiting?" — evaluated as ⊔ τ_{R1(v)}(kb) and checking for w.
   Engine engine;
   Knowledgebase counterfactual = *engine.Apply("tau{ R1(v) } >> lub", kb);
-  bool w_in_all = counterfactual.databases()[0].RelationFor("R1")->Contains(
+  bool w_in_all = counterfactual.World(0).RelationFor("R1")->Contains(
       Tuple{Name("w")});
   std::printf("counterfactual \"V landed > W still orbiting\": %s\n",
               w_in_all ? "no - some world has W landed" : "yes");

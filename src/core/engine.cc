@@ -11,19 +11,15 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
 
 Engine::~Engine() = default;
 
-exec::ThreadPool* Engine::PoolFor(size_t threads) {
+exec::ThreadPool* Engine::Pool() {
+  size_t threads = options_.tau_threads != 0
+                       ? options_.tau_threads
+                       : std::max<size_t>(1, std::thread::hardware_concurrency());
   if (threads <= 1) return nullptr;
   if (pool_ == nullptr || pool_->workers() != threads) {
     pool_ = std::make_unique<exec::ThreadPool>(threads);
   }
   return pool_.get();
-}
-
-exec::ThreadPool* Engine::SharedPool() {
-  size_t resolved = options_.tau_threads != 0
-                        ? options_.tau_threads
-                        : std::max<size_t>(1, std::thread::hardware_concurrency());
-  return PoolFor(resolved);
 }
 
 StatusOr<Knowledgebase> Engine::Apply(std::string_view expression,
@@ -58,10 +54,7 @@ StatusOr<Knowledgebase> Engine::ApplySteps(const Pipeline& pipeline,
   tau_options.threads = options_.tau_threads;
   // Serving-style reuse: lend the lazily-started persistent pool to every τ
   // step instead of letting each call spawn (and join) its own workers.
-  size_t resolved = options_.tau_threads != 0
-                        ? options_.tau_threads
-                        : std::max<size_t>(1, std::thread::hardware_concurrency());
-  tau_options.pool = PoolFor(resolved);
+  tau_options.pool = Pool();
   return pipeline.Apply(kb, tau_options, options_.trace ? &last_trace_ : nullptr);
 }
 

@@ -86,17 +86,10 @@ class Engine {
   void AttachLog(TransformLog* log) { log_ = log; }
   TransformLog* log() const { return log_; }
 
-  /// The persistent τ worker pool for the current tau_threads setting, started
-  /// on first call (nullptr when the setting resolves to one thread). Exposed
-  /// so the serving layer's read path fans counterfactual chains out on the
-  /// same workers the write path uses (TauOptions::pool) instead of spawning
-  /// its own; exec::ThreadPool::ParallelFor is safe for concurrent callers.
-  exec::ThreadPool* SharedPool();
-
  private:
   /// The persistent pool for the current tau_threads setting (started on first
   /// need, restarted if the setting changes), or nullptr when sequential.
-  exec::ThreadPool* PoolFor(size_t threads);
+  exec::ThreadPool* Pool();
 
   /// Runs the pipeline's steps (shared by both Apply overloads); commits are
   /// the overloads' business, so each logs exactly once.

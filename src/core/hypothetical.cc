@@ -8,8 +8,8 @@ namespace kbt {
 
 namespace {
 
-/// Shared tail of both chain evaluators: extend the schema so the consequent's
-/// satisfaction is defined, then fold the modality over the worlds. `cancel`
+/// The chain's tail: extend the schema so the consequent's satisfaction is
+/// defined, then fold the modality over the worlds. `cancel`
 /// (nullable) is polled per world — a chain may yield many worlds and each
 /// Satisfies is a full model check.
 StatusOr<bool> CheckConsequent(Knowledgebase current, const Formula& consequent,
@@ -40,23 +40,11 @@ StatusOr<bool> CheckConsequent(Knowledgebase current, const Formula& consequent,
 }  // namespace
 
 StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
-                                    const std::vector<Formula>& antecedents,
-                                    const Formula& consequent, Modality modality,
-                                    const MuOptions& options) {
-  Knowledgebase current = kb;
-  for (const Formula& a : antecedents) {
-    KBT_ASSIGN_OR_RETURN(current, Tau(a, current, options));
-  }
-  return CheckConsequent(std::move(current), consequent, modality,
-                         options.cancel);
-}
-
-StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
-                                        const std::vector<ChainStep>& steps,
-                                        const Formula& consequent,
-                                        Modality modality,
-                                        const TauOptions& options,
-                                        TauStats* stats) {
+                                    const std::vector<ChainStep>& steps,
+                                    const Formula& consequent,
+                                    Modality modality,
+                                    const TauOptions& options,
+                                    TauStats* stats) {
   Knowledgebase current = kb;
   for (const ChainStep& step : steps) {
     // Between chain steps is the coarsest useful cancellation boundary: each
@@ -80,10 +68,17 @@ StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
                          options.mu.cancel);
 }
 
-StatusOr<bool> Counterfactual(const Knowledgebase& kb, const Formula& antecedent,
-                              const Formula& consequent, Modality modality,
-                              const MuOptions& options) {
-  return NestedCounterfactual(kb, {antecedent}, consequent, modality, options);
+StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
+                                    const std::vector<Formula>& antecedents,
+                                    const Formula& consequent, Modality modality,
+                                    const MuOptions& options) {
+  std::vector<ChainStep> steps(antecedents.size());
+  for (size_t i = 0; i < antecedents.size(); ++i) {
+    steps[i].antecedent = &antecedents[i];
+  }
+  TauOptions tau_options;
+  tau_options.mu = options;
+  return NestedCounterfactual(kb, steps, consequent, modality, tau_options);
 }
 
 }  // namespace kbt

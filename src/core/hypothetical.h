@@ -29,46 +29,39 @@ enum class Modality {
   kPossibly,
 };
 
-/// Evaluates the counterfactual `antecedent > consequent` over `kb`.
-StatusOr<bool> Counterfactual(const Knowledgebase& kb, const Formula& antecedent,
-                              const Formula& consequent,
-                              Modality modality = Modality::kNecessarily,
-                              const MuOptions& options = MuOptions());
-
-/// Right-nested chain: antecedents are inserted left to right, then the
-/// consequent is checked. An empty chain degenerates to a plain modal query.
-StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
-                                    const std::vector<Formula>& antecedents,
-                                    const Formula& consequent,
-                                    Modality modality = Modality::kNecessarily,
-                                    const MuOptions& options = MuOptions());
-
-/// One antecedent of a serving-path chain, with the executor caches for its τ
-/// step (either may be null; see TauOptions::ground_cache/cnf_cache — a cache
-/// must only ever see this step's sentence). The formula is borrowed and must
-/// outlive the call; the serving layer points it at the cache bank's canonical
-/// parse so every borrower of one cache evaluates the identical formula.
+/// One antecedent of a chain, with the executor caches for its τ step (either
+/// may be null; see TauOptions::ground_cache/cnf_cache — a cache must only
+/// ever see this step's sentence). The formula is borrowed and must outlive
+/// the call; the serving layer points it at the cache bank's canonical parse
+/// so every borrower of one cache evaluates the identical formula.
 struct ChainStep {
   const Formula* antecedent = nullptr;
   exec::GroundingCache* ground_cache = nullptr;
   exec::CnfCache* cnf_cache = nullptr;
 };
 
-/// The serving-path chain evaluation: like NestedCounterfactual, but each τ
-/// step runs with `options` (the engine's persistent pool, the session-pinned
-/// solver and scratch, μ options) plus its step's per-sentence caches — no
-/// per-call executor state is constructed beyond what the options leave null.
-/// Equivalent to NestedCounterfactual over the same formulas (property-tested
-/// in tests/serve_test.cc).
-/// `stats` (nullable) accumulates the per-step τ statistics — each step adds
-/// its μ, cache and class counters (core/tau.h), so a serving layer can
-/// surface solver budget/interrupt activity per request.
-StatusOr<bool> NestedCounterfactualExec(const Knowledgebase& kb,
-                                        const std::vector<ChainStep>& steps,
-                                        const Formula& consequent,
-                                        Modality modality,
-                                        const TauOptions& options,
-                                        TauStats* stats = nullptr);
+/// Right-nested chain A1 > (A2 > … > B): the antecedents are inserted left to
+/// right by τ, then the consequent is checked under `modality`. An empty
+/// chain degenerates to a plain modal query. Each τ step runs with `options`
+/// (pool, session-pinned solver and scratch, μ options) plus its step's
+/// caches. `options.mu.cancel` is polled between steps and per world of the
+/// check. `stats` (nullable) accumulates the per-step τ statistics — each
+/// step adds its μ, cache and class counters (core/tau.h), so a serving
+/// layer can surface solver budget/interrupt activity per request.
+StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
+                                    const std::vector<ChainStep>& steps,
+                                    const Formula& consequent,
+                                    Modality modality,
+                                    const TauOptions& options,
+                                    TauStats* stats = nullptr);
+
+/// The same chain over plain formulas, with no caches and default τ options
+/// around `options`.
+StatusOr<bool> NestedCounterfactual(const Knowledgebase& kb,
+                                    const std::vector<Formula>& antecedents,
+                                    const Formula& consequent,
+                                    Modality modality = Modality::kNecessarily,
+                                    const MuOptions& options = MuOptions());
 
 }  // namespace kbt
 

@@ -70,7 +70,7 @@ struct TauOptions {
 };
 
 /// One τ call's counters. A stats object passed to several calls (one per
-/// step of a chain, as NestedCounterfactualExec does) adds up the work
+/// step of a chain, as NestedCounterfactual does) adds up the work
 /// counters — `mu`, the cache counters, `shared_worlds` and `mu_classes` —
 /// across the calls, while `input_databases`, `output_databases` and
 /// `threads_used` describe the last call alone.

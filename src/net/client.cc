@@ -119,10 +119,46 @@ Status Client::Exchange(uint8_t type, const std::string& payload,
   return Status::OK();
 }
 
+StatusOr<std::string> Client::Call(FrameType type, const std::string& payload,
+                                   FrameType expected_reply, Retry retry) {
+  last_attempts_ = 0;
+  if (retry == Retry::kIfNotExecuted) maybe_executed_ = false;
+  const size_t max_attempts =
+      retry == Retry::kNever ? 1 : options_.max_attempts;
+  Status last = Status::Unavailable("no attempts made");
+  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    last_attempts_ = attempt + 1;
+    std::string reply;
+    bool sent = false;
+    bool typed = false;
+    uint32_t hint = 0;
+    Status s = Exchange(static_cast<uint8_t>(type), payload,
+                        static_cast<uint8_t>(expected_reply), &reply, &sent,
+                        &typed, &hint);
+    if (s.ok()) return reply;
+    if (retry == Retry::kNever || !IsRetryableTransportError(s)) return s;
+    // Apply is not idempotent: retry it ONLY when the server provably did
+    // not execute it — a typed kUnavailable reply (rejected before execution)
+    // or a failure before the request bytes left.
+    bool provably_not_executed =
+        !sent || (typed && s.code() == StatusCode::kUnavailable);
+    if (retry == Retry::kIfNotExecuted && !provably_not_executed) {
+      maybe_executed_ = true;
+      return Status::Unavailable(
+          "apply outcome unknown: connection failed after request was sent (" +
+          s.ToString() + ")");
+    }
+    last = s;
+    if (attempt + 1 < max_attempts) Backoff(attempt, hint);
+  }
+  return last;
+}
+
 StatusOr<ClientReadResult> Client::Read(
     const std::vector<std::string>& antecedents, const std::string& consequent,
     bool necessarily, uint64_t deadline_ms) {
   if (antecedents.size() > kMaxChainDepth) {
+    last_attempts_ = 0;
     return Status::InvalidArgument("antecedent chain over wire cap");
   }
   WireReadRequest request;
@@ -130,98 +166,36 @@ StatusOr<ClientReadResult> Client::Read(
   request.consequent = consequent;
   request.modality = necessarily ? 0 : 1;
   request.deadline_ms = deadline_ms;
-  std::string payload = EncodeReadRequest(request);
-
-  Status last = Status::Unavailable("no attempts made");
-  for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    last_attempts_ = attempt + 1;
-    std::string reply;
-    bool sent = false;
-    bool typed = false;
-    uint32_t hint = 0;
-    Status s = Exchange(static_cast<uint8_t>(FrameType::kReadRequest), payload,
-                        static_cast<uint8_t>(FrameType::kReadReply), &reply,
-                        &sent, &typed, &hint);
-    if (s.ok()) {
-      KBT_ASSIGN_OR_RETURN(WireReadReply decoded, DecodeReadReply(reply));
-      ClientReadResult result;
-      result.holds = decoded.holds;
-      result.snapshot_version = decoded.snapshot_version;
-      return result;
-    }
-    // Reads are idempotent: any transport-level error (or reject) retries.
-    if (!IsRetryableTransportError(s)) return s;
-    last = s;
-    if (attempt + 1 < options_.max_attempts) Backoff(attempt, hint);
-  }
-  return last;
+  KBT_ASSIGN_OR_RETURN(std::string reply,
+                       Call(FrameType::kReadRequest, EncodeReadRequest(request),
+                            FrameType::kReadReply, Retry::kAny));
+  KBT_ASSIGN_OR_RETURN(WireReadReply decoded, DecodeReadReply(reply));
+  ClientReadResult result;
+  result.holds = decoded.holds;
+  result.snapshot_version = decoded.snapshot_version;
+  return result;
 }
 
 StatusOr<uint64_t> Client::Apply(const std::string& expression) {
   WireApplyRequest request;
   request.expression = expression;
-  std::string payload = EncodeApplyRequest(request);
-  maybe_executed_ = false;
-
-  Status last = Status::Unavailable("no attempts made");
-  for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    last_attempts_ = attempt + 1;
-    std::string reply;
-    bool sent = false;
-    bool typed = false;
-    uint32_t hint = 0;
-    Status s = Exchange(static_cast<uint8_t>(FrameType::kApplyRequest), payload,
-                        static_cast<uint8_t>(FrameType::kApplyReply), &reply,
-                        &sent, &typed, &hint);
-    if (s.ok()) {
-      KBT_ASSIGN_OR_RETURN(WireApplyReply decoded, DecodeApplyReply(reply));
-      return decoded.version;
-    }
-    // Non-idempotent: retry ONLY when the server provably did not execute —
-    // a typed kUnavailable reply (rejected before execution) or a failure
-    // before the request bytes left.
-    bool provably_not_executed =
-        !sent || (typed && s.code() == StatusCode::kUnavailable);
-    if (!IsRetryableTransportError(s)) return s;
-    if (!provably_not_executed) {
-      maybe_executed_ = true;
-      return Status::Unavailable(
-          "apply outcome unknown: connection failed after request was sent (" +
-          s.ToString() + ")");
-    }
-    last = s;
-    if (attempt + 1 < options_.max_attempts) Backoff(attempt, hint);
-  }
-  return last;
+  KBT_ASSIGN_OR_RETURN(
+      std::string reply,
+      Call(FrameType::kApplyRequest, EncodeApplyRequest(request),
+           FrameType::kApplyReply, Retry::kIfNotExecuted));
+  KBT_ASSIGN_OR_RETURN(WireApplyReply decoded, DecodeApplyReply(reply));
+  return decoded.version;
 }
 
 StatusOr<WireStatsReply> Client::Stats() {
-  Status last = Status::Unavailable("no attempts made");
-  for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    last_attempts_ = attempt + 1;
-    std::string reply;
-    bool sent = false;
-    bool typed = false;
-    uint32_t hint = 0;
-    Status s = Exchange(static_cast<uint8_t>(FrameType::kStatsRequest), "",
-                        static_cast<uint8_t>(FrameType::kStatsReply), &reply,
-                        &sent, &typed, &hint);
-    if (s.ok()) return DecodeStatsReply(reply);
-    if (!IsRetryableTransportError(s)) return s;
-    last = s;
-    if (attempt + 1 < options_.max_attempts) Backoff(attempt, hint);
-  }
-  return last;
+  KBT_ASSIGN_OR_RETURN(std::string reply,
+                       Call(FrameType::kStatsRequest, "",
+                            FrameType::kStatsReply, Retry::kAny));
+  return DecodeStatsReply(reply);
 }
 
 Status Client::Ping() {
-  std::string reply;
-  bool sent = false;
-  bool typed = false;
-  uint32_t hint = 0;
-  return Exchange(static_cast<uint8_t>(FrameType::kPing), "",
-                  static_cast<uint8_t>(FrameType::kPong), &reply, &sent, &typed,
-                  &hint);
+  return Call(FrameType::kPing, "", FrameType::kPong, Retry::kNever).status();
 }
 
 }  // namespace kbt::net

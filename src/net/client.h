@@ -91,13 +91,28 @@ class Client {
   /// executed it anyway (connection died after the request bytes left).
   bool maybe_executed() const { return maybe_executed_; }
 
-  /// Attempts spent by the last call (1 = no retries).
+  /// Attempts spent by the last call (1 = no retries, 0 = refused before
+  /// sending).
   size_t last_attempts() const { return last_attempts_; }
 
   /// Drops the cached connection (next call redials).
   void Disconnect();
 
  private:
+  /// Which failed attempts a call may retry (the rules in the file comment).
+  enum class Retry {
+    kAny,             ///< Idempotent (read, stats): any transport error.
+    kIfNotExecuted,   ///< Apply: only when the server provably did not run it.
+    kNever,           ///< Ping: exactly one exchange.
+  };
+
+  /// The attempt loop behind every call: exchanges `payload` as `type` until
+  /// a reply of type `expected_reply` arrives or `retry` forbids another try,
+  /// backing off in between. Returns the reply payload. Sets last_attempts_
+  /// and, for kIfNotExecuted, maybe_executed_.
+  StatusOr<std::string> Call(FrameType type, const std::string& payload,
+                             FrameType expected_reply, Retry retry);
+
   /// Sends `payload` as `type`, reads one reply frame, maps error frames to
   /// their typed Status. `sent` reports whether the request bytes left;
   /// `typed_reply` whether the error Status came from a server error frame

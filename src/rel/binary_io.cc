@@ -220,10 +220,12 @@ void AppendBinaryKnowledgebase(const Knowledgebase& kb, std::string* out) {
   PutU32(static_cast<uint32_t>(kb.size()), out);
   DictBuilder dict;
   dict.CollectSchema(kb.schema());
-  for (const Database& db : kb) dict.CollectRelations(db);
+  for (size_t i = 0; i < kb.size(); ++i) dict.CollectRelations(kb.World(i));
   dict.Emit(out);
   EmitSchema(kb.schema(), &dict, out);
-  for (const Database& db : kb) EmitRelations(db, &dict, out);
+  for (size_t i = 0; i < kb.size(); ++i) {
+    EmitRelations(kb.World(i), &dict, out);
+  }
 }
 
 std::string SerializeKnowledgebase(const Knowledgebase& kb) {

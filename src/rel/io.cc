@@ -138,7 +138,7 @@ std::string FormatKnowledgebase(const Knowledgebase& kb) {
   std::string out = "[ ";
   for (size_t i = 0; i < kb.size(); ++i) {
     if (i > 0) out += " | ";
-    out += FormatDatabase(kb.databases()[i]);
+    out += FormatDatabase(kb.World(i));
   }
   out += " ]";
   return out;

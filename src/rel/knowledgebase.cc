@@ -68,40 +68,16 @@ StatusOr<Knowledgebase> Knowledgebase::FromDatabases(std::vector<Database> datab
           db.schema().ToString() + " vs " + kb.schema_.ToString());
     }
   }
-  // Canonicalize the flat members directly (CompareWorldsOnBase reproduces
-  // this order, so diffing after the sort keeps overlays canonical), then
-  // anchor the base at the first world and keep the already-materialized
-  // members as the prefilled flat view.
-  if (databases.size() > 1) {
-    std::unordered_map<size_t, std::vector<size_t>> buckets;
-    buckets.reserve(databases.size());
-    size_t keep = 0;
-    for (size_t i = 0; i < databases.size(); ++i) {
-      size_t h = databases[i].Hash();
-      std::vector<size_t>& bucket = buckets[h];
-      bool duplicate = false;
-      for (size_t j : bucket) {
-        if (databases[j] == databases[i]) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      if (keep != i) databases[keep] = std::move(databases[i]);
-      bucket.push_back(keep);
-      ++keep;
-    }
-    databases.resize(keep);
-    std::sort(databases.begin(), databases.end());
-  }
-  kb.base_ = std::make_shared<const Database>(databases.front());
+  // Anchor the base at the smallest member (the first world in canonical
+  // order) and diff every member against it; Canonicalize then collapses the
+  // duplicates and sorts, as for every other constructor.
+  kb.base_ = std::make_shared<const Database>(
+      *std::min_element(databases.begin(), databases.end()));
   kb.overlays_.reserve(databases.size());
   for (const Database& db : databases) {
     kb.overlays_.push_back(WorldOverlay::FromDiff(*kb.base_, db));
   }
-  kb.ResetFlatCache();
-  kb.flat_->worlds = std::move(databases);
-  kb.flat_->ready.store(true, std::memory_order_release);
+  kb.Canonicalize();
   return kb;
 }
 
@@ -110,9 +86,6 @@ Knowledgebase Knowledgebase::Singleton(Database db) {
   kb.schema_ = db.schema();
   kb.base_ = std::make_shared<const Database>(std::move(db));
   kb.overlays_.emplace_back();  // Identity: the single world is the base.
-  kb.ResetFlatCache();
-  kb.flat_->worlds.push_back(*kb.base_);
-  kb.flat_->ready.store(true, std::memory_order_release);
   return kb;
 }
 
@@ -128,27 +101,7 @@ StatusOr<Knowledgebase> Knowledgebase::FromBaseAndOverlays(
   kb.base_ = std::move(base);
   kb.overlays_ = std::move(overlays);
   kb.Canonicalize(parallel);
-  kb.ResetFlatCache();
   return kb;
-}
-
-const std::vector<Database>& Knowledgebase::databases() const {
-  static const std::vector<Database> kNoWorlds;
-  if (overlays_.empty()) return kNoWorlds;
-  FlatCache& cache = *flat_;
-  if (!cache.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    if (!cache.ready.load(std::memory_order_relaxed)) {
-      std::vector<Database> worlds;
-      worlds.reserve(overlays_.size());
-      for (const WorldOverlay& ov : overlays_) {
-        worlds.push_back(ov.ApplyTo(*base_));
-      }
-      cache.worlds = std::move(worlds);
-      cache.ready.store(true, std::memory_order_release);
-    }
-  }
-  return cache.worlds;
 }
 
 Knowledgebase Knowledgebase::SelectWorlds(const std::vector<size_t>& indices) const {
@@ -158,7 +111,6 @@ Knowledgebase Knowledgebase::SelectWorlds(const std::vector<size_t>& indices) co
   out.base_ = base_;
   out.overlays_.reserve(indices.size());
   for (size_t i : indices) out.overlays_.push_back(overlays_[i]);
-  out.ResetFlatCache();
   return out;
 }
 
@@ -200,7 +152,6 @@ StatusOr<Knowledgebase> Knowledgebase::WithDatabase(const Database& db) const {
   Knowledgebase out = *this;
   out.overlays_.push_back(WorldOverlay::FromDiff(*base_, db));
   out.Canonicalize();
-  out.ResetFlatCache();
   return out;
 }
 
@@ -221,7 +172,6 @@ StatusOr<Knowledgebase> Knowledgebase::UnionWith(const Knowledgebase& other) con
     }
   }
   out.Canonicalize();
-  out.ResetFlatCache();
   return out;
 }
 
@@ -267,7 +217,6 @@ StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts
   }
   if (out.base_ == nullptr) return Knowledgebase(out.schema_);  // All empty.
   out.Canonicalize(parallel);
-  out.ResetFlatCache();
   return out;
 }
 
@@ -398,11 +347,10 @@ StatusOr<Knowledgebase> Knowledgebase::ExtendTo(const Schema& super) const {
 }
 
 std::string Knowledgebase::ToString() const {
-  const std::vector<Database>& dbs = databases();
   std::string out = "{ ";
-  for (size_t i = 0; i < dbs.size(); ++i) {
+  for (size_t i = 0; i < size(); ++i) {
     if (i > 0) out += ", ";
-    out += dbs[i].ToString();
+    out += World(i).ToString();
   }
   out += " }";
   return out;

@@ -12,14 +12,12 @@
 /// Representation: one shared immutable base Database plus one WorldOverlay per
 /// world (rel/overlay.h) — worlds that differ from the base by a handful of
 /// tuples cost O(delta) memory, and canonicalization (hash-dedup + sort) runs
-/// on overlays in O(worlds × delta) instead of O(worlds × database). The flat
-/// view `databases()` still exists for consumers that want materialized
-/// worlds; it is built lazily, at most once, and shared across copies. See
-/// docs/worldset.md.
+/// on overlays in O(worlds × delta) instead of O(worlds × database). World(i)
+/// materializes one member on demand. A kb is a plain immutable value: copies
+/// share the base and the overlays' tuple buffers. See docs/worldset.md.
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,9 +45,9 @@ class Knowledgebase {
   explicit Knowledgebase(Schema schema) : schema_(std::move(schema)) {}
 
   /// Builds from databases; all must share one schema. Duplicates collapse.
-  /// The first member (pre-canonicalization) becomes the shared base; members
-  /// become overlays against it, with copy-on-write buffer sharing making the
-  /// diff O(touched relations) per member.
+  /// The smallest member (the first world in canonical order) becomes the
+  /// shared base; members become overlays against it, with copy-on-write
+  /// buffer sharing making the diff O(touched relations) per member.
   static StatusOr<Knowledgebase> FromDatabases(std::vector<Database> databases);
 
   /// Singleton knowledgebase.
@@ -70,21 +68,8 @@ class Knowledgebase {
   size_t size() const { return overlays_.size(); }
   bool empty() const { return overlays_.empty(); }
 
-  /// Materialized worlds in canonical order. Built lazily on first use (one
-  /// flat Database per world, sharing untouched relation buffers with the
-  /// base) and cached; copies of this kb share the cache. Prefer World(i) /
-  /// base()+overlay iteration on hot paths — they never trigger the flatten.
-  const std::vector<Database>& databases() const;
-
-  std::vector<Database>::const_iterator begin() const {
-    return databases().begin();
-  }
-  std::vector<Database>::const_iterator end() const {
-    return databases().end();
-  }
-
-  /// Materializes world `i` (canonical order) without touching the flat
-  /// cache: a copy-on-write overlay application, O(touched relations).
+  /// Materializes world `i` (canonical order): a copy-on-write overlay
+  /// application, O(touched relations).
   Database World(size_t i) const { return overlays_[i].ApplyTo(*base_); }
 
   /// The shared base (null iff the kb is empty).
@@ -99,7 +84,7 @@ class Knowledgebase {
 
   /// Approximate heap footprint: base + overlay tuple storage (buffers shared
   /// between base and overlays, or across worlds, counted once) plus overlay
-  /// bookkeeping. Does not include a flat cache if one was materialized.
+  /// bookkeeping.
   size_t ApproxHeapBytes() const;
 
   /// Membership test.
@@ -148,31 +133,16 @@ class Knowledgebase {
   }
 
  private:
-  /// Lazily filled flat view, shared by copies of one kb. `worlds` is written
-  /// once under `mu`, then published through `ready`; afterwards it is
-  /// immutable and read lock-free.
-  struct FlatCache {
-    std::mutex mu;
-    std::atomic<bool> ready{false};
-    std::vector<Database> worlds;
-  };
-
   /// Dedups overlays through their hashes and sorts them into the canonical
   /// (flat-order-consistent) sequence. `parallel` parallelizes the hash pass;
   /// the off path is bit-identical.
   void Canonicalize(const ParallelMap* parallel = nullptr);
-
-  /// Installs a fresh, unfilled flat cache (called by every constructor path
-  /// that yields a non-empty kb).
-  void ResetFlatCache() { flat_ = std::make_shared<FlatCache>(); }
 
   Schema schema_;
   /// Shared immutable base; null iff the kb has no worlds.
   std::shared_ptr<const Database> base_;
   /// One overlay per world, sorted by CompareWorldsOnBase, unique.
   std::vector<WorldOverlay> overlays_;
-  /// Lazy flat view (null iff the kb has no worlds).
-  std::shared_ptr<FlatCache> flat_;
 };
 
 }  // namespace kbt

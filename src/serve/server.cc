@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <thread>
 #include <utility>
 
-#include "exec/pool.h"
 #include "logic/parser.h"
 
 namespace kbt::serve {
@@ -58,7 +56,6 @@ Server::Server(ServerOptions options, Knowledgebase initial)
 Server::Server(Knowledgebase initial, ServerOptions options)
     : Server(std::move(options), std::move(initial)) {
   own_engine_ = std::make_unique<Engine>(options_.engine);
-  InitReadPool();
 }
 
 StatusOr<std::unique_ptr<Server>> Server::OpenDurable(
@@ -73,31 +70,10 @@ StatusOr<std::unique_ptr<Server>> Server::OpenDurable(
   auto server = std::unique_ptr<Server>(
       new Server(std::move(options), std::move(committed)));
   server->durable_ = std::move(store);
-  server->InitReadPool();
   return server;
 }
 
 Server::~Server() = default;
-
-Engine& Server::engine() {
-  return durable_ != nullptr ? durable_->engine() : *own_engine_;
-}
-
-void Server::InitReadPool() {
-  if (options_.read_threads <= 1) return;
-  size_t engine_threads =
-      options_.engine.tau_threads != 0
-          ? options_.engine.tau_threads
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (engine_threads == options_.read_threads) {
-    // Created here, before any concurrency exists; the writer's equal-sized
-    // PoolFor calls return this same pool without touching its storage.
-    read_pool_ = engine().SharedPool();
-  } else {
-    own_read_pool_ = std::make_unique<exec::ThreadPool>(options_.read_threads);
-    read_pool_ = own_read_pool_.get();
-  }
-}
 
 std::unique_ptr<Session> Server::StartSession() {
   return std::unique_ptr<Session>(
@@ -232,8 +208,6 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
 
   TauOptions tau_options;
   tau_options.mu = options_.engine.mu;
-  tau_options.threads = options_.read_threads;
-  tau_options.pool = read_pool_;
   tau_options.solver = &session.solver_;
   tau_options.scratch = &session.scratch_;
 
@@ -256,7 +230,7 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
   }
 
   TauStats tau_stats;
-  StatusOr<bool> holds = NestedCounterfactualExec(
+  StatusOr<bool> holds = NestedCounterfactual(
       snap.kb, steps, consequent, request.modality, tau_options,
       limited ? &tau_stats : nullptr);
   if (limited) {

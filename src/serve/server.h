@@ -53,13 +53,10 @@ namespace kbt::serve {
 struct ServerOptions {
   /// Engine options for the write path and the μ options of reads. The τ
   /// thread/cache settings apply to write-path transformations; reads run
-  /// sequentially on their calling thread unless read_threads > 1.
+  /// sequentially on their session's thread.
   EngineOptions engine;
   /// Distinct sentences the shared cache bank holds (LRU beyond it).
   size_t cache_bank_capacity = 64;
-  /// τ worker threads for read-path chains (>1 borrows the engine's persistent
-  /// pool — useful for many-world snapshots; 1 = on the session's thread).
-  size_t read_threads = 1;
   /// Durable mode: write a checkpoint (and rotate the WAL) automatically every
   /// N commits. 0 = only explicit Checkpoint() calls.
   size_t checkpoint_every = 0;
@@ -230,14 +227,6 @@ class Server {
 
   Server(ServerOptions options, Knowledgebase initial);
 
-  /// The engine behind the write path (owned or the durable store's).
-  Engine& engine();
-
-  /// Resolves the read-path pool once, at construction (so readers never touch
-  /// the engine's lazily-created pool member concurrently with the writer):
-  /// the engine's persistent pool when the sizes agree, else a server-owned one.
-  void InitReadPool();
-
   /// Read-path core: resolves the request against `snap` with `session`'s
   /// pinned state, through the cache bank when enabled.
   StatusOr<ReadResult> ExecuteRead(Session& session, const Snapshot& snap,
@@ -258,10 +247,6 @@ class Server {
   std::unique_ptr<Engine> own_engine_;            ///< In-memory mode.
   std::unique_ptr<store::DurableEngine> durable_; ///< Durable mode.
   size_t commits_since_checkpoint_ = 0;
-
-  /// Read-path pool (nullptr when read_threads <= 1); fixed after init.
-  exec::ThreadPool* read_pool_ = nullptr;
-  std::unique_ptr<exec::ThreadPool> own_read_pool_;
 
   /// Read-only gate + redirect hint (hint under its own mutex: it changes on
   /// promote/fence while reads of it ride error paths on worker threads).

@@ -15,13 +15,10 @@
 /// in flight every Current() call returns the previous version, and the switch
 /// to the new one is a pointer swap, not a data copy.
 ///
-/// Knowledgebase itself is a value type whose guts (base Database, overlays,
-/// flat cache) are shared immutably via shared_ptr, so handing one kb to many
-/// concurrent readers costs nothing and is data-race-free by construction —
-/// with one exception: the lazily-built flat `databases()` view is filled
-/// under an internal mutex on first use. Snapshot readers that stick to
-/// World(i)/base()/overlays() (everything the serving read path uses) never
-/// touch it.
+/// Knowledgebase itself is a plain immutable value whose guts (base Database,
+/// overlays) are shared via shared_ptr and copy-on-write buffers, so handing
+/// one kb to many concurrent readers costs nothing and is data-race-free by
+/// construction.
 
 #include <atomic>
 #include <cstdint>

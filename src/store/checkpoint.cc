@@ -65,7 +65,7 @@ void AppendDeltaBlock(std::string& out, std::string_view name,
   out += block;
 }
 
-/// Bounds-checked cursor over the v2 payload.
+/// Bounds-checked cursor over the payload.
 class PayloadReader {
  public:
   explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
@@ -106,7 +106,7 @@ StatusOr<std::pair<size_t, Relation>> ReadDeltaBlock(PayloadReader& reader,
   return ResolveTupleDelta(delta, schema);
 }
 
-/// Parses the version-2 payload: base database once, then per-world overlays.
+/// Parses the payload: base database once, then per-world overlays.
 StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
   PayloadReader reader(payload);
   KBT_ASSIGN_OR_RETURN(uint32_t world_count, reader.ReadU32("world count"));
@@ -192,7 +192,7 @@ StatusOr<std::pair<size_t, Relation>> ResolveTupleDelta(const TupleDelta& delta,
 }
 
 std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn) {
-  // Version-2 payload: the shared base once, each world as its sparse overlay.
+  // The shared base once, each world as its sparse overlay.
   std::string payload;
   PutU32(payload, static_cast<uint32_t>(kb.size()));
   const Database empty_base(kb.schema());
@@ -226,7 +226,7 @@ StatusOr<CheckpointContents> DecodeCheckpoint(std::string_view bytes) {
     return Status::DataLoss("checkpoint has wrong magic");
   }
   uint8_t version = static_cast<uint8_t>(bytes[7]);
-  if (version != 1 && version != kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return Status::DataLoss("unsupported checkpoint version " +
                             std::to_string(version));
   }
@@ -242,12 +242,7 @@ StatusOr<CheckpointContents> DecodeCheckpoint(std::string_view bytes) {
   }
   CheckpointContents contents;
   contents.lsn = lsn;
-  if (version == 1) {
-    // Legacy flat payload: the whole member list serialized.
-    KBT_ASSIGN_OR_RETURN(contents.kb, ParseBinaryKnowledgebase(payload));
-  } else {
-    KBT_ASSIGN_OR_RETURN(contents.kb, DecodeOverlayPayload(payload));
-  }
+  KBT_ASSIGN_OR_RETURN(contents.kb, DecodeOverlayPayload(payload));
   return contents;
 }
 

@@ -11,7 +11,7 @@
 ///   magic "KBTCKPT" (7 bytes), u8 version, u64 lsn,
 ///   u32 crc32c(payload), u32 payload_len, payload
 ///
-/// (integers little-endian). The version-2 payload mirrors the in-memory
+/// (integers little-endian). The payload (version 2) mirrors the in-memory
 /// delta-structured representation (rel/overlay.h) — the shared base database
 /// is written once and each world as its sparse overlay:
 ///
@@ -23,10 +23,9 @@
 ///
 /// so checkpoint size is O(base + Σ deltas) instead of O(worlds × database).
 /// Decoding validates every overlay's canonical invariants against the base
-/// (WorldOverlay::Validate) before accepting the file. Version-1 files —
-/// payload = SerializeKnowledgebase of the flat member list — still decode,
-/// so stores written before the overlay representation recover unchanged.
-/// Unlike the WAL, a checkpoint is all-or-nothing: any truncation or
+/// (WorldOverlay::Validate) before accepting the file. Version-1 files (a
+/// flat member list, written before the overlay representation) are refused
+/// as kDataLoss "unsupported checkpoint version 1". Unlike the WAL, a checkpoint is all-or-nothing: any truncation or
 /// corruption makes the file invalid (recovery falls back to an older
 /// checkpoint).
 ///
@@ -47,7 +46,7 @@
 namespace kbt::store {
 
 inline constexpr char kCheckpointMagic[7] = {'K', 'B', 'T', 'C', 'K', 'P', 'T'};
-/// Version written by EncodeCheckpoint; DecodeCheckpoint also accepts 1.
+/// The one version EncodeCheckpoint writes and DecodeCheckpoint accepts.
 inline constexpr uint8_t kCheckpointVersion = 2;
 
 /// The checkpoint file image for `kb` at log position `lsn`.

@@ -76,8 +76,8 @@ TEST(FuvUpdateTest, ContrastTauSatisfiesIrrelevanceOfSyntax) {
   EXPECT_EQ(KbAsStrings(r1), KbAsStrings(r2));
   ASSERT_EQ(r1.size(), 1u);
   // And τ retains A — minimal change.
-  EXPECT_FALSE(r1.databases()[0].RelationFor("A")->empty());
-  EXPECT_TRUE(r1.databases()[0].RelationFor("B")->empty());
+  EXPECT_FALSE(r1.World(0).RelationFor("A")->empty());
+  EXPECT_TRUE(r1.World(0).RelationFor("B")->empty());
 }
 
 TEST(FuvUpdateTest, NonGroundInputRejected) {

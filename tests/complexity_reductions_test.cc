@@ -83,7 +83,8 @@ bool SolveViaTransformation(const Cnf3& cnf) {
       "     (forall c: Clause(c) & "
       "        (forall v, t: LitOpp(c, v, t) -> R2(v, t)) -> R3()) } >> pi[R3]",
       kb);
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     if (db.RelationFor("R3")->empty()) return true;
   }
   return false;
@@ -128,7 +129,8 @@ bool PropositionalSatViaTransformation(const Formula& prop) {
   Knowledgebase kb = Knowledgebase::Singleton(db);
   Knowledgebase out = *(*Tau(Implies(Atom("R0", {}), prop), kb)).ProjectTo(
       {Name("R0")});
-  for (const Database& result : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database result = out.World(w);
     if (result.RelationFor("R0")->Contains(Tuple())) return true;
   }
   return false;
@@ -215,7 +217,7 @@ bool BipartiteViaSecondOrderTransformation(const testutil::Graph& g) {
       kb);
   EXPECT_EQ(out.size(), 1u) << "⊔ must produce a singleton";
   if (out.empty()) return false;
-  return out.databases()[0].RelationFor("Ans")->Contains(Tuple());
+  return out.World(0).RelationFor("Ans")->Contains(Tuple());
 }
 
 /// Reference bipartiteness by BFS 2-coloring.

@@ -51,9 +51,10 @@ class LatticeLawsTest : public ::testing::TestWithParam<int> {};
 TEST_P(LatticeLawsTest, GlbLubBounds) {
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 16807 + 29);
   Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
-  Database glb = kb.Glb().databases()[0];
-  Database lub = kb.Lub().databases()[0];
-  for (const Database& member : kb) {
+  Database glb = kb.Glb().World(0);
+  Database lub = kb.Lub().World(0);
+  for (size_t w = 0; w < kb.size(); ++w) {
+    const Database member = kb.World(w);
     for (size_t i = 0; i < member.size(); ++i) {
       // ⊓ is a lower bound and ⊔ an upper bound, componentwise.
       EXPECT_TRUE(glb.relation_at(i).IsSubsetOf(member.relation_at(i)));
@@ -70,7 +71,7 @@ TEST_P(LatticeLawsTest, GlbLubBounds) {
 TEST_P(LatticeLawsTest, GlbIsGreatestLowerBound) {
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 69621 + 31);
   Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
-  Database glb = kb.Glb().databases()[0];
+  Database glb = kb.Glb().World(0);
   // Any other componentwise lower bound is ⊆ the glb: test with the glb minus a
   // tuple wherever possible.
   for (size_t i = 0; i < glb.size(); ++i) {
@@ -144,7 +145,8 @@ TEST(TauTest, MembersWithDifferentActiveDomains) {
   // minimal change drops P(a) and sets Q(a). large: B={a,b,c}: keep P, add Q(b)
   // or Q(c) — plus the symmetric variants for which element is chosen.
   EXPECT_FALSE(out.empty());
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     EXPECT_TRUE(*Satisfies(db, *ParseFormula("exists x: !P(x) & Q(x)")));
   }
 }

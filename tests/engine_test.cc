@@ -23,7 +23,7 @@ TEST(EngineTest, QuickstartTransitiveClosure) {
       ">> pi[R2]",
       kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("R2"),
+  EXPECT_EQ(*out.World(0).RelationFor("R2"),
             MakeRelation(2, {{"tor", "ott"},
                              {"tor", "mtl"},
                              {"tor", "qbc"},
@@ -37,7 +37,7 @@ TEST(EngineTest, InsertShorthand) {
   Knowledgebase kb = *MakeSingletonKb({{"R1", 2}}, {{"R1", {{"tor", "ott"}}}});
   Knowledgebase out = *engine.Insert("!R1(tor, ott)", kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out.databases()[0].RelationFor("R1")->empty());
+  EXPECT_TRUE(out.World(0).RelationFor("R1")->empty());
 }
 
 TEST(EngineTest, ParseErrorsPropagate) {

@@ -67,7 +67,7 @@ TEST(ExprTest, StepsApplyLeftToRight) {
                             "tau{ forall x1, x2: R1(x1, a2, x2) -> R2(x1) } >> glb"))
                            .Apply(kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("R2"), MakeRelation(1, {{"a1"}}));
+  EXPECT_EQ(*out.World(0).RelationFor("R2"), MakeRelation(1, {{"a1"}}));
 }
 
 TEST(ExprTest, DeferredParseErrorSurfacesAtApply) {
@@ -92,8 +92,8 @@ TEST(ExprTest, CopyFormulaCopiesRelation) {
   Knowledgebase kb = *MakeSingletonKb({{"R", 2}}, {{"R", {{"a", "b"}, {"b", "c"}}}});
   Knowledgebase out = *Tau(CopyFormula("R", "R4", 2), kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("R4"),
-            *out.databases()[0].RelationFor("R"));
+  EXPECT_EQ(*out.World(0).RelationFor("R4"),
+            *out.World(0).RelationFor("R"));
 }
 
 TEST(ExprTest, DifferenceFormulaComputesSetDifference) {
@@ -101,7 +101,7 @@ TEST(ExprTest, DifferenceFormulaComputesSetDifference) {
       {{"A", 1}, {"B", 1}}, {{"A", {{"x"}, {"y"}}}, {"B", {{"y"}}}});
   Knowledgebase out = *Tau(DifferenceFormula("A", "B", "D", 1), kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("D"), MakeRelation(1, {{"x"}}));
+  EXPECT_EQ(*out.World(0).RelationFor("D"), MakeRelation(1, {{"x"}}));
 }
 
 TEST(ExprTest, FilterKeepsSatisfyingWorlds) {
@@ -113,7 +113,8 @@ TEST(ExprTest, FilterKeepsSatisfyingWorlds) {
   Pipeline p = *ParsePipeline("filter{ P(a) }");
   Knowledgebase out = *p.Apply(kb);
   EXPECT_EQ(out.size(), 2u);
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     EXPECT_TRUE(db.RelationFor("P")->Contains(Tuple{Name("a")}));
   }
   // Filtering everything out yields the empty kb but keeps the schema.

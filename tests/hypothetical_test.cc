@@ -25,26 +25,26 @@ Knowledgebase RobotsKb() {
 TEST(CounterfactualTest, Example4RobotsQuery) {
   // "If V had landed, would W necessarily still be orbiting?" — no.
   Knowledgebase kb = RobotsKb();
-  EXPECT_FALSE(*Counterfactual(kb, *ParseFormula("R1(v)"),
-                               *ParseFormula("!R1(w)"),
-                               Modality::kNecessarily));
+  Formula v_landed = *ParseFormula("R1(v)");
+  EXPECT_FALSE(*NestedCounterfactual(kb, {v_landed}, *ParseFormula("!R1(w)"),
+                                     Modality::kNecessarily));
   // But it is possible that W is still orbiting.
-  EXPECT_TRUE(*Counterfactual(kb, *ParseFormula("R1(v)"),
-                              *ParseFormula("!R1(w)"), Modality::kPossibly));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {v_landed}, *ParseFormula("!R1(w)"),
+                                    Modality::kPossibly));
   // And V's landing is certain after the update (KM postulate (i)).
-  EXPECT_TRUE(*Counterfactual(kb, *ParseFormula("R1(v)"), *ParseFormula("R1(v)"),
-                              Modality::kNecessarily));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {v_landed}, v_landed,
+                                    Modality::kNecessarily));
 }
 
 TEST(CounterfactualTest, ModalitiesDifferOnIndefiniteResults) {
   Knowledgebase kb = *MakeSingletonKb({{"P", 1}}, {});
   Formula a_or_b = *ParseFormula("P(a) | P(b)");
-  EXPECT_FALSE(*Counterfactual(kb, a_or_b, *ParseFormula("P(a)"),
-                               Modality::kNecessarily));
-  EXPECT_TRUE(*Counterfactual(kb, a_or_b, *ParseFormula("P(a)"),
-                              Modality::kPossibly));
-  EXPECT_TRUE(*Counterfactual(kb, a_or_b, *ParseFormula("P(a) | P(b)"),
-                              Modality::kNecessarily));
+  EXPECT_FALSE(*NestedCounterfactual(kb, {a_or_b}, *ParseFormula("P(a)"),
+                                     Modality::kNecessarily));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {a_or_b}, *ParseFormula("P(a)"),
+                                    Modality::kPossibly));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {a_or_b}, a_or_b,
+                                    Modality::kNecessarily));
 }
 
 TEST(CounterfactualTest, InconsistentAntecedent) {
@@ -52,10 +52,10 @@ TEST(CounterfactualTest, InconsistentAntecedent) {
   // fails.
   Knowledgebase kb = *MakeSingletonKb({{"P", 1}}, {{"P", {{"a"}}}});
   Formula bad = *ParseFormula("P(a) & !P(a)");
-  EXPECT_TRUE(*Counterfactual(kb, bad, *ParseFormula("P(zz)"),
-                              Modality::kNecessarily));
-  EXPECT_FALSE(*Counterfactual(kb, bad, *ParseFormula("P(a)"),
-                               Modality::kPossibly));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {bad}, *ParseFormula("P(zz)"),
+                                    Modality::kNecessarily));
+  EXPECT_FALSE(*NestedCounterfactual(kb, {bad}, *ParseFormula("P(a)"),
+                                     Modality::kPossibly));
 }
 
 TEST(CounterfactualTest, RightNestedChain) {
@@ -81,20 +81,21 @@ TEST(CounterfactualTest, EmptyChainIsModalQuery) {
 TEST(CounterfactualTest, ConsequentOverNewRelations) {
   // The consequent may mention a relation the antecedent introduced.
   Knowledgebase kb = *MakeSingletonKb({{"P", 1}}, {{"P", {{"a"}}}});
-  EXPECT_TRUE(*Counterfactual(kb, *ParseFormula("Q(a, b)"),
-                              *ParseFormula("Q(a, b)"), Modality::kNecessarily));
+  Formula q_ab = *ParseFormula("Q(a, b)");
+  EXPECT_TRUE(*NestedCounterfactual(kb, {q_ab}, q_ab, Modality::kNecessarily));
   // ...or one mentioned by neither: empty under CWA, handled by extension.
-  EXPECT_FALSE(*Counterfactual(kb, *ParseFormula("Q(a, b)"),
-                               *ParseFormula("Zed(a)"), Modality::kPossibly));
+  EXPECT_FALSE(*NestedCounterfactual(kb, {q_ab}, *ParseFormula("Zed(a)"),
+                                     Modality::kPossibly));
 }
 
 // ---------------------------------------------------------------------------
-// NestedCounterfactualExec (the serving-path chain): equivalent to the plain
-// NestedCounterfactual under every executor-state configuration.
+// The chain over ChainSteps (the serving path): equal to the specification
+// oracle under every executor-state configuration.
 
 /// Property: with or without borrowed per-step caches and a pinned
 /// solver/scratch — and with state reused *across* calls, the serving shape —
-/// the served chain evaluation agrees with the plain one on random inputs.
+/// the served chain evaluation agrees with testutil::OracleHolds on random
+/// inputs.
 TEST(CounterfactualTest, ExecChainEquivalentToPlainNestedCounterfactual) {
   std::mt19937_64 rng(19920615);
   testutil::RandomSentenceGenerator gen(&rng);
@@ -140,7 +141,8 @@ TEST(CounterfactualTest, ExecChainEquivalentToPlainNestedCounterfactual) {
     Formula consequent = gen.Generate(2);
     Modality modality = coin(rng) ? Modality::kNecessarily : Modality::kPossibly;
 
-    auto expected = NestedCounterfactual(kb, antecedents, consequent, modality);
+    auto expected =
+        testutil::OracleHolds(kb, antecedents, consequent, modality);
     ASSERT_TRUE(expected.ok()) << expected.status().message();
 
     TauOptions options;
@@ -149,7 +151,7 @@ TEST(CounterfactualTest, ExecChainEquivalentToPlainNestedCounterfactual) {
       options.scratch = &scratch;
     }
     auto served =
-        NestedCounterfactualExec(kb, steps, consequent, modality, options);
+        NestedCounterfactual(kb, steps, consequent, modality, options);
     ASSERT_TRUE(served.ok()) << served.status().message();
     EXPECT_EQ(*served, *expected)
         << "round " << round << " caches=" << with_caches;
@@ -159,10 +161,10 @@ TEST(CounterfactualTest, ExecChainEquivalentToPlainNestedCounterfactual) {
 TEST(CounterfactualTest, ExecEmptyChainIsModalQuery) {
   Knowledgebase kb = RobotsKb();
   TauOptions options;
-  EXPECT_TRUE(*NestedCounterfactualExec(kb, {}, *ParseFormula("R1(v) | R1(w)"),
-                                        Modality::kNecessarily, options));
-  EXPECT_FALSE(*NestedCounterfactualExec(kb, {}, *ParseFormula("R1(v)"),
-                                         Modality::kNecessarily, options));
+  EXPECT_TRUE(*NestedCounterfactual(kb, {}, *ParseFormula("R1(v) | R1(w)"),
+                                    Modality::kNecessarily, options));
+  EXPECT_FALSE(*NestedCounterfactual(kb, {}, *ParseFormula("R1(v)"),
+                                     Modality::kNecessarily, options));
 }
 
 }  // namespace

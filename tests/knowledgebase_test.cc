@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/engine.h"
 #include "rel/knowledgebase.h"
+#include "store/checkpoint.h"
 
 namespace kbt {
 namespace {
@@ -18,6 +23,30 @@ TEST(KnowledgebaseTest, FromDatabasesDedupsAndSorts) {
   EXPECT_EQ(kb->size(), 2u);
   EXPECT_TRUE(kb->Contains(a));
   EXPECT_TRUE(kb->Contains(b));
+}
+
+TEST(KnowledgebaseTest, FromDatabasesAnchorsTheSmallestMemberInAnyOrder) {
+  // The base is the smallest member (the first world in canonical order),
+  // whatever order the members arrive in and however often each repeats, so
+  // every permutation yields the same base and the same checkpoint bytes.
+  std::vector<Database> members = {Db({{"b", "c"}}), Db({{"a", "b"}}),
+                                   Db({{"a", "b"}, {"c", "d"}}), Db({}),
+                                   Db({{"a", "b"}}), Db({})};
+  std::sort(members.begin(), members.end());
+  Knowledgebase sorted = *Knowledgebase::FromDatabases(members);
+  ASSERT_EQ(sorted.size(), 4u);
+  EXPECT_EQ(*sorted.base(), members.front());
+  EXPECT_EQ(sorted.World(0), members.front());
+  const std::string bytes = store::EncodeCheckpoint(sorted, 1);
+  size_t permutations = 0;
+  do {
+    Knowledgebase kb = *Knowledgebase::FromDatabases(members);
+    ASSERT_EQ(*kb.base(), *sorted.base()) << "permutation " << permutations;
+    ASSERT_EQ(store::EncodeCheckpoint(kb, 1), bytes)
+        << "permutation " << permutations;
+    ++permutations;
+  } while (std::next_permutation(members.begin(), members.end()));
+  EXPECT_EQ(permutations, 180u);  // 6! / (2! · 2!) distinct orders.
 }
 
 TEST(KnowledgebaseTest, MixedSchemasRejected) {
@@ -44,10 +73,10 @@ TEST(KnowledgebaseTest, GlbLubMatchPaperExample) {
   Knowledgebase kb = *Knowledgebase::FromDatabases({d1, d2});
   Knowledgebase glb = kb.Glb();
   ASSERT_EQ(glb.size(), 1u);
-  EXPECT_EQ(*glb.databases()[0].RelationFor("R"), MakeRelation(2, {{"a1", "a4"}}));
+  EXPECT_EQ(*glb.World(0).RelationFor("R"), MakeRelation(2, {{"a1", "a4"}}));
   Knowledgebase lub = kb.Lub();
   ASSERT_EQ(lub.size(), 1u);
-  EXPECT_EQ(*lub.databases()[0].RelationFor("R"),
+  EXPECT_EQ(*lub.World(0).RelationFor("R"),
             MakeRelation(2, {{"a1", "a2"}, {"a1", "a4"}, {"a2", "a3"}}));
 }
 
@@ -77,7 +106,7 @@ TEST(KnowledgebaseTest, ProjectTo) {
   Knowledgebase kb = Knowledgebase::Singleton(db);
   Knowledgebase p = *kb.ProjectTo({Name("S")});
   EXPECT_EQ(p.schema().size(), 1u);
-  EXPECT_EQ(p.databases()[0].RelationFor("S")->size(), 1u);
+  EXPECT_EQ(p.World(0).RelationFor("S")->size(), 1u);
   // Projection can merge worlds that agree on the kept relations.
   Database db2 = *MakeDatabase({{"R", 2}, {"S", 1}},
                                {{"R", {{"x", "y"}}}, {"S", {{"c"}}}});
@@ -91,7 +120,7 @@ TEST(KnowledgebaseTest, ExtendTo) {
   Schema super = *Schema::Of({{"R", 2}, {"T", 1}});
   Knowledgebase big = *kb.ExtendTo(super);
   EXPECT_EQ(big.schema(), super);
-  EXPECT_TRUE(big.databases()[0].RelationFor("T")->empty());
+  EXPECT_TRUE(big.World(0).RelationFor("T")->empty());
 }
 
 }  // namespace

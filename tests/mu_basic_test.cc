@@ -24,7 +24,7 @@ TEST(MuBasicTest, InsertNewFact) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("R(b)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u) << MuStrategyName(s);
-    EXPECT_EQ(*kb.databases()[0].RelationFor("R"),
+    EXPECT_EQ(*kb.World(0).RelationFor("R"),
               MakeRelation(1, {{"a"}, {"b"}}));
   }
 }
@@ -34,7 +34,7 @@ TEST(MuBasicTest, InsertExistingFactIsIdentity) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("R(a)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_EQ(kb.databases()[0], db);
+    EXPECT_EQ(kb.World(0), db);
   }
 }
 
@@ -44,7 +44,7 @@ TEST(MuBasicTest, DeleteFact) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("!R(yyz, yow)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_EQ(*kb.databases()[0].RelationFor("R"), MakeRelation(2, {{"yow", "yul"}}));
+    EXPECT_EQ(*kb.World(0).RelationFor("R"), MakeRelation(2, {{"yow", "yul"}}));
   }
 }
 
@@ -66,7 +66,7 @@ TEST(MuBasicTest, DisjunctionAlreadySatisfiedStaysPut) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("R(a) | R(b)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_EQ(kb.databases()[0], db);
+    EXPECT_EQ(kb.World(0), db);
   }
 }
 
@@ -84,7 +84,7 @@ TEST(MuBasicTest, TautologyKeepsDatabase) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("R(a) | !R(a)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_EQ(kb.databases()[0], db);
+    EXPECT_EQ(kb.World(0), db);
   }
 }
 
@@ -95,8 +95,8 @@ TEST(MuBasicTest, NewRelationMinimized) {
        {MuStrategy::kReference, MuStrategy::kSat, MuStrategy::kDatalog}) {
     Knowledgebase kb = *Mu(*ParseFormula("forall x: R(x) -> S(x)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u) << MuStrategyName(s);
-    EXPECT_EQ(*kb.databases()[0].RelationFor("R"), MakeRelation(1, {{"a"}, {"b"}}));
-    EXPECT_EQ(*kb.databases()[0].RelationFor("S"), MakeRelation(1, {{"a"}, {"b"}}));
+    EXPECT_EQ(*kb.World(0).RelationFor("R"), MakeRelation(1, {{"a"}, {"b"}}));
+    EXPECT_EQ(*kb.World(0).RelationFor("S"), MakeRelation(1, {{"a"}, {"b"}}));
   }
 }
 
@@ -106,7 +106,7 @@ TEST(MuBasicTest, UniversalDeletionShrinksRelation) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("forall x: !R(x)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_TRUE(kb.databases()[0].RelationFor("R")->empty());
+    EXPECT_TRUE(kb.World(0).RelationFor("R")->empty());
   }
 }
 
@@ -116,7 +116,8 @@ TEST(MuBasicTest, CardinalityConstraintHasManyMinimalModels) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("exists x: !R(x)"), db, Strategy(s));
     EXPECT_EQ(kb.size(), 3u) << MuStrategyName(s);
-    for (const Database& m : kb) {
+    for (size_t w = 0; w < kb.size(); ++w) {
+      const Database m = kb.World(w);
       EXPECT_EQ(m.RelationFor("R")->size(), 2u);
     }
   }
@@ -127,7 +128,7 @@ TEST(MuBasicTest, ZeroAryRelationUpdate) {
   for (MuStrategy s : kGeneralStrategies) {
     Knowledgebase kb = *Mu(*ParseFormula("R0()"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u);
-    EXPECT_TRUE(kb.databases()[0].RelationFor("R0")->Contains(Tuple()));
+    EXPECT_TRUE(kb.World(0).RelationFor("R0")->Contains(Tuple()));
   }
 }
 
@@ -149,7 +150,7 @@ TEST(MuBasicTest, FormulaConstantsExtendTheDomain) {
     Knowledgebase kb =
         *Mu(*ParseFormula("exists x: S(x) & !(x = a) & (x = z)"), db, Strategy(s));
     ASSERT_EQ(kb.size(), 1u) << MuStrategyName(s);
-    EXPECT_EQ(*kb.databases()[0].RelationFor("S"), MakeRelation(1, {{"z"}}));
+    EXPECT_EQ(*kb.World(0).RelationFor("S"), MakeRelation(1, {{"z"}}));
   }
 }
 

@@ -91,12 +91,13 @@ TEST_P(MuSoundnessTest, ModelsSatisfyAndAreMutuallyMinimal) {
     StatusOr<Knowledgebase> result = Mu(sentence, db, Strategy(MuStrategy::kSat));
     ASSERT_TRUE(result.ok());
     std::vector<Value> domain = ActiveDomain(db, sentence);
-    for (const Database& m : *result) {
+    for (size_t i = 0; i < result->size(); ++i) {
+      const Database m = result->World(i);
       EXPECT_TRUE(*Satisfies(m, sentence, domain))
           << "non-model returned for φ = " << ToString(sentence);
-      for (const Database& other : *result) {
-        if (m == other) continue;
-        EXPECT_FALSE(*StrictlyCloser(other, m, db))
+      for (size_t j = 0; j < result->size(); ++j) {
+        if (j == i) continue;
+        EXPECT_FALSE(*StrictlyCloser(result->World(j), m, db))
             << "dominated model returned for φ = " << ToString(sentence);
       }
     }
@@ -274,7 +275,7 @@ TEST(MuFastPathCrosscheckTest, SameGenerationFixpointQuery) {
   EXPECT_EQ(KbAsStrings(via_datalog), KbAsStrings(via_sat));
   ASSERT_EQ(via_datalog.size(), 1u);
   // p1 ~ p2 directly; hence c1 ~ c2 one generation down.
-  EXPECT_EQ(*via_datalog.databases()[0].RelationFor("Sg"),
+  EXPECT_EQ(*via_datalog.World(0).RelationFor("Sg"),
             MakeRelation(2, {{"p1", "p2"}, {"c1", "c2"}}));
 }
 
@@ -289,14 +290,14 @@ TEST(MuFastPathCrosscheckTest, MonotoneNonHornStillMinimizesToFixpoint) {
                               {{"E", {{"a", "b"}, {"b", "c"}, {"c", "d"}}}});
   Knowledgebase out = *Mu(phi, db, Strategy(MuStrategy::kSat));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("T"),
+  EXPECT_EQ(*out.World(0).RelationFor("T"),
             MakeRelation(2, {{"a", "b"},
                              {"b", "c"},
                              {"c", "d"},
                              {"a", "c"},
                              {"b", "d"},
                              {"a", "d"}}));
-  EXPECT_EQ(*out.databases()[0].RelationFor("E"), *db.RelationFor("E"));
+  EXPECT_EQ(*out.World(0).RelationFor("E"), *db.RelationFor("E"));
 }
 
 TEST(MuFastPathCrosscheckTest, DefinitionalMatchesGeneralEngines) {

@@ -10,7 +10,8 @@
 ///     (provably not executed); one whose reply was lost after the request
 ///     left is NOT silently re-sent — the failure surfaces maybe_executed;
 ///   * the server's commit count never exceeds observed successes plus
-///     surfaced ambiguities (no invisible double-execution).
+///     surfaced ambiguities (no invisible double-execution);
+///   * last_attempts() always describes the call just made.
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,37 @@ TEST(NetReconnectTest, SeveredConnectionsNeverInflateCommits) {
   uint64_t commits = h.server().stats().commits;
   EXPECT_GE(commits, successes);
   EXPECT_LE(commits, successes + ambiguous);
+}
+
+/// A read that redials after a severed connection; returns its attempts.
+size_t RetriedReadAttempts(ReconnectHarness& h, Client& client) {
+  h.SeverAll();
+  auto read = client.Read({}, "P(a)");
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  return client.last_attempts();
+}
+
+TEST(NetReconnectTest, PingReportsItsOwnSingleAttempt) {
+  ReconnectHarness h;
+  Client client = h.MakeClient();
+  ASSERT_TRUE(client.Read({}, "P(a)").ok());
+  ASSERT_GE(RetriedReadAttempts(h, client), 2u);
+  // Ping is never retried; it must not leave the read's count in place.
+  ASSERT_TRUE(client.Ping().ok());
+  EXPECT_EQ(client.last_attempts(), 1u);
+}
+
+TEST(NetReconnectTest, ReadRefusedBeforeSendingReportsZeroAttempts) {
+  ReconnectHarness h;
+  Client client = h.MakeClient();
+  ASSERT_TRUE(client.Read({}, "P(a)").ok());
+  ASSERT_GE(RetriedReadAttempts(h, client), 2u);
+  // A chain over the wire cap is refused client-side: no attempt is made.
+  std::vector<std::string> too_deep(kMaxChainDepth + 1, "P(b)");
+  auto refused = client.Read(too_deep, "P(a)");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.last_attempts(), 0u);
 }
 
 }  // namespace

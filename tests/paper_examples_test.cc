@@ -34,7 +34,7 @@ TEST_P(TransitiveClosureExample, MatchesWarshall) {
       "-> R2(x1, x3) } >> pi[R2]",
       kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(DecodeEdges(*out.databases()[0].RelationFor("R2")),
+  EXPECT_EQ(DecodeEdges(*out.World(0).RelationFor("R2")),
             testutil::TransitiveClosure(g.edges, g.n));
 }
 
@@ -63,7 +63,8 @@ TEST_P(TransitiveReductionExample, EnumeratesAllReducts) {
       std::string("tau{ ") + kReductionSentence + " } >> pi[R2]", kb);
 
   std::set<std::set<std::pair<int, int>>> got;
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     got.insert(DecodeEdges(*db.RelationFor("R2")));
   }
   auto reference = testutil::TransitiveReductions(g.edges, g.n);
@@ -96,7 +97,7 @@ TEST(TransitiveReductionExample2, CyclicGraphCaveatDocumented) {
       std::string("tau{ ") + kReductionSentence + " } >> pi[R2]", kb);
   ASSERT_EQ(out.size(), 1u);
   std::set<std::pair<int, int>> spurious = {{1, 2}, {2, 1}};
-  EXPECT_EQ(DecodeEdges(*out.databases()[0].RelationFor("R2")), spurious);
+  EXPECT_EQ(DecodeEdges(*out.World(0).RelationFor("R2")), spurious);
   // The honest reference answer differs:
   auto reference = testutil::TransitiveReductions(g.edges, g.n);
   ASSERT_EQ(reference.size(), 1u);
@@ -114,7 +115,7 @@ TEST(TransitiveReductionExample2, DiamondHasUniqueReduct) {
   Knowledgebase out = *engine.Apply(
       std::string("tau{ ") + kReductionSentence + " } >> pi[R2]", kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(DecodeEdges(*out.databases()[0].RelationFor("R2")),
+  EXPECT_EQ(DecodeEdges(*out.World(0).RelationFor("R2")),
             (std::set<std::pair<int, int>>{{0, 1}, {1, 3}, {0, 2}, {2, 3}}));
 }
 
@@ -145,7 +146,8 @@ TEST(EdgesInEveryReductionExample, ZeroAryAnswerRelation) {
             "tau{ (forall x1, x2: R5(x1, x2) -> R2(x1, x2)) -> R4() } >> pi[R4]",
         kb);
     bool answer = false;
-    for (const Database& db : out) {
+    for (size_t w = 0; w < out.size(); ++w) {
+      const Database db = out.World(w);
       if (db.RelationFor("R4")->Contains(Tuple())) answer = true;
     }
     return answer;
@@ -174,7 +176,7 @@ TEST(RobotsExample, UpdateLeavesWOpen) {
   // "If V landed, would W necessarily still be orbiting?" — no: ⊔ contains w.
   Knowledgebase lub = updated.Lub();
   ASSERT_EQ(lub.size(), 1u);
-  EXPECT_TRUE(lub.databases()[0].RelationFor("R1")->Contains(Tuple{Name("w")}));
+  EXPECT_TRUE(lub.World(0).RelationFor("R1")->Contains(Tuple{Name("w")}));
 }
 
 TEST(RobotsExample, RightNestedCounterfactual) {
@@ -184,7 +186,7 @@ TEST(RobotsExample, RightNestedCounterfactual) {
   Knowledgebase nested =
       *Tau(*ParseFormula("R1(v)"), *Tau(*ParseFormula("R1(w)"), kb));
   ASSERT_EQ(nested.size(), 1u);
-  EXPECT_EQ(*nested.databases()[0].RelationFor("R1"),
+  EXPECT_EQ(*nested.World(0).RelationFor("R1"),
             MakeRelation(1, {{"v"}, {"w"}}));
 }
 
@@ -213,7 +215,8 @@ bool MonochromaticTriangleViaTransformations(const Graph& g) {
   pipeline.Tau("R6() <-> (forall x1, x2: !R5(x1, x2))");
   pipeline.Lub().Project({"R6"});
   Knowledgebase out = *engine.Apply(pipeline, kb);
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     if (db.RelationFor("R6")->Contains(Tuple())) return true;
   }
   return false;
@@ -281,7 +284,8 @@ bool ParityIsEvenViaTransformations(int n) {
   // ι: R6 := R1 \ R5; even iff some world has R6 = ∅.
   pipeline.Tau(DifferenceFormula("R1", "R5", "R6", 1));
   Knowledgebase out = *engine.Apply(pipeline, kb);
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     if (db.RelationFor("R6")->empty()) return true;
   }
   return false;
@@ -316,7 +320,8 @@ bool HasCliqueOfSize(const Graph& g, int k) {
       "(forall x1, x2: R4(x1) & R4(x2) & !(x1 = x2) -> R1(x1, x2)) & "
       "(forall x1, x2: R5(x1, x2) -> R2(x1) & R4(x2))");
   Knowledgebase out = *Tau(phi, Knowledgebase::Singleton(input));
-  for (const Database& db : out) {
+  for (size_t w = 0; w < out.size(); ++w) {
+    const Database db = out.World(w);
     if (*db.RelationFor("R1") == *input.RelationFor("R1") &&
         *db.RelationFor("R2") == *input.RelationFor("R2")) {
       return true;

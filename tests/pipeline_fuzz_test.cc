@@ -66,12 +66,11 @@ TEST_P(PipelineFuzzTest, RandomPipelinesKeepInvariants) {
       continue;
     }
     // Canonical form: sorted unique members, single schema.
-    const std::vector<Database>& dbs = result->databases();
-    for (size_t i = 0; i + 1 < dbs.size(); ++i) {
-      EXPECT_TRUE(dbs[i] < dbs[i + 1]) << pipeline.ToString();
+    for (size_t i = 0; i + 1 < result->size(); ++i) {
+      EXPECT_TRUE(result->World(i) < result->World(i + 1)) << pipeline.ToString();
     }
-    for (const Database& db : *result) {
-      EXPECT_EQ(db.schema(), result->schema());
+    for (size_t i = 0; i < result->size(); ++i) {
+      EXPECT_EQ(result->World(i).schema(), result->schema());
     }
     // Trace covers every step with consistent sizes.
     ASSERT_EQ(stats.steps.size(), static_cast<size_t>(steps));

@@ -209,11 +209,12 @@ TEST(ServeServerTest, ReadsSeeTheVersionTheyAcquired) {
   EXPECT_EQ(read->snapshot_version, 1u);
 }
 
-/// Property: the served read path (cache bank + pinned solver/scratch +
-/// NestedCounterfactualExec) answers exactly like the specification oracle on
-/// the same snapshot — plain μ on every flat world, step by step, then the
-/// consequent over every world (testutil::OracleHolds) — across random kbs,
-/// random chains, repeated sentences (cache hits) and both modalities.
+/// Property: the served read path (cache bank + pinned solver/scratch + the
+/// ChainStep NestedCounterfactual) answers exactly like the specification
+/// oracle on the same snapshot — plain μ on every flat world, step by step,
+/// then the consequent over every world (testutil::OracleHolds) — across
+/// random kbs, random chains, repeated sentences (cache hits) and both
+/// modalities.
 TEST(ServeServerTest, ServedReadsMatchTheOracle) {
   std::mt19937_64 rng(20260808);
   testutil::RandomSentenceGenerator gen(&rng);

@@ -71,7 +71,7 @@ TEST(InsertStratifiedTest, MatchesBottomUpEvaluation) {
     for (const RelationDecl& d : via_tau.schema().decls()) {
       order.push_back(d.symbol);
     }
-    EXPECT_EQ(via_tau.databases()[0], *expected.ProjectTo(order))
+    EXPECT_EQ(via_tau.World(0), *expected.ProjectTo(order))
         << "graph edges: " << testutil::EdgeRelation(g).ToString();
   }
 }
@@ -83,7 +83,7 @@ TEST(InsertStratifiedTest, PurePositiveProgramUsesOneStratum) {
                                       {{"edge", {{"a", "b"}, {"b", "c"}}}});
   Knowledgebase out = *InsertStratified(tc, kb);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out.databases()[0].RelationFor("path"),
+  EXPECT_EQ(*out.World(0).RelationFor("path"),
             MakeRelation(2, {{"a", "b"}, {"b", "c"}, {"a", "c"}}));
 }
 

@@ -40,7 +40,8 @@ TEST_P(KmPostulateTest, PostulateI_ResultSatisfiesInsertion) {
     Knowledgebase kb = RandomKnowledgebase(&rng_);
     Formula phi = gen.Generate(3);
     Knowledgebase result = *Tau(phi, kb);
-    for (const Database& db : result) {
+    for (size_t w = 0; w < result.size(); ++w) {
+      const Database db = result.World(w);
       EXPECT_TRUE(*Satisfies(db, phi, FixedDomain())) << ToString(phi);
     }
   }
@@ -54,7 +55,8 @@ TEST_P(KmPostulateTest, PostulateII_NoChangeWhenAlreadyTrue) {
     Knowledgebase kb = RandomKnowledgebase(&rng_);
     Formula phi = gen.Generate(2);
     bool holds = true;
-    for (const Database& db : kb) {
+    for (size_t w = 0; w < kb.size(); ++w) {
+      const Database db = kb.World(w);
       if (!*Satisfies(db, phi, FixedDomain())) {
         holds = false;
         break;
@@ -82,7 +84,7 @@ TEST_P(KmPostulateTest, PostulateIII_ConsistencyPreserved) {
     MuOptions ref;
     ref.strategy = MuStrategy::kReference;
     ref.max_reference_atoms = 16;
-    StatusOr<Knowledgebase> one = Mu(phi, kb.databases()[0], ref);
+    StatusOr<Knowledgebase> one = Mu(phi, kb.World(0), ref);
     if (!one.ok()) continue;
     bool satisfiable = !one->empty();
     Knowledgebase result = *Tau(phi, kb);
@@ -126,7 +128,8 @@ TEST_P(KmPostulateTest, PostulateV_ConjunctionRefines) {
     Formula psi = gen.Generate(2);
     Knowledgebase tau_phi = *Tau(phi, kb);
     Knowledgebase tau_both = *Tau(And(phi, psi), kb);
-    for (const Database& db : tau_phi) {
+    for (size_t w = 0; w < tau_phi.size(); ++w) {
+      const Database db = tau_phi.World(w);
       if (!*Satisfies(db, psi, FixedDomain())) continue;
       EXPECT_TRUE(tau_both.Contains(db))
           << "φ = " << ToString(phi) << ", ψ = " << ToString(psi)
@@ -145,7 +148,8 @@ TEST_P(KmPostulateTest, PostulateVI_MutualEntailment) {
     Knowledgebase tau_phi = *Tau(phi, kb);
     Knowledgebase tau_psi = *Tau(psi, kb);
     auto entails = [&](const Knowledgebase& worlds, const Formula& f) {
-      for (const Database& db : worlds) {
+      for (size_t w = 0; w < worlds.size(); ++w) {
+        const Database db = worlds.World(w);
         if (!*Satisfies(db, f, FixedDomain())) return false;
       }
       return true;
@@ -167,7 +171,8 @@ TEST_P(KmPostulateTest, PostulateVII_DisjunctionOnSingletons) {
     Knowledgebase tau_phi = *Tau(phi, kb);
     Knowledgebase tau_psi = *Tau(psi, kb);
     Knowledgebase tau_or = *Tau(Or(phi, psi), kb);
-    for (const Database& db : tau_phi) {
+    for (size_t w = 0; w < tau_phi.size(); ++w) {
+      const Database db = tau_phi.World(w);
       if (!tau_psi.Contains(db)) continue;
       EXPECT_TRUE(tau_or.Contains(db))
           << "φ = " << ToString(phi) << ", ψ = " << ToString(psi);
@@ -201,15 +206,15 @@ TEST(Lemma21Test, GlbDoesNotCommuteWithTau) {
   // ⊓(τ_φ(kb)) = {(∅, {a1})}.
   Knowledgebase tau_then_glb = (*Tau(phi, kb)).Glb();
   ASSERT_EQ(tau_then_glb.size(), 1u);
-  EXPECT_TRUE(tau_then_glb.databases()[0].RelationFor("R1")->empty());
-  EXPECT_EQ(*tau_then_glb.databases()[0].RelationFor("R2"),
+  EXPECT_TRUE(tau_then_glb.World(0).RelationFor("R1")->empty());
+  EXPECT_EQ(*tau_then_glb.World(0).RelationFor("R2"),
             MakeRelation(1, {{"a1"}}));
 
   // τ_φ(⊓(kb)) = {(∅, ∅)}.
   Knowledgebase glb_then_tau = *Tau(phi, kb.Glb());
   ASSERT_EQ(glb_then_tau.size(), 1u);
-  EXPECT_TRUE(glb_then_tau.databases()[0].RelationFor("R1")->empty());
-  EXPECT_TRUE(glb_then_tau.databases()[0].RelationFor("R2")->empty());
+  EXPECT_TRUE(glb_then_tau.World(0).RelationFor("R1")->empty());
+  EXPECT_TRUE(glb_then_tau.World(0).RelationFor("R2")->empty());
 
   EXPECT_NE(KbAsStrings(tau_then_glb), KbAsStrings(glb_then_tau));
 }
@@ -225,13 +230,13 @@ TEST(Lemma21Test, LubDoesNotCommuteWithTau) {
   // τ_φ(⊔(kb)): R4 = {(a1,a2), (a2,a3), (a1,a3)}.
   Knowledgebase lub_then_tau = *Tau(phi, kb.Lub());
   ASSERT_EQ(lub_then_tau.size(), 1u);
-  EXPECT_EQ(*lub_then_tau.databases()[0].RelationFor("R4"),
+  EXPECT_EQ(*lub_then_tau.World(0).RelationFor("R4"),
             MakeRelation(2, {{"a1", "a2"}, {"a2", "a3"}, {"a1", "a3"}}));
 
   // ⊔(τ_φ(kb)): R4 = {(a1,a2), (a2,a3)} — no chaining across worlds.
   Knowledgebase tau_then_lub = (*Tau(phi, kb)).Lub();
   ASSERT_EQ(tau_then_lub.size(), 1u);
-  EXPECT_EQ(*tau_then_lub.databases()[0].RelationFor("R4"),
+  EXPECT_EQ(*tau_then_lub.World(0).RelationFor("R4"),
             MakeRelation(2, {{"a1", "a2"}, {"a2", "a3"}}));
 
   EXPECT_NE(KbAsStrings(lub_then_tau), KbAsStrings(tau_then_lub));

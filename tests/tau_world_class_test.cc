@@ -760,7 +760,7 @@ TEST(TauWorldClassTest, ChainStatsAreTheSumOfItsSteps) {
     std::vector<ChainStep> steps(2);
     steps[0].antecedent = &first;
     steps[1].antecedent = &second;
-    StatusOr<bool> holds = NestedCounterfactualExec(
+    StatusOr<bool> holds = NestedCounterfactual(
         kb, steps, consequent, Modality::kNecessarily, options, &chain);
     ASSERT_TRUE(holds.ok()) << holds.status();
     EXPECT_TRUE(*holds);
@@ -804,7 +804,7 @@ TEST(TauWorldClassTest, StepOnAnEmptyKbReportsItsOwnThreads) {
   std::vector<ChainStep> steps(2);
   steps[0].antecedent = &contradiction;
   steps[1].antecedent = &second;
-  StatusOr<bool> holds = NestedCounterfactualExec(
+  StatusOr<bool> holds = NestedCounterfactual(
       kb, steps, second, Modality::kNecessarily, options, &chain);
   ASSERT_TRUE(holds.ok()) << holds.status();
   EXPECT_TRUE(*holds);  // Vacuously: no world is left.

@@ -355,7 +355,7 @@ inline StatusOr<bool> OracleHolds(const Knowledgebase& kb,
 /// Knowledgebase as a set of database strings, for order-insensitive asserts.
 inline std::set<std::string> KbAsStrings(const Knowledgebase& kb) {
   std::set<std::string> out;
-  for (const Database& db : kb) out.insert(db.ToString());
+  for (size_t i = 0; i < kb.size(); ++i) out.insert(kb.World(i).ToString());
   return out;
 }
 

@@ -4,12 +4,13 @@
 /// indistinguishable — equality, flat member sequence, printing, lattice ops,
 /// membership, projection/extension, and μ/τ results — from the same world set
 /// built flat (FromDatabases), over randomized delta workloads. Plus the store
-/// side: version-2 base+overlay checkpoints round-trip bit-identically, still
-/// decode legacy version-1 images, and reject non-canonical overlay payloads
-/// even when the CRC is intact.
+/// side: version-2 base+overlay checkpoints round-trip bit-identically, legacy
+/// version-1 images are refused (by decode, recovery and fsck), and
+/// non-canonical overlay payloads are rejected even when the CRC is intact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
@@ -20,6 +21,7 @@
 #include "store/checkpoint.h"
 #include "store/crc32.h"
 #include "store/fault_env.h"
+#include "store/fsck.h"
 #include "store/recovery.h"
 #include "store/wal.h"
 #include "testutil.h"
@@ -88,11 +90,10 @@ TEST(WorldsetPropertyTest, OverlayBackedIsObservationallyFlat) {
 
     ASSERT_EQ(a, b) << "trial " << trial;
     ASSERT_EQ(a.size(), b.size());
-    // Identical canonical member sequence, world by world, plus the flat view.
+    // Identical canonical member sequence, world by world.
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a.World(i), b.World(i)) << "trial " << trial << " world " << i;
     }
-    ASSERT_EQ(a.databases(), b.databases());
     ASSERT_EQ(a.ToString(), b.ToString());
     ASSERT_EQ(a.Glb(), b.Glb());
     ASSERT_EQ(a.Lub(), b.Lub());
@@ -205,15 +206,17 @@ TEST(WorldsetPropertyTest, CheckpointRoundTripIsBitIdentical) {
   }
 }
 
-TEST(WorldsetPropertyTest, LegacyVersion1CheckpointsStillDecode) {
+TEST(WorldsetPropertyTest, LegacyVersion1CheckpointsAreRefused) {
+  // Version-1 images (the flat member list, written before the overlay
+  // representation) are refused with a typed error, whatever they hold.
   std::mt19937_64 rng(99);
   for (int trial = 0; trial < 10; ++trial) {
     Knowledgebase kb = RandomKnowledgebase(&rng);
-    std::string image = MakeImage(1, 7, SerializeKnowledgebase(kb));
-    auto decoded = store::DecodeCheckpoint(image);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-    EXPECT_EQ(decoded->lsn, 7u);
-    EXPECT_EQ(decoded->kb, kb);
+    auto decoded =
+        store::DecodeCheckpoint(MakeImage(1, 7, SerializeKnowledgebase(kb)));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(decoded.status().message(), "unsupported checkpoint version 1");
   }
 }
 
@@ -248,11 +251,11 @@ TEST(WorldsetPropertyTest, RejectsNonCanonicalOverlayPayload) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(WorldsetPropertyTest, RecoveryReadsLegacyStoreAndRewritesOverlayed) {
-  // A store directory written before the overlay representation (v1
-  // checkpoint + a tuple-delta WAL suffix) recovers to the same state the
-  // fault matrix expects, and a fresh checkpoint of the recovered kb is a
-  // version-2 image that round-trips to the identical serialized value.
+TEST(WorldsetPropertyTest, RecoveryAndFsckRefuseLegacyVersion1Store) {
+  // A store directory written before the overlay representation (a v1
+  // checkpoint + a tuple-delta WAL suffix) does not open: recovery fails
+  // with kDataLoss and fsck reports the same cause, rather than either
+  // silently starting from an empty or partial state.
   std::mt19937_64 rng(31337);
   Knowledgebase kb = RandomKnowledgebase(&rng);
 
@@ -277,35 +280,33 @@ TEST(WorldsetPropertyTest, RecoveryReadsLegacyStoreAndRewritesOverlayed) {
     ASSERT_TRUE((*writer)->Sync().ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
+  const std::string cause = "unsupported checkpoint version 1";
 
   Engine engine;
   auto recovered = store::RecoverStore(&env, "store", engine);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_EQ(recovered->checkpoint_lsn, 4u);
-  EXPECT_EQ(recovered->lsn, 5u);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(cause), std::string::npos)
+      << recovered.status().message();
 
-  // Expected state computed flat: insert {b}, {c} into P in every member.
-  std::vector<Database> members;
-  for (size_t i = 0; i < kb.size(); ++i) {
-    Database db = kb.World(i);
-    size_t pos = *db.schema().PositionOf(Name("P"));
-    db.ReplaceRelation(
-        pos, db.relation_at(pos).Union(MakeRelation(1, {{"b"}, {"c"}})));
-    members.push_back(std::move(db));
+  store::FsckOptions options;
+  options.deep = true;
+  auto report = store::CheckStore(&env, "store", options);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_FALSE(report->clean());
+  EXPECT_EQ(report->checkpoints_seen, 1u);
+  EXPECT_EQ(report->checkpoints_valid, 0u);
+  // The newest (only) checkpoint's finding names the version; deep mode
+  // replays recovery and reports its kDataLoss cause.
+  std::vector<std::string> expected = {
+      "checkpoint-4: " + cause + " (newest checkpoint)",
+      "no checkpoint decodes; recovery would fail",
+      "deep replay: " + recovered.status().message()};
+  for (const std::string& finding : expected) {
+    EXPECT_NE(std::find(report->errors.begin(), report->errors.end(), finding),
+              report->errors.end())
+        << finding << "\n" << store::FormatFsckReport(*report);
   }
-  Knowledgebase expected = *Knowledgebase::FromDatabases(std::move(members));
-  EXPECT_EQ(recovered->kb, expected);
-  EXPECT_EQ(SerializeKnowledgebase(recovered->kb),
-            SerializeKnowledgebase(expected));
-
-  // Rewriting the recovered state checkpoints in the overlay format and
-  // round-trips to the same value.
-  ASSERT_TRUE(store::WriteCheckpoint(&env, "store", "store/checkpoint-5",
-                                     recovered->kb, 5)
-                  .ok());
-  auto reread = store::ReadCheckpoint(&env, "store/checkpoint-5");
-  ASSERT_TRUE(reread.ok()) << reread.status().message();
-  EXPECT_EQ(reread->kb, expected);
 }
 
 }  // namespace
