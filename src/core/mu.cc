@@ -149,12 +149,7 @@ StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
     case MuStrategy::kSat:
       break;
     case MuStrategy::kDatalog: {
-      KBT_ASSIGN_OR_RETURN(auto plan, PlanDatalog(sentence, db));
-      if (!plan) {
-        return Status::Unsupported(
-            "sentence is not Datalog-restricted with new head predicates");
-      }
-      prep.datalog = std::make_shared<const DatalogPlan>(std::move(*plan));
+      KBT_ASSIGN_OR_RETURN(prep.datalog, RequireDatalogPlan(sentence, db));
       return prep;
     }
     case MuStrategy::kDefinitional: {

@@ -94,7 +94,11 @@ struct MuStats {
   /// budget/token trip (both 0 unless cancel/sat_conflict_budget are set).
   uint64_t sat_interrupt_checks = 0;
   uint64_t sat_budget_trips = 0;
-  /// Datalog statistics (datalog strategy only).
+  /// Datalog statistics (datalog strategy only): fixpoint rounds and derived
+  /// head tuples of the world's least model. τ evaluates Datalog μ once per
+  /// block of 64 worlds (docs/exec.md), so there `datalog_rounds` sums the
+  /// rounds of each block's fixpoint, not of each world's, while
+  /// `datalog_derived_tuples` still sums each world's derived tuples.
   size_t datalog_rounds = 0;
   size_t datalog_derived_tuples = 0;
 

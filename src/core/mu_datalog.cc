@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <unordered_map>
+
+#include "base/cancel.h"
 #include "core/mu_internal.h"
 #include "datalog/analysis.h"
 #include "datalog/eval.h"
@@ -21,6 +25,17 @@ StatusOr<std::optional<DatalogPlan>> PlanDatalog(const Formula& sentence,
     if (db.schema().Contains(head)) return std::optional<DatalogPlan>{};
   }
   return std::optional<DatalogPlan>{DatalogPlan{std::move(*program)}};
+}
+
+StatusOr<std::shared_ptr<const DatalogPlan>> RequireDatalogPlan(
+    const Formula& sentence, const Database& db) {
+  KBT_ASSIGN_OR_RETURN(std::optional<DatalogPlan> plan,
+                       PlanDatalog(sentence, db));
+  if (!plan) {
+    return Status::Unsupported(
+        "sentence is not Datalog-restricted with new head predicates");
+  }
+  return std::make_shared<const DatalogPlan>(std::move(*plan));
 }
 
 StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
@@ -50,6 +65,88 @@ StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
   overlays.push_back(WorldOverlay::FromDeltas(std::move(deltas)));
   return Knowledgebase::FromBaseAndOverlays(
       std::make_shared<const Database>(ctx.extended_base), std::move(overlays));
+}
+
+Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
+                      size_t begin, const Schema& extended_schema,
+                      const MuOptions& options, MuStats* stats,
+                      std::span<WorldOverlay> out) {
+  if (options.cancel != nullptr && options.cancel->Expired()) {
+    return Status::DeadlineExceeded("μ cancelled before evaluation");
+  }
+  const size_t n = out.size();
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  const Database& base = *kb.base();
+
+  // The block's facts of every σ(kb) relation a body reads: each base row in
+  // all of the block's worlds but those whose overlay deletes it, then each
+  // overlay's adds in its own world. Other body relations are heads, or new
+  // to σ(kb) and empty.
+  std::unordered_map<Symbol, datalog::MaskedFacts> edb;
+  for (const datalog::Rule& rule : plan.program.rules) {
+    for (const datalog::Literal& literal : rule.body) {
+      std::optional<size_t> pos = base.schema().PositionOf(literal.atom.predicate);
+      if (!pos) continue;
+      auto [it, fresh] = edb.try_emplace(literal.atom.predicate);
+      if (!fresh) continue;
+      datalog::MaskedFacts& facts = it->second;
+      const Relation& rel = base.relation_at(*pos);
+      facts.arity = rel.arity();
+      facts.values = rel.flat();
+      facts.masks.assign(rel.size(), all);
+      for (size_t w = 0; w < n; ++w) {
+        const RelationDelta* d = kb.overlays()[begin + w].FindDelta(*pos);
+        if (d == nullptr) continue;
+        const uint64_t bit = uint64_t{1} << w;
+        for (TupleView row : d->dels) facts.masks[rel.LowerBoundRow(row)] &= ~bit;
+        for (TupleView row : d->adds) {
+          facts.values.insert(facts.values.end(), row.begin(), row.end());
+          facts.masks.push_back(bit);
+        }
+      }
+    }
+  }
+
+  datalog::EvalStats estats;
+  KBT_ASSIGN_OR_RETURN(
+      std::vector<datalog::MaskedHead> heads,
+      datalog::EvaluateMasked(plan.program, edb, all, options.cancel, &estats));
+  // Heads are new to σ(kb), so the extended schema appends them after every
+  // σ(kb) position: in position order, their deltas follow the input
+  // overlay's.
+  std::vector<std::pair<uint32_t, const datalog::MaskedHead*>> at;
+  for (const datalog::MaskedHead& head : heads) {
+    at.emplace_back(
+        static_cast<uint32_t>(*extended_schema.PositionOf(head.predicate)),
+        &head);
+  }
+  std::sort(at.begin(), at.end());
+  for (size_t w = 0; w < n; ++w) {
+    std::vector<RelationDelta> deltas = kb.overlays()[begin + w].deltas();
+    for (const auto& [pos, head] : at) {
+      const size_t arity = head->tuples.arity();
+      size_t holds = 0;
+      for (uint64_t m : head->masks) holds += (m >> w) & 1;
+      if (holds == 0) continue;
+      RelationDelta d{pos, head->tuples, Relation(arity)};
+      if (holds < head->masks.size()) {
+        // A world holding every head fact shares the block's tuple buffer.
+        Relation::Builder adds(arity);
+        adds.Reserve(holds);
+        for (size_t k = 0; k < head->masks.size(); ++k) {
+          if (((head->masks[k] >> w) & 1) != 0) adds.Append(head->tuples[k]);
+        }
+        d.adds = adds.Build();
+      }
+      deltas.push_back(std::move(d));
+    }
+    out[w] = WorldOverlay::FromDeltas(std::move(deltas));
+  }
+  stats->used = MuStrategy::kDatalog;
+  stats->minimal_models += n;
+  stats->datalog_rounds += estats.rounds;
+  stats->datalog_derived_tuples += estats.derived_tuples;
+  return Status::OK();
 }
 
 }  // namespace kbt::internal

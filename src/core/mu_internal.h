@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -173,8 +174,26 @@ struct DatalogPlan {
 };
 StatusOr<std::optional<DatalogPlan>> PlanDatalog(const Formula& sentence,
                                                  const Database& db);
+/// MuStrategy::kDatalog's plan: PlanDatalog's, or kUnsupported when φ is not
+/// of its shape. Reads only db's schema.
+StatusOr<std::shared_ptr<const DatalogPlan>> RequireDatalogPlan(
+    const Formula& sentence, const Database& db);
 StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
                                   const UpdateContext& ctx, MuStats* stats);
+
+/// τ's Datalog route (docs/exec.md, "Datalog over 64-world blocks"): the
+/// least models of the worlds [begin, begin + out.size()) of `kb`, at most
+/// 64, from one masked fixpoint (datalog::EvaluateMasked) over the block's
+/// facts. out[w] becomes world begin + w's one minimal model as an overlay
+/// of kb's base extended to `extended_schema` (σ(kb) ∪ σ(φ)): the world's
+/// input overlay followed by one pure-add delta per derived head relation.
+/// No world is materialized. Fails with kDeadlineExceeded when
+/// options.cancel has expired before the block or between its rounds. Adds
+/// the block's counters to `stats`.
+Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
+                      size_t begin, const Schema& extended_schema,
+                      const MuOptions& options, MuStats* stats,
+                      std::span<WorldOverlay> out);
 
 /// Definitional fast path plan: conjuncts ∀x̄ (ψ → H(x̄')) / ∀x̄ (ψ ↔ H(x̄)), H new,
 /// bodies over σ(db). nullopt when φ is not of this shape.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -42,8 +41,8 @@ size_t Words(size_t bits) { return (bits + 63) / 64; }
 /// What pass A keeps of one world. On the grounded routes: its grounding and
 /// frozen prefix, B, and `key`, its bits on each part in turn, each part's
 /// starting on a word boundary (for a one-part grounding, just its bits);
-/// the world's Database and UpdateContext are dropped. On the datalog and
-/// definitional routes: the counters of the world's own μ.
+/// the world's Database and UpdateContext are dropped. On the definitional
+/// route: the counters of the world's own μ.
 struct WorldSlot {
   std::shared_ptr<const exec::CachedGrounding> grounding;
   std::shared_ptr<const exec::FrozenCnf> frozen;
@@ -325,32 +324,25 @@ Status FirstError(const std::vector<Status>& statuses, const Status& pool) {
   return pool;
 }
 
-/// The merge: every output world arrives from pass D as an overlay of the
-/// shared extended input base (schema union appends declarations, so input
-/// overlay positions survive extension unchanged), and a single
+/// The merge: every output world arrives, in world order, as an overlay of
+/// the shared extended input base (schema union appends declarations, so
+/// input overlay positions survive extension unchanged), and a single
 /// canonicalization over those overlays — O(worlds × delta) — replaces a
-/// flat UnionAll. No world is ever flattened.
+/// flat UnionAll. No world is ever flattened. When μ leaves σ(kb) alone,
+/// every output agrees with its input world on the σ(kb) positions, which
+/// precede every new relation, so world order is already canonical and the
+/// canonicalization is one pass of adjacent comparisons.
 StatusOr<Knowledgebase> MergeTauResults(const Schema& extended_schema,
                                         std::shared_ptr<const Database> ext_base,
-                                        std::vector<WorldSlot> slots,
-                                        const Knowledgebase::ParallelMap* pmap,
+                                        std::vector<WorldOverlay> merged,
                                         TauStats* out) {
-  size_t total = 0;
-  for (const WorldSlot& slot : slots) total += slot.out.size();
-  std::vector<WorldOverlay> merged;
-  merged.reserve(total);
-  for (WorldSlot& slot : slots) {
-    for (WorldOverlay& ov : slot.out) merged.push_back(std::move(ov));
-  }
-  slots.clear();
   if (merged.empty()) {
     out->output_databases = 0;
     return Knowledgebase(extended_schema);
   }
   KBT_ASSIGN_OR_RETURN(
       Knowledgebase out_kb,
-      Knowledgebase::FromBaseAndOverlays(std::move(ext_base), std::move(merged),
-                                         pmap));
+      Knowledgebase::FromBaseAndOverlays(std::move(ext_base), std::move(merged)));
   out->output_databases = out_kb.size();
   return out_kb;
 }
@@ -413,12 +405,20 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   }
 
   // Strategy planning depends only on (φ, schema) and all worlds share one
-  // schema: resolve the kAuto dispatch once here instead of once per world.
+  // schema: resolve the kAuto dispatch, or kDatalog's plan, once here instead
+  // of once per world. Datalog μ then takes the block route below; kAuto
+  // tries reference μ first on a ground sentence, per class.
   internal::TauStrategyPlan plan;
+  std::shared_ptr<const internal::DatalogPlan> datalog;
   if (options.mu.strategy == MuStrategy::kAuto) {
     Database first_world = kb.World(0);
     KBT_ASSIGN_OR_RETURN(plan, internal::PlanTauStrategies(sentence, first_world));
     base_exec.plan = &plan;
+    if (!plan.sentence_is_ground) datalog = plan.datalog;
+  } else if (options.mu.strategy == MuStrategy::kDatalog) {
+    Database first_world = kb.World(0);
+    KBT_ASSIGN_OR_RETURN(datalog,
+                         internal::RequireDatalogPlan(sentence, first_world));
   }
 
   // The shared input base extended to σ(kb) ∪ σ(φ): every μ result is
@@ -439,8 +439,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   // it executes, plus a WorldScratch for the enumerator's per-world tables,
   // on the caller's persistent pool (a serving loop re-entering
   // Pipeline::Apply should not respawn threads per call) or one spawned for
-  // this call. The pool outlives the passes: the merge reuses it to hash
-  // result overlays in parallel during canonicalization.
+  // this call.
   exec::ThreadPool* pool = nullptr;
   std::unique_ptr<exec::ThreadPool> own_pool;
   sat::Solver local_solver;
@@ -494,6 +493,31 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     return FirstError(*statuses, dispatched);
   };
 
+  if (datalog != nullptr) {
+    // Datalog over 64-world blocks (docs/exec.md): one masked fixpoint per
+    // block, one pool task per block at width > 1. Block boundaries do not
+    // depend on the width, so neither do results or stats. No world gets a
+    // context or a μ result anchored at a base of its own, so CheckAnchored
+    // has nothing to check: each output is its input overlay, canonical
+    // against the extended base, plus adds at head positions that are empty
+    // in that base.
+    const size_t blocks = (kb.size() + 63) / 64;
+    std::vector<WorldOverlay> merged(kb.size());
+    std::vector<MuStats> block_stats(blocks);
+    std::vector<Status> block_status(blocks);
+    KBT_RETURN_IF_ERROR(for_each(
+        blocks, &block_status, [&](size_t b, size_t) -> Status {
+          const size_t begin = 64 * b;
+          const size_t end = std::min(kb.size(), begin + 64);
+          return internal::MuDatalogBlock(
+              *datalog, kb, begin, extended_schema, options.mu, &block_stats[b],
+              std::span<WorldOverlay>(merged).subspan(begin, end - begin));
+        }));
+    for (const MuStats& s : block_stats) out->mu.MergeFrom(s);
+    return MergeTauResults(extended_schema, std::move(ext_base),
+                           std::move(merged), out);
+  }
+
   // World classes in four passes (docs/exec.md, "World classes").
   std::vector<WorldSlot> slots(kb.size());
   ClassTable table;
@@ -502,8 +526,8 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   Status status = [&]() -> Status {
     // A — key, per world: the world's one grounding lookup and its bits on
     // the grounded routes (SAT, reference and kAuto's resolution to them).
-    // Datalog and definitional μ never ground: they run here, per world, and
-    // compose their models onto the world's input overlay at once.
+    // Definitional μ never grounds: it runs here, per world, and composes
+    // its models onto the world's input overlay at once.
     // Passes A and D share `world_status`: D runs only when A failed nowhere.
     std::vector<Status> world_status(kb.size());
     KBT_RETURN_IF_ERROR(for_each(
@@ -604,15 +628,16 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   for (const MuStats& s : class_stats) out->mu.MergeFrom(s);
   class_mu.clear();
 
-  Knowledgebase::ParallelMap pmap;
-  if (pool != nullptr) {
-    pmap = [pool](size_t n, const std::function<void(size_t)>& fn) {
-      return pool->ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
-    };
+  size_t total = 0;
+  for (const WorldSlot& slot : slots) total += slot.out.size();
+  std::vector<WorldOverlay> merged;
+  merged.reserve(total);
+  for (WorldSlot& slot : slots) {
+    for (WorldOverlay& ov : slot.out) merged.push_back(std::move(ov));
   }
+  slots.clear();
   return MergeTauResults(extended_schema, std::move(ext_base),
-                         std::move(slots), pool != nullptr ? &pmap : nullptr,
-                         out);
+                         std::move(merged), out);
 }
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,

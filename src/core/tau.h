@@ -13,7 +13,11 @@
 /// worker owns a reusable Solver, worlds with identical active domains share
 /// one grounded circuit through a domain-keyed cache, and μ runs once per
 /// world class: per atom-disjoint component of that circuit and per pattern
-/// of the worlds' values on the component's atoms (docs/exec.md).
+/// of the worlds' values on the component's atoms (docs/exec.md). Datalog μ
+/// instead runs once per block of 64 worlds, over facts that carry the mask of
+/// the worlds holding them, and materializes no world. Outputs arrive in world
+/// order; when μ leaves σ(kb) alone that order is already canonical, and the
+/// merge keeps it after one pass of comparisons.
 /// threads = 1 (the default) is the plain sequential loop; every thread count
 /// produces the same canonical Knowledgebase bit for bit
 /// (tests/tau_parallel_test.cc).
@@ -78,8 +82,10 @@ struct TauStats {
   /// Sizes before and after.
   size_t input_databases = 0;
   size_t output_databases = 0;
-  /// Aggregated μ counters (merged in world order, then class order,
-  /// independent of execution interleaving).
+  /// Aggregated μ counters, merged in an order independent of execution
+  /// interleaving: block by block on the Datalog route (one minimal model per
+  /// world; `datalog_rounds` counts each block's rounds, see MuStats), else
+  /// world by world (definitional μ), then class by class.
   MuStats mu;
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;

@@ -1,16 +1,22 @@
 #include "datalog/eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "base/cancel.h"
 #include "datalog/analysis.h"
 
 namespace kbt::datalog {
 
+using kbt::CompareValues;
 using kbt::Database;
 using kbt::Relation;
 using kbt::RelationDecl;
@@ -468,6 +474,283 @@ class RuleRunner {
   bool delta_index_valid_ = false;
 };
 
+/// One predicate's facts in a masked evaluation: a flat tuple store, tuple →
+/// id through an open-addressed table, each fact's world mask by id, and hash
+/// indexes on bound positions. Facts are only appended and masks only gain
+/// bits. No fact is appended while a join runs (derivations are ORed in
+/// after it), so an index catches up with the facts appended since its last
+/// use when a join first asks for it.
+class MaskedTable {
+ public:
+  static constexpr uint32_t kEnd = 0xFFFFFFFFu;
+
+  /// Facts chained by the hash of their values at `positions`.
+  struct Index {
+    uint64_t key_mask = 0;
+    std::vector<size_t> positions;
+    std::vector<uint32_t> heads;  ///< Bucket heads (power-of-two size).
+    std::vector<uint32_t> next;   ///< next[id] chains facts within a bucket.
+    uint32_t indexed = 0;         ///< Facts [0, indexed) are chained.
+
+    uint32_t Head(const Value* key) const {
+      return heads[HashIndex::HashKey(key, positions.size()) &
+                   (heads.size() - 1)];
+    }
+  };
+
+  explicit MaskedTable(size_t arity) : arity_(arity), ids_(16, kEnd) {}
+
+  /// Makes room for `facts` facts in all.
+  void Reserve(size_t facts) {
+    values_.reserve(facts * arity_);
+    masks_.reserve(facts);
+    size_t slots = ids_.size();
+    while (slots < 2 * facts) slots *= 2;
+    if (slots != ids_.size()) Rehash(slots);
+  }
+
+  size_t arity() const { return arity_; }
+  uint32_t size() const { return static_cast<uint32_t>(masks_.size()); }
+  const Value* row(uint32_t id) const {
+    return values_.data() + size_t{id} * arity_;
+  }
+  uint64_t mask(uint32_t id) const { return masks_[id]; }
+
+  /// The id of the fact `t` (arity values), or kEnd.
+  uint32_t Find(const Value* t) const { return ids_[SlotOf(t)]; }
+
+  /// ORs `mask` into the fact `t`, appending it when new, and returns the
+  /// bits this newly set. `t` must not point into this table.
+  uint64_t Or(const Value* t, uint64_t mask, uint32_t* id) {
+    const size_t at = SlotOf(t);
+    if (ids_[at] != kEnd) {
+      *id = ids_[at];
+      const uint64_t fresh = mask & ~masks_[*id];
+      masks_[*id] |= mask;
+      return fresh;
+    }
+    *id = size();
+    ids_[at] = *id;
+    values_.insert(values_.end(), t, t + arity_);
+    masks_.push_back(mask);
+    if (2 * masks_.size() > ids_.size()) Rehash(2 * ids_.size());
+    return mask;
+  }
+
+  /// The index over `positions` (whose bits `key_mask` sets), chaining every
+  /// fact. References stay valid while other indexes are added.
+  const Index& IndexOn(uint64_t key_mask, const std::vector<size_t>& positions) {
+    Index* index = nullptr;
+    for (const std::unique_ptr<Index>& i : indexes_) {
+      if (i->key_mask == key_mask) index = i.get();
+    }
+    if (index == nullptr) {
+      index = indexes_.emplace_back(std::make_unique<Index>()).get();
+      index->key_mask = key_mask;
+      index->positions = positions;
+    }
+    if (index->heads.empty() || 2 * masks_.size() > index->heads.size()) {
+      size_t capacity = 16;
+      while (capacity < 4 * masks_.size()) capacity *= 2;
+      index->heads.assign(capacity, kEnd);
+      index->indexed = 0;
+    }
+    index->next.resize(size());
+    std::vector<Value>& key = key_scratch_;
+    key.resize(positions.size());
+    for (uint32_t f = index->indexed; f < size(); ++f) {
+      for (size_t k = 0; k < positions.size(); ++k) key[k] = row(f)[positions[k]];
+      const size_t slot = HashIndex::HashKey(key.data(), key.size()) &
+                          (index->heads.size() - 1);
+      index->next[f] = index->heads[slot];
+      index->heads[slot] = f;
+    }
+    index->indexed = size();
+    return *index;
+  }
+
+ private:
+  /// The slot holding the fact `t`, or the empty slot where it would go.
+  size_t SlotOf(const Value* t) const {
+    size_t at = HashIndex::HashKey(t, arity_) & (ids_.size() - 1);
+    while (ids_[at] != kEnd && CompareValues(row(ids_[at]), t, arity_) != 0) {
+      at = (at + 1) & (ids_.size() - 1);
+    }
+    return at;
+  }
+
+  void Rehash(size_t slots) {
+    ids_.assign(slots, kEnd);
+    for (uint32_t f = 0; f < size(); ++f) ids_[SlotOf(row(f))] = f;
+  }
+
+  size_t arity_;
+  std::vector<Value> values_;
+  std::vector<uint64_t> masks_;
+  std::vector<uint32_t> ids_;  ///< At most half full.
+  std::vector<std::unique_ptr<Index>> indexes_;
+  std::vector<Value> key_scratch_;
+};
+
+/// One predicate of a masked evaluation: its facts, the bits newly set in
+/// them during the current round, and the previous round's delta as (fact
+/// id, bits) pairs.
+struct MaskedPredicate {
+  explicit MaskedPredicate(size_t arity) : table(arity) {}
+
+  void AddFresh(uint32_t id, uint64_t b) {
+    if (id >= fresh.size()) fresh.resize(id + 1, 0);
+    if (fresh[id] == 0) fresh_ids.push_back(id);
+    fresh[id] |= b;
+  }
+  /// Ends a round: the round's fresh bits become the delta. True when there
+  /// were any.
+  bool TakeDelta() {
+    delta.clear();
+    for (uint32_t id : fresh_ids) {
+      delta.emplace_back(id, fresh[id]);
+      fresh[id] = 0;
+    }
+    fresh_ids.clear();
+    return !delta.empty();
+  }
+
+  MaskedTable table;
+  std::vector<uint64_t> fresh;      ///< By fact id.
+  std::vector<uint32_t> fresh_ids;  ///< Facts whose fresh bits are non-zero.
+  std::vector<std::pair<uint32_t, uint64_t>> delta;
+};
+
+/// One compiled positive rule joined over masked tables. A partial join
+/// carries the AND of its premises' masks and is pruned when that reaches
+/// 0; each derivation is collected with its mask and ORed into the head
+/// table once the join is over.
+class MaskedRuleRunner {
+ public:
+  MaskedRuleRunner(CompiledRule compiled,
+                   std::unordered_map<Symbol, MaskedPredicate>* preds)
+      : compiled_(std::move(compiled)),
+        head_(&preds->at(compiled_.head_pred)),
+        slots_(compiled_.num_slots) {
+    // Predicates are created up front and never erased (node-based map), so
+    // their addresses are stable for the whole evaluation.
+    for (const CompiledLiteral& l : compiled_.positives) {
+      MaskedPredicate& pred = preds->at(l.pred);
+      if (tables_.empty()) first_delta_ = &pred.delta;
+      tables_.push_back(&pred.table);
+      key_bufs_.emplace_back(l.key_positions.size());
+    }
+  }
+
+  /// True when the first positive literal's predicate has an empty delta.
+  bool FirstDeltaEmpty() const { return first_delta_->empty(); }
+
+  /// Joins the rule in the worlds of `worlds`. With `from_delta`, the first
+  /// positive literal ranges over its predicate's delta, facts and bits,
+  /// instead of its whole table (semi-naive differentiation). Then ORs each
+  /// derivation into the head table, recording the bits it newly set.
+  void Run(uint64_t worlds, bool from_delta, EvalStats* stats) {
+    from_delta_ = from_delta;
+    if (stats != nullptr) ++stats->rule_evaluations;
+    Recurse(0, worlds);
+    const size_t arity = compiled_.head_arity;
+    for (size_t k = 0; k < out_masks_.size(); ++k) {
+      uint32_t id = 0;
+      const uint64_t bits =
+          head_->table.Or(out_values_.data() + k * arity, out_masks_[k], &id);
+      if (bits != 0) head_->AddFresh(id, bits);
+    }
+    out_values_.clear();
+    out_masks_.clear();
+  }
+
+ private:
+  Value Resolve(const SlotRef& ref) const {
+    return ref.is_const ? ref.value : slots_[ref.slot];
+  }
+
+  void Recurse(size_t i, uint64_t m) {
+    if (i == compiled_.positives.size()) return Finish(m);
+    const CompiledLiteral& lit = compiled_.positives[i];
+    MaskedTable& table = *tables_[i];
+    if (i == 0 && from_delta_) {
+      for (const auto& [id, bits] : *first_delta_) {
+        if (const uint64_t mm = m & bits) TryRow(i, lit, table.row(id), mm, true);
+      }
+      return;
+    }
+    if (lit.key_positions.empty() || !lit.indexable) {
+      for (uint32_t id = 0; id < table.size(); ++id) {
+        if (const uint64_t mm = m & table.mask(id)) {
+          TryRow(i, lit, table.row(id), mm, true);
+        }
+      }
+      return;
+    }
+    // Each literal owns its key buffer: the key must survive the recursive
+    // calls made while iterating this literal's matches.
+    Value* key = key_bufs_[i].data();
+    for (size_t k = 0; k < lit.key_refs.size(); ++k) {
+      key[k] = Resolve(lit.key_refs[k]);
+    }
+    if (lit.key_positions.size() == lit.arity) {
+      // Fully bound: the key is the fact itself.
+      const uint32_t id = table.Find(key);
+      if (id == MaskedTable::kEnd) return;
+      if (const uint64_t mm = m & table.mask(id)) Recurse(i + 1, mm);
+      return;
+    }
+    const MaskedTable::Index& index =
+        table.IndexOn(lit.key_mask, lit.key_positions);
+    for (uint32_t id = index.Head(key); id != MaskedTable::kEnd;
+         id = index.next[id]) {
+      const Value* row = table.row(id);
+      bool match = true;
+      for (size_t k = 0; k < lit.key_positions.size(); ++k) {
+        if (row[lit.key_positions[k]] != key[k]) {
+          match = false;
+          break;
+        }
+      }
+      if (!match) continue;  // Bucket hash collision.
+      if (const uint64_t mm = m & table.mask(id)) TryRow(i, lit, row, mm, false);
+    }
+  }
+
+  void TryRow(size_t i, const CompiledLiteral& lit, const Value* row,
+              uint64_t m, bool check_keys) {
+    if (check_keys) {
+      for (size_t k = 0; k < lit.key_positions.size(); ++k) {
+        if (row[lit.key_positions[k]] != Resolve(lit.key_refs[k])) return;
+      }
+    }
+    for (const auto& [pos, slot] : lit.binds) slots_[slot] = row[pos];
+    for (const auto& [pos, slot] : lit.checks) {
+      if (row[pos] != slots_[slot]) return;
+    }
+    Recurse(i + 1, m);
+  }
+
+  void Finish(uint64_t m) {
+    for (const CompiledConstraint& c : compiled_.constraints) {
+      if ((Resolve(c.lhs) == Resolve(c.rhs)) == c.negated) return;
+    }
+    for (const SlotRef& ref : compiled_.head) out_values_.push_back(Resolve(ref));
+    out_masks_.push_back(m);
+  }
+
+  CompiledRule compiled_;
+  MaskedPredicate* head_;
+  std::vector<MaskedTable*> tables_;  // Parallel to compiled_.positives.
+  const std::vector<std::pair<uint32_t, uint64_t>>* first_delta_ = nullptr;
+  std::vector<Value> slots_;
+  std::vector<std::vector<Value>> key_bufs_;  // One probe key per literal.
+  bool from_delta_ = false;
+  /// The join's derivations: head_arity values and a mask each.
+  std::vector<Value> out_values_;
+  std::vector<uint64_t> out_masks_;
+};
+
 }  // namespace
 
 StatusOr<Database> Evaluate(const Program& program, const Database& edb,
@@ -558,6 +841,118 @@ StatusOr<Database> Evaluate(const Program& program, const Database& edb,
     out_relations.push_back(std::move(store.at(d.symbol).rel));
   }
   return Database::Create(std::move(out_schema), std::move(out_relations));
+}
+
+StatusOr<std::vector<MaskedHead>> EvaluateMasked(
+    const Program& program, const std::unordered_map<Symbol, MaskedFacts>& edb,
+    uint64_t worlds, const kbt::CancelToken* cancel, EvalStats* stats) {
+  KBT_RETURN_IF_ERROR(CheckSafety(program));
+  for (const Rule& r : program.rules) {
+    for (const Literal& l : r.body) {
+      if (l.negated) {
+        return Status::Unsupported(
+            "masked Datalog evaluation takes positive programs only");
+      }
+    }
+  }
+  KBT_ASSIGN_OR_RETURN(Schema schema, ProgramSchema(program));
+  const std::vector<Symbol> heads = program.HeadPredicates();
+  auto is_head = [&heads](Symbol p) {
+    return std::find(heads.begin(), heads.end(), p) != heads.end();
+  };
+
+  std::unordered_map<Symbol, MaskedPredicate> preds;
+  std::unordered_map<Symbol, size_t> arities;
+  for (const RelationDecl& d : schema.decls()) {
+    preds.emplace(d.symbol, MaskedPredicate(d.arity));
+    arities.emplace(d.symbol, d.arity);
+  }
+  for (const auto& [pred, facts] : edb) {
+    auto it = preds.find(pred);
+    if (it == preds.end()) continue;  // Not read by the program.
+    MaskedTable& table = it->second.table;
+    if (is_head(pred)) {
+      return Status::InvalidArgument("masked Datalog EDB holds head predicate " +
+                                     kbt::NameOf(pred));
+    }
+    if (facts.arity != table.arity() ||
+        facts.values.size() != facts.masks.size() * facts.arity) {
+      return Status::InvalidArgument("arity mismatch for " + kbt::NameOf(pred));
+    }
+    table.Reserve(facts.masks.size());
+    for (size_t k = 0; k < facts.masks.size(); ++k) {
+      uint32_t id = 0;
+      if (facts.masks[k] != 0) {
+        table.Or(facts.values.data() + k * facts.arity, facts.masks[k], &id);
+      }
+    }
+  }
+
+  // Round 0 joins every rule in full. The delta rounds join, per positive
+  // literal over a head predicate, the rule with that literal moved first,
+  // so the join starts from the delta's few facts.
+  // Compiled rules point into `moved`; a deque never moves its elements.
+  std::deque<Rule> moved;
+  std::vector<MaskedRuleRunner> full;
+  std::vector<MaskedRuleRunner> deltas;
+  for (const Rule& r : program.rules) {
+    KBT_ASSIGN_OR_RETURN(CompiledRule compiled, Compile(r, arities));
+    full.emplace_back(std::move(compiled), &preds);
+    for (size_t j = 0; j < r.body.size(); ++j) {
+      if (!is_head(r.body[j].atom.predicate)) continue;
+      Rule& first = moved.emplace_back(r);
+      std::rotate(first.body.begin(), first.body.begin() + j,
+                  first.body.begin() + j + 1);
+      KBT_ASSIGN_OR_RETURN(CompiledRule c, Compile(first, arities));
+      deltas.emplace_back(std::move(c), &preds);
+    }
+  }
+
+  std::vector<MaskedPredicate*> head_preds;
+  for (Symbol h : heads) head_preds.push_back(&preds.at(h));
+  size_t rounds = 0;
+  bool more = true;
+  for (bool first_round = true; more; first_round = false) {
+    if (cancel != nullptr && cancel->Expired()) {
+      return Status::DeadlineExceeded("μ cancelled between Datalog rounds");
+    }
+    ++rounds;
+    for (MaskedRuleRunner& runner : first_round ? full : deltas) {
+      if (!first_round && runner.FirstDeltaEmpty()) continue;
+      runner.Run(worlds, !first_round, stats);
+    }
+    more = false;
+    for (MaskedPredicate* head : head_preds) more |= head->TakeDelta();
+  }
+
+  std::vector<MaskedHead> out;
+  size_t derived = 0;
+  for (Symbol h : heads) {
+    const MaskedTable& table = preds.at(h).table;
+    const size_t arity = table.arity();
+    std::vector<uint32_t> order(table.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return CompareValues(table.row(a), table.row(b), arity) < 0;
+    });
+    MaskedHead head;
+    head.predicate = h;
+    head.masks.reserve(order.size());
+    Relation::Builder tuples(arity);
+    tuples.Reserve(order.size());
+    for (uint32_t id : order) {
+      tuples.Append(TupleView(table.row(id), arity));
+      head.masks.push_back(table.mask(id));
+      derived += static_cast<size_t>(std::popcount(table.mask(id)));
+    }
+    head.tuples = tuples.Build();  // Distinct and sorted: adopted as is.
+    out.push_back(std::move(head));
+  }
+  if (stats != nullptr) {
+    stats->rounds += rounds;
+    stats->derived_tuples += derived;
+  }
+  return out;
 }
 
 }  // namespace kbt::datalog

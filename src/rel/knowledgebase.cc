@@ -18,43 +18,41 @@ struct OverlayLess {
 
 }  // namespace
 
-void Knowledgebase::Canonicalize(const ParallelMap* parallel) {
-  if (overlays_.size() > 1) {
-    // Hash every overlay first (O(delta) each; relation hashes are cached in
-    // the shared storage blocks). This pass is embarrassingly parallel and is
-    // the only part the hook runs concurrently — dedup and sort stay
-    // sequential, so the result is bit-identical with or without the hook.
-    std::vector<size_t> hashes(overlays_.size());
-    auto hash_one = [&](size_t i) { hashes[i] = overlays_[i].Hash(); };
-    bool hashed = false;
-    if (parallel != nullptr && *parallel) {
-      hashed = (*parallel)(overlays_.size(), hash_one).ok();
-    }
-    if (!hashed) {
-      for (size_t i = 0; i < overlays_.size(); ++i) hash_one(i);
-    }
-    // Overlays are a unique representation relative to one base, so world
-    // equality is overlay equality: dedup needs no database comparisons.
-    std::unordered_map<size_t, std::vector<size_t>> buckets;
-    buckets.reserve(overlays_.size());
-    size_t keep = 0;
-    for (size_t i = 0; i < overlays_.size(); ++i) {
-      std::vector<size_t>& bucket = buckets[hashes[i]];
-      bool duplicate = false;
-      for (size_t j : bucket) {
-        if (overlays_[j] == overlays_[i]) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      if (keep != i) overlays_[keep] = std::move(overlays_[i]);
-      bucket.push_back(keep);
-      ++keep;
-    }
-    overlays_.resize(keep);
+void Knowledgebase::Canonicalize() {
+  // A sequence that is strictly increasing is already sorted and free of
+  // duplicates: at most n − 1 adjacent comparisons recognize it, and it is
+  // kept as is. τ's outputs arrive so whenever μ leaves σ(kb) alone, and a
+  // decoded checkpoint always does.
+  const OverlayLess less{base_.get()};
+  if (std::adjacent_find(overlays_.begin(), overlays_.end(),
+                         [&less](const WorldOverlay& a, const WorldOverlay& b) {
+                           return !less(a, b);
+                         }) == overlays_.end()) {
+    return;
   }
-  std::sort(overlays_.begin(), overlays_.end(), OverlayLess{base_.get()});
+  // Overlays are a unique representation relative to one base, so world
+  // equality is overlay equality: dedup needs no database comparisons. The
+  // hashes are O(delta) each; relation hashes are cached in the shared
+  // storage blocks.
+  std::unordered_map<size_t, std::vector<size_t>> buckets;
+  buckets.reserve(overlays_.size());
+  size_t keep = 0;
+  for (size_t i = 0; i < overlays_.size(); ++i) {
+    std::vector<size_t>& bucket = buckets[overlays_[i].Hash()];
+    bool duplicate = false;
+    for (size_t j : bucket) {
+      if (overlays_[j] == overlays_[i]) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (duplicate) continue;
+    if (keep != i) overlays_[keep] = std::move(overlays_[i]);
+    bucket.push_back(keep);
+    ++keep;
+  }
+  overlays_.resize(keep);
+  std::sort(overlays_.begin(), overlays_.end(), less);
 }
 
 StatusOr<Knowledgebase> Knowledgebase::FromDatabases(std::vector<Database> databases) {
@@ -90,8 +88,7 @@ Knowledgebase Knowledgebase::Singleton(Database db) {
 }
 
 StatusOr<Knowledgebase> Knowledgebase::FromBaseAndOverlays(
-    std::shared_ptr<const Database> base, std::vector<WorldOverlay> overlays,
-    const ParallelMap* parallel) {
+    std::shared_ptr<const Database> base, std::vector<WorldOverlay> overlays) {
   if (base == nullptr) {
     return Status::InvalidArgument("FromBaseAndOverlays: null base");
   }
@@ -100,7 +97,7 @@ StatusOr<Knowledgebase> Knowledgebase::FromBaseAndOverlays(
   kb.schema_ = base->schema();
   kb.base_ = std::move(base);
   kb.overlays_ = std::move(overlays);
-  kb.Canonicalize(parallel);
+  kb.Canonicalize();
   return kb;
 }
 
@@ -175,8 +172,7 @@ StatusOr<Knowledgebase> Knowledgebase::UnionWith(const Knowledgebase& other) con
   return out;
 }
 
-StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts,
-                                                const ParallelMap* parallel) {
+StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts) {
   Knowledgebase out;
   if (parts.empty()) return out;
   // Adopt the first non-default schema (all μ results of one τ call share the
@@ -216,7 +212,7 @@ StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts
     }
   }
   if (out.base_ == nullptr) return Knowledgebase(out.schema_);  // All empty.
-  out.Canonicalize(parallel);
+  out.Canonicalize();
   return out;
 }
 
@@ -326,8 +322,9 @@ StatusOr<Knowledgebase> Knowledgebase::ExtendTo(const Schema& super) const {
   // Extend the base once; overlays follow with their delta positions remapped
   // (new relations are empty in every world, so no new deltas appear, and
   // extension preserves the invariants, distinctness, and — when `super`
-  // appends to `schema_`, the common case — the canonical order; positions
-  // can permute in general, so re-canonicalize).
+  // appends to `schema_`, the common case — the canonical order, which
+  // FromBaseAndOverlays then confirms in one pass; positions can permute in
+  // general, and then it sorts).
   KBT_ASSIGN_OR_RETURN(Database extended_base, base_->ExtendTo(super));
   auto new_base = std::make_shared<const Database>(std::move(extended_base));
   std::vector<WorldOverlay> out;

@@ -11,12 +11,14 @@
 ///
 /// Representation: one shared immutable base Database plus one WorldOverlay per
 /// world (rel/overlay.h) — worlds that differ from the base by a handful of
-/// tuples cost O(delta) memory, and canonicalization (hash-dedup + sort) runs
-/// on overlays in O(worlds × delta) instead of O(worlds × database). World(i)
-/// materializes one member on demand. A kb is a plain immutable value: copies
-/// share the base and the overlays' tuple buffers. See docs/worldset.md.
+/// tuples cost O(delta) memory, and canonicalization runs on overlays in
+/// O(worlds × delta) instead of O(worlds × database). An overlay sequence that
+/// already arrives strictly increasing (τ's outputs when μ leaves σ(kb) alone,
+/// a decoded checkpoint) is recognized with n − 1 adjacent comparisons and
+/// kept; any other is hash-deduplicated and sorted. World(i) materializes one
+/// member on demand. A kb is a plain immutable value: copies share the base
+/// and the overlays' tuple buffers. See docs/worldset.md.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,13 +32,6 @@ namespace kbt {
 /// A canonical finite set of same-schema databases.
 class Knowledgebase {
  public:
-  /// Optional parallel-for hook for canonicalization: runs fn(i) for every
-  /// i in [0, n) and returns once all completed. rel/ cannot depend on exec/,
-  /// so callers owning a thread pool (the τ executor) pass an adapter; a null
-  /// hook means sequential, with bit-identical results either way.
-  using ParallelMap =
-      std::function<Status(size_t n, const std::function<void(size_t)>& fn)>;
-
   /// The empty knowledgebase over the empty schema. Note an empty kb (no possible
   /// worlds, "inconsistent") differs from the singleton kb holding an empty database.
   Knowledgebase() = default;
@@ -57,11 +52,10 @@ class Knowledgebase {
   /// constructor on the τ result path (no world is ever flattened). Each
   /// overlay must satisfy the canonical invariants relative to `base`
   /// (rel/overlay.h); duplicates collapse. `base` must be non-null; the kb
-  /// schema is the base's schema. `parallel`, when given, parallelizes the
-  /// canonicalization hash pass.
+  /// schema is the base's schema. Overlays already in canonical order are
+  /// kept as they are, in one pass.
   static StatusOr<Knowledgebase> FromBaseAndOverlays(
-      std::shared_ptr<const Database> base, std::vector<WorldOverlay> overlays,
-      const ParallelMap* parallel = nullptr);
+      std::shared_ptr<const Database> base, std::vector<WorldOverlay> overlays);
 
   const Schema& schema() const { return schema_; }
   /// Number of possible worlds.
@@ -104,8 +98,7 @@ class Knowledgebase {
   /// O(total · delta) when bases are shared. Parts that are empty (including
   /// default-schema empties) contribute nothing; an all-empty input yields an
   /// empty kb over the first part's schema.
-  static StatusOr<Knowledgebase> UnionAll(std::vector<Knowledgebase> parts,
-                                          const ParallelMap* parallel = nullptr);
+  static StatusOr<Knowledgebase> UnionAll(std::vector<Knowledgebase> parts);
 
   /// The paper's ⊓: componentwise intersection of all members, as a singleton kb.
   /// ⊓ of an empty kb is the empty kb. Computed per touched relation as
@@ -118,7 +111,9 @@ class Knowledgebase {
   /// The paper's π: projects every member onto the listed relation symbols.
   StatusOr<Knowledgebase> ProjectTo(const std::vector<Symbol>& symbols) const;
 
-  /// Extends every member to `super` (new relations empty).
+  /// Extends every member to `super` (new relations empty). When `super`
+  /// appends to the schema, the common case, the overlays keep their
+  /// canonical order and the result's canonicalization is the one-pass check.
   StatusOr<Knowledgebase> ExtendTo(const Schema& super) const;
 
   /// Renders as "{ <db1>, <db2> }".
@@ -133,10 +128,10 @@ class Knowledgebase {
   }
 
  private:
-  /// Dedups overlays through their hashes and sorts them into the canonical
-  /// (flat-order-consistent) sequence. `parallel` parallelizes the hash pass;
-  /// the off path is bit-identical.
-  void Canonicalize(const ParallelMap* parallel = nullptr);
+  /// Brings overlays into the canonical (flat-order-consistent) sequence:
+  /// kept as is when adjacent pairs are already strictly increasing, else
+  /// deduplicated through their hashes and sorted.
+  void Canonicalize();
 
   Schema schema_;
   /// Shared immutable base; null iff the kb has no worlds.

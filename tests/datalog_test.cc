@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_map>
+#include <vector>
 
+#include "base/cancel.h"
 #include "core/engine.h"
 #include "datalog/analysis.h"
 #include "datalog/eval.h"
@@ -151,6 +154,77 @@ TEST(DatalogEvalTest, HeadPredicateSeededFromEdb) {
   Database out = *Evaluate(p, db);
   EXPECT_EQ(*out.RelationFor("path"),
             MakeRelation(2, {{"a", "b"}, {"b", "c"}, {"a", "c"}}));
+}
+
+TEST(DatalogEvalTest, MaskedMatchesEvaluatePerWorld) {
+  // One masked fixpoint over 64 worlds, each a random graph, gives every
+  // world the least model Evaluate computes over that world alone.
+  std::mt19937_64 rng(4242);
+  const char* programs[] = {
+      "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), edge(Y, Z).",
+      "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), path(Y, Z).",
+      "from(v0). from(Y) :- from(X), edge(X, Y), X != Y. "
+      "back(X, v1) :- from(X), edge(X, v1). cyclic() :- edge(X, X).",
+  };
+  std::vector<testutil::Graph> graphs;
+  for (int w = 0; w < 64; ++w) {
+    graphs.push_back(testutil::RandomGraph(6, 0.2, &rng));
+    // RandomGraph draws no self-loops; a third of the worlds get one.
+    if (w % 3 == 0) graphs.back().edges.insert({w % 6, w % 6});
+  }
+  for (const char* text : programs) {
+    Program program = *ParseProgram(text);
+    std::unordered_map<Symbol, MaskedFacts> edb;
+    MaskedFacts& facts = edb[Name("edge")];
+    facts.arity = 2;
+    for (int w = 0; w < 64; ++w) {
+      for (TupleView row : testutil::EdgeRelation(graphs[w])) {
+        facts.values.insert(facts.values.end(), row.begin(), row.end());
+        facts.masks.push_back(uint64_t{1} << w);
+      }
+    }
+    EvalStats stats;
+    StatusOr<std::vector<MaskedHead>> heads =
+        EvaluateMasked(program, edb, ~uint64_t{0}, nullptr, &stats);
+    ASSERT_TRUE(heads.ok()) << heads.status();
+    ASSERT_EQ(heads->size(), program.HeadPredicates().size());
+    size_t derived = 0;
+    for (int w = 0; w < 64; ++w) {
+      EvalStats one;
+      Database least = *Evaluate(program, GraphDb(graphs[w]), &one);
+      derived += one.derived_tuples;
+      for (const MaskedHead& head : *heads) {
+        Relation::Builder in_world(head.tuples.arity());
+        for (size_t k = 0; k < head.masks.size(); ++k) {
+          ASSERT_NE(head.masks[k], 0u);
+          if (((head.masks[k] >> w) & 1) != 0) in_world.Append(head.tuples[k]);
+        }
+        EXPECT_EQ(in_world.Build(), *least.FindRelation(head.predicate))
+            << text << " world " << w << " " << NameOf(head.predicate);
+      }
+    }
+    EXPECT_EQ(stats.derived_tuples, derived) << text;
+  }
+}
+
+TEST(DatalogEvalTest, MaskedRejectsNegationHeadFactsAndExpiredTokens) {
+  std::unordered_map<Symbol, MaskedFacts> edb;
+  edb[Name("q")] = MaskedFacts{1, {Name("a")}, {1}};
+  EXPECT_EQ(EvaluateMasked(*ParseProgram("p(X) :- q(X), !r(X)."), edb, 1,
+                           nullptr)
+                .status()
+                .code(),
+            StatusCode::kUnsupported);
+  EXPECT_EQ(EvaluateMasked(*ParseProgram("q(X) :- q(X)."), edb, 1, nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  CancelToken expired;
+  expired.Cancel();
+  EXPECT_EQ(EvaluateMasked(*ParseProgram("p(X) :- q(X)."), edb, 1, &expired)
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 TEST(DatalogEvalTest, UnsafeProgramRejected) {

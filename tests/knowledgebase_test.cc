@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "rel/knowledgebase.h"
 #include "store/checkpoint.h"
+#include "testutil.h"
 
 namespace kbt {
 namespace {
+
+using testutil::RandomDatabase;
 
 Database Db(std::initializer_list<std::initializer_list<std::string_view>> tuples) {
   return *MakeDatabase({{"R", 2}}, {{"R", tuples}});
@@ -47,6 +52,85 @@ TEST(KnowledgebaseTest, FromDatabasesAnchorsTheSmallestMemberInAnyOrder) {
     ++permutations;
   } while (std::next_permutation(members.begin(), members.end()));
   EXPECT_EQ(permutations, 180u);  // 6! / (2! · 2!) distinct orders.
+}
+
+TEST(KnowledgebaseTest, OverlayConstructorsMatchFromDatabasesUnderDuplicates) {
+  // Forced duplicates make the dedup do real work. FromBaseAndOverlays over
+  // any base gives FromDatabases's kb, over FromDatabases's own base the very
+  // same overlay sequence, and UnionAll over parts gives it too.
+  std::mt19937_64 rng(20260808);
+  for (int iter = 0; iter < 25; ++iter) {
+    std::vector<Database> dbs;
+    int k = 12 + iter % 9;
+    for (int i = 0; i < k; ++i) dbs.push_back(RandomDatabase(&rng));
+    for (int i = 0; i < 6; ++i) dbs.push_back(dbs[i]);  // Forced duplicates.
+    Knowledgebase flat = *Knowledgebase::FromDatabases(dbs);
+
+    for (const std::shared_ptr<const Database>& base :
+         {std::make_shared<const Database>(dbs.front()), flat.base()}) {
+      std::vector<WorldOverlay> overlays;
+      overlays.reserve(dbs.size());
+      for (const Database& db : dbs) {
+        overlays.push_back(WorldOverlay::FromDiff(*base, db));
+      }
+      StatusOr<Knowledgebase> kb =
+          Knowledgebase::FromBaseAndOverlays(base, std::move(overlays));
+      ASSERT_TRUE(kb.ok()) << kb.status();
+      ASSERT_EQ(flat, *kb) << "iter " << iter;
+      if (base == flat.base()) {
+        ASSERT_EQ(kb->overlays(), flat.overlays()) << "iter " << iter;
+      }
+    }
+
+    std::vector<Knowledgebase> parts;
+    for (size_t start = 0; start < dbs.size(); start += 5) {
+      std::vector<Database> chunk(
+          dbs.begin() + start,
+          dbs.begin() + std::min(start + 5, dbs.size()));
+      parts.push_back(*Knowledgebase::FromDatabases(std::move(chunk)));
+    }
+    StatusOr<Knowledgebase> united = Knowledgebase::UnionAll(std::move(parts));
+    ASSERT_TRUE(united.ok()) << united.status();
+    ASSERT_EQ(flat, *united) << "iter " << iter;
+  }
+}
+
+TEST(KnowledgebaseTest, FromBaseAndOverlaysKeepsCanonicalOrderAndSortsTheRest) {
+  // A kb's own overlays are already canonical and come back as they are. A
+  // shuffled copy, a copy with one adjacent duplicate and a copy with only
+  // its last pair swapped are sorted and deduplicated into the same
+  // sequence, and each equals the kb FromDatabases builds from its worlds.
+  std::mt19937_64 rng(1717);
+  int checked = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<Database> dbs;
+    for (int i = 0, k = 2 + iter % 12; i < k; ++i) {
+      dbs.push_back(RandomDatabase(&rng));
+    }
+    Knowledgebase kb = *Knowledgebase::FromDatabases(std::move(dbs));
+    if (kb.size() < 2) continue;
+    const std::vector<WorldOverlay>& own = kb.overlays();
+    const size_t n = own.size();
+    std::vector<std::vector<WorldOverlay>> inputs(4, own);
+    std::shuffle(inputs[1].begin(), inputs[1].end(), rng);
+    const size_t dup = static_cast<size_t>(iter) % n;
+    inputs[2].insert(inputs[2].begin() + dup + 1, own[dup]);
+    std::swap(inputs[3][n - 2], inputs[3][n - 1]);
+    for (size_t v = 0; v < inputs.size(); ++v) {
+      std::vector<Database> worlds;
+      for (const WorldOverlay& ov : inputs[v]) {
+        worlds.push_back(ov.ApplyTo(*kb.base()));
+      }
+      StatusOr<Knowledgebase> got =
+          Knowledgebase::FromBaseAndOverlays(kb.base(), inputs[v]);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->overlays(), own) << "iter " << iter << " input " << v;
+      EXPECT_EQ(*got, *Knowledgebase::FromDatabases(std::move(worlds)))
+          << "iter " << iter << " input " << v;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 30);
 }
 
 TEST(KnowledgebaseTest, MixedSchemasRejected) {

@@ -8,11 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <random>
 
 #include "core/kbt.h"
-#include "exec/pool.h"
 #include "testutil.h"
 
 namespace kbt {
@@ -161,72 +159,6 @@ TEST(TauParallelTest, WorldScratchPoolReusedAcrossManyWorldsAndThreads) {
         EXPECT_GE(stats.threads_used, 4u);
       }
     }
-  }
-}
-
-TEST(TauParallelTest, ParallelCanonicalizationBitIdenticalAtFourThreads) {
-  // The delta-structured world-set contract: canonicalization's parallel hash
-  // pass (Knowledgebase::ParallelMap over ≥ 4 pool workers) is bit-identical
-  // to the sequential off path — overlay hashing is a pure per-world function
-  // and every dedup/ordering decision happens after the barrier, so nothing
-  // can depend on scheduling. Duplicated inputs make the dedup do real work.
-  // (Runs under TSan via the CI TauParallel filter; a racy hash pass — e.g.
-  // on the shared base or on cached relation hashes — would surface here.)
-  std::mt19937_64 rng(20260808);
-  exec::ThreadPool pool(4);
-  Knowledgebase::ParallelMap pmap =
-      [&pool](size_t n, const std::function<void(size_t)>& fn) {
-        return pool.ParallelFor(n, [&fn](size_t i, size_t) { fn(i); });
-      };
-  for (int iter = 0; iter < 25; ++iter) {
-    std::vector<Database> dbs;
-    int k = 12 + iter % 9;
-    for (int i = 0; i < k; ++i) dbs.push_back(RandomDatabase(&rng));
-    for (int i = 0; i < 6; ++i) dbs.push_back(dbs[i]);  // Forced duplicates.
-    Knowledgebase flat = *Knowledgebase::FromDatabases(dbs);
-
-    auto base = std::make_shared<const Database>(dbs.front());
-    std::vector<WorldOverlay> overlays;
-    overlays.reserve(dbs.size());
-    for (const Database& db : dbs) {
-      overlays.push_back(WorldOverlay::FromDiff(*base, db));
-    }
-    std::vector<WorldOverlay> copy = overlays;
-    StatusOr<Knowledgebase> seq =
-        Knowledgebase::FromBaseAndOverlays(base, std::move(copy));
-    StatusOr<Knowledgebase> par =
-        Knowledgebase::FromBaseAndOverlays(base, std::move(overlays), &pmap);
-    ASSERT_TRUE(seq.ok()) << seq.status();
-    ASSERT_TRUE(par.ok()) << par.status();
-    ASSERT_EQ(*seq, *par) << "iter " << iter;
-    ASSERT_EQ(flat, *par) << "iter " << iter;
-    // Bit-identical canonical sequence, not just set-equality: same overlay
-    // at every index.
-    ASSERT_EQ(seq->size(), par->size());
-    for (size_t i = 0; i < seq->size(); ++i) {
-      ASSERT_EQ(seq->overlays()[i], par->overlays()[i]) << "iter " << iter;
-    }
-
-    // UnionAll takes the same hook on the τ merge path; split the worlds into
-    // parts and check the hooked union against the sequential one.
-    std::vector<Knowledgebase> parts_seq;
-    std::vector<Knowledgebase> parts_par;
-    for (size_t start = 0; start < dbs.size(); start += 5) {
-      std::vector<Database> chunk(
-          dbs.begin() + start,
-          dbs.begin() + std::min(start + 5, dbs.size()));
-      Knowledgebase part = *Knowledgebase::FromDatabases(std::move(chunk));
-      parts_seq.push_back(part);
-      parts_par.push_back(std::move(part));
-    }
-    StatusOr<Knowledgebase> union_seq =
-        Knowledgebase::UnionAll(std::move(parts_seq));
-    StatusOr<Knowledgebase> union_par =
-        Knowledgebase::UnionAll(std::move(parts_par), &pmap);
-    ASSERT_TRUE(union_seq.ok()) << union_seq.status();
-    ASSERT_TRUE(union_par.ok()) << union_par.status();
-    ASSERT_EQ(*union_seq, *union_par) << "iter " << iter;
-    ASSERT_EQ(flat, *union_par) << "iter " << iter;
   }
 }
 

@@ -423,17 +423,132 @@ TEST(TauWorldClassTest, GroundInsertRunsOneReferenceMuPerPattern) {
   EXPECT_EQ(stats.mu.candidates_examined, patterns.size() * 2);
 }
 
-TEST(TauWorldClassTest, DatalogAndDefinitionalMuStayPerWorld) {
+TEST(TauWorldClassTest, DefinitionalMuStaysPerWorld) {
   Knowledgebase kb = ReadColdKb();
-  for (const char* text :
-       {"forall x, y: R(x, y) -> T(x, y)",
-        "forall x: (exists y: R(x, y) & Q(y)) <-> D(x)"}) {
-    Formula phi = *ParseSentence(text);
-    TauStats stats = CheckTau(phi, kb, MuOptions());
-    EXPECT_TRUE(stats.mu.used == MuStrategy::kDatalog ||
-                stats.mu.used == MuStrategy::kDefinitional)
-        << text;
-    EXPECT_EQ(stats.shared_worlds, 0u) << text;
+  Formula phi = *ParseSentence("forall x: (exists y: R(x, y) & Q(y)) <-> D(x)");
+  TauStats stats = CheckTau(phi, kb, MuOptions());
+  EXPECT_EQ(stats.mu.used, MuStrategy::kDefinitional);
+  EXPECT_EQ(stats.mu.minimal_models, kb.size());
+  EXPECT_EQ(stats.shared_worlds, 0u);
+  EXPECT_EQ(stats.mu_classes, 0u);
+}
+
+// --- Datalog μ over 64-world blocks. ---
+
+/// `worlds` distinct worlds over E/2, P/1 and the nullary F on n0..n5: one
+/// random base and worlds one to three cells away from it, so the overlays
+/// both add and delete facts that derivations read.
+Knowledgebase FlippedWorldsKb(size_t worlds, std::mt19937_64* rng) {
+  constexpr int kDomain = 6;
+  constexpr int kCells = kDomain * kDomain + kDomain + 1;  // E, P, then F.
+  Schema schema = *Schema::Of({{"E", 2}, {"P", 1}, {"F", 0}});
+  std::bernoulli_distribution coin(0.4);
+  std::vector<bool> base(kCells);
+  for (int c = 0; c < kCells; ++c) base[c] = coin(*rng);
+  std::uniform_int_distribution<int> cell(0, kCells - 1);
+  std::uniform_int_distribution<int> flips(1, 3);
+  std::set<std::vector<bool>> seen;
+  std::vector<Database> dbs;
+  while (dbs.size() < worlds) {
+    std::vector<bool> cells = base;
+    for (int f = flips(*rng); f > 0; --f) cells[cell(*rng)].flip();
+    if (!seen.insert(cells).second) continue;
+    Relation::Builder e(2);
+    Relation::Builder p(1);
+    Relation::Builder f(0);
+    for (int c = 0; c < kDomain * kDomain; ++c) {
+      if (cells[c]) e.Append({Name(C(c / kDomain)), Name(C(c % kDomain))});
+    }
+    for (int c = 0; c < kDomain; ++c) {
+      if (cells[kDomain * kDomain + c]) p.Append({Name(C(c))});
+    }
+    if (cells[kCells - 1]) f.Append(TupleView());
+    dbs.push_back(
+        *Database::Create(schema, {e.Build(), p.Build(), f.Build()}));
+  }
+  return *Knowledgebase::FromDatabases(std::move(dbs));
+}
+
+constexpr const char* kClosure =
+    "(forall x, y: E(x, y) -> T(x, y)) & "
+    "(forall x, y, z: T(x, y) & E(y, z) -> T(x, z))";
+
+TEST(TauWorldClassTest, DatalogBlocksMatchPerWorldMuOracle) {
+  // Datalog μ runs one masked fixpoint per block of 64 worlds. Neither the
+  // block edges (63, 64, 65, 130 and 200 worlds) nor the width may show:
+  // τ equals the oracle, the stats agree at widths 1 and 4, and the derived
+  // tuples are plain μ's, summed over the worlds.
+  const std::vector<std::string> programs = {
+      kClosure,
+      // Non-linear recursion: two head literals in one body.
+      "(forall x, y: E(x, y) -> T(x, y)) & "
+      "(forall x, y, z: T(x, y) & T(y, z) -> T(x, z))",
+      // Constants: a fact, a body constant and a head constant.
+      "H(n3) & (forall x, y: H(x) & E(x, y) -> H(y)) & "
+      "(forall x: E(n0, x) & H(x) -> A(x, n1))",
+      // An inequality, a nullary head and a nullary body relation.
+      "(forall x, y: E(x, y) & E(y, x) & x != y -> B(x, y)) & "
+      "(forall x: E(x, x) -> Loop()) & (forall x: F() & P(x) -> G(x))",
+      // Z is outside σ(kb) and no rule derives it: empty in every world.
+      "(forall x: P(x) -> U(x)) & (forall x, y: U(x) & E(x, y) & Z(y) -> U(y))",
+  };
+  std::mt19937_64 rng(64);
+  for (size_t worlds : {1u, 63u, 64u, 65u, 130u, 200u}) {
+    Knowledgebase kb = FlippedWorldsKb(worlds, &rng);
+    ASSERT_EQ(kb.size(), worlds);
+    if (worlds > 1) {
+      // Some world deletes a base E fact that the closure reads.
+      bool deletes = false;
+      for (const WorldOverlay& ov : kb.overlays()) {
+        const RelationDelta* d = ov.FindDelta(0);
+        deletes = deletes || (d != nullptr && !d->dels.empty());
+      }
+      ASSERT_TRUE(deletes) << worlds;
+    }
+    for (const std::string& text : programs) {
+      Formula phi = *ParseSentence(text);
+      for (MuStrategy strategy : {MuStrategy::kAuto, MuStrategy::kDatalog}) {
+        const std::string where = text + ", " + std::to_string(worlds) +
+                                  " worlds, " + MuStrategyName(strategy);
+        MuOptions mu;
+        mu.strategy = strategy;
+        TauStats stats = CheckTau(phi, kb, mu);
+        EXPECT_EQ(stats.mu.used, MuStrategy::kDatalog) << where;
+        EXPECT_EQ(stats.mu.minimal_models, worlds) << where;
+        EXPECT_EQ(stats.shared_worlds, 0u) << where;
+        EXPECT_EQ(stats.mu_classes, 0u) << where;
+        size_t derived = 0;
+        for (size_t i = 0; i < kb.size(); ++i) {
+          MuStats one;
+          ASSERT_TRUE(Mu(phi, kb.World(i), mu, &one).ok()) << where;
+          derived += one.datalog_derived_tuples;
+        }
+        EXPECT_EQ(stats.mu.datalog_derived_tuples, derived) << where;
+      }
+    }
+  }
+}
+
+TEST(TauWorldClassTest, DatalogBlocksFailOnAnExpiredDeadline) {
+  std::mt19937_64 rng(65);
+  Knowledgebase kb = FlippedWorldsKb(130, &rng);
+  Formula phi = *ParseSentence(kClosure);
+  CancelToken expired;
+  expired.set_deadline_after(std::chrono::milliseconds(-1));
+  for (MuStrategy strategy : {MuStrategy::kAuto, MuStrategy::kDatalog}) {
+    for (bool serving : {false, true}) {
+      for (size_t threads : {1u, 4u}) {
+        ServingResources resources;
+        TauOptions options;
+        options.mu.strategy = strategy;
+        options.mu.cancel = &expired;
+        options.threads = threads;
+        if (serving) resources.Lend(&options);
+        StatusOr<Knowledgebase> late = Tau(phi, kb, options);
+        ASSERT_FALSE(late.ok()) << "threads " << threads;
+        EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+      }
+    }
   }
 }
 
