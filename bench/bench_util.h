@@ -2,74 +2,17 @@
 #define KBT_BENCH_BENCH_UTIL_H_
 
 /// \file
-/// Shared workload builders for the benchmark harness: deterministic random
-/// graphs, chain graphs, and knowledgebase construction. Seeds are fixed so every
-/// run measures the same instances.
+/// Shared workload builders for the google-benchmark paper reproductions:
+/// deterministic random graphs, chain graphs, and knowledgebase construction.
+/// Seeds are fixed so every run measures the same instances.
 
-#include <chrono>
-#include <cstdio>
 #include <random>
-#include <set>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/kbt.h"
 
 namespace kbt::bench {
-
-/// Runs `op` repeatedly for at least `min_wall_ms` and returns ms per op. One
-/// warmup call touches caches and interner state before timing starts.
-template <typename Fn>
-double MeasureMs(Fn&& op, double min_wall_ms = 300.0) {
-  using Clock = std::chrono::steady_clock;
-  op();
-  size_t iters = 0;
-  auto start = Clock::now();
-  double elapsed_ms = 0.0;
-  do {
-    op();
-    ++iters;
-    elapsed_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  } while (elapsed_ms < min_wall_ms);
-  return elapsed_ms / static_cast<double>(iters);
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable benchmark records (BENCH_datalog.json). Kept dependency-free
-// so perf trajectories can be produced in any environment and diffed across
-// PRs.
-// ---------------------------------------------------------------------------
-
-/// One measured workload configuration.
-struct BenchRecord {
-  std::string name;           ///< Workload name, e.g. "datalog_tc".
-  int n = 0;                  ///< Size parameter (vertices, domain size, ...).
-  double ms_per_op = 0.0;     ///< Wall milliseconds per operation.
-  double ops_per_sec = 0.0;   ///< 1000 / ms_per_op.
-  size_t rounds = 0;          ///< Fixpoint rounds (datalog workloads).
-  size_t derived_tuples = 0;  ///< Tuples derived beyond the EDB.
-};
-
-/// Writes records as a JSON document: {"benchmarks": [{...}, ...]}.
-inline bool WriteBenchJson(const std::string& path,
-                           const std::vector<BenchRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  bool ok = std::fprintf(f, "{\n  \"benchmarks\": [\n") >= 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const BenchRecord& r = records[i];
-    ok = std::fprintf(f,
-                      "    {\"name\": \"%s\", \"n\": %d, \"ms_per_op\": %.4f, "
-                      "\"ops_per_sec\": %.3f, \"rounds\": %zu, "
-                      "\"derived_tuples\": %zu}%s\n",
-                      r.name.c_str(), r.n, r.ms_per_op, r.ops_per_sec, r.rounds,
-                      r.derived_tuples, i + 1 < records.size() ? "," : "") >= 0 &&
-         ok;
-  }
-  ok = std::fprintf(f, "  ]\n}\n") >= 0 && ok;
-  return std::fclose(f) == 0 && ok;
-}
 
 inline std::string V(int i) { return "n" + std::to_string(i); }
 

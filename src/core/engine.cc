@@ -48,14 +48,13 @@ StatusOr<Knowledgebase> Engine::Apply(const Pipeline& pipeline,
 
 StatusOr<Knowledgebase> Engine::ApplySteps(const Pipeline& pipeline,
                                            const Knowledgebase& kb) {
-  last_trace_ = PipelineStats();
   TauOptions tau_options;
   tau_options.mu = options_.mu;
   tau_options.threads = options_.tau_threads;
   // Serving-style reuse: lend the lazily-started persistent pool to every τ
   // step instead of letting each call spawn (and join) its own workers.
   tau_options.pool = Pool();
-  return pipeline.Apply(kb, tau_options, options_.trace ? &last_trace_ : nullptr);
+  return pipeline.Apply(kb, tau_options);
 }
 
 StatusOr<Knowledgebase> Engine::Insert(std::string_view sentence,

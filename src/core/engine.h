@@ -41,8 +41,6 @@ struct EngineOptions {
   /// Worker threads for τ's world fan-out (see TauOptions::threads):
   /// 1 = sequential, 0 = one per hardware thread.
   size_t tau_threads = 1;
-  /// Collect per-step traces into Engine::last_trace().
-  bool trace = false;
 };
 
 /// High-level entry point: owns options, parses expressions, applies them.
@@ -77,9 +75,6 @@ class Engine {
   const EngineOptions& options() const { return options_; }
   EngineOptions& options() { return options_; }
 
-  /// Traces from the most recent Apply/Insert (when options().trace is set).
-  const PipelineStats& last_trace() const { return last_trace_; }
-
   /// Attaches a durability log (borrowed; nullptr detaches). Both Apply
   /// overloads commit: text-form applies log their input verbatim, pre-built
   /// pipelines log their canonical rendering.
@@ -97,7 +92,6 @@ class Engine {
                                      const Knowledgebase& kb);
 
   EngineOptions options_;
-  PipelineStats last_trace_;
   std::unique_ptr<exec::ThreadPool> pool_;
   TransformLog* log_ = nullptr;
 };

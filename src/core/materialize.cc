@@ -1,14 +1,16 @@
 /// \file
 /// Model materialization: turning (atom id → truth value) assignments into
-/// databases over the update context's schema.
+/// worlds over the update context's schema.
 ///
-/// Two implementations of one function. MaterializeModel is the specification:
-/// group deviations in a map, rebuild each touched relation via
-/// Union/Difference. ModelMaterializer is the enumeration-loop form: the
-/// per-model work is reduced to one sorted-merge per touched relation by
-/// hoisting everything that depends only on (ctx, grounding) — relation
-/// positions, tuple order, base membership — into one precomputation per μ
-/// call. τ over many worlds multiplies the saving by worlds × models.
+/// MaterializeModel is the specification: group deviations in a map, rebuild
+/// each touched relation via Union/Difference into a flat database. μ emits
+/// its models as overlays against ctx.extended_base through the other two:
+/// MaterializeOverlayModel, the same grouping without the rebuild, and
+/// ModelMaterializer, the enumeration-loop form, which hoists everything that
+/// depends only on (ctx, grounding) — relation positions, tuple order, base
+/// membership — into one precomputation per μ call, so each model costs one
+/// pass over its mentioned atoms. τ over many worlds multiplies the saving by
+/// worlds × models.
 
 #include <algorithm>
 #include <map>
@@ -110,7 +112,8 @@ Status ModelMaterializer::Rebuild(const UpdateContext& ctx,
     keyed_.push_back({*pos, AtomEntry{id, t, base.Contains(t)}});
   }
   // Sorting by tuple within a relation makes each model's add/remove
-  // subsequences sorted, so Materialize merges in one pass. Mentioned atoms
+  // subsequences sorted, so MaterializeOverlay emits them as they come and
+  // Relation::Builder takes its already-sorted path. Mentioned atoms
   // are distinct, so the order is total (ties impossible within one relation).
   std::sort(keyed_.begin(), keyed_.end(),
             [](const auto& a, const auto& b) {
@@ -135,57 +138,6 @@ StatusOr<ModelMaterializer> ModelMaterializer::Make(
   ModelMaterializer m;
   KBT_RETURN_IF_ERROR(m.Rebuild(ctx, atoms, mentioned_atom_ids));
   return m;
-}
-
-StatusOr<Database> ModelMaterializer::Materialize(
-    const std::function<bool(int)>& atom_value) const {
-  Database out = ctx_->extended_base;
-  for (const Group& group : groups_) {
-    adds_.clear();
-    removes_.clear();
-    for (uint32_t e = group.begin; e < group.end; ++e) {
-      const AtomEntry& entry = entries_[e];
-      bool wanted = atom_value(entry.id);
-      if (wanted == entry.present) continue;
-      (wanted ? adds_ : removes_).push_back(entry.tuple);
-    }
-    if (adds_.empty() && removes_.empty()) continue;
-    const Relation& base = ctx_->extended_base.relation_at(group.schema_pos);
-    size_t arity = base.arity();
-    if (arity == 0) {
-      // A nullary relation has one possible tuple, so at most one delta: an
-      // add makes it hold, a remove empties it.
-      Relation r(0);
-      if (!adds_.empty()) r = r.WithTuple(TupleView());
-      out.ReplaceRelation(group.schema_pos, std::move(r));
-      continue;
-    }
-    // One pass: (base ∪ adds) \ removes. adds are absent from base and removes
-    // are present in it by construction, and both lists are sorted.
-    Relation::Builder b(arity);
-    b.Reserve(base.size() + adds_.size());
-    const Value* row = base.flat().data();
-    const Value* end = row + base.flat().size();
-    size_t ai = 0, ri = 0;
-    while (row != end || ai < adds_.size()) {
-      bool take_add =
-          ai < adds_.size() &&
-          (row == end || CompareValues(adds_[ai].data(), row, arity) < 0);
-      if (take_add) {
-        b.Append(adds_[ai++]);
-        continue;
-      }
-      if (ri < removes_.size() &&
-          CompareValues(removes_[ri].data(), row, arity) == 0) {
-        ++ri;  // Drop this base row.
-      } else {
-        b.Append(TupleView(row, arity));
-      }
-      row += arity;
-    }
-    out.ReplaceRelation(group.schema_pos, b.Build());
-  }
-  return out;
 }
 
 StatusOr<WorldOverlay> ModelMaterializer::MaterializeOverlay(

@@ -222,8 +222,8 @@ inline bool IsOldAtom(const GroundAtom& atom, const Database& db) {
 /// ctx.schema, starting from ctx.extended_base and deviating only on the listed
 /// atoms. The specification-shaped path: per call it groups deviations in a map
 /// and rebuilds each touched relation through Union/Difference. Kept as the
-/// reference ModelMaterializer is property-tested against; enumeration loops use
-/// the materializer.
+/// reference the two overlay materializers below are property-tested against
+/// (materialize_test); μ itself emits models only as overlays.
 StatusOr<Database> MaterializeModel(
     const UpdateContext& ctx, const AtomIndex& atoms,
     const std::vector<int>& mentioned_atom_ids,
@@ -241,16 +241,16 @@ StatusOr<WorldOverlay> MaterializeOverlayModel(
     const std::function<bool(int)>& atom_value);
 
 /// Delta-encoded model materialization for enumeration loops that build many
-/// databases against one base. Construction (once per μ call — lazily, on the
+/// models against one base. Construction (once per μ call — lazily, on the
 /// second enumerated model, since a single-model run never amortizes it)
 /// groups the mentioned atoms by relation, sorts each group in tuple order and
-/// precomputes each atom's presence in ctx.extended_base; Materialize (once
-/// per enumerated model) then applies the per-model deltas with a single
-/// three-way merge per touched relation — no per-model map, no membership
-/// probes, and no Union+Difference double rebuild. All storage is flat, so a
-/// default-constructed materializer parked in a per-worker WorldScratch is
-/// Rebuilt in place world after world with warm buffers. Borrows the ctx and
-/// atoms passed to Rebuild; both must outlive the next Rebuild.
+/// precomputes each atom's presence in ctx.extended_base; MaterializeOverlay
+/// (once per enumerated model) then emits each touched relation's adds and
+/// dels already sorted — no per-model map and no membership probes. All
+/// storage is flat, so a default-constructed materializer parked in a
+/// per-worker WorldScratch is Rebuilt in place world after world with warm
+/// buffers. Borrows the ctx and atoms passed to Rebuild; both must outlive the
+/// next Rebuild.
 class ModelMaterializer {
  public:
   ModelMaterializer() = default;
@@ -268,16 +268,13 @@ class ModelMaterializer {
       const UpdateContext& ctx, const AtomIndex& atoms,
       const std::vector<int>& mentioned_atom_ids);
 
-  /// Builds the database in which every mentioned atom id holds iff
-  /// `atom_value(id)`, all other facts matching ctx.extended_base. Equivalent
-  /// to MaterializeModel over the same inputs (property-tested).
-  StatusOr<Database> Materialize(const std::function<bool(int)>& atom_value) const;
-
-  /// The same model as a canonical overlay against ctx.extended_base: one
-  /// RelationDelta per deviating relation, add/delete lists emitted directly
-  /// from the precomputed sorted groups (no base merge at all, so the
-  /// per-model cost drops from O(base + delta) to O(delta)). Equivalent to
-  /// MaterializeOverlayModel over the same inputs (property-tested).
+  /// The model in which every mentioned atom id holds iff `atom_value(id)`,
+  /// all other facts matching ctx.extended_base, as a canonical overlay
+  /// against ctx.extended_base: one RelationDelta per deviating relation,
+  /// add/delete lists emitted directly from the precomputed sorted groups (no
+  /// base merge at all, so the per-model cost is O(mentioned atoms)).
+  /// Equivalent to MaterializeOverlayModel over the same inputs, and its
+  /// ApplyTo(ctx.extended_base) to MaterializeModel (property-tested).
   StatusOr<WorldOverlay> MaterializeOverlay(
       const std::function<bool(int)>& atom_value) const;
 
@@ -303,8 +300,8 @@ class ModelMaterializer {
   std::vector<Group> groups_;
   /// Scratch for Rebuild's (schema position, entry) sort.
   std::vector<std::pair<size_t, AtomEntry>> keyed_;
-  /// Scratch for Materialize (adds/removes of the group being merged); mutable
-  /// so Materialize stays const for callers — a materializer is used by one
+  /// Scratch for MaterializeOverlay (adds/removes of the current group);
+  /// mutable so it stays const for callers — a materializer is used by one
   /// world's enumeration thread, never shared.
   mutable std::vector<TupleView> adds_;
   mutable std::vector<TupleView> removes_;

@@ -2,22 +2,17 @@
 
 #include <cstring>
 
+#include "base/little_endian.h"
 #include "store/crc32.h"
 
 namespace kbt::net {
 
 namespace {
 
-uint32_t ReadLeU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-uint64_t ReadLeU64(const char* p) {
-  return static_cast<uint64_t>(ReadLeU32(p)) |
-         static_cast<uint64_t>(ReadLeU32(p + 4)) << 32;
+/// u32 length prefix + bytes.
+void PutString(std::string* out, std::string_view s) {
+  AppendU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
 }
 
 }  // namespace
@@ -35,13 +30,12 @@ StatusOr<std::string> EncodeFrame(FrameType type, std::string_view payload,
   }
   std::string out;
   out.reserve(kHeaderSize + payload.size());
-  PutU32(&out, kWireMagic);
-  PutU8(&out, kWireVersion);
-  PutU8(&out, static_cast<uint8_t>(type));
-  PutU8(&out, static_cast<uint8_t>(seq & 0xff));
-  PutU8(&out, static_cast<uint8_t>(seq >> 8));
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, store::Crc32c(payload.data(), payload.size()));
+  AppendU32(&out, kWireMagic);
+  AppendU8(&out, kWireVersion);
+  AppendU8(&out, static_cast<uint8_t>(type));
+  AppendU16(&out, seq);
+  AppendU32(&out, static_cast<uint32_t>(payload.size()));
+  AppendU32(&out, store::Crc32c(payload.data(), payload.size()));
   out.append(payload);
   return out;
 }
@@ -52,7 +46,7 @@ StatusOr<FrameHeader> DecodeHeader(std::string_view header) {
                             std::to_string(header.size()) + " bytes");
   }
   const char* p = header.data();
-  if (ReadLeU32(p) != kWireMagic) {
+  if (LoadU32(p) != kWireMagic) {
     return Status::DataLoss("bad frame magic");
   }
   uint8_t version = static_cast<uint8_t>(p[4]);
@@ -66,10 +60,8 @@ StatusOr<FrameHeader> DecodeHeader(std::string_view header) {
   }
   FrameHeader h;
   h.type = static_cast<FrameType>(type);
-  h.seq = static_cast<uint16_t>(static_cast<uint8_t>(p[6]) |
-                                static_cast<uint16_t>(static_cast<uint8_t>(p[7]))
-                                    << 8);
-  h.payload_len = ReadLeU32(p + 8);
+  h.seq = LoadU16(p + 6);
+  h.payload_len = LoadU32(p + 8);
   if (h.payload_len > kMaxPayload) {
     return Status::DataLoss("frame payload length over cap: " +
                             std::to_string(h.payload_len));
@@ -81,33 +73,12 @@ Status VerifyPayload(std::string_view header, std::string_view payload) {
   if (header.size() != kHeaderSize) {
     return Status::DataLoss("frame header truncated");
   }
-  uint32_t expected = ReadLeU32(header.data() + 12);
+  uint32_t expected = LoadU32(header.data() + 12);
   uint32_t actual = store::Crc32c(payload.data(), payload.size());
   if (expected != actual) {
     return Status::DataLoss("frame payload CRC mismatch");
   }
   return Status::OK();
-}
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
 }
 
 StatusOr<uint8_t> PayloadReader::GetU8() {
@@ -117,14 +88,14 @@ StatusOr<uint8_t> PayloadReader::GetU8() {
 
 StatusOr<uint32_t> PayloadReader::GetU32() {
   if (pos_ + 4 > data_.size()) return Status::DataLoss("payload underrun (u32)");
-  uint32_t v = ReadLeU32(data_.data() + pos_);
+  uint32_t v = LoadU32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 StatusOr<uint64_t> PayloadReader::GetU64() {
   if (pos_ + 8 > data_.size()) return Status::DataLoss("payload underrun (u64)");
-  uint64_t v = ReadLeU64(data_.data() + pos_);
+  uint64_t v = LoadU64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -147,9 +118,9 @@ StatusOr<std::string> PayloadReader::GetString(size_t max_len) {
 
 std::string EncodeReadRequest(const WireReadRequest& r) {
   std::string out;
-  PutU64(&out, r.deadline_ms);
-  PutU8(&out, r.modality);
-  PutU32(&out, static_cast<uint32_t>(r.antecedents.size()));
+  AppendU64(&out, r.deadline_ms);
+  AppendU8(&out, r.modality);
+  AppendU32(&out, static_cast<uint32_t>(r.antecedents.size()));
   for (const std::string& a : r.antecedents) PutString(&out, a);
   PutString(&out, r.consequent);
   return out;
@@ -179,8 +150,8 @@ StatusOr<WireReadRequest> DecodeReadRequest(std::string_view payload) {
 
 std::string EncodeReadReply(const WireReadReply& r) {
   std::string out;
-  PutU8(&out, r.holds ? 1 : 0);
-  PutU64(&out, r.snapshot_version);
+  AppendU8(&out, r.holds ? 1 : 0);
+  AppendU64(&out, r.snapshot_version);
   return out;
 }
 
@@ -211,7 +182,7 @@ StatusOr<WireApplyRequest> DecodeApplyRequest(std::string_view payload) {
 
 std::string EncodeApplyReply(const WireApplyReply& r) {
   std::string out;
-  PutU64(&out, r.version);
+  AppendU64(&out, r.version);
   return out;
 }
 
@@ -225,8 +196,8 @@ StatusOr<WireApplyReply> DecodeApplyReply(std::string_view payload) {
 
 std::string EncodeError(const WireError& e) {
   std::string out;
-  PutU8(&out, e.code);
-  PutU32(&out, e.retry_after_ms);
+  AppendU8(&out, e.code);
+  AppendU32(&out, e.retry_after_ms);
   PutString(&out, e.message);
   PutString(&out, e.redirect);
   return out;
@@ -282,10 +253,10 @@ Status StatusFromError(const WireError& e) {
 
 std::string EncodeStatsReply(const WireStatsReply& r) {
   std::string out;
-  PutU32(&out, static_cast<uint32_t>(r.counters.size()));
+  AppendU32(&out, static_cast<uint32_t>(r.counters.size()));
   for (const auto& [name, value] : r.counters) {
     PutString(&out, name);
-    PutU64(&out, value);
+    AppendU64(&out, value);
   }
   return out;
 }
@@ -311,9 +282,9 @@ StatusOr<WireStatsReply> DecodeStatsReply(std::string_view payload) {
 std::string EncodeReplSubscribe(const WireReplSubscribe& r) {
   std::string out;
   PutString(&out, r.follower_id);
-  PutU64(&out, r.epoch);
-  PutU64(&out, r.start_lsn);
-  PutU8(&out, r.has_state);
+  AppendU64(&out, r.epoch);
+  AppendU64(&out, r.start_lsn);
+  AppendU8(&out, r.has_state);
   return out;
 }
 
@@ -334,15 +305,15 @@ StatusOr<WireReplSubscribe> DecodeReplSubscribe(std::string_view payload) {
 std::string EncodeReplSubscribeReply(const WireReplSubscribeReply& r) {
   std::string out;
   PutString(&out, r.primary_id);
-  PutU64(&out, r.epoch);
-  PutU64(&out, r.primary_lsn);
-  PutU64(&out, r.horizon_lsn);
-  PutU8(&out, r.need_snapshot);
-  PutU64(&out, r.snapshot_lsn);
-  PutU32(&out, static_cast<uint32_t>(r.epoch_history.size()));
+  AppendU64(&out, r.epoch);
+  AppendU64(&out, r.primary_lsn);
+  AppendU64(&out, r.horizon_lsn);
+  AppendU8(&out, r.need_snapshot);
+  AppendU64(&out, r.snapshot_lsn);
+  AppendU32(&out, static_cast<uint32_t>(r.epoch_history.size()));
   for (const auto& [epoch, start_lsn] : r.epoch_history) {
-    PutU64(&out, epoch);
-    PutU64(&out, start_lsn);
+    AppendU64(&out, epoch);
+    AppendU64(&out, start_lsn);
   }
   return out;
 }
@@ -377,11 +348,11 @@ StatusOr<WireReplSubscribeReply> DecodeReplSubscribeReply(
 std::string EncodeReplFetch(const WireReplFetch& r) {
   std::string out;
   PutString(&out, r.follower_id);
-  PutU64(&out, r.epoch);
-  PutU64(&out, r.after_lsn);
-  PutU32(&out, r.wait_ms);
-  PutU32(&out, r.max_records);
-  PutU32(&out, r.max_bytes);
+  AppendU64(&out, r.epoch);
+  AppendU64(&out, r.after_lsn);
+  AppendU32(&out, r.wait_ms);
+  AppendU32(&out, r.max_records);
+  AppendU32(&out, r.max_bytes);
   return out;
 }
 
@@ -400,12 +371,12 @@ StatusOr<WireReplFetch> DecodeReplFetch(std::string_view payload) {
 
 std::string EncodeReplRecords(const WireReplRecords& r) {
   std::string out;
-  PutU64(&out, r.epoch);
-  PutU64(&out, r.start_lsn);
-  PutU64(&out, r.primary_lsn);
-  PutU32(&out, static_cast<uint32_t>(r.records.size()));
+  AppendU64(&out, r.epoch);
+  AppendU64(&out, r.start_lsn);
+  AppendU64(&out, r.primary_lsn);
+  AppendU32(&out, static_cast<uint32_t>(r.records.size()));
   for (const auto& [kind, payload] : r.records) {
-    PutU8(&out, kind);
+    AppendU8(&out, kind);
     PutString(&out, payload);
   }
   return out;
@@ -439,9 +410,9 @@ StatusOr<WireReplRecords> DecodeReplRecords(std::string_view payload) {
 
 std::string EncodeReplCkptFetch(const WireReplCkptFetch& r) {
   std::string out;
-  PutU64(&out, r.lsn);
-  PutU64(&out, r.offset);
-  PutU32(&out, r.max_bytes);
+  AppendU64(&out, r.lsn);
+  AppendU64(&out, r.offset);
+  AppendU32(&out, r.max_bytes);
   return out;
 }
 
@@ -459,9 +430,9 @@ StatusOr<WireReplCkptFetch> DecodeReplCkptFetch(std::string_view payload) {
 
 std::string EncodeReplCkptChunk(const WireReplCkptChunk& r) {
   std::string out;
-  PutU64(&out, r.lsn);
-  PutU64(&out, r.offset);
-  PutU64(&out, r.total_size);
+  AppendU64(&out, r.lsn);
+  AppendU64(&out, r.offset);
+  AppendU64(&out, r.total_size);
   PutString(&out, r.bytes);
   return out;
 }

@@ -29,10 +29,11 @@
 /// (kDataLoss/kInvalidArgument), never a crash or an over-allocation — the
 /// payload buffer is only sized after the length passed its cap.
 ///
-/// Payloads are flat little-endian fields and u32-length-prefixed strings
-/// (see the Put*/Get* helpers). Hard caps — frame length, antecedent chain
-/// depth, batch size — are enforced at both encode and decode time, so a
-/// malicious or corrupt peer cannot make the server allocate unboundedly.
+/// Payloads are flat little-endian fields (base/little_endian.h) and
+/// u32-length-prefixed strings, read back through PayloadReader. Hard caps —
+/// frame length, antecedent chain depth, replication batch size — are
+/// enforced at both encode and decode time, so a malicious or corrupt peer
+/// cannot make the server allocate unboundedly.
 
 #include <cstdint>
 #include <string>
@@ -51,8 +52,6 @@ inline constexpr size_t kHeaderSize = 16;
 inline constexpr size_t kMaxPayload = 8u << 20;  // 8 MiB
 /// Hard cap on a read request's antecedent chain depth.
 inline constexpr size_t kMaxChainDepth = 64;
-/// Hard cap on requests in one batch frame.
-inline constexpr size_t kMaxBatch = 1024;
 /// Hard cap on WAL records in one replication batch frame.
 inline constexpr size_t kMaxReplBatch = 512;
 /// Hard cap on epoch-history entries in a subscribe reply (one per promotion
@@ -107,13 +106,7 @@ StatusOr<FrameHeader> DecodeHeader(std::string_view header);
 Status VerifyPayload(std::string_view header, std::string_view payload);
 
 // ---------------------------------------------------------------------------
-// Payload field helpers (little-endian, bounds-checked reads).
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-/// u32 length prefix + bytes.
-void PutString(std::string* out, std::string_view s);
+// Payload reads (little-endian, bounds-checked).
 
 /// Cursor over a payload; every Get* checks bounds and fails with kDataLoss
 /// instead of reading past the end.

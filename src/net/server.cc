@@ -371,7 +371,7 @@ bool NetServer::ServeOneFrame(Transport& transport, serve::Session& session,
       reply.counters = {
           {"commits", st.commits},
           {"reads", st.reads},
-          {"batches", st.batches},
+          {"checkpoint_failures", st.checkpoint_failures},
           {"bank_hits", st.bank_hits},
           {"bank_misses", st.bank_misses},
           {"bank_budget_evictions", st.bank_budget_evictions},

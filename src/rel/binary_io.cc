@@ -5,16 +5,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/little_endian.h"
+
 namespace kbt {
 
 namespace {
-
-void PutU32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
 
 /// Bounds-checked little-endian reader over a byte view. Every failure names
 /// the field being read, so corrupt checkpoints are diagnosable.
@@ -30,11 +25,7 @@ class Reader {
       return Status::DataLoss(std::string("truncated input reading ") +
                               std::string(field));
     }
-    const unsigned char* p =
-        reinterpret_cast<const unsigned char*>(bytes_.data()) + pos_;
-    *out = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
+    *out = LoadU32(bytes_.data() + pos_);
     pos_ += 4;
     return Status::OK();
   }
@@ -75,10 +66,10 @@ class DictBuilder {
   }
 
   void Emit(std::string* out) const {
-    PutU32(static_cast<uint32_t>(symbols_.size()), out);
+    AppendU32(out, static_cast<uint32_t>(symbols_.size()));
     for (Symbol s : symbols_) {
       const std::string& name = NameOf(s);
-      PutU32(static_cast<uint32_t>(name.size()), out);
+      AppendU32(out, static_cast<uint32_t>(name.size()));
       out->append(name);
     }
   }
@@ -89,17 +80,17 @@ class DictBuilder {
 };
 
 void EmitSchema(const Schema& schema, DictBuilder* dict, std::string* out) {
-  PutU32(static_cast<uint32_t>(schema.size()), out);
+  AppendU32(out, static_cast<uint32_t>(schema.size()));
   for (const RelationDecl& d : schema.decls()) {
-    PutU32(dict->IndexOf(d.symbol), out);
-    PutU32(static_cast<uint32_t>(d.arity), out);
+    AppendU32(out, dict->IndexOf(d.symbol));
+    AppendU32(out, static_cast<uint32_t>(d.arity));
   }
 }
 
 void EmitRelations(const Database& db, DictBuilder* dict, std::string* out) {
   for (const Relation& r : db.relations()) {
-    PutU32(static_cast<uint32_t>(r.size()), out);
-    for (Value v : r.flat()) PutU32(dict->IndexOf(v), out);
+    AppendU32(out, static_cast<uint32_t>(r.size()));
+    for (Value v : r.flat()) AppendU32(out, dict->IndexOf(v));
   }
 }
 
@@ -217,7 +208,7 @@ StatusOr<Database> ParseBinaryDatabase(std::string_view bytes) {
 }
 
 void AppendBinaryKnowledgebase(const Knowledgebase& kb, std::string* out) {
-  PutU32(static_cast<uint32_t>(kb.size()), out);
+  AppendU32(out, static_cast<uint32_t>(kb.size()));
   DictBuilder dict;
   dict.CollectSchema(kb.schema());
   for (size_t i = 0; i < kb.size(); ++i) dict.CollectRelations(kb.World(i));

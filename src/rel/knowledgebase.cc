@@ -152,26 +152,6 @@ StatusOr<Knowledgebase> Knowledgebase::WithDatabase(const Database& db) const {
   return out;
 }
 
-StatusOr<Knowledgebase> Knowledgebase::UnionWith(const Knowledgebase& other) const {
-  if (empty()) return other;
-  if (other.empty()) return *this;
-  if (schema_ != other.schema_) {
-    return Status::InvalidArgument("knowledgebase union: schema mismatch");
-  }
-  Knowledgebase out = *this;
-  out.overlays_.reserve(out.overlays_.size() + other.size());
-  if (other.base_ == base_ || *other.base_ == *base_) {
-    out.overlays_.insert(out.overlays_.end(), other.overlays_.begin(),
-                         other.overlays_.end());
-  } else {
-    for (size_t i = 0; i < other.size(); ++i) {
-      out.overlays_.push_back(WorldOverlay::FromDiff(*base_, other.World(i)));
-    }
-  }
-  out.Canonicalize();
-  return out;
-}
-
 StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts) {
   Knowledgebase out;
   if (parts.empty()) return out;

@@ -87,11 +87,7 @@ class Knowledgebase {
   /// This kb with `db` added (schema must match; no-op if present).
   StatusOr<Knowledgebase> WithDatabase(const Database& db) const;
 
-  /// Set union with `other` (schemas must match) — the right-hand side of KM
-  /// postulate (viii): τ_φ(kb1 ∪ kb2) = τ_φ(kb1) ∪ τ_φ(kb2).
-  StatusOr<Knowledgebase> UnionWith(const Knowledgebase& other) const;
-
-  /// Union of many same-schema knowledgebases in one pass: overlays are moved
+  /// Set union of same-schema knowledgebases in one pass: overlays are moved
   /// when parts share this kb's base (pointer or value equality) and rebased
   /// via copy-on-write diff otherwise, then deduplicated through overlay
   /// hashes and sorted once — τ's merge step over per-world μ results,

@@ -2,42 +2,23 @@
 
 #include <cstring>
 
+#include "base/little_endian.h"
 #include "store/crc32.h"
 
 namespace kbt::repl {
 
 namespace {
 
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
 bool GetU32(std::string_view data, size_t* pos, uint32_t* v) {
   if (data.size() - *pos < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>(data[*pos + i])) << (8 * i);
-  }
+  *v = LoadU32(data.data() + *pos);
   *pos += 4;
   return true;
 }
 
 bool GetU64(std::string_view data, size_t* pos, uint64_t* v) {
   if (data.size() - *pos < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<uint8_t>(data[*pos + i])) << (8 * i);
-  }
+  *v = LoadU64(data.data() + *pos);
   *pos += 8;
   return true;
 }
@@ -50,16 +31,16 @@ Status Corrupt(const std::string& what) {
 
 std::string EncodeReplMeta(const ReplMeta& meta) {
   std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(meta.history.size()));
+  AppendU32(&payload, static_cast<uint32_t>(meta.history.size()));
   for (const auto& [epoch, start_lsn] : meta.history) {
-    PutU64(&payload, epoch);
-    PutU64(&payload, start_lsn);
+    AppendU64(&payload, epoch);
+    AppendU64(&payload, start_lsn);
   }
   std::string out;
   out.append(kReplMetaMagic, sizeof(kReplMetaMagic));
-  PutU8(&out, kReplMetaVersion);
-  PutU32(&out, store::Crc32c(payload));
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
+  AppendU8(&out, kReplMetaVersion);
+  AppendU32(&out, store::Crc32c(payload));
+  AppendU32(&out, static_cast<uint32_t>(payload.size()));
   out.append(payload);
   return out;
 }

@@ -1,8 +1,6 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <utility>
 
 #include "logic/parser.h"
@@ -11,16 +9,8 @@ namespace kbt::serve {
 
 namespace {
 
-/// Batch grouping key: requests with the same antecedent chain hit the same
-/// bank entries back to back. \x1f cannot appear in concrete syntax.
-std::string ChainKey(const ReadRequest& request) {
-  std::string key;
-  for (const std::string& text : request.antecedents) {
-    key += text;
-    key += '\x1f';
-  }
-  return key;
-}
+/// Distinct sentences the shared cache bank holds (LRU beyond it).
+constexpr size_t kCacheBankCapacity = 64;
 
 }  // namespace
 
@@ -50,7 +40,7 @@ StatusOr<uint64_t> Session::Apply(std::string_view expression) {
 Server::Server(ServerOptions options, Knowledgebase initial)
     : options_(std::move(options)),
       registry_(std::move(initial)),
-      bank_(options_.cache_bank_capacity, options_.cache_entry_byte_budget,
+      bank_(kCacheBankCapacity, options_.cache_entry_byte_budget,
             options_.cache_entry_max_domains) {}
 
 Server::Server(Knowledgebase initial, ServerOptions options)
@@ -102,7 +92,7 @@ StatusOr<uint64_t> Server::Apply(std::string_view expression) {
       KBT_ASSIGN_OR_RETURN(
           result, own_engine_->Apply(expression, registry_.Current()->kb));
     }
-    KBT_ASSIGN_OR_RETURN(version, FinishCommit(std::move(result)));
+    version = FinishCommit(std::move(result));
   }
   // Semi-sync wait happens OUTSIDE the writer lock: follower acks (and other
   // writers) must not queue behind this client's wait. An error here reports
@@ -127,7 +117,7 @@ StatusOr<uint64_t> Server::Apply(const Pipeline& pipeline) {
       KBT_ASSIGN_OR_RETURN(
           result, own_engine_->Apply(pipeline, registry_.Current()->kb));
     }
-    KBT_ASSIGN_OR_RETURN(version, FinishCommit(std::move(result)));
+    version = FinishCommit(std::move(result));
   }
   if (commit_waiter_ != nullptr && durable_ != nullptr) {
     KBT_RETURN_IF_ERROR(commit_waiter_(lsn));
@@ -157,15 +147,22 @@ std::string Server::redirect_hint() const {
   return redirect_hint_;
 }
 
-StatusOr<uint64_t> Server::FinishCommit(Knowledgebase result) {
+uint64_t Server::FinishCommit(Knowledgebase result) {
   // Durability (when on) already happened inside the store's Apply; only now
   // does the new state become visible to readers.
   std::shared_ptr<const Snapshot> snap = registry_.Publish(std::move(result));
   commits_.fetch_add(1, std::memory_order_relaxed);
   if (durable_ != nullptr && options_.checkpoint_every > 0 &&
       ++commits_since_checkpoint_ >= options_.checkpoint_every) {
-    KBT_RETURN_IF_ERROR(durable_->Checkpoint());
-    commits_since_checkpoint_ = 0;
+    // The commit is already durable, visible and counted, so a failed
+    // checkpoint must not report it as failed. The counter stays due, so the
+    // next commit retries. A checkpoint that left the store broken fails the
+    // next Apply with the broken-store error before anything commits.
+    if (durable_->Checkpoint().ok()) {
+      commits_since_checkpoint_ = 0;
+    } else {
+      checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return snap->version;
 }
@@ -250,36 +247,12 @@ StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,
   return result;
 }
 
-StatusOr<std::vector<ReadResult>> Server::ExecuteBatch(
-    Session& session, const std::vector<ReadRequest>& requests) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  // One snapshot for the whole batch: every answer is consistent with one
-  // version, whatever the writer does meanwhile.
-  std::shared_ptr<const Snapshot> snap = registry_.Current();
-
-  // Group same-chain requests back to back. The group leader grounds and
-  // encodes into the shared bank entries; the rest of its group forks the
-  // frozen prefixes while they are hot. Results stay positionally aligned.
-  std::vector<size_t> order(requests.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::vector<std::string> keys;
-  keys.reserve(requests.size());
-  for (const ReadRequest& request : requests) keys.push_back(ChainKey(request));
-  std::stable_sort(order.begin(), order.end(),
-                   [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
-
-  std::vector<ReadResult> results(requests.size());
-  for (size_t i : order) {
-    KBT_ASSIGN_OR_RETURN(results[i], ExecuteRead(session, *snap, requests[i]));
-  }
-  return results;
-}
-
 Server::ServerStats Server::stats() const {
   ServerStats stats;
   stats.commits = commits_.load(std::memory_order_relaxed);
   stats.reads = reads_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
+  stats.checkpoint_failures =
+      checkpoint_failures_.load(std::memory_order_relaxed);
   stats.bank_hits = bank_.hits();
   stats.bank_misses = bank_.misses();
   stats.bank_budget_evictions = bank_.budget_evictions();

@@ -17,13 +17,8 @@
 ///     blocking on the writer, MVCC-style. Reads of one session ride the
 ///     previous call's warm solver arena and scratch buffers.
 ///   * A cache bank shared by all readers (serve/cache_bank.h): per-sentence
-///     grounding + frozen-CNF caches, so repeated and batched reads of one
-///     sentence ground/encode once and fork thereafter.
-///
-/// Batching: ExecuteBatch groups a vector of read requests by their antecedent
-/// chain, so within a group the first request fills the per-sentence caches
-/// (one grounding, one CNF prefix per active domain) and the rest fork —
-/// measured in bench/json_bench_serving.cc.
+///     grounding + frozen-CNF caches, so repeated reads of one sentence
+///     ground/encode once and fork thereafter.
 ///
 /// Consistency model: a read sees exactly one published snapshot (its
 /// ReadResult carries the version); a write is visible to reads that acquire
@@ -55,10 +50,11 @@ struct ServerOptions {
   /// thread/cache settings apply to write-path transformations; reads run
   /// sequentially on their session's thread.
   EngineOptions engine;
-  /// Distinct sentences the shared cache bank holds (LRU beyond it).
-  size_t cache_bank_capacity = 64;
   /// Durable mode: write a checkpoint (and rotate the WAL) automatically every
-  /// N commits. 0 = only explicit Checkpoint() calls.
+  /// N commits. 0 = only explicit Checkpoint() calls. A failed automatic
+  /// checkpoint does not fail the commit that triggered it (that commit is
+  /// already durable and published); it is counted in
+  /// ServerStats::checkpoint_failures and retried on the next commit.
   size_t checkpoint_every = 0;
   /// Per-read SAT conflict budget (0 = unlimited): a read whose μ descents
   /// spend more than this many conflicts in one world fails with
@@ -189,18 +185,12 @@ class Server {
     return registry_.Current();
   }
 
-  /// Executes a batch of reads against ONE snapshot, grouped by antecedent
-  /// chain so each group shares its sentence caches (the leader grounds and
-  /// encodes; the rest fork). Results are positionally aligned with
-  /// `requests`. Runs on the calling thread with `session`'s pinned solver;
-  /// pass the calling thread's session.
-  StatusOr<std::vector<ReadResult>> ExecuteBatch(
-      Session& session, const std::vector<ReadRequest>& requests);
-
   struct ServerStats {
     uint64_t commits = 0;
     uint64_t reads = 0;
-    uint64_t batches = 0;
+    /// Automatic checkpoints (ServerOptions::checkpoint_every) that failed
+    /// after their commit was published.
+    uint64_t checkpoint_failures = 0;
     /// Cache-bank entry lookups (hit = sentence already resolved).
     uint64_t bank_hits = 0;
     uint64_t bank_misses = 0;
@@ -233,7 +223,9 @@ class Server {
                                    const ReadRequest& request);
 
   /// Write-path tail under writer_mu_: publish + stats + auto-checkpoint.
-  StatusOr<uint64_t> FinishCommit(Knowledgebase result);
+  /// Returns the published version; the commit stands whatever the
+  /// checkpoint does.
+  uint64_t FinishCommit(Knowledgebase result);
 
   /// kReadOnly (with the redirect hint in the message) when read-only.
   Status RefuseWhenReadOnly();
@@ -258,7 +250,7 @@ class Server {
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> checkpoint_failures_{0};
   std::atomic<uint64_t> deadlines_exceeded_{0};
   std::atomic<uint64_t> sat_interrupt_checks_{0};
   std::atomic<uint64_t> sat_budget_trips_{0};

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/interner.h"
+#include "base/little_endian.h"
 #include "rel/binary_io.h"
 #include "rel/overlay.h"
 #include "store/crc32.h"
@@ -14,30 +15,6 @@ namespace kbt::store {
 namespace {
 
 constexpr size_t kHeaderSize = 7 + 1 + 8 + 4 + 4;
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
 
 /// One relation's tuples as rows of constant names, the shape EncodeTupleDelta
 /// consumes.
@@ -61,7 +38,7 @@ std::vector<std::vector<std::string>> RelationRows(const Relation& rel) {
 void AppendDeltaBlock(std::string& out, std::string_view name,
                       const Relation& rel) {
   std::string block = EncodeTupleDelta(name, rel.arity(), RelationRows(rel));
-  PutU32(out, static_cast<uint32_t>(block.size()));
+  AppendU32(&out, static_cast<uint32_t>(block.size()));
   out += block;
 }
 
@@ -72,7 +49,7 @@ class PayloadReader {
 
   StatusOr<uint32_t> ReadU32(const char* what) {
     if (bytes_.size() - pos_ < 4) return Truncated(what);
-    uint32_t v = GetU32(bytes_.data() + pos_);
+    uint32_t v = LoadU32(bytes_.data() + pos_);
     pos_ += 4;
     return v;
   }
@@ -194,14 +171,14 @@ StatusOr<std::pair<size_t, Relation>> ResolveTupleDelta(const TupleDelta& delta,
 std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn) {
   // The shared base once, each world as its sparse overlay.
   std::string payload;
-  PutU32(payload, static_cast<uint32_t>(kb.size()));
+  AppendU32(&payload, static_cast<uint32_t>(kb.size()));
   const Database empty_base(kb.schema());
   const Database& base = kb.base() != nullptr ? *kb.base() : empty_base;
   std::string base_bytes = SerializeDatabase(base);
-  PutU32(payload, static_cast<uint32_t>(base_bytes.size()));
+  AppendU32(&payload, static_cast<uint32_t>(base_bytes.size()));
   payload += base_bytes;
   for (const WorldOverlay& overlay : kb.overlays()) {
-    PutU32(payload, static_cast<uint32_t>(overlay.deltas().size()));
+    AppendU32(&payload, static_cast<uint32_t>(overlay.deltas().size()));
     for (const RelationDelta& d : overlay.deltas()) {
       const std::string name = NameOf(kb.schema().decl(d.pos).symbol);
       AppendDeltaBlock(payload, name, d.adds);
@@ -210,9 +187,9 @@ std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn) {
   }
   std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
   out.push_back(static_cast<char>(kCheckpointVersion));
-  PutU64(out, lsn);
-  PutU32(out, Crc32c(payload));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
+  AppendU64(&out, lsn);
+  AppendU32(&out, Crc32c(payload));
+  AppendU32(&out, static_cast<uint32_t>(payload.size()));
   out += payload;
   return out;
 }
@@ -230,9 +207,9 @@ StatusOr<CheckpointContents> DecodeCheckpoint(std::string_view bytes) {
     return Status::DataLoss("unsupported checkpoint version " +
                             std::to_string(version));
   }
-  uint64_t lsn = GetU64(bytes.data() + 8);
-  uint32_t crc = GetU32(bytes.data() + 16);
-  uint32_t payload_len = GetU32(bytes.data() + 20);
+  uint64_t lsn = LoadU64(bytes.data() + 8);
+  uint32_t crc = LoadU32(bytes.data() + 16);
+  uint32_t payload_len = LoadU32(bytes.data() + 20);
   std::string_view payload = bytes.substr(kHeaderSize);
   if (payload.size() != payload_len) {
     return Status::DataLoss("checkpoint payload size mismatch");

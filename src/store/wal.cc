@@ -3,45 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
+#include "base/little_endian.h"
 #include "store/crc32.h"
 
 namespace kbt::store {
 
 namespace {
-
-void PutU16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                               (static_cast<uint8_t>(p[1]) << 8));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
-  return v;
-}
 
 bool ValidKind(uint8_t kind) {
   return kind >= static_cast<uint8_t>(WalRecordKind::kTransform) &&
@@ -53,8 +20,8 @@ std::string EncodeRecord(const WalRecord& record) {
   body.push_back(static_cast<char>(record.kind));
   body += record.payload;
   std::string out;
-  PutU32(out, Crc32c(body));
-  PutU32(out, static_cast<uint32_t>(record.payload.size()));
+  AppendU32(&out, Crc32c(body));
+  AppendU32(&out, static_cast<uint32_t>(record.payload.size()));
   out += body;
   return out;
 }
@@ -66,7 +33,7 @@ class DeltaReader {
 
   StatusOr<uint32_t> ReadU32(const char* what) {
     if (bytes_.size() - pos_ < 4) return Truncated(what);
-    uint32_t v = GetU32(bytes_.data() + pos_);
+    uint32_t v = LoadU32(bytes_.data() + pos_);
     pos_ += 4;
     return v;
   }
@@ -96,18 +63,18 @@ std::string EncodeTupleDelta(
     std::string_view relation, size_t arity,
     const std::vector<std::vector<std::string>>& rows) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(relation.size()));
+  AppendU32(&out, static_cast<uint32_t>(relation.size()));
   out += relation;
-  PutU32(out, static_cast<uint32_t>(arity));
+  AppendU32(&out, static_cast<uint32_t>(arity));
   // A zero-ary relation holds at most the empty tuple, so duplicate empty rows
   // carry no information; canonicalize them away so the decoder can enforce
   // the matching rows <= 1 bound (binary_io's ReadRelation rule).
   const size_t row_count =
       arity == 0 ? std::min<size_t>(rows.size(), 1) : rows.size();
-  PutU32(out, static_cast<uint32_t>(row_count));
+  AppendU32(&out, static_cast<uint32_t>(row_count));
   for (const auto& row : rows) {
     for (const auto& value : row) {
-      PutU32(out, static_cast<uint32_t>(value.size()));
+      AppendU32(&out, static_cast<uint32_t>(value.size()));
       out += value;
     }
   }
@@ -163,8 +130,8 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Create(
   auto writer = std::unique_ptr<WalWriter>(new WalWriter(std::move(file)));
   if (file_size == 0) {
     std::string header(kWalMagic, sizeof(kWalMagic));
-    PutU16(header, kWalVersion);
-    PutU64(header, start_lsn);
+    AppendU16(&header, kWalVersion);
+    AppendU64(&header, start_lsn);
     KBT_RETURN_IF_ERROR(writer->file_->Append(header));
   }
   return writer;
@@ -185,21 +152,21 @@ StatusOr<WalContents> ReadWal(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     return Status::DataLoss("wal file has wrong magic");
   }
-  uint16_t version = GetU16(bytes.data() + sizeof(kWalMagic));
+  uint16_t version = LoadU16(bytes.data() + sizeof(kWalMagic));
   if (version != kWalVersion) {
     return Status::DataLoss("unsupported wal version " +
                             std::to_string(version));
   }
   WalContents contents;
-  contents.start_lsn = GetU64(bytes.data() + sizeof(kWalMagic) + 2);
+  contents.start_lsn = LoadU64(bytes.data() + sizeof(kWalMagic) + 2);
 
   size_t pos = kWalHeaderSize;
   while (true) {
     // Anything that fails from here down is a torn or corrupt tail: stop and
     // report the valid prefix rather than erroring out.
     if (bytes.size() - pos < kWalRecordHeadSize) break;
-    uint32_t crc = GetU32(bytes.data() + pos);
-    uint32_t payload_len = GetU32(bytes.data() + pos + 4);
+    uint32_t crc = LoadU32(bytes.data() + pos);
+    uint32_t payload_len = LoadU32(bytes.data() + pos + 4);
     uint8_t kind = static_cast<uint8_t>(bytes[pos + 8]);
     if (payload_len > bytes.size() - pos - kWalRecordHeadSize) break;
     std::string_view body = bytes.substr(pos + 8, 1 + payload_len);

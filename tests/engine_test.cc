@@ -49,13 +49,18 @@ TEST(EngineTest, ParseErrorsPropagate) {
 }
 
 TEST(EngineTest, TraceCollection) {
-  EngineOptions options;
-  options.trace = true;
-  Engine engine(options);
+  // The engine keeps no trace; a caller traces an engine expression by parsing
+  // it and applying the pipeline with PipelineStats. Tracing must not change
+  // the result the engine commits.
+  Engine engine;
   Knowledgebase kb = *MakeSingletonKb({{"R", 1}}, {{"R", {{"a"}}}});
-  ASSERT_TRUE(engine.Apply("tau{ R(b) } >> lub", kb).ok());
-  ASSERT_EQ(engine.last_trace().steps.size(), 2u);
-  EXPECT_EQ(engine.last_trace().steps[0].step, "tau{ R(b) }");
+  const char* expression = "tau{ R(b) } >> lub";
+  Knowledgebase applied = *engine.Apply(expression, kb);
+  PipelineStats stats;
+  Knowledgebase traced = *ParsePipeline(expression)->Apply(kb, MuOptions(), &stats);
+  EXPECT_EQ(traced, applied);
+  ASSERT_EQ(stats.steps.size(), 2u);
+  EXPECT_EQ(stats.steps[0].step, "tau{ R(b) }");
 }
 
 TEST(EngineTest, OptionsControlStrategy) {

@@ -83,6 +83,7 @@ TEST(ExprTest, TraceRecordsSteps) {
   PipelineStats stats;
   ASSERT_TRUE(p.Apply(kb, MuOptions(), &stats).ok());
   ASSERT_EQ(stats.steps.size(), 2u);
+  EXPECT_EQ(stats.steps[0].step, "tau{ R(a) | R(b) }");
   EXPECT_EQ(stats.steps[0].input_databases, 1u);
   EXPECT_EQ(stats.steps[0].output_databases, 2u);
   EXPECT_EQ(stats.steps[1].output_databases, 1u);

@@ -173,15 +173,15 @@ TEST(KnowledgebaseTest, GlbLubOnEmptyAndSingleton) {
   EXPECT_EQ(one.Lub(), one);
 }
 
-TEST(KnowledgebaseTest, UnionWith) {
+TEST(KnowledgebaseTest, UnionAllOfTwo) {
   Knowledgebase kb1 = Knowledgebase::Singleton(Db({{"a", "b"}}));
   Knowledgebase kb2 = *Knowledgebase::FromDatabases({Db({{"a", "b"}}), Db({})});
-  Knowledgebase u = *kb1.UnionWith(kb2);
+  Knowledgebase u = *Knowledgebase::UnionAll({kb1, kb2});
   EXPECT_EQ(u.size(), 2u);
   // Empty operands.
   Knowledgebase none;
-  EXPECT_EQ(*none.UnionWith(kb1), kb1);
-  EXPECT_EQ(*kb1.UnionWith(none), kb1);
+  EXPECT_EQ(*Knowledgebase::UnionAll({none, kb1}), kb1);
+  EXPECT_EQ(*Knowledgebase::UnionAll({kb1, none}), kb1);
 }
 
 TEST(KnowledgebaseTest, ProjectTo) {

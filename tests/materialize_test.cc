@@ -1,13 +1,18 @@
 /// \file
-/// ModelMaterializer vs MaterializeModel: the delta-encoded materializer must
-/// produce, for every assignment of the mentioned atoms, exactly the database
-/// the specification-shaped rebuild produces. Property-tested over random
-/// databases, sentences and assignments (including the all-default and
-/// all-flipped corners and nullary relations).
+/// The materializers μ emits its models through — MaterializeOverlayModel and
+/// ModelMaterializer::MaterializeOverlay — against the specification
+/// MaterializeModel: for every assignment of the mentioned atoms, each must
+/// produce exactly the overlay of MaterializeModel's database against
+/// ctx.extended_base, and applying it must rebuild that database.
+/// Property-tested over random databases, sentences and assignments
+/// (including the all-default and all-flipped corners and nullary relations).
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/mu_internal.h"
 #include "core/universe.h"
@@ -21,7 +26,32 @@ namespace {
 using testutil::RandomDatabase;
 using testutil::RandomSentenceGenerator;
 
-/// Grounds `phi` against `db`'s update context and cross-checks the two
+/// Checks MaterializeOverlayModel and every materializer in `materializers`
+/// against MaterializeModel for one assignment.
+void ExpectOverlaysMatchModel(
+    const UpdateContext& ctx, const Grounding& g,
+    const std::vector<int>& mentioned,
+    const std::vector<const ModelMaterializer*>& materializers,
+    const std::function<bool(int)>& value, const std::string& where) {
+  StatusOr<Database> expected = MaterializeModel(ctx, g.atoms, mentioned, value);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  const WorldOverlay expected_overlay =
+      WorldOverlay::FromDiff(ctx.extended_base, *expected);
+
+  std::vector<StatusOr<WorldOverlay>> got;
+  got.push_back(MaterializeOverlayModel(ctx, g.atoms, mentioned, value));
+  for (const ModelMaterializer* m : materializers) {
+    got.push_back(m->MaterializeOverlay(value));
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].status();
+    EXPECT_EQ(*got[i], expected_overlay) << where << " materializer " << i;
+    EXPECT_EQ(got[i]->ApplyTo(ctx.extended_base), *expected)
+        << where << " materializer " << i;
+  }
+}
+
+/// Grounds `phi` against `db`'s update context and cross-checks the overlay
 /// materializers over `trials` random assignments of the mentioned atoms.
 void CrossCheck(const Formula& phi, const Database& db, std::mt19937_64* rng,
                 int trials) {
@@ -47,12 +77,8 @@ void CrossCheck(const Formula& phi, const Database& db, std::mt19937_64* rng,
       }
     }
     auto value = [&](int id) { return assignment[static_cast<size_t>(id)] != 0; };
-    StatusOr<Database> expected =
-        MaterializeModel(*ctx, g->atoms, mentioned, value);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    StatusOr<Database> got = m->Materialize(value);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*expected, *got) << "trial " << t;
+    ExpectOverlaysMatchModel(*ctx, *g, mentioned, {&*m}, value,
+                             "trial " + std::to_string(t));
   }
 }
 
@@ -114,11 +140,9 @@ TEST(MaterializeTest, RebuildReusesOneMaterializerAcrossWorlds) {
       auto value = [&](int id) {
         return assignment[static_cast<size_t>(id)] != 0;
       };
-      StatusOr<Database> expected = fresh->Materialize(value);
-      ASSERT_TRUE(expected.ok()) << expected.status();
-      StatusOr<Database> got = pooled.Materialize(value);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*expected, *got) << "world " << world << " trial " << t;
+      ExpectOverlaysMatchModel(
+          *ctx, *g, mentioned, {&*fresh, &pooled}, value,
+          "world " + std::to_string(world) + " trial " + std::to_string(t));
     }
   }
 }
@@ -142,9 +166,12 @@ TEST(MaterializeTest, AllDefaultAssignmentIsTheExtendedBase) {
     const Relation* r = ctx->extended_base.FindRelation(atom.relation);
     return r != nullptr && r->Contains(atom.tuple);
   };
-  StatusOr<Database> got = m->Materialize(base_value);
+  ExpectOverlaysMatchModel(*ctx, *g, mentioned, {&*m}, base_value, "default");
+  StatusOr<WorldOverlay> got = m->MaterializeOverlay(base_value);
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(*got, ctx->extended_base);
+  EXPECT_TRUE(got->identity());
+  EXPECT_EQ(*MaterializeModel(*ctx, g->atoms, mentioned, base_value),
+            ctx->extended_base);
 }
 
 }  // namespace

@@ -300,60 +300,6 @@ TEST(ServeServerTest, ByteBudgetEvictsSentenceEntriesUnderDomainChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Batching
-
-TEST(ServeServerTest, BatchedResultsIdenticalToOneAtATime) {
-  std::mt19937_64 rng(4242);
-  testutil::RandomSentenceGenerator gen(&rng);
-
-  for (int round = 0; round < 8; ++round) {
-    Knowledgebase kb = testutil::RandomKnowledgebase(&rng);
-    // The batch deliberately repeats chains so grouping has something to merge.
-    std::vector<ReadRequest> requests;
-    for (int i = 0; i < 3; ++i) {
-      ReadRequest request;
-      request.antecedents = {ToString(gen.Generate(2))};
-      request.consequent = ToString(gen.Generate(2));
-      requests.push_back(request);
-      requests.push_back(request);  // Duplicate: same group.
-      std::swap(requests[requests.size() / 2], requests.back());
-    }
-
-    Server batch_server(kb);
-    std::unique_ptr<Session> batch_session = batch_server.StartSession();
-    auto batched = batch_server.ExecuteBatch(*batch_session, requests);
-    ASSERT_TRUE(batched.ok()) << batched.status().message();
-    ASSERT_EQ(batched->size(), requests.size());
-
-    Server serial_server(kb);
-    std::unique_ptr<Session> serial_session = serial_server.StartSession();
-    for (size_t i = 0; i < requests.size(); ++i) {
-      auto expected = serial_session->Query(requests[i]);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ((*batched)[i].holds, expected->holds) << "request " << i;
-      EXPECT_EQ((*batched)[i].snapshot_version, 0u);
-    }
-    EXPECT_EQ(batch_server.stats().batches, 1u);
-  }
-}
-
-TEST(ServeServerTest, BatchEvaluatesAgainstOneSnapshot) {
-  Server server(SmallKb());
-  std::unique_ptr<Session> session = server.StartSession();
-  ASSERT_TRUE(server.Apply("tau{P(b)}").ok());
-  std::vector<ReadRequest> requests(3);
-  requests[0].consequent = "P(a)";
-  requests[1].consequent = "P(b)";
-  requests[2].consequent = "P(c)";
-  auto results = server.ExecuteBatch(*session, requests);
-  ASSERT_TRUE(results.ok());
-  for (const ReadResult& r : *results) EXPECT_EQ(r.snapshot_version, 1u);
-  EXPECT_TRUE((*results)[0].holds);
-  EXPECT_TRUE((*results)[1].holds);
-  EXPECT_FALSE((*results)[2].holds);
-}
-
-// ---------------------------------------------------------------------------
 // Durable serving
 
 std::string FreshDir(const std::string& name) {
@@ -449,6 +395,70 @@ TEST(ServeServerTest, FailedDurableCommitLeavesSnapshotUnchanged) {
   auto read = session->Holds("P(c)");
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->holds);
+}
+
+TEST(ServeServerTest, FailedAutoCheckpointDoesNotFailItsCommit) {
+  // The automatic checkpoint runs after the commit is fsynced, published and
+  // counted, so its failure must not report the commit as failed: Apply
+  // returns the version and runs the semi-sync waiter, the failure is
+  // counted, and the next commit retries the checkpoint.
+  store::FaultInjectionEnv env;
+  store::StoreOptions store_options;
+  store_options.env = &env;
+  ServerOptions options;
+  options.checkpoint_every = 1;
+  auto server = Server::OpenDurable("db", SmallKb(), store_options, options);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  std::vector<uint64_t> waited;
+  (*server)->SetCommitWaiter([&waited](uint64_t lsn) {
+    waited.push_back(lsn);
+    return Status::OK();
+  });
+
+  // Op 1 is the WAL append, op 2 its fsync, op 3 the checkpoint's tmp-file
+  // open.
+  env.FailAt(3, store::FaultKind::kFail);
+  auto applied = (*server)->Apply("tau{P(b)}");
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied, 1u);
+  EXPECT_EQ(waited, std::vector<uint64_t>{1});
+  EXPECT_EQ((*server)->CurrentSnapshot()->version, 1u);
+  EXPECT_EQ((*server)->store()->lsn(), 1u);
+  EXPECT_EQ((*server)->stats().commits, 1u);
+  EXPECT_EQ((*server)->stats().checkpoint_failures, 1u);
+  EXPECT_FALSE(env.FileExists("db/" + store::CheckpointFileName(1)));
+
+  // Recovery on the same env finds the commit in the WAL.
+  Engine engine;
+  auto recovered = store::RecoverStore(&env, "db", engine);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->lsn, 1u);
+  EXPECT_EQ(recovered->kb, (*server)->CurrentSnapshot()->kb);
+
+  // The next commit succeeds and writes the checkpoint that is still due.
+  auto next = (*server)->Apply("tau{P(c)}");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, 2u);
+  EXPECT_EQ(waited, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ((*server)->stats().checkpoint_failures, 1u);
+  EXPECT_TRUE(env.FileExists("db/" + store::CheckpointFileName(2)));
+  EXPECT_TRUE(env.FileExists("db/" + store::WalFileName(2)));
+
+  // A checkpoint that leaves the store broken (its fresh WAL cannot be
+  // opened) does not fail its own commit either, but the next Apply fails
+  // with the broken-store error and publishes nothing.
+  env.FailAt(8, store::FaultKind::kFail);  // After 2 WAL + 5 checkpoint ops.
+  auto third = (*server)->Apply("tau{P(d)}");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(*third, 3u);
+  EXPECT_EQ((*server)->stats().checkpoint_failures, 2u);
+  ASSERT_TRUE((*server)->store()->broken());
+  auto refused = (*server)->Apply("tau{P(e)}");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
+  EXPECT_NE(refused.status().message().find("broken"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ((*server)->CurrentSnapshot()->version, 3u);
 }
 
 TEST(ServeServerTest, DurablePipelineApplyIsReplayed) {

@@ -187,8 +187,9 @@ TEST_P(KmPostulateTest, PostulateVIII_DistributesOverUnion) {
     Knowledgebase kb1 = RandomKnowledgebase(&rng_);
     Knowledgebase kb2 = RandomKnowledgebase(&rng_);
     Formula phi = gen.Generate(3);
-    Knowledgebase joint = *Tau(phi, *kb1.UnionWith(kb2));
-    Knowledgebase split = *(*Tau(phi, kb1)).UnionWith(*Tau(phi, kb2));
+    Knowledgebase joint = *Tau(phi, *Knowledgebase::UnionAll({kb1, kb2}));
+    Knowledgebase split =
+        *Knowledgebase::UnionAll({*Tau(phi, kb1), *Tau(phi, kb2)});
     EXPECT_EQ(KbAsStrings(joint), KbAsStrings(split)) << ToString(phi);
   }
 }

@@ -195,7 +195,8 @@ struct Shell {
     KBT_RETURN_IF_ERROR(RequireServer());
     kbt::serve::Server::ServerStats s = srv()->stats();
     std::cout << "version=" << s.snapshot_version << " commits=" << s.commits
-              << " reads=" << s.reads << " batches=" << s.batches
+              << " reads=" << s.reads
+              << " checkpoint_failures=" << s.checkpoint_failures
               << " bank_hits=" << s.bank_hits
               << " bank_misses=" << s.bank_misses
               << " bank_budget_evictions=" << s.bank_budget_evictions
