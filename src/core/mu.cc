@@ -52,54 +52,72 @@ namespace internal {
 
 namespace {
 
-/// The grounding step of the SAT (`sat_route`) or reference strategy: one
-/// cache lookup (the CnfCache on the SAT route when the executor has one,
-/// else the GroundingCache, else an uncached grounding) plus the world's bits
-/// over ctx.extended_base.
+/// The grounding step of the SAT (`sat_route`) or reference strategy: the
+/// one cache lookup plus the world's bits over ctx.extended_base.
 StatusOr<MuGrounding> GroundForMu(const Formula& sentence,
                                   const UpdateContext& ctx,
                                   const MuOptions& options,
                                   const MuExecContext& exec, bool sat_route) {
+  MuGrounding out;
+  KBT_RETURN_IF_ERROR(
+      LookUpGrounding(sentence, ctx.domain, options, exec, sat_route, &out));
+  out.root = out.grounding->grounding.root;
+  out.atoms = &out.grounding->mentioned;
+  KBT_ASSIGN_OR_RETURN(out.bits, AtomBits(*out.grounding, ctx.extended_base,
+                                          /*key_layout=*/false));
+  return out;
+}
+
+}  // namespace
+
+Status LookUpGrounding(const Formula& sentence,
+                       const std::vector<Value>& domain,
+                       const MuOptions& options, const MuExecContext& exec,
+                       bool sat_route, MuGrounding* out) {
   GrounderOptions gopts;
   gopts.max_nodes = options.max_ground_nodes;
   // The grounding — and, with a CnfCache, the whole Tseitin encoding — is a
   // pure function of (φ, domain): worlds sharing an active domain reuse one
   // immutable circuit plus one frozen encoded prefix.
-  MuGrounding out;
   if (sat_route && exec.cnf_cache != nullptr) {
-    KBT_ASSIGN_OR_RETURN(out.frozen,
-                         exec.cnf_cache->GetOrBuild(sentence, ctx.domain, gopts,
+    KBT_ASSIGN_OR_RETURN(out->frozen,
+                         exec.cnf_cache->GetOrBuild(sentence, domain, gopts,
                                                     exec.ground_cache));
-    out.grounding = out.frozen->grounding;
+    out->grounding = out->frozen->grounding;
   } else if (exec.ground_cache != nullptr) {
-    KBT_ASSIGN_OR_RETURN(out.grounding, exec.ground_cache->GetOrGround(
-                                            sentence, ctx.domain, gopts));
+    KBT_ASSIGN_OR_RETURN(out->grounding, exec.ground_cache->GetOrGround(
+                                             sentence, domain, gopts));
   } else {
     // Uncached, but wrapped in the same immutable CachedGrounding shape, so
     // the strategies always borrow the precomputed mentioned-atom set.
-    KBT_ASSIGN_OR_RETURN(out.grounding,
-                         exec::MakeCachedGrounding(sentence, ctx.domain, gopts));
+    KBT_ASSIGN_OR_RETURN(out->grounding,
+                         exec::MakeCachedGrounding(sentence, domain, gopts));
   }
   // A split grounding has no prefix (exec/cnf_cache.h); a whole-root run on
   // it encodes from scratch.
-  if (!out.grounding->components.empty()) out.frozen.reset();
-  const Grounding& g = out.grounding->grounding;
-  const std::vector<int>& mentioned = out.grounding->mentioned;
-  out.root = g.root;
-  out.atoms = &mentioned;
-  out.bits.assign((mentioned.size() + 63) / 64, 0);
+  if (!out->grounding->components.empty()) out->frozen.reset();
+  return Status::OK();
+}
+
+StatusOr<std::vector<uint64_t>> AtomBits(const exec::CachedGrounding& g,
+                                         const Database& extended_base,
+                                         bool key_layout) {
+  const std::vector<int>& mentioned = g.mentioned;
+  std::vector<uint64_t> bits(
+      key_layout ? g.key_words : (mentioned.size() + 63) / 64, 0);
   for (size_t k = 0; k < mentioned.size(); ++k) {
-    const GroundAtom& atom = g.atoms.AtomOf(mentioned[k]);
-    const Relation* r = ctx.extended_base.FindRelation(atom.relation);
+    const GroundAtom& atom = g.grounding.atoms.AtomOf(mentioned[k]);
+    const Relation* r = extended_base.FindRelation(atom.relation);
     if (r == nullptr) {
       return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
     }
-    if (r->Contains(atom.tuple)) out.bits[k / 64] |= uint64_t{1} << (k % 64);
+    if (!r->Contains(atom.tuple)) continue;
+    const size_t bit =
+        key_layout ? g.key_bit[static_cast<size_t>(mentioned[k])] : k;
+    bits[bit / 64] |= uint64_t{1} << (bit % 64);
   }
-  return out;
+  return bits;
 }
-
-}  // namespace
 
 bool MuGrounding::whole() const { return atoms == &grounding->mentioned; }
 
@@ -120,6 +138,16 @@ StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
   return plan;
 }
 
+MuStrategy ResolveAuto(const TauStrategyPlan& plan) {
+  // Theorem 4.7: ground updates touch at most |φ| atoms — reference
+  // enumeration is polynomial in the database. Very wide ground sentences
+  // fall through to the rest of the plan (PreparedMu::auto_fallback).
+  if (plan.sentence_is_ground) return MuStrategy::kReference;
+  if (plan.datalog != nullptr) return MuStrategy::kDatalog;
+  if (plan.definitional != nullptr) return MuStrategy::kDefinitional;
+  return MuStrategy::kSat;
+}
+
 StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
                                const MuOptions& options,
                                const MuExecContext& exec,
@@ -134,11 +162,6 @@ StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
     prep.ctx.schema = *exec.extended_schema;
     prep.ctx.domain = *known->domain;
     KBT_ASSIGN_OR_RETURN(prep.ctx.extended_base, db.ExtendTo(prep.ctx.schema));
-  } else if (exec.extended_schema != nullptr &&
-             exec.formula_constants != nullptr) {
-    KBT_ASSIGN_OR_RETURN(
-        prep.ctx, MakeUpdateContextOnSchema(*exec.extended_schema,
-                                            *exec.formula_constants, db));
   } else {
     KBT_ASSIGN_OR_RETURN(prep.ctx, MakeUpdateContext(sentence, db));
   }
@@ -153,19 +176,14 @@ StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
       return prep;
     }
     case MuStrategy::kDefinitional: {
-      KBT_ASSIGN_OR_RETURN(auto plan, PlanDefinitional(sentence, db));
-      if (!plan) {
-        return Status::Unsupported("sentence is not definitional over σ(db)");
-      }
-      prep.definitional =
-          std::make_shared<const DefinitionalPlan>(std::move(*plan));
+      KBT_ASSIGN_OR_RETURN(prep.definitional,
+                           RequireDefinitionalPlan(sentence, db));
       return prep;
     }
     case MuStrategy::kAuto: {
       // Automatic dispatch, cheapest applicable first. τ resolves the plan
       // once per call — it depends only on (φ, schema), and all worlds share
-      // a schema — so each world goes straight to its strategy; a plain Mu()
-      // call plans for itself.
+      // a schema; a plain Mu() call plans for itself.
       TauStrategyPlan own_plan;
       const TauStrategyPlan* plan = exec.plan;
       if (plan == nullptr) {
@@ -174,20 +192,11 @@ StatusOr<PreparedMu> PrepareMu(const Formula& sentence, const Database& db,
       }
       prep.datalog = plan->datalog;
       prep.definitional = plan->definitional;
-      if (plan->sentence_is_ground) {
-        // Theorem 4.7: ground updates touch at most |φ| atoms — reference
-        // enumeration is polynomial in the database. Very wide ground
-        // sentences fall through to the rest of the plan.
-        prep.strategy = MuStrategy::kReference;
-        prep.auto_fallback = true;
-      } else if (prep.datalog != nullptr) {
-        prep.strategy = MuStrategy::kDatalog;
+      prep.strategy = ResolveAuto(*plan);
+      prep.auto_fallback = prep.strategy == MuStrategy::kReference;
+      if (prep.strategy == MuStrategy::kDatalog ||
+          prep.strategy == MuStrategy::kDefinitional) {
         return prep;
-      } else if (prep.definitional != nullptr) {
-        prep.strategy = MuStrategy::kDefinitional;
-        return prep;
-      } else {
-        prep.strategy = MuStrategy::kSat;
       }
       break;
     }

@@ -76,7 +76,11 @@ struct MuStats {
   MuStrategy used = MuStrategy::kAuto;
   /// Number of minimal models returned.
   size_t minimal_models = 0;
-  /// Candidate models examined (reference: assignments; sat: models found).
+  /// Candidate models examined (reference: assignments; sat: models found;
+  /// definitional: one per definition). τ evaluates definitional μ once per
+  /// block of 64 worlds (docs/exec.md) but counts per world, as plain μ
+  /// does: one minimal model per world and one candidate per world and
+  /// definition.
   size_t candidates_examined = 0;
   /// Circuit nodes in the grounding (reference and sat strategies).
   size_t ground_nodes = 0;

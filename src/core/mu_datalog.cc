@@ -67,6 +67,48 @@ StatusOr<Knowledgebase> MuDatalog(const DatalogPlan& plan, const Database& db,
       std::make_shared<const Database>(ctx.extended_base), std::move(overlays));
 }
 
+Status EmitBlock(const Knowledgebase& kb, size_t begin,
+                 const Schema& extended_schema,
+                 const std::vector<datalog::MaskedHead>& heads,
+                 std::span<WorldOverlay> out) {
+  const size_t n = out.size();
+  // Heads are new to σ(kb), so the extended schema appends them after every
+  // σ(kb) position: in position order, their deltas follow the input
+  // overlay's.
+  std::vector<std::pair<uint32_t, const datalog::MaskedHead*>> at;
+  for (const datalog::MaskedHead& head : heads) {
+    std::optional<size_t> pos = extended_schema.PositionOf(head.predicate);
+    if (!pos) {
+      return Status::NotFound("relation not in schema: " +
+                              NameOf(head.predicate));
+    }
+    at.emplace_back(static_cast<uint32_t>(*pos), &head);
+  }
+  std::sort(at.begin(), at.end());
+  for (size_t w = 0; w < n; ++w) {
+    std::vector<RelationDelta> deltas = kb.overlays()[begin + w].deltas();
+    for (const auto& [pos, head] : at) {
+      const size_t arity = head->tuples.arity();
+      size_t holds = 0;
+      for (uint64_t m : head->masks) holds += (m >> w) & 1;
+      if (holds == 0) continue;
+      RelationDelta d{pos, head->tuples, Relation(arity)};
+      if (holds < head->masks.size()) {
+        // A world holding every head fact shares the block's tuple buffer.
+        Relation::Builder adds(arity);
+        adds.Reserve(holds);
+        for (size_t k = 0; k < head->masks.size(); ++k) {
+          if (((head->masks[k] >> w) & 1) != 0) adds.Append(head->tuples[k]);
+        }
+        d.adds = adds.Build();
+      }
+      deltas.push_back(std::move(d));
+    }
+    out[w] = WorldOverlay::FromDeltas(std::move(deltas));
+  }
+  return Status::OK();
+}
+
 Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
                       size_t begin, const Schema& extended_schema,
                       const MuOptions& options, MuStats* stats,
@@ -111,37 +153,7 @@ Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
   KBT_ASSIGN_OR_RETURN(
       std::vector<datalog::MaskedHead> heads,
       datalog::EvaluateMasked(plan.program, edb, all, options.cancel, &estats));
-  // Heads are new to σ(kb), so the extended schema appends them after every
-  // σ(kb) position: in position order, their deltas follow the input
-  // overlay's.
-  std::vector<std::pair<uint32_t, const datalog::MaskedHead*>> at;
-  for (const datalog::MaskedHead& head : heads) {
-    at.emplace_back(
-        static_cast<uint32_t>(*extended_schema.PositionOf(head.predicate)),
-        &head);
-  }
-  std::sort(at.begin(), at.end());
-  for (size_t w = 0; w < n; ++w) {
-    std::vector<RelationDelta> deltas = kb.overlays()[begin + w].deltas();
-    for (const auto& [pos, head] : at) {
-      const size_t arity = head->tuples.arity();
-      size_t holds = 0;
-      for (uint64_t m : head->masks) holds += (m >> w) & 1;
-      if (holds == 0) continue;
-      RelationDelta d{pos, head->tuples, Relation(arity)};
-      if (holds < head->masks.size()) {
-        // A world holding every head fact shares the block's tuple buffer.
-        Relation::Builder adds(arity);
-        adds.Reserve(holds);
-        for (size_t k = 0; k < head->masks.size(); ++k) {
-          if (((head->masks[k] >> w) & 1) != 0) adds.Append(head->tuples[k]);
-        }
-        d.adds = adds.Build();
-      }
-      deltas.push_back(std::move(d));
-    }
-    out[w] = WorldOverlay::FromDeltas(std::move(deltas));
-  }
+  KBT_RETURN_IF_ERROR(EmitBlock(kb, begin, extended_schema, heads, out));
   stats->used = MuStrategy::kDatalog;
   stats->minimal_models += n;
   stats->datalog_rounds += estats.rounds;

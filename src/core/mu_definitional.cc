@@ -1,8 +1,11 @@
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
+#include "base/cancel.h"
 #include "core/mu_internal.h"
+#include "datalog/eval.h"
 #include "eval/model_check.h"
 #include "logic/analysis.h"
 
@@ -96,6 +99,16 @@ StatusOr<std::optional<DefinitionalPlan>> PlanDefinitional(const Formula& senten
   return std::optional<DefinitionalPlan>{std::move(plan)};
 }
 
+StatusOr<std::shared_ptr<const DefinitionalPlan>> RequireDefinitionalPlan(
+    const Formula& sentence, const Database& db) {
+  KBT_ASSIGN_OR_RETURN(std::optional<DefinitionalPlan> plan,
+                       PlanDefinitional(sentence, db));
+  if (!plan) {
+    return Status::Unsupported("sentence is not definitional over σ(db)");
+  }
+  return std::make_shared<const DefinitionalPlan>(std::move(*plan));
+}
+
 StatusOr<Knowledgebase> MuDefinitional(const DefinitionalPlan& plan,
                                        const Database& db, const UpdateContext& ctx,
                                        const MuOptions& options, MuStats* stats) {
@@ -150,6 +163,96 @@ StatusOr<Knowledgebase> MuDefinitional(const DefinitionalPlan& plan,
   overlays.push_back(WorldOverlay::FromDeltas(std::move(deltas)));
   return Knowledgebase::FromBaseAndOverlays(
       std::make_shared<const Database>(ctx.extended_base), std::move(overlays));
+}
+
+namespace {
+
+/// One head's answers over a block as they are collected: projected rows,
+/// each with the worlds holding it, possibly repeated.
+struct HeadRows {
+  Symbol head;
+  size_t arity = 0;
+  std::vector<Value> values;
+  std::vector<uint64_t> masks;
+
+  const Value* row(size_t k) const { return values.data() + k * arity; }
+
+  /// The distinct rows in tuple order, each with the OR of its masks.
+  datalog::MaskedHead Merge() const {
+    std::vector<uint32_t> order(masks.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return CompareValues(row(a), row(b), arity) < 0;
+    });
+    datalog::MaskedHead out{head, Relation(arity), {}};
+    Relation::Builder tuples(arity);
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (i > 0 &&
+          CompareValues(row(order[i - 1]), row(order[i]), arity) == 0) {
+        out.masks.back() |= masks[order[i]];
+        continue;
+      }
+      tuples.Append(TupleView(row(order[i]), arity));
+      out.masks.push_back(masks[order[i]]);
+    }
+    out.tuples = tuples.Build();  // Already sorted and distinct.
+    return out;
+  }
+};
+
+}  // namespace
+
+Status MuDefinitionalBlock(const DefinitionalPlan& plan,
+                           const Knowledgebase& kb,
+                           const WorldDomains& domains, size_t begin,
+                           const Schema& extended_schema,
+                           const MuOptions& options, MuStats* stats,
+                           std::span<WorldOverlay> out) {
+  if (options.cancel != nullptr && options.cancel->Expired()) {
+    return Status::DeadlineExceeded("μ cancelled before evaluation");
+  }
+  const size_t n = out.size();
+  const std::span<const WorldOverlay> overlays(kb.overlays().data() + begin, n);
+  std::vector<Symbol> read;
+  for (const auto& def : plan.definitions) {
+    KBT_ASSIGN_OR_RETURN(Schema body, SchemaOf(def.body));
+    for (const RelationDecl& d : body.decls()) read.push_back(d.symbol);
+  }
+  const WorldBlock block(*kb.base(), overlays, domains, read);
+
+  // Each head's content is the union over its definitions of the body's
+  // answers projected onto the head variables, as in MuDefinitional.
+  std::vector<HeadRows> rows;
+  for (const auto& def : plan.definitions) {
+    KBT_ASSIGN_OR_RETURN(MaskedAnswers answers,
+                         EvaluateQueryMasked(block, def.body, def.all_vars));
+    auto head = std::find_if(rows.begin(), rows.end(), [&](const HeadRows& h) {
+      return h.head == def.head;
+    });
+    if (head == rows.end()) {
+      rows.push_back(HeadRows{def.head, def.head_vars.size(), {}, {}});
+      head = rows.end() - 1;
+    }
+    std::vector<size_t> projection;
+    for (Symbol hv : def.head_vars) {
+      projection.push_back(static_cast<size_t>(
+          std::find(def.all_vars.begin(), def.all_vars.end(), hv) -
+          def.all_vars.begin()));
+    }
+    for (size_t r = 0; r < answers.masks.size(); ++r) {
+      for (size_t i : projection) {
+        head->values.push_back(answers.values[r * answers.arity + i]);
+      }
+      head->masks.push_back(answers.masks[r]);
+    }
+  }
+  std::vector<datalog::MaskedHead> heads;
+  for (const HeadRows& h : rows) heads.push_back(h.Merge());
+  KBT_RETURN_IF_ERROR(EmitBlock(kb, begin, extended_schema, heads, out));
+  stats->used = MuStrategy::kDefinitional;
+  stats->minimal_models += n;
+  stats->candidates_examined += n * plan.definitions.size();
+  return Status::OK();
 }
 
 }  // namespace kbt::internal

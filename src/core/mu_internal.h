@@ -19,6 +19,7 @@
 #include "logic/ground_atom.h"
 #include "logic/grounder.h"
 #include "rel/overlay.h"
+#include "rel/world_domains.h"
 
 namespace kbt::exec {
 struct CachedGrounding;
@@ -32,6 +33,10 @@ namespace kbt::sat {
 class Solver;
 }  // namespace kbt::sat
 
+namespace kbt::datalog {
+struct MaskedHead;
+}  // namespace kbt::datalog
+
 namespace kbt::internal {
 
 struct DatalogPlan;
@@ -39,13 +44,13 @@ struct DefinitionalPlan;
 
 /// kAuto strategy dispatch, resolved once per τ call. PlanDatalog and
 /// PlanDefinitional read the database only through its schema, and all members
-/// of a knowledgebase share one schema — so τ plans against any one world and
-/// every other world reuses the result instead of re-deriving it (the per-world
-/// re-planning PR 3 left behind). Built by PlanTauStrategies; only consulted
-/// when MuOptions::strategy == kAuto.
+/// of a knowledgebase share one schema — so τ plans against an empty database
+/// over that schema, and every world reuses the result instead of re-deriving
+/// it. Built by PlanTauStrategies; only consulted when MuOptions::strategy ==
+/// kAuto.
 struct TauStrategyPlan {
   /// IsGround(φ): try the Theorem 4.7 reference path first (its
-  /// kResourceExhausted fallback to SAT stays per-world — it depends on the
+  /// kResourceExhausted fallback to SAT stays per class — it depends on the
   /// grounding size, not on the plan).
   bool sentence_is_ground = false;
   /// Engaged when the Datalog fast path applies to (φ, schema).
@@ -56,30 +61,35 @@ struct TauStrategyPlan {
 
 /// Resources the τ executor threads through μ: caches shared by all worlds of
 /// one τ call (grounding and frozen-CNF-prefix, both keyed by active domain),
-/// a per-worker solver that is Reset/forked and reused across worlds instead
-/// of constructed per call, a per-worker WorldScratch holding the enumerator's
-/// buffers, and the once-per-call strategy plan. All are optional; plain Mu()
-/// passes none. The struct is copied freely — it only borrows.
+/// a per-worker solver that is Reset/forked and reused across class leaders
+/// instead of constructed per call, a per-worker WorldScratch holding the
+/// enumerator's buffers, and the once-per-call strategy plan. All are
+/// optional; plain Mu() passes none. The struct is copied freely — it only
+/// borrows.
 struct MuExecContext {
   exec::GroundingCache* ground_cache = nullptr;
   exec::CnfCache* cnf_cache = nullptr;
   sat::Solver* solver = nullptr;
   exec::WorldScratch* scratch = nullptr;
   const TauStrategyPlan* plan = nullptr;
-  /// Sentence-derived UpdateContext pieces hoisted out of the per-world loop:
-  /// σ(kb) ∪ σ(φ) and the constants of φ are fixed across a τ call (one shared
-  /// input schema), so each world's MakeUpdateContext reduces to its
-  /// db-dependent parts. Both set, or both null. The τ executor's probe
-  /// context performs the validation these skip.
+  /// σ(kb) ∪ σ(φ), fixed across a τ call (one shared input schema) and
+  /// validated once by τ's probe context. With a PreparedPart, PrepareMu
+  /// builds the leader's context on it instead of re-deriving it.
   const Schema* extended_schema = nullptr;
-  const std::vector<Value>* formula_constants = nullptr;
 };
 
 /// Resolves the kAuto dispatch of `sentence` against the schema of `probe`
-/// (any member of the τ call's knowledgebase — the planners only read the
-/// schema).
+/// (the planners only read the schema, so τ passes an empty database over
+/// the kb's).
 StatusOr<TauStrategyPlan> PlanTauStrategies(const Formula& sentence,
                                             const Database& probe);
+
+/// kAuto's strategy under `plan`, cheapest applicable first: kReference on a
+/// ground sentence (Theorem 4.7; PreparedMu::auto_fallback takes an
+/// over-budget run on through the rest of the plan), else kDatalog,
+/// kDefinitional or kSat. PrepareMu resolves each plain μ call with it, and τ
+/// its whole call's route.
+MuStrategy ResolveAuto(const TauStrategyPlan& plan);
 
 /// What a grounded strategy (SAT or reference) reads of its grounding step:
 /// the grounding — through the CnfCache's frozen prefix on the SAT route when
@@ -104,14 +114,33 @@ struct MuGrounding {
   bool whole() const;
 };
 
+/// The grounding lookup of the SAT (`sat_route`) or reference strategy over
+/// `domain`: the CnfCache on the SAT route when the executor has one, else
+/// the GroundingCache, else an uncached grounding. Sets out->grounding, and
+/// out->frozen when the lookup went through the CnfCache and the grounding
+/// is one part. Plain μ makes this lookup once, τ once per grounded world.
+Status LookUpGrounding(const Formula& sentence,
+                       const std::vector<Value>& domain,
+                       const MuOptions& options, const MuExecContext& exec,
+                       bool sat_route, MuGrounding* out);
+
+/// The values of `extended_base` (a database over σ(kb) ∪ σ(φ)) on g's
+/// mentioned atoms, one bit each: bit k for the k-th atom of g.mentioned
+/// (MuGrounding::bits), or with `key_layout` bit g.key_bit[atom], the layout
+/// τ keys worlds in. Atoms of relations new to σ(kb) are never set.
+StatusOr<std::vector<uint64_t>> AtomBits(const exec::CachedGrounding& g,
+                                         const Database& extended_base,
+                                         bool key_layout);
+
 /// A μ call split where its strategy starts. PrepareMu honors an expired
 /// token, builds the update context, resolves the strategy (kAuto through the
 /// executor's plan, or one made for this call) and, on the grounded routes —
 /// SAT, reference and kAuto's resolution to them — makes the world's one
 /// cache lookup for the grounding and reads the world's bits over its whole
-/// root. RunPreparedMu then runs the strategy on exactly these pieces. In
-/// between, τ keys its world classes on (ctx.domain, component, the bits on
-/// that component): on a grounded route each component's minimal models
+/// root. RunPreparedMu then runs the strategy on exactly these pieces. τ
+/// prepares only its class leaders, in pass C, from a PreparedPart: it keys
+/// its worlds without preparing them, on (B, component, the bits on that
+/// component), since on a grounded route each component's minimal models
 /// depend on W through nothing else (docs/exec.md, "World classes").
 struct PreparedMu {
   UpdateContext ctx;
@@ -125,14 +154,12 @@ struct PreparedMu {
   std::shared_ptr<const DefinitionalPlan> definitional;
   /// Engaged (grounding non-null) iff `strategy` is kSat or kReference.
   MuGrounding ground;
-
-  bool grounded() const { return ground.grounding != nullptr; }
 };
 
-/// A world τ has prepared once already, when its pass C prepares it again
-/// as a class leader: its active domain B and the part of its grounding the
-/// class covers. PrepareMu then neither rescans the world for B nor repeats
-/// the grounding lookup.
+/// What τ's pass A derived for a class leader from its overlay, when pass C
+/// prepares the leader's world: its active domain B and the part of its
+/// grounding the class covers, with the leader's bits on that part. PrepareMu
+/// then neither rescans the world for B nor repeats the grounding lookup.
 struct PreparedPart {
   const std::vector<Value>* domain = nullptr;
   const MuGrounding* ground = nullptr;
@@ -195,6 +222,19 @@ Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
                       const MuOptions& options, MuStats* stats,
                       std::span<WorldOverlay> out);
 
+/// The output of both block routes (Datalog and definitional): out[w]
+/// becomes world begin + w of `kb` as an overlay of kb's base extended to
+/// `extended_schema`, its input overlay followed by one pure-add delta per
+/// head of `heads` holding the head's tuples whose mask has bit w. Heads are
+/// new to σ(kb), so their positions follow every σ(kb) position and each
+/// overlay is canonical against the extended base by construction. A world
+/// holding every tuple of a head shares one tuple buffer with the other such
+/// worlds.
+Status EmitBlock(const Knowledgebase& kb, size_t begin,
+                 const Schema& extended_schema,
+                 const std::vector<datalog::MaskedHead>& heads,
+                 std::span<WorldOverlay> out);
+
 /// Definitional fast path plan: conjuncts ∀x̄ (ψ → H(x̄')) / ∀x̄ (ψ ↔ H(x̄)), H new,
 /// bodies over σ(db). nullopt when φ is not of this shape.
 struct DefinitionalPlan {
@@ -209,9 +249,35 @@ struct DefinitionalPlan {
 };
 StatusOr<std::optional<DefinitionalPlan>> PlanDefinitional(const Formula& sentence,
                                                            const Database& db);
+/// MuStrategy::kDefinitional's plan: PlanDefinitional's, or kUnsupported when
+/// φ is not of its shape. Reads only db's schema.
+StatusOr<std::shared_ptr<const DefinitionalPlan>> RequireDefinitionalPlan(
+    const Formula& sentence, const Database& db);
+/// One world's μ: each head's content is the union over its definitions of
+/// the body's answers over db, by EvaluateQuery. Plain Mu() runs it, and so
+/// does testutil::OracleTau, world by world.
 StatusOr<Knowledgebase> MuDefinitional(const DefinitionalPlan& plan,
                                        const Database& db, const UpdateContext& ctx,
                                        const MuOptions& options, MuStats* stats);
+
+/// τ's definitional route (docs/exec.md, "Definitional over 64-world
+/// blocks"): the minimal models of the worlds [begin, begin + out.size()) of
+/// `kb`, at most 64, from one masked evaluation of each body
+/// (EvaluateQueryMasked) over the block. Quantifiers range over each world's
+/// own domain, taken from `domains` (built from kb's base and φ's
+/// constants). out[w] becomes world begin + w's one minimal model as an
+/// overlay of kb's base extended to `extended_schema` (σ(kb) ∪ σ(φ)): the
+/// world's input overlay followed by one pure-add delta per head. No world
+/// is materialized. Fails with kDeadlineExceeded when options.cancel has
+/// expired before the block. Adds the block's counters to `stats`: per
+/// world one minimal model and one candidate per definition, as plain μ
+/// counts them.
+Status MuDefinitionalBlock(const DefinitionalPlan& plan,
+                           const Knowledgebase& kb,
+                           const WorldDomains& domains, size_t begin,
+                           const Schema& extended_schema,
+                           const MuOptions& options, MuStats* stats,
+                           std::span<WorldOverlay> out);
 
 /// Shared helper: true when the ground atom's relation belongs to σ(db) ("old").
 inline bool IsOldAtom(const GroundAtom& atom, const Database& db) {

@@ -18,6 +18,7 @@
 #include "exec/scratch.h"
 #include "logic/analysis.h"
 #include "rel/overlay.h"
+#include "rel/world_domains.h"
 #include "sat/solver.h"
 
 namespace kbt {
@@ -38,49 +39,40 @@ const std::vector<int>& PartAtoms(const exec::CachedGrounding& g, size_t c) {
 }
 size_t Words(size_t bits) { return (bits + 63) / 64; }
 
-/// What pass A keeps of one world. On the grounded routes: its grounding and
-/// frozen prefix, B, and `key`, its bits on each part in turn, each part's
-/// starting on a word boundary (for a one-part grounding, just its bits);
-/// the world's Database and UpdateContext are dropped. On the definitional
-/// route: the counters of the world's own μ.
+/// What pass A keeps of one world: its grounding and frozen prefix, its
+/// domain B, and `key`, its bits on each part in turn, each part's starting
+/// on a word boundary (CachedGrounding::key_bit). Pass A writes only the
+/// bits of the world's delta atoms into `key`; pass B XORs in the base's.
+/// Pass D fills `out`, the world's output worlds as overlays of the extended
+/// input base.
 struct WorldSlot {
   std::shared_ptr<const exec::CachedGrounding> grounding;
   std::shared_ptr<const exec::FrozenCnf> frozen;
-  std::vector<Value> domain;
+  /// B: the call's shared domain0, or `own_domain` when the world's differs
+  /// (slots never move once pass A has filled them).
+  const std::vector<Value>* domain = nullptr;
+  std::vector<Value> own_domain;
   std::vector<uint64_t> key;
-  std::unique_ptr<MuStats> own_stats;
-  /// The world's output worlds as overlays of the extended input base: from
-  /// pass D on the grounded routes, from pass A otherwise.
   std::vector<WorldOverlay> out;
-
-  bool grounded() const { return grounding != nullptr; }
 };
 
-/// Pass A's keying of a world on a grounded route. The bits of a split
-/// grounding are regrouped part by part, so pass B reads each part's key as
-/// one run of words and the per-key work runs in parallel here.
-void KeyWorld(internal::MuGrounding ground, std::vector<Value> domain,
-              WorldSlot* slot) {
-  slot->grounding = std::move(ground.grounding);
-  slot->frozen = std::move(ground.frozen);
-  slot->domain = std::move(domain);
-  const std::vector<exec::GroundingComponent>& components =
-      slot->grounding->components;
-  if (components.empty()) {
-    slot->key = std::move(ground.bits);
-    return;
-  }
-  size_t words = 0;
-  for (const exec::GroundingComponent& c : components) {
-    words += Words(c.atoms.size());
-  }
-  slot->key.assign(words, 0);
-  uint64_t* at = slot->key.data();
-  for (const exec::GroundingComponent& c : components) {
-    for (size_t k = 0; k < c.positions.size(); ++k) {
-      at[k / 64] |= uint64_t{ground.Bit(c.positions[k])} << (k % 64);
+/// Marks a world's delta atoms in `key`, zeroed in the key layout: the
+/// world's key is its grounding's base key XOR `key`. This is exact because
+/// overlays are canonical (adds are not in the base, dels are), so each delta
+/// tuple that is a mentioned atom flips exactly that atom's bit; atoms of
+/// relations new to σ(kb) are never set, and no overlay touches them.
+void MarkDeltaAtoms(const exec::CachedGrounding& g, const Schema& schema,
+                    const WorldOverlay& overlay, std::vector<uint64_t>* key) {
+  for (const RelationDelta& d : overlay.deltas()) {
+    const Symbol relation = schema.decl(d.pos).symbol;
+    for (const Relation* rows : {&d.adds, &d.dels}) {
+      for (TupleView t : *rows) {
+        const int id = g.grounding.atoms.Find(relation, t);
+        if (id < 0) continue;
+        const uint32_t b = g.key_bit[static_cast<size_t>(id)];
+        if (b != exec::kNoKeyBit) (*key)[b / 64] ^= uint64_t{1} << (b % 64);
+      }
     }
-    at += Words(c.atoms.size());
   }
 }
 
@@ -99,26 +91,31 @@ struct ClassTable {
   std::vector<WorldClass> classes;
   std::vector<uint32_t> of;
   std::vector<size_t> begin;
-  uint64_t grounded_worlds = 0;
-  uint64_t leaders = 0;  ///< Grounded worlds that lead at least one class.
+  uint64_t worlds = 0;
+  uint64_t leaders = 0;  ///< Worlds that lead at least one class.
 };
 
-/// Pass B: numbers the (B, part, bits on the part) classes in world order, so
-/// the lowest-indexed member leads each class and class ids do not depend on
+/// Pass B: completes each world's key with its grounding's base key, then
+/// numbers the (B, part, bits on the part) classes in world order, so the
+/// lowest-indexed member leads each class and class ids do not depend on
 /// scheduling. One thread and flat tables: a lock per key costs more than the
 /// μ work the classes save (docs/exec.md, "World classes").
-ClassTable AssignClasses(std::vector<WorldSlot>* slots) {
+StatusOr<ClassTable> AssignClasses(const Database& ext_base,
+                                   std::vector<WorldSlot>* slots) {
   constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
   ClassTable t;
+  t.worlds = slots->size();
   t.begin.reserve(slots->size() + 1);
   t.begin.push_back(0);
-  if (!slots->empty() && (*slots)[0].grounded()) {
+  if (!slots->empty()) {
     t.of.reserve(slots->size() * PartCount(*(*slots)[0].grounding));
   }
   // Worlds with equal B have equal groundings, part for part; a cached
   // grounding is B's alone, so a repeat of the previous world's grounding
-  // skips hashing B.
+  // skips hashing B. Each group's base key (the extended base's bits on its
+  // grounding, in the key layout) is computed when the group is first met.
   std::unordered_map<std::vector<Value>, uint32_t, exec::DomainHash> groups;
+  std::vector<std::vector<uint64_t>> base_keys;
   const exec::CachedGrounding* last_grounding = nullptr;
   uint32_t group = 0;
   // Class k's key is (group, part, its leader's key words); `table` is
@@ -128,57 +125,61 @@ ClassTable AssignClasses(std::vector<WorldSlot>* slots) {
   std::vector<uint32_t> table(64, kNone);
   for (size_t i = 0; i < slots->size(); ++i) {
     WorldSlot& slot = (*slots)[i];
-    if (slot.grounded()) {
-      ++t.grounded_worlds;
-      if (slot.grounding.get() != last_grounding) {
-        last_grounding = slot.grounding.get();
-        group = groups
-                    .try_emplace(slot.domain,
-                                 static_cast<uint32_t>(groups.size()))
-                    .first->second;
+    if (slot.grounding.get() != last_grounding) {
+      last_grounding = slot.grounding.get();
+      auto [it, fresh] = groups.try_emplace(
+          *slot.domain, static_cast<uint32_t>(groups.size()));
+      group = it->second;
+      if (fresh) {
+        KBT_ASSIGN_OR_RETURN(
+            std::vector<uint64_t> bits,
+            internal::AtomBits(*slot.grounding, ext_base, /*key_layout=*/true));
+        base_keys.push_back(std::move(bits));
       }
-      bool leads = false;
-      uint32_t word = 0;
-      for (uint32_t c = 0; c < PartCount(*slot.grounding); ++c) {
-        const uint64_t* key = slot.key.data() + word;
-        const size_t words = Words(PartAtoms(*slot.grounding, c).size());
-        uint64_t hash = HashCombine(group, c);
-        for (size_t w = 0; w < words; ++w) hash = HashCombine(hash, key[w]);
-        hash = Mix64(hash);
-        size_t at = hash & (table.size() - 1);
-        uint32_t k = table[at];
-        while (k != kNone) {
-          const WorldClass& other = t.classes[k];
-          if (class_hash[k] == hash && class_group[k] == group &&
-              other.part == c &&
-              std::equal(key, key + words,
-                         (*slots)[other.leader].key.data() + other.word)) {
-            break;
-          }
-          at = (at + 1) & (table.size() - 1);
-          k = table[at];
-        }
-        if (k == kNone) {
-          k = static_cast<uint32_t>(t.classes.size());
-          t.classes.push_back(WorldClass{i, c, word});
-          class_hash.push_back(hash);
-          class_group.push_back(group);
-          table[at] = k;
-          leads = true;
-          if (2 * t.classes.size() > table.size()) {
-            table.assign(2 * table.size(), kNone);
-            for (uint32_t j = 0; j < t.classes.size(); ++j) {
-              size_t free = class_hash[j] & (table.size() - 1);
-              while (table[free] != kNone) free = (free + 1) & (table.size() - 1);
-              table[free] = j;
-            }
-          }
-        }
-        t.of.push_back(k);
-        word += static_cast<uint32_t>(words);
-      }
-      if (leads) ++t.leaders;
     }
+    const std::vector<uint64_t>& base_key = base_keys[group];
+    for (size_t w = 0; w < slot.key.size(); ++w) slot.key[w] ^= base_key[w];
+    bool leads = false;
+    uint32_t word = 0;
+    for (uint32_t c = 0; c < PartCount(*slot.grounding); ++c) {
+      const uint64_t* key = slot.key.data() + word;
+      const size_t words = Words(PartAtoms(*slot.grounding, c).size());
+      uint64_t hash = HashCombine(group, c);
+      for (size_t w = 0; w < words; ++w) hash = HashCombine(hash, key[w]);
+      hash = Mix64(hash);
+      size_t at = hash & (table.size() - 1);
+      uint32_t k = table[at];
+      while (k != kNone) {
+        const WorldClass& other = t.classes[k];
+        if (class_hash[k] == hash && class_group[k] == group &&
+            other.part == c &&
+            std::equal(key, key + words,
+                       (*slots)[other.leader].key.data() + other.word)) {
+          break;
+        }
+        at = (at + 1) & (table.size() - 1);
+        k = table[at];
+      }
+      if (k == kNone) {
+        k = static_cast<uint32_t>(t.classes.size());
+        t.classes.push_back(WorldClass{i, c, word});
+        class_hash.push_back(hash);
+        class_group.push_back(group);
+        table[at] = k;
+        leads = true;
+        if (2 * t.classes.size() > table.size()) {
+          table.assign(2 * table.size(), kNone);
+          for (uint32_t j = 0; j < t.classes.size(); ++j) {
+            size_t free = class_hash[j] & (table.size() - 1);
+            while (table[free] != kNone) free = (free + 1) & (table.size() - 1);
+            table[free] = j;
+          }
+        }
+      }
+      t.of.push_back(k);
+      word += static_cast<uint32_t>(words);
+    }
+    if (leads) ++t.leaders;
     t.begin.push_back(t.of.size());
   }
   return t;
@@ -355,29 +356,25 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   TauStats* out = stats != nullptr ? stats : &local;
   out->input_databases = kb.size();
 
+  // The extended schema σ(kb) ∪ σ(φ) depends only on the shared input
+  // schema, so one probe context over an empty database resolves it, and
+  // validates (φ, schema), for every world.
+  const Database probe(kb.schema());
+  KBT_ASSIGN_OR_RETURN(UpdateContext probe_ctx,
+                       MakeUpdateContext(sentence, probe));
+  const Schema extended_schema = std::move(probe_ctx.schema);
   if (kb.empty()) {
     // Preserve the extended schema so downstream steps see σ(kb) ∪ σ(φ).
-    Database probe(kb.schema());
-    KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
     out->output_databases = 0;
     out->threads_used = 1;
-    return Knowledgebase(ctx.schema);
-  }
-
-  // The extended schema σ(kb) ∪ σ(φ) depends only on the shared input schema,
-  // so one probe context resolves it for the merge step up front.
-  Schema extended_schema;
-  {
-    Database probe(kb.schema());
-    KBT_ASSIGN_OR_RETURN(UpdateContext ctx, MakeUpdateContext(sentence, probe));
-    extended_schema = std::move(ctx.schema);
+    return Knowledgebase(extended_schema);
   }
 
   // One cache pair per τ call — or the caller's persistent pair (a serving
   // loop re-querying one sentence across snapshots): the sentence is fixed, so
   // the key is the active domain alone. Worlds with equal domains ground once
   // (GroundingCache) and, on the SAT path, Tseitin-encode once (CnfCache —
-  // per-world solvers fork from the frozen prefix).
+  // each class's solver forks from the frozen prefix).
   exec::GroundingCache local_ground_cache;
   exec::CnfCache local_cnf_cache;
   exec::GroundingCache* cache = options.ground_cache != nullptr
@@ -390,11 +387,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   exec::GroundingCache::Stats ground_stats_before = cache->stats();
   exec::CnfCache::Stats cnf_stats_before = cnf_cache->stats();
   internal::MuExecContext base_exec;
-  // The probe context above validated (φ, schema); per-world update contexts
-  // reuse its schema and φ's constants instead of re-deriving both per world.
-  std::vector<Value> formula_constants = ConstantsOf(sentence);
   base_exec.extended_schema = &extended_schema;
-  base_exec.formula_constants = &formula_constants;
   base_exec.ground_cache = cache;
   // Freezing and forking only pays for itself when a prefix is reused: a
   // singleton kb would encode once either way but add a snapshot copy, so the
@@ -404,26 +397,32 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     base_exec.cnf_cache = cnf_cache;
   }
 
-  // Strategy planning depends only on (φ, schema) and all worlds share one
-  // schema: resolve the kAuto dispatch, or kDatalog's plan, once here instead
-  // of once per world. Datalog μ then takes the block route below; kAuto
-  // tries reference μ first on a ground sentence, per class.
+  // The call's route, decided once: planning depends only on (φ, schema),
+  // and all worlds share one schema. Datalog and definitional μ take the
+  // block routes below; the grounded routes (SAT, reference, and kAuto's
+  // resolution to them) take the world-class passes, where kAuto's fallback
+  // from an over-budget reference μ stays per class.
   internal::TauStrategyPlan plan;
+  MuStrategy route = options.mu.strategy;
   std::shared_ptr<const internal::DatalogPlan> datalog;
-  if (options.mu.strategy == MuStrategy::kAuto) {
-    Database first_world = kb.World(0);
-    KBT_ASSIGN_OR_RETURN(plan, internal::PlanTauStrategies(sentence, first_world));
+  std::shared_ptr<const internal::DefinitionalPlan> definitional;
+  if (route == MuStrategy::kAuto) {
+    KBT_ASSIGN_OR_RETURN(plan, internal::PlanTauStrategies(sentence, probe));
     base_exec.plan = &plan;
-    if (!plan.sentence_is_ground) datalog = plan.datalog;
-  } else if (options.mu.strategy == MuStrategy::kDatalog) {
-    Database first_world = kb.World(0);
+    route = internal::ResolveAuto(plan);
+    datalog = plan.datalog;
+    definitional = plan.definitional;
+  } else if (route == MuStrategy::kDatalog) {
     KBT_ASSIGN_OR_RETURN(datalog,
-                         internal::RequireDatalogPlan(sentence, first_world));
+                         internal::RequireDatalogPlan(sentence, probe));
+  } else if (route == MuStrategy::kDefinitional) {
+    KBT_ASSIGN_OR_RETURN(definitional,
+                         internal::RequireDefinitionalPlan(sentence, probe));
   }
 
   // The shared input base extended to σ(kb) ∪ σ(φ): every μ result is
-  // checked against it once, by the world that computed it, and the merge
-  // anchors the output at it.
+  // checked against it once, by the world that computed it, the base keys
+  // are read from it, and the merge anchors the output at it.
   KBT_ASSIGN_OR_RETURN(Database extended, kb.base()->ExtendTo(extended_schema));
   auto ext_base = std::make_shared<const Database>(std::move(extended));
 
@@ -435,8 +434,8 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   // Per-worker μ resources. Sequentially: a session-pinned solver/scratch
   // (serving reads) or per-call locals, so arena capacity and enumerator
   // buffers stay warm across calls. In parallel: each worker owns a Solver
-  // reused (via Reset or a frozen-prefix fork) across every world and class
-  // it executes, plus a WorldScratch for the enumerator's per-world tables,
+  // reused (via Reset or a frozen-prefix fork) across every class it
+  // executes, plus a WorldScratch for the enumerator's per-world tables,
   // on the caller's persistent pool (a serving loop re-entering
   // Pipeline::Apply should not respawn threads per call) or one spawned for
   // this call.
@@ -493,14 +492,14 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     return FirstError(*statuses, dispatched);
   };
 
-  if (datalog != nullptr) {
-    // Datalog over 64-world blocks (docs/exec.md): one masked fixpoint per
-    // block, one pool task per block at width > 1. Block boundaries do not
-    // depend on the width, so neither do results or stats. No world gets a
-    // context or a μ result anchored at a base of its own, so CheckAnchored
-    // has nothing to check: each output is its input overlay, canonical
-    // against the extended base, plus adds at head positions that are empty
-    // in that base.
+  // The block routes (docs/exec.md): μ once per block of 64 worlds, one pool
+  // task per block at width > 1. Block boundaries do not depend on the
+  // width, so neither do results or stats. No world gets a context or a μ
+  // result anchored at a base of its own, so CheckAnchored has nothing to
+  // check: each output is its input overlay, canonical against the extended
+  // base, plus adds at head positions, which are new to σ(kb) and empty in
+  // that base.
+  auto run_blocks = [&](const auto& block) -> StatusOr<Knowledgebase> {
     const size_t blocks = (kb.size() + 63) / 64;
     std::vector<WorldOverlay> merged(kb.size());
     std::vector<MuStats> block_stats(blocks);
@@ -509,58 +508,66 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
         blocks, &block_status, [&](size_t b, size_t) -> Status {
           const size_t begin = 64 * b;
           const size_t end = std::min(kb.size(), begin + 64);
-          return internal::MuDatalogBlock(
-              *datalog, kb, begin, extended_schema, options.mu, &block_stats[b],
-              std::span<WorldOverlay>(merged).subspan(begin, end - begin));
+          return block(begin, &block_stats[b],
+                       std::span<WorldOverlay>(merged).subspan(begin,
+                                                               end - begin));
         }));
     for (const MuStats& s : block_stats) out->mu.MergeFrom(s);
     return MergeTauResults(extended_schema, std::move(ext_base),
                            std::move(merged), out);
+  };
+  if (route == MuStrategy::kDatalog) {
+    return run_blocks([&](size_t begin, MuStats* block_stats,
+                          std::span<WorldOverlay> block_out) {
+      return internal::MuDatalogBlock(*datalog, kb, begin, extended_schema,
+                                      options.mu, block_stats, block_out);
+    });
+  }
+  // Each world's domain, from the base's value counts and its overlay.
+  const WorldDomains domains(*kb.base(), ConstantsOf(sentence));
+  if (route == MuStrategy::kDefinitional) {
+    return run_blocks([&](size_t begin, MuStats* block_stats,
+                          std::span<WorldOverlay> block_out) {
+      return internal::MuDefinitionalBlock(*definitional, kb, domains, begin,
+                                           extended_schema, options.mu,
+                                           block_stats, block_out);
+    });
   }
 
   // World classes in four passes (docs/exec.md, "World classes").
+  const bool sat_route = route == MuStrategy::kSat;
   std::vector<WorldSlot> slots(kb.size());
   ClassTable table;
   std::vector<Knowledgebase> class_mu;
   std::vector<MuStats> class_stats;
   Status status = [&]() -> Status {
-    // A — key, per world: the world's one grounding lookup and its bits on
-    // the grounded routes (SAT, reference and kAuto's resolution to them).
-    // Definitional μ never grounds: it runs here, per world, and composes
-    // its models onto the world's input overlay at once.
-    // Passes A and D share `world_status`: D runs only when A failed nowhere.
+    // A — key, per world, from its overlay alone: B from the base's value
+    // counts, the world's one grounding lookup over B, and its delta atoms'
+    // bits, which pass B XORs with the grounding's base key. Passes A and D
+    // share `world_status`: D runs only when A failed nowhere.
     std::vector<Status> world_status(kb.size());
     KBT_RETURN_IF_ERROR(for_each(
         kb.size(), &world_status,
         [&](size_t i, size_t worker) -> Status {
-          const internal::MuExecContext& exec = worker_exec[worker];
-          // The world is materialized transiently from the shared base — a
-          // copy-on-write overlay application, never a stored flat copy.
-          Database world = kb.World(i);
-          KBT_ASSIGN_OR_RETURN(
-              internal::PreparedMu prep,
-              internal::PrepareMu(sentence, world, options.mu, exec));
-          WorldSlot& slot = slots[i];
-          if (prep.grounded()) {
-            KeyWorld(std::move(prep.ground), std::move(prep.ctx.domain), &slot);
-            return Status::OK();
+          if (options.mu.cancel != nullptr && options.mu.cancel->Expired()) {
+            return Status::DeadlineExceeded("μ cancelled before evaluation");
           }
-          slot.own_stats = std::make_unique<MuStats>();
-          KBT_ASSIGN_OR_RETURN(
-              Knowledgebase mu,
-              internal::RunPreparedMu(sentence, world, prep, options.mu,
-                                      slot.own_stats.get(), exec));
           const WorldOverlay& input = kb.overlays()[i];
-          KBT_RETURN_IF_ERROR(
-              CheckAnchored(mu, input, *ext_base, extended_schema));
-          for (const WorldOverlay& ov : mu.overlays()) {
-            slot.out.push_back(WorldOverlay::Compose(input, ov));
-          }
+          WorldSlot& slot = slots[i];
+          slot.domain = &domains.Of(input, &slot.own_domain);
+          internal::MuGrounding ground;
+          KBT_RETURN_IF_ERROR(internal::LookUpGrounding(
+              sentence, *slot.domain, options.mu, worker_exec[worker],
+              sat_route, &ground));
+          slot.key.assign(ground.grounding->key_words, 0);
+          MarkDeltaAtoms(*ground.grounding, kb.schema(), input, &slot.key);
+          slot.grounding = std::move(ground.grounding);
+          slot.frozen = std::move(ground.frozen);
           return Status::OK();
         }));
 
-    // B — classes, on this thread.
-    table = AssignClasses(&slots);
+    // B — keys and classes, on this thread.
+    KBT_ASSIGN_OR_RETURN(table, AssignClasses(*ext_base, &slots));
 
     // C — μ, per class.
     class_mu.resize(table.classes.size());
@@ -569,7 +576,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     KBT_RETURN_IF_ERROR(for_each(
         table.classes.size(), &class_status,
         [&](size_t k, size_t worker) -> Status {
-          // Only the leader's world and context are rebuilt, from what pass
+          // Only the leader's world and context are built, from what pass
           // A kept: B and the grounding.
           const WorldClass& wc = table.classes[k];
           const WorldSlot& leader = slots[wc.leader];
@@ -581,7 +588,7 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
           part.bits.assign(
               leader.key.begin() + wc.word,
               leader.key.begin() + wc.word + Words(part.atoms->size()));
-          const internal::PreparedPart known{&leader.domain, &part};
+          const internal::PreparedPart known{leader.domain, &part};
           Database world = kb.World(wc.leader);
           KBT_ASSIGN_OR_RETURN(
               internal::PreparedMu prep,
@@ -600,7 +607,6 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     std::vector<ComposeScratch> compose_scratch(worker_exec.size());
     return for_each(
         kb.size(), &world_status, [&](size_t i, size_t worker) -> Status {
-          if (!slots[i].grounded()) return Status::OK();
           return ComposeProduct(
               kb.overlays()[i],
               std::span<const uint32_t>(table.of).subspan(
@@ -618,13 +624,10 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   exec::CnfCache::Stats cnf_stats = cnf_cache->stats();
   out->cnf_cache_hits += cnf_stats.hits - cnf_stats_before.hits;
   out->cnf_cache_misses += cnf_stats.misses - cnf_stats_before.misses;
-  out->shared_worlds += table.grounded_worlds - table.leaders;
+  out->shared_worlds += table.worlds - table.leaders;
   out->mu_classes += table.classes.size();
   KBT_RETURN_IF_ERROR(status);
-  // In world order, then class order: independent of execution interleaving.
-  for (const WorldSlot& slot : slots) {
-    if (slot.own_stats != nullptr) out->mu.MergeFrom(*slot.own_stats);
-  }
+  // In class order: independent of execution interleaving.
   for (const MuStats& s : class_stats) out->mu.MergeFrom(s);
   class_mu.clear();
 

@@ -13,11 +13,14 @@
 /// worker owns a reusable Solver, worlds with identical active domains share
 /// one grounded circuit through a domain-keyed cache, and μ runs once per
 /// world class: per atom-disjoint component of that circuit and per pattern
-/// of the worlds' values on the component's atoms (docs/exec.md). Datalog μ
-/// instead runs once per block of 64 worlds, over facts that carry the mask of
-/// the worlds holding them, and materializes no world. Outputs arrive in world
-/// order; when μ leaves σ(kb) alone that order is already canonical, and the
-/// merge keeps it after one pass of comparisons.
+/// of the worlds' values on the component's atoms (docs/exec.md). τ keys each
+/// world from the shared base plus its overlay — its active domain from the
+/// base's value counts, its values from the base's with its delta atoms
+/// flipped — and materializes a world only to run μ for a class leader.
+/// Datalog and definitional μ instead run once per block of 64 worlds, over
+/// world masks, and materialize no world. Outputs arrive in world order; when
+/// μ leaves σ(kb) alone that order is already canonical, and the merge keeps
+/// it after one pass of comparisons.
 /// threads = 1 (the default) is the plain sequential loop; every thread count
 /// produces the same canonical Knowledgebase bit for bit
 /// (tests/tau_parallel_test.cc).
@@ -40,10 +43,11 @@ class Solver;
 namespace kbt {
 
 struct TauOptions {
-  /// Options for the per-world μ calls. Cancellation rides here too: set
-  /// `mu.cancel` (and optionally `mu.sat_conflict_budget`) and every world's
-  /// μ honors it — an expired token fails the τ call with kDeadlineExceeded
-  /// before the next world starts and mid-search inside the SAT descent.
+  /// Options for the μ computations. Cancellation rides here too: set
+  /// `mu.cancel` (and optionally `mu.sat_conflict_budget`) and every μ
+  /// honors it — an expired token fails the τ call with kDeadlineExceeded
+  /// before the next world is keyed, class runs or block starts, and
+  /// mid-search inside the SAT descent.
   MuOptions mu;
   /// Worker threads for the world fan-out. 1 = sequential in the calling
   /// thread; 0 = one per hardware thread.
@@ -83,14 +87,14 @@ struct TauStats {
   size_t input_databases = 0;
   size_t output_databases = 0;
   /// Aggregated μ counters, merged in an order independent of execution
-  /// interleaving: block by block on the Datalog route (one minimal model per
-  /// world; `datalog_rounds` counts each block's rounds, see MuStats), else
-  /// world by world (definitional μ), then class by class.
+  /// interleaving: block by block on the Datalog and definitional routes
+  /// (one minimal model per world; `datalog_rounds` counts each block's
+  /// rounds, see MuStats), else class by class.
   MuStats mu;
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;
   /// Domain-keyed grounding cache counters (0/0 when no world took a
-  /// grounding strategy).
+  /// grounding strategy). Each world on a grounded route makes one lookup.
   uint64_t ground_cache_hits = 0;
   uint64_t ground_cache_misses = 0;
   /// Frozen-CNF-prefix cache counters (0/0 for a singleton kb without an

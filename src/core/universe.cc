@@ -1,7 +1,5 @@
 #include "core/universe.h"
 
-#include <algorithm>
-
 #include "eval/model_check.h"
 #include "logic/analysis.h"
 
@@ -16,21 +14,6 @@ StatusOr<UpdateContext> MakeUpdateContext(const Formula& sentence,
   KBT_ASSIGN_OR_RETURN(Schema formula_schema, SchemaOf(sentence));
   KBT_ASSIGN_OR_RETURN(ctx.schema, db.schema().Union(formula_schema));
   ctx.domain = ActiveDomain(db, sentence);
-  KBT_ASSIGN_OR_RETURN(ctx.extended_base, db.ExtendTo(ctx.schema));
-  return ctx;
-}
-
-StatusOr<UpdateContext> MakeUpdateContextOnSchema(
-    const Schema& schema, const std::vector<Value>& constants,
-    const Database& db) {
-  UpdateContext ctx;
-  ctx.schema = schema;
-  // Same recipe as ActiveDomain(db, sentence) with ConstantsOf hoisted.
-  ctx.domain = db.ActiveDomain();
-  ctx.domain.insert(ctx.domain.end(), constants.begin(), constants.end());
-  std::sort(ctx.domain.begin(), ctx.domain.end());
-  ctx.domain.erase(std::unique(ctx.domain.begin(), ctx.domain.end()),
-                   ctx.domain.end());
   KBT_ASSIGN_OR_RETURN(ctx.extended_base, db.ExtendTo(ctx.schema));
   return ctx;
 }

@@ -29,15 +29,6 @@ struct UpdateContext {
 /// at a different arity.
 StatusOr<UpdateContext> MakeUpdateContext(const Formula& sentence, const Database& db);
 
-/// The per-world remainder of MakeUpdateContext once the sentence-derived
-/// parts are fixed: `schema` must be σ(db) ∪ σ(φ) and `constants` the
-/// constants of φ, both computed (and validated) once per τ call. Bit-identical
-/// to MakeUpdateContext for any db whose schema is the σ(db) the union was
-/// taken over — only the db-dependent domain and extension remain per call.
-StatusOr<UpdateContext> MakeUpdateContextOnSchema(
-    const Schema& schema, const std::vector<Value>& constants,
-    const Database& db);
-
 }  // namespace kbt
 
 #endif  // KBT_CORE_UNIVERSE_H_

@@ -14,8 +14,7 @@ namespace {
 /// that reached it; a later child reaching a marked node joins that child's
 /// component without descending, so the walk is linear in the circuit.
 /// Returns no components when the root is one.
-std::vector<GroundingComponent> SplitComponents(
-    Grounding* g, const std::vector<int>& mentioned) {
+std::vector<GroundingComponent> SplitComponents(Grounding* g) {
   Circuit& circuit = g->circuit;
   Circuit::Node root = circuit.node(g->root);
   if (root.kind != Circuit::NodeKind::kAnd) return {};
@@ -70,12 +69,6 @@ std::vector<GroundingComponent> SplitComponents(
     component.root = parts[c].size() == 1 ? parts[c][0]
                                           : circuit.AndNode(std::move(parts[c]));
     std::sort(component.atoms.begin(), component.atoms.end());
-    component.positions.reserve(component.atoms.size());
-    for (int atom : component.atoms) {
-      component.positions.push_back(static_cast<uint32_t>(
-          std::lower_bound(mentioned.begin(), mentioned.end(), atom) -
-          mentioned.begin()));
-    }
   }
   return components;
 }
@@ -90,7 +83,24 @@ StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
                        GroundSentence(sentence, domain, options));
   cached->mentioned =
       cached->grounding.circuit.CollectVars(cached->grounding.root);
-  cached->components = SplitComponents(&cached->grounding, cached->mentioned);
+  cached->components = SplitComponents(&cached->grounding);
+  // The key layout: a one-part root keys `mentioned` in order; a split root
+  // keys each component's atoms in turn, from a fresh word.
+  cached->key_bit.assign(cached->grounding.atoms.size(), kNoKeyBit);
+  if (cached->components.empty()) {
+    for (size_t k = 0; k < cached->mentioned.size(); ++k) {
+      cached->key_bit[static_cast<size_t>(cached->mentioned[k])] =
+          static_cast<uint32_t>(k);
+    }
+    cached->key_words = (cached->mentioned.size() + 63) / 64;
+  }
+  for (const GroundingComponent& c : cached->components) {
+    for (size_t k = 0; k < c.atoms.size(); ++k) {
+      cached->key_bit[static_cast<size_t>(c.atoms[k])] =
+          static_cast<uint32_t>(64 * cached->key_words + k);
+    }
+    cached->key_words += (c.atoms.size() + 63) / 64;
+  }
   // After the split: the component ANDs are users of their children too.
   cached->users = cached->grounding.circuit.BuildUsers();
   return std::shared_ptr<const CachedGrounding>(std::move(cached));

@@ -29,10 +29,12 @@ namespace kbt::exec {
 /// One atom-disjoint part of a grounding's root: a child of the root AND, or
 /// the AND of several children that share atoms.
 struct GroundingComponent {
-  int root = 0;                     ///< Circuit node of the part.
-  std::vector<int> atoms;           ///< Sorted atom ids the part mentions.
-  std::vector<uint32_t> positions;  ///< Index of each atom in `mentioned`.
+  int root = 0;            ///< Circuit node of the part.
+  std::vector<int> atoms;  ///< Sorted atom ids the part mentions.
 };
+
+/// CachedGrounding::key_bit of an atom the root does not mention.
+inline constexpr uint32_t kNoKeyBit = 0xffffffffu;
 
 /// An immutable grounding plus the precomputed mentioned-variable set
 /// (CollectVars of the root) every strategy needs right after grounding.
@@ -44,13 +46,21 @@ struct CachedGrounding {
   /// all its children connected through shared atoms); τ then runs μ on the
   /// whole root (docs/exec.md, "World classes").
   std::vector<GroundingComponent> components;
+  /// Where each atom sits in a world's class key, by atom id: the key holds
+  /// each part's atoms in turn (the whole root's `mentioned`, or each
+  /// component's `atoms`), each part starting on a 64-bit word boundary.
+  /// kNoKeyBit for an atom the root does not mention.
+  std::vector<uint32_t> key_bit;
+  /// 64-bit words of a key.
+  size_t key_words = 0;
   /// Child → parent adjacency of the circuit, for incremental default
   /// re-evaluation across the worlds sharing this grounding (PR 7).
   CircuitUsers users;
 };
 
 /// Grounds `sentence` over `domain` and wraps the result in the immutable
-/// CachedGrounding shape (mentioned vars and components precomputed). The
+/// CachedGrounding shape (mentioned vars, components and key layout
+/// precomputed). The
 /// single constructor for cache entries and for uncached per-call groundings
 /// alike, so both paths precompute the same fields.
 StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
@@ -87,10 +97,11 @@ class GroundingCache {
       size_t bytes = g.grounding.circuit.size() * 16 +
                      g.grounding.atoms.size() * 24 +
                      g.mentioned.size() * sizeof(int) +
+                     g.key_bit.size() * sizeof(uint32_t) +
                      g.users.offset.size() * sizeof(uint32_t) +
                      g.users.data.size() * sizeof(int32_t);
       for (const GroundingComponent& c : g.components) {
-        bytes += sizeof(c) + c.atoms.size() * (sizeof(int) + sizeof(uint32_t));
+        bytes += sizeof(c) + c.atoms.size() * sizeof(int);
       }
       return bytes;
     });

@@ -86,6 +86,13 @@ class AtomIndex {
     return it == index_.end() ? -1 : it->second;
   }
 
+  /// Id of the atom `relation(values...)` if interned, else -1. Allocates
+  /// nothing.
+  int Find(Symbol relation, TupleView values) const {
+    auto it = index_.find(GroundAtomRef{relation, values});
+    return it == index_.end() ? -1 : it->second;
+  }
+
   /// The atom with dense id `id` (must be < size()).
   const GroundAtom& AtomOf(int id) const { return atoms_[static_cast<size_t>(id)]; }
 

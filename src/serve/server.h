@@ -9,13 +9,14 @@
 /// Roles:
 ///   * ONE logical writer. Apply/Checkpoint serialize on a writer mutex, run
 ///     the transformation through a core Engine — or a store::DurableEngine,
-///     so commits hit the WAL before acknowledgment — and atomically publish
-///     the result as a new immutable snapshot (serve/snapshot.h).
+///     so commits hit the WAL before acknowledgment — and publish the result
+///     as a new immutable snapshot with one pointer swap (serve/snapshot.h).
 ///   * MANY readers. Each Session pins a sat::Solver + exec::WorldScratch for
-///     its thread, acquires the current snapshot with one atomic load, and
-///     evaluates modal queries / (nested) counterfactuals against it — never
-///     blocking on the writer, MVCC-style. Reads of one session ride the
-///     previous call's warm solver arena and scratch buffers.
+///     its thread, acquires the current snapshot with one guarded pointer
+///     copy, and evaluates modal queries / (nested) counterfactuals against
+///     it — never waiting for the writer's τ or fsync, MVCC-style. Reads of
+///     one session ride the previous call's warm solver arena and scratch
+///     buffers.
 ///   * A cache bank shared by all readers (serve/cache_bank.h): per-sentence
 ///     grounding + frozen-CNF caches, so repeated reads of one sentence
 ///     ground/encode once and fork thereafter.
@@ -180,7 +181,7 @@ class Server {
     commit_waiter_ = std::move(waiter);
   }
 
-  /// The current snapshot (wait-free; see SnapshotRegistry).
+  /// The current snapshot (never waits for a writer; see SnapshotRegistry).
   std::shared_ptr<const Snapshot> CurrentSnapshot() const {
     return registry_.Current();
   }

@@ -8,8 +8,7 @@ SnapshotRegistry::SnapshotRegistry(Knowledgebase initial) {
   auto snap = std::make_shared<Snapshot>();
   snap->version = 0;
   snap->kb = std::move(initial);
-  current_.store(std::shared_ptr<const Snapshot>(std::move(snap)),
-                 std::memory_order_release);
+  current_ = std::move(snap);
 }
 
 std::shared_ptr<const Snapshot> SnapshotRegistry::Publish(Knowledgebase next) {
@@ -17,7 +16,13 @@ std::shared_ptr<const Snapshot> SnapshotRegistry::Publish(Knowledgebase next) {
   snap->version = Current()->version + 1;
   snap->kb = std::move(next);
   std::shared_ptr<const Snapshot> published(std::move(snap));
-  current_.store(published, std::memory_order_release);
+  std::shared_ptr<const Snapshot> retired = published;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(retired);
+  }
+  // `retired` may be the last reference to the previous version: it is
+  // destroyed here, after the lock is released.
   return published;
 }
 

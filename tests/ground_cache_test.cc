@@ -83,15 +83,18 @@ TEST(GroundCacheTest, SplitsTheRootIntoAtomDisjointComponents) {
   ASSERT_EQ(g.components.size(), 3u);
   std::vector<size_t> sizes;
   std::vector<int> all;
+  // The key layout: each component's atoms in turn, each from a fresh word.
+  size_t word = 0;
   for (const GroundingComponent& c : g.components) {
     sizes.push_back(c.atoms.size());
     EXPECT_EQ(g.grounding.circuit.CollectVars(c.root), c.atoms);
-    ASSERT_EQ(c.positions.size(), c.atoms.size());
     for (size_t k = 0; k < c.atoms.size(); ++k) {
-      EXPECT_EQ(g.mentioned[c.positions[k]], c.atoms[k]);
+      EXPECT_EQ(g.key_bit[static_cast<size_t>(c.atoms[k])], 64 * word + k);
     }
+    word += (c.atoms.size() + 63) / 64;
     all.insert(all.end(), c.atoms.begin(), c.atoms.end());
   }
+  EXPECT_EQ(g.key_words, word);
   EXPECT_EQ(sizes, (std::vector<size_t>{1, 1, 3}));
   std::sort(all.begin(), all.end());
   EXPECT_EQ(all, g.mentioned);  // A partition of the mentioned atoms.
@@ -107,6 +110,11 @@ TEST(GroundCacheTest, SplitsTheRootIntoAtomDisjointComponents) {
     auto whole = MakeCachedGrounding(*ParseSentence(text), domain, opts);
     ASSERT_TRUE(whole.ok());
     EXPECT_TRUE((*whole)->components.empty()) << text;
+    // Its key holds `mentioned` in order.
+    const CachedGrounding& w = **whole;
+    for (size_t k = 0; k < w.mentioned.size(); ++k) {
+      EXPECT_EQ(w.key_bit[static_cast<size_t>(w.mentioned[k])], k) << text;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -332,9 +333,10 @@ Knowledgebase ReadColdKb(const std::function<std::vector<int>(int)>& extra_dom =
 
 /// Runs τ at threads 1 and 4 (each with serving-style external caches too),
 /// checks every run against the oracle and returns the threads-1 stats after
-/// checking they equal the threads-4 ones.
+/// checking they equal the threads-4 ones; `served` (optional) receives the
+/// threads-1 stats of the run with the serving resources lent.
 TauStats CheckTau(const Formula& phi, const Knowledgebase& kb,
-                  const MuOptions& mu) {
+                  const MuOptions& mu, TauStats* served = nullptr) {
   StatusOr<Knowledgebase> expected = OracleTau(phi, kb, mu);
   EXPECT_TRUE(expected.ok()) << expected.status();
   TauStats first;
@@ -355,6 +357,7 @@ TauStats CheckTau(const Formula& phi, const Knowledgebase& kb,
     ExpectSameStats(stats_at[0], stats_at[1],
                     "serving " + std::to_string(serving));
     if (!serving) first = stats_at[0];
+    if (serving && served != nullptr) *served = stats_at[0];
   }
   return first;
 }
@@ -423,14 +426,259 @@ TEST(TauWorldClassTest, GroundInsertRunsOneReferenceMuPerPattern) {
   EXPECT_EQ(stats.mu.candidates_examined, patterns.size() * 2);
 }
 
-TEST(TauWorldClassTest, DefinitionalMuStaysPerWorld) {
+TEST(TauWorldClassTest, DefinitionalMuRunsOncePerBlock) {
+  // kAuto resolves the definitional rule to the block route: no world
+  // classes and no grounding, and per world the counters plain μ reports,
+  // one minimal model and one candidate per definition.
   Knowledgebase kb = ReadColdKb();
   Formula phi = *ParseSentence("forall x: (exists y: R(x, y) & Q(y)) <-> D(x)");
   TauStats stats = CheckTau(phi, kb, MuOptions());
   EXPECT_EQ(stats.mu.used, MuStrategy::kDefinitional);
   EXPECT_EQ(stats.mu.minimal_models, kb.size());
+  EXPECT_EQ(stats.mu.candidates_examined, kb.size());
   EXPECT_EQ(stats.shared_worlds, 0u);
   EXPECT_EQ(stats.mu_classes, 0u);
+  EXPECT_EQ(stats.ground_cache_hits + stats.ground_cache_misses, 0u);
+}
+
+// --- Worlds whose active domains differ. ---
+
+/// `worlds` distinct worlds over E/2, P/1 and the nullary F whose active
+/// domains differ. The base's E lies on n0..n4 and its P is {n5}, n5's only
+/// occurrence; each world flips one to three cells of E on n0..n4, of P on
+/// n0..n7, or F. So a world may gain n6 or n7, lose n5 or a rare value of
+/// n0..n4, or keep the base's domain, and many delete base facts the
+/// sentences read.
+Knowledgebase DomainShiftingKb(size_t worlds, std::mt19937_64* rng) {
+  constexpr int kE = 5;
+  constexpr int kP = 8;
+  constexpr int kCells = kE * kE + kP + 1;  // E, P, then F.
+  Schema schema = *Schema::Of({{"E", 2}, {"P", 1}, {"F", 0}});
+  std::bernoulli_distribution coin(0.3);
+  std::vector<bool> base(kCells);
+  for (int c = 0; c < kE * kE; ++c) base[c] = coin(*rng);
+  base[kE * kE + 5] = true;
+  std::uniform_int_distribution<int> cell(0, kCells - 1);
+  std::uniform_int_distribution<int> flips(1, 3);
+  std::set<std::vector<bool>> seen;
+  std::vector<Database> dbs;
+  while (dbs.size() < worlds) {
+    std::vector<bool> cells = base;
+    for (int f = flips(*rng); f > 0; --f) cells[cell(*rng)].flip();
+    if (!seen.insert(cells).second) continue;
+    Relation::Builder e(2);
+    Relation::Builder p(1);
+    Relation::Builder f(0);
+    for (int c = 0; c < kE * kE; ++c) {
+      if (cells[c]) e.Append({Name(C(c / kE)), Name(C(c % kE))});
+    }
+    for (int c = 0; c < kP; ++c) {
+      if (cells[kE * kE + c]) p.Append({Name(C(c))});
+    }
+    if (cells[kCells - 1]) f.Append(TupleView());
+    dbs.push_back(
+        *Database::Create(schema, {e.Build(), p.Build(), f.Build()}));
+  }
+  return *Knowledgebase::FromDatabases(std::move(dbs));
+}
+
+/// Distinct active domains B (values ∪ φ's constants) among kb's worlds.
+size_t DistinctDomains(const Formula& phi, const Knowledgebase& kb) {
+  std::set<std::vector<Value>> domains;
+  for (size_t w = 0; w < kb.size(); ++w) {
+    domains.insert(ActiveDomain(kb.World(w), phi));
+  }
+  return domains.size();
+}
+
+constexpr size_t kShiftingSizes[] = {1, 63, 64, 65, 130};
+
+TEST(TauWorldClassTest, DefinitionalBlocksMatchPerWorldMuOracle) {
+  // Definitional μ runs one masked evaluation of each body per block of 64
+  // worlds, with quantifiers over each world's own domain. Neither the block
+  // edges nor the width may show, and the counters are plain μ's summed
+  // over the worlds.
+  struct Case {
+    const char* text;
+    size_t definitions;
+  };
+  const Case cases[] = {
+      // ↔ with ∃ and ¬.
+      {"forall x: (exists y: E(x, y) & !E(y, x)) <-> D(x)", 1},
+      // Two → definitions of one head, one projecting y away.
+      {"(forall x, y: E(x, y) & !P(y) -> H(x)) & "
+       "(forall x: P(x) & !F() -> H(x))",
+       2},
+      // ∀ in the body: ranges over each world's own domain.
+      {"forall x: (forall y: P(y) -> E(x, y)) <-> A(x)", 1},
+      // ∨ and =.
+      {"forall x, y: (E(x, y) | x = y) & !E(y, x) <-> B(x, y)", 1},
+      // A body true off the data (its answers are the domain itself), and a
+      // nullary head over the constant n5, which some worlds lose.
+      {"(forall x: !E(x, x) <-> N(x)) & "
+       "((exists x: P(x) & !E(x, n5)) <-> Z())",
+       2},
+      // Constants n6 and n7, absent from the base, in a → definition.
+      {"forall x: (P(x) | E(x, n6) | x = n7) -> K(x)", 1},
+      // Horn: Datalog under kAuto, the block route under kDefinitional.
+      {"forall x, y: E(x, y) & x != y -> G(y)", 1},
+  };
+  std::mt19937_64 rng(66);
+  for (size_t worlds : kShiftingSizes) {
+    Knowledgebase kb = DomainShiftingKb(worlds, &rng);
+    ASSERT_EQ(kb.size(), worlds);
+    if (worlds > 1) {
+      ASSERT_GT(DistinctDomains(*ParseSentence("P(n0)"), kb), 1u) << worlds;
+    }
+    for (const Case& c : cases) {
+      Formula phi = *ParseSentence(c.text);
+      for (MuStrategy strategy :
+           {MuStrategy::kAuto, MuStrategy::kDefinitional}) {
+        const std::string where = std::string(c.text) + ", " +
+                                  std::to_string(worlds) + " worlds, " +
+                                  MuStrategyName(strategy);
+        MuOptions mu;
+        mu.strategy = strategy;
+        MuStats plain;
+        ASSERT_TRUE(Mu(phi, kb.World(0), mu, &plain).ok()) << where;
+        TauStats stats = CheckTau(phi, kb, mu);
+        EXPECT_EQ(stats.mu.used, plain.used) << where;
+        if (plain.used != MuStrategy::kDefinitional) continue;
+        EXPECT_EQ(stats.mu.minimal_models, worlds) << where;
+        EXPECT_EQ(stats.mu.candidates_examined, worlds * c.definitions)
+            << where;
+        EXPECT_EQ(stats.shared_worlds, 0u) << where;
+        EXPECT_EQ(stats.mu_classes, 0u) << where;
+      }
+    }
+  }
+}
+
+TEST(TauWorldClassTest, DefinitionalBlocksFailOnAnExpiredDeadline) {
+  std::mt19937_64 rng(67);
+  Knowledgebase kb = DomainShiftingKb(130, &rng);
+  Formula phi =
+      *ParseSentence("forall x: (exists y: E(x, y) & !E(y, x)) <-> D(x)");
+  CancelToken expired;
+  expired.set_deadline_after(std::chrono::milliseconds(-1));
+  for (MuStrategy strategy : {MuStrategy::kAuto, MuStrategy::kDefinitional}) {
+    for (bool serving : {false, true}) {
+      for (size_t threads : {1u, 4u}) {
+        ServingResources resources;
+        TauOptions options;
+        options.mu.strategy = strategy;
+        options.mu.cancel = &expired;
+        options.threads = threads;
+        if (serving) resources.Lend(&options);
+        StatusOr<Knowledgebase> late = Tau(phi, kb, options);
+        ASSERT_FALSE(late.ok()) << "threads " << threads;
+        EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+      }
+    }
+  }
+}
+
+/// The world classes τ must find, computed from flat worlds: per world, B =
+/// its active domain ∪ φ's constants, the grounding over B, and the world's
+/// value on each of its parts' atoms read off World(w).
+struct ExpectedClasses {
+  uint64_t classes = 0;
+  uint64_t shared_worlds = 0;
+  uint64_t domains = 0;
+};
+
+ExpectedClasses FlatWorldClasses(const Formula& phi, const Knowledgebase& kb) {
+  std::map<std::vector<Value>, std::shared_ptr<const exec::CachedGrounding>>
+      groundings;
+  std::set<std::tuple<std::vector<Value>, size_t, std::vector<bool>>> seen;
+  uint64_t leaders = 0;
+  for (size_t w = 0; w < kb.size(); ++w) {
+    Database world = kb.World(w);
+    std::vector<Value> domain = ActiveDomain(world, phi);
+    auto& g = groundings[domain];
+    if (g == nullptr) {
+      g = *exec::MakeCachedGrounding(phi, domain, GrounderOptions());
+    }
+    const size_t parts = std::max<size_t>(1, g->components.size());
+    bool leads = false;
+    for (size_t c = 0; c < parts; ++c) {
+      const std::vector<int>& atoms =
+          g->components.empty() ? g->mentioned : g->components[c].atoms;
+      std::vector<bool> bits;
+      for (int id : atoms) {
+        const GroundAtom& atom = g->grounding.atoms.AtomOf(id);
+        const Relation* r = world.FindRelation(atom.relation);
+        bits.push_back(r != nullptr && r->Contains(atom.tuple));
+      }
+      leads = seen.insert({domain, c, bits}).second || leads;
+    }
+    leaders += leads;
+  }
+  return ExpectedClasses{seen.size(), kb.size() - leaders, groundings.size()};
+}
+
+TEST(TauWorldClassTest, GroundedRoutesKeyWorldsOfDifferingDomains) {
+  // Pass A keys each world from its overlay: B from the base's value counts
+  // and the base's bits with the world's delta atoms flipped. The classes,
+  // the shared worlds and the one cache lookup per world must be those of
+  // keying every flat world.
+  struct Case {
+    const char* text;
+    std::vector<MuStrategy> strategies;
+    bool sat;  ///< The route the strategies resolve to.
+  };
+  const Case cases[] = {
+      // SAT, one component.
+      {"exists x: E(n0, x) & !P(x) & S(x)",
+       {MuStrategy::kAuto, MuStrategy::kSat},
+       true},
+      // SAT, one component per value of the world's domain.
+      {"forall x: P(x) -> (S(x) | T(x))",
+       {MuStrategy::kAuto, MuStrategy::kSat},
+       true},
+      // Reference: kAuto on a ground sentence, and kReference per
+      // component.
+      {"P(n6) & !E(n0, n1) & (F() | P(n2))", {MuStrategy::kAuto}, false},
+      {"forall x: P(x) -> S(x)", {MuStrategy::kReference}, false},
+  };
+  std::mt19937_64 rng(68);
+  for (size_t worlds : kShiftingSizes) {
+    Knowledgebase kb = DomainShiftingKb(worlds, &rng);
+    for (const Case& c : cases) {
+      Formula phi = *ParseSentence(c.text);
+      const ExpectedClasses expected = FlatWorldClasses(phi, kb);
+      if (worlds > 1) {
+        ASSERT_GT(expected.domains, 1u) << c.text;
+      }
+      for (MuStrategy strategy : c.strategies) {
+        const std::string where = std::string(c.text) + ", " +
+                                  std::to_string(worlds) + " worlds, " +
+                                  MuStrategyName(strategy);
+        MuOptions mu;
+        mu.strategy = strategy;
+        TauStats served;
+        TauStats stats = CheckTau(phi, kb, mu, &served);
+        EXPECT_EQ(stats.mu.used,
+                  c.sat ? MuStrategy::kSat : MuStrategy::kReference)
+            << where;
+        for (const TauStats* s : {&stats, &served}) {
+          EXPECT_EQ(s->mu_classes, expected.classes) << where;
+          EXPECT_EQ(s->shared_worlds, expected.shared_worlds) << where;
+          // One lookup per world: the CnfCache on the SAT route (a lone
+          // world uses it only when the serving layer lends one), the
+          // GroundingCache otherwise; behind the CnfCache, one grounding
+          // per domain.
+          const bool cnf = c.sat && (worlds > 1 || s == &served);
+          EXPECT_EQ(s->cnf_cache_misses, cnf ? expected.domains : 0u) << where;
+          EXPECT_EQ(s->cnf_cache_hits, cnf ? worlds - expected.domains : 0u)
+              << where;
+          EXPECT_EQ(s->ground_cache_misses, expected.domains) << where;
+          EXPECT_EQ(s->ground_cache_hits, cnf ? 0u : worlds - expected.domains)
+              << where;
+        }
+      }
+    }
+  }
 }
 
 // --- Datalog μ over 64-world blocks. ---
