@@ -94,46 +94,51 @@ StatusOr<Knowledgebase> Pipeline::Apply(const Knowledgebase& kb,
                                         const TauOptions& options,
                                         PipelineStats* stats) const {
   KBT_RETURN_IF_ERROR(deferred_error_);
-  Knowledgebase current = kb;
+  // Each step reads `in`: the caller's kb until a step produces one, so the
+  // input is never copied.
+  const Knowledgebase* in = &kb;
+  Knowledgebase current;
   for (const TransformStep& step : steps_) {
     StepTrace trace;
     trace.step = step.ToString();
-    trace.input_databases = current.size();
+    trace.input_databases = in->size();
     switch (step.kind) {
       case TransformStep::Kind::kTau: {
         TauStats tau_stats;
-        KBT_ASSIGN_OR_RETURN(current, kbt::Tau(step.sentence, current, options,
-                                               &tau_stats));
+        KBT_ASSIGN_OR_RETURN(current,
+                             kbt::Tau(step.sentence, *in, options, &tau_stats));
         trace.mu = tau_stats.mu;
         break;
       }
       case TransformStep::Kind::kGlb:
-        current = current.Glb();
+        current = in->Glb();
         break;
       case TransformStep::Kind::kLub:
-        current = current.Lub();
+        current = in->Lub();
         break;
       case TransformStep::Kind::kFilter: {
         // Keep surviving worlds by index: SelectWorlds shares the base and
         // overlays (a subsequence of a canonical sequence is canonical), so
         // no world is copied, re-diffed or re-sorted.
         std::vector<size_t> kept;
-        for (size_t i = 0; i < current.size(); ++i) {
-          Database db = current.World(i);
+        for (size_t i = 0; i < in->size(); ++i) {
+          Database db = in->World(i);
           KBT_ASSIGN_OR_RETURN(bool holds, Satisfies(db, step.sentence));
           if (holds) kept.push_back(i);
         }
-        current = current.SelectWorlds(kept);
+        current = in->SelectWorlds(kept);
         break;
       }
       case TransformStep::Kind::kProject: {
-        KBT_ASSIGN_OR_RETURN(current, current.ProjectTo(step.projection));
+        KBT_ASSIGN_OR_RETURN(current, in->ProjectTo(step.projection));
         break;
       }
     }
+    in = &current;
     trace.output_databases = current.size();
     if (stats != nullptr) stats->steps.push_back(std::move(trace));
   }
+  if (steps_.empty()) return kb;
   return current;
 }
 

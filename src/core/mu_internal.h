@@ -118,7 +118,8 @@ struct MuGrounding {
 /// `domain`: the CnfCache on the SAT route when the executor has one, else
 /// the GroundingCache, else an uncached grounding. Sets out->grounding, and
 /// out->frozen when the lookup went through the CnfCache and the grounding
-/// is one part. Plain μ makes this lookup once, τ once per grounded world.
+/// is one part. Plain μ makes this lookup once; τ once per call for domain0
+/// and once per grounded world whose domain differs.
 Status LookUpGrounding(const Formula& sentence,
                        const std::vector<Value>& domain,
                        const MuOptions& options, const MuExecContext& exec,

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -39,19 +41,20 @@ const std::vector<int>& PartAtoms(const exec::CachedGrounding& g, size_t c) {
 }
 size_t Words(size_t bits) { return (bits + 63) / 64; }
 
-/// What pass A keeps of one world: its grounding and frozen prefix, its
-/// domain B, and `key`, its bits on each part in turn, each part's starting
-/// on a word boundary (CachedGrounding::key_bit). Pass A writes only the
-/// bits of the world's delta atoms into `key`; pass B XORs in the base's.
-/// Pass D fills `out`, the world's output worlds as overlays of the extended
-/// input base.
+/// What pass A keeps of one world: its domain B, B's grounding lookup, and
+/// `key`, its bits on each part in turn, each part's starting on a word
+/// boundary (CachedGrounding::key_bit). Pass A writes only the bits of the
+/// world's delta atoms into `key`; pass B XORs in the base's. Pass D fills
+/// `out`, the world's output worlds as overlays of the extended input base.
 struct WorldSlot {
-  std::shared_ptr<const exec::CachedGrounding> grounding;
-  std::shared_ptr<const exec::FrozenCnf> frozen;
-  /// B: the call's shared domain0, or `own_domain` when the world's differs
-  /// (slots never move once pass A has filled them).
+  /// B: the call's shared domain0, or `own_domain` when the world's differs,
+  /// and its grounding and frozen prefix: the call's one lookup for domain0,
+  /// or `own_ground`, allocated only for a domain of the world's own (slots
+  /// never move once pass A has filled them).
   const std::vector<Value>* domain = nullptr;
   std::vector<Value> own_domain;
+  const internal::MuGrounding* ground = nullptr;
+  std::unique_ptr<internal::MuGrounding> own_ground;
   std::vector<uint64_t> key;
   std::vector<WorldOverlay> out;
 };
@@ -108,7 +111,7 @@ StatusOr<ClassTable> AssignClasses(const Database& ext_base,
   t.begin.reserve(slots->size() + 1);
   t.begin.push_back(0);
   if (!slots->empty()) {
-    t.of.reserve(slots->size() * PartCount(*(*slots)[0].grounding));
+    t.of.reserve(slots->size() * PartCount(*(*slots)[0].ground->grounding));
   }
   // Worlds with equal B have equal groundings, part for part; a cached
   // grounding is B's alone, so a repeat of the previous world's grounding
@@ -125,15 +128,16 @@ StatusOr<ClassTable> AssignClasses(const Database& ext_base,
   std::vector<uint32_t> table(64, kNone);
   for (size_t i = 0; i < slots->size(); ++i) {
     WorldSlot& slot = (*slots)[i];
-    if (slot.grounding.get() != last_grounding) {
-      last_grounding = slot.grounding.get();
+    const exec::CachedGrounding& grounding = *slot.ground->grounding;
+    if (&grounding != last_grounding) {
+      last_grounding = &grounding;
       auto [it, fresh] = groups.try_emplace(
           *slot.domain, static_cast<uint32_t>(groups.size()));
       group = it->second;
       if (fresh) {
         KBT_ASSIGN_OR_RETURN(
             std::vector<uint64_t> bits,
-            internal::AtomBits(*slot.grounding, ext_base, /*key_layout=*/true));
+            internal::AtomBits(grounding, ext_base, /*key_layout=*/true));
         base_keys.push_back(std::move(bits));
       }
     }
@@ -141,9 +145,9 @@ StatusOr<ClassTable> AssignClasses(const Database& ext_base,
     for (size_t w = 0; w < slot.key.size(); ++w) slot.key[w] ^= base_key[w];
     bool leads = false;
     uint32_t word = 0;
-    for (uint32_t c = 0; c < PartCount(*slot.grounding); ++c) {
+    for (uint32_t c = 0; c < PartCount(grounding); ++c) {
       const uint64_t* key = slot.key.data() + word;
-      const size_t words = Words(PartAtoms(*slot.grounding, c).size());
+      const size_t words = Words(PartAtoms(grounding, c).size());
       uint64_t hash = HashCombine(group, c);
       for (size_t w = 0; w < words; ++w) hash = HashCombine(hash, key[w]);
       hash = Mix64(hash);
@@ -325,29 +329,6 @@ Status FirstError(const std::vector<Status>& statuses, const Status& pool) {
   return pool;
 }
 
-/// The merge: every output world arrives, in world order, as an overlay of
-/// the shared extended input base (schema union appends declarations, so
-/// input overlay positions survive extension unchanged), and a single
-/// canonicalization over those overlays — O(worlds × delta) — replaces a
-/// flat UnionAll. No world is ever flattened. When μ leaves σ(kb) alone,
-/// every output agrees with its input world on the σ(kb) positions, which
-/// precede every new relation, so world order is already canonical and the
-/// canonicalization is one pass of adjacent comparisons.
-StatusOr<Knowledgebase> MergeTauResults(const Schema& extended_schema,
-                                        std::shared_ptr<const Database> ext_base,
-                                        std::vector<WorldOverlay> merged,
-                                        TauStats* out) {
-  if (merged.empty()) {
-    out->output_databases = 0;
-    return Knowledgebase(extended_schema);
-  }
-  KBT_ASSIGN_OR_RETURN(
-      Knowledgebase out_kb,
-      Knowledgebase::FromBaseAndOverlays(std::move(ext_base), std::move(merged)));
-  out->output_databases = out_kb.size();
-  return out_kb;
-}
-
 }  // namespace
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
@@ -492,16 +473,32 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     return FirstError(*statuses, dispatched);
   };
 
+  // The merge: every output arrives as an overlay of the shared extended
+  // input base (schema union appends declarations, so input overlay
+  // positions survive extension unchanged), grouped by input world:
+  // outputs[first[i] .. first[i + 1]) are world i's. No world is ever
+  // flattened. When μ leaves σ(kb) alone, every output keeps its input
+  // world's deltas there, and FromWorldOutputs orders only each world's own
+  // outputs.
+  auto merge = [&](std::vector<WorldOverlay> outputs,
+                   const std::vector<size_t>& first) -> StatusOr<Knowledgebase> {
+    KBT_ASSIGN_OR_RETURN(Knowledgebase result,
+                         Knowledgebase::FromWorldOutputs(
+                             kb, std::move(ext_base), std::move(outputs), first));
+    out->output_databases = result.size();
+    return result;
+  };
+
   // The block routes (docs/exec.md): μ once per block of 64 worlds, one pool
   // task per block at width > 1. Block boundaries do not depend on the
   // width, so neither do results or stats. No world gets a context or a μ
   // result anchored at a base of its own, so CheckAnchored has nothing to
   // check: each output is its input overlay, canonical against the extended
   // base, plus adds at head positions, which are new to σ(kb) and empty in
-  // that base.
+  // that base. One output per world.
   auto run_blocks = [&](const auto& block) -> StatusOr<Knowledgebase> {
     const size_t blocks = (kb.size() + 63) / 64;
-    std::vector<WorldOverlay> merged(kb.size());
+    std::vector<WorldOverlay> outputs(kb.size());
     std::vector<MuStats> block_stats(blocks);
     std::vector<Status> block_status(blocks);
     KBT_RETURN_IF_ERROR(for_each(
@@ -509,12 +506,13 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
           const size_t begin = 64 * b;
           const size_t end = std::min(kb.size(), begin + 64);
           return block(begin, &block_stats[b],
-                       std::span<WorldOverlay>(merged).subspan(begin,
-                                                               end - begin));
+                       std::span<WorldOverlay>(outputs).subspan(begin,
+                                                                end - begin));
         }));
     for (const MuStats& s : block_stats) out->mu.MergeFrom(s);
-    return MergeTauResults(extended_schema, std::move(ext_base),
-                           std::move(merged), out);
+    std::vector<size_t> first(kb.size() + 1);
+    std::iota(first.begin(), first.end(), size_t{0});
+    return merge(std::move(outputs), first);
   };
   if (route == MuStrategy::kDatalog) {
     return run_blocks([&](size_t begin, MuStats* block_stats,
@@ -542,9 +540,14 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   std::vector<MuStats> class_stats;
   Status status = [&]() -> Status {
     // A — key, per world, from its overlay alone: B from the base's value
-    // counts, the world's one grounding lookup over B, and its delta atoms'
-    // bits, which pass B XORs with the grounding's base key. Passes A and D
-    // share `world_status`: D runs only when A failed nowhere.
+    // counts, B's grounding, and the world's delta atoms' bits, which pass B
+    // XORs with the grounding's base key. Worlds whose B is domain0 share
+    // one grounding lookup per call, made by the first of them to get here;
+    // a world with a domain of its own makes its own. Passes A and D share
+    // `world_status`: D runs only when A failed nowhere.
+    std::once_flag base_once;
+    Status base_status;
+    internal::MuGrounding base_ground;
     std::vector<Status> world_status(kb.size());
     KBT_RETURN_IF_ERROR(for_each(
         kb.size(), &world_status,
@@ -555,14 +558,24 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
           const WorldOverlay& input = kb.overlays()[i];
           WorldSlot& slot = slots[i];
           slot.domain = &domains.Of(input, &slot.own_domain);
-          internal::MuGrounding ground;
-          KBT_RETURN_IF_ERROR(internal::LookUpGrounding(
-              sentence, *slot.domain, options.mu, worker_exec[worker],
-              sat_route, &ground));
-          slot.key.assign(ground.grounding->key_words, 0);
-          MarkDeltaAtoms(*ground.grounding, kb.schema(), input, &slot.key);
-          slot.grounding = std::move(ground.grounding);
-          slot.frozen = std::move(ground.frozen);
+          if (slot.domain == &domains.base_domain()) {
+            std::call_once(base_once, [&] {
+              base_status = internal::LookUpGrounding(
+                  sentence, *slot.domain, options.mu, worker_exec[worker],
+                  sat_route, &base_ground);
+            });
+            KBT_RETURN_IF_ERROR(base_status);
+            slot.ground = &base_ground;
+          } else {
+            slot.own_ground = std::make_unique<internal::MuGrounding>();
+            KBT_RETURN_IF_ERROR(internal::LookUpGrounding(
+                sentence, *slot.domain, options.mu, worker_exec[worker],
+                sat_route, slot.own_ground.get()));
+            slot.ground = slot.own_ground.get();
+          }
+          const exec::CachedGrounding& grounding = *slot.ground->grounding;
+          slot.key.assign(grounding.key_words, 0);
+          MarkDeltaAtoms(grounding, kb.schema(), input, &slot.key);
           return Status::OK();
         }));
 
@@ -581,10 +594,10 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
           const WorldClass& wc = table.classes[k];
           const WorldSlot& leader = slots[wc.leader];
           internal::MuGrounding part;
-          part.grounding = leader.grounding;
-          part.frozen = leader.frozen;
-          part.root = PartRoot(*leader.grounding, wc.part);
-          part.atoms = &PartAtoms(*leader.grounding, wc.part);
+          part.grounding = leader.ground->grounding;
+          part.frozen = leader.ground->frozen;
+          part.root = PartRoot(*part.grounding, wc.part);
+          part.atoms = &PartAtoms(*part.grounding, wc.part);
           part.bits.assign(
               leader.key.begin() + wc.word,
               leader.key.begin() + wc.word + Words(part.atoms->size()));
@@ -631,16 +644,21 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   for (const MuStats& s : class_stats) out->mu.MergeFrom(s);
   class_mu.clear();
 
+  std::vector<size_t> first;
+  first.reserve(slots.size() + 1);
   size_t total = 0;
-  for (const WorldSlot& slot : slots) total += slot.out.size();
-  std::vector<WorldOverlay> merged;
-  merged.reserve(total);
+  for (const WorldSlot& slot : slots) {
+    first.push_back(total);
+    total += slot.out.size();
+  }
+  first.push_back(total);
+  std::vector<WorldOverlay> outputs;
+  outputs.reserve(total);
   for (WorldSlot& slot : slots) {
-    for (WorldOverlay& ov : slot.out) merged.push_back(std::move(ov));
+    for (WorldOverlay& ov : slot.out) outputs.push_back(std::move(ov));
   }
   slots.clear();
-  return MergeTauResults(extended_schema, std::move(ext_base),
-                         std::move(merged), out);
+  return merge(std::move(outputs), first);
 }
 
 StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,

@@ -17,10 +17,12 @@
 /// world from the shared base plus its overlay — its active domain from the
 /// base's value counts, its values from the base's with its delta atoms
 /// flipped — and materializes a world only to run μ for a class leader.
+/// Worlds whose domain is the base's share one grounding lookup per call.
 /// Datalog and definitional μ instead run once per block of 64 worlds, over
-/// world masks, and materialize no world. Outputs arrive in world order; when
-/// μ leaves σ(kb) alone that order is already canonical, and the merge keeps
-/// it after one pass of comparisons.
+/// world masks, and materialize no world. Outputs arrive grouped by input
+/// world; when μ leaves σ(kb) alone, outputs of different worlds are already
+/// in input order, and the merge (Knowledgebase::FromWorldOutputs) orders
+/// only each world's own.
 /// threads = 1 (the default) is the plain sequential loop; every thread count
 /// produces the same canonical Knowledgebase bit for bit
 /// (tests/tau_parallel_test.cc).
@@ -94,12 +96,16 @@ struct TauStats {
   /// Worker threads actually used (1 for the sequential path).
   size_t threads_used = 1;
   /// Domain-keyed grounding cache counters (0/0 when no world took a
-  /// grounding strategy). Each world on a grounded route makes one lookup.
+  /// grounding strategy). They count lookups made, not worlds: on a
+  /// grounded route τ makes one lookup per call for the base's domain
+  /// (domain0, if any world has it) plus one per world whose domain
+  /// differs, at every width.
   uint64_t ground_cache_hits = 0;
   uint64_t ground_cache_misses = 0;
   /// Frozen-CNF-prefix cache counters (0/0 for a singleton kb without an
-  /// external cnf_cache, or when no world took the SAT strategy). A hit is
-  /// one world's Tseitin encoding replaced by a bulk solver fork.
+  /// external cnf_cache, or when no world took the SAT strategy), counting
+  /// the same lookups on the SAT route. A hit is one lookup's Tseitin
+  /// encoding replaced by the cached frozen prefix.
   uint64_t cnf_cache_hits = 0;
   uint64_t cnf_cache_misses = 0;
   /// Worlds that ran no μ of their own: on every component of the grounding,

@@ -1,14 +1,15 @@
 #include "rel/knowledgebase.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <set>
-#include <unordered_map>
 
 namespace kbt {
 
 namespace {
 
-/// Strict-weak-order adapter over CompareWorldsOnBase for sort/binary_search.
+/// Strict-weak-order adapter over CompareWorldsOnBase for binary_search.
 struct OverlayLess {
   const Database* base;
   bool operator()(const WorldOverlay& a, const WorldOverlay& b) const {
@@ -16,44 +17,98 @@ struct OverlayLess {
   }
 };
 
+/// Sorts `overlays` into canonical order and drops duplicates. The sequence
+/// splits into maximal strictly increasing runs — n − 1 adjacent comparisons;
+/// one run is canonical already and is kept with no moves — and the runs are
+/// merged pairwise, keeping one of two equal worlds: O(n log runs)
+/// comparisons. Overlays are a unique representation relative to one base,
+/// so equal worlds are equal overlays, and the merge moves indices, not
+/// overlays, until one final gather.
+void SortUnique(const Database& base, std::vector<WorldOverlay>* overlays) {
+  std::vector<WorldOverlay>& v = *overlays;
+  std::vector<uint32_t> bounds = {0};  // Where each run starts, then the end.
+  for (size_t i = 1; i < v.size(); ++i) {
+    if (CompareWorldsOnBase(base, v[i - 1], v[i]) >= 0) {
+      bounds.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  if (bounds.size() == 1) return;
+  bounds.push_back(static_cast<uint32_t>(v.size()));
+  std::vector<uint32_t> order(v.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<uint32_t> merged(v.size());
+  std::vector<uint32_t> next;
+  while (bounds.size() > 2) {
+    next.assign(1, 0);
+    uint32_t out = 0;
+    for (size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      uint32_t a = bounds[r];
+      const uint32_t a_end = bounds[r + 1];
+      uint32_t b = a_end;
+      const uint32_t b_end = r + 2 < bounds.size() ? bounds[r + 2] : a_end;
+      while (a < a_end && b < b_end) {
+        const int c = CompareWorldsOnBase(base, v[order[a]], v[order[b]]);
+        if (c <= 0) {
+          merged[out++] = order[a++];
+          if (c == 0) ++b;  // The same world: keep one.
+        } else {
+          merged[out++] = order[b++];
+        }
+      }
+      while (a < a_end) merged[out++] = order[a++];
+      while (b < b_end) merged[out++] = order[b++];
+      next.push_back(out);
+    }
+    order.swap(merged);
+    bounds.swap(next);
+  }
+  std::vector<WorldOverlay> sorted;
+  sorted.reserve(bounds[1]);
+  for (uint32_t k = 0; k < bounds[1]; ++k) sorted.push_back(std::move(v[order[k]]));
+  v = std::move(sorted);
+}
+
+/// True when `base` extends `input_base` by appending relations: the same
+/// declaration and the same relation at every position of the input schema.
+bool ExtendsByAppending(const Database& input_base, const Database& base) {
+  const Schema& schema = input_base.schema();
+  if (base.schema().size() < schema.size()) return false;
+  for (size_t p = 0; p < schema.size(); ++p) {
+    if (!(base.schema().decl(p) == schema.decl(p)) ||
+        base.relation_at(p) != input_base.relation_at(p)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True when `a` and `b` are one buffer, or both empty or both the nullary
+/// tuple: a check on handles that never reads rows.
+bool SameStorage(const Relation& a, const Relation& b) {
+  return a.StorageId() == b.StorageId() && a.size() == b.size() &&
+         a.arity() == b.arity();
+}
+
+/// True when `output`'s deltas below position `n` are exactly `input`'s, in
+/// the same storage: none changed, missing or extra.
+bool KeepsInputBelow(const WorldOverlay& input, const WorldOverlay& output,
+                     size_t n) {
+  const std::vector<RelationDelta>& in = input.deltas();
+  const std::vector<RelationDelta>& out = output.deltas();
+  size_t k = 0;
+  for (; k < out.size() && out[k].pos < n; ++k) {
+    if (k >= in.size() || out[k].pos != in[k].pos ||
+        !SameStorage(out[k].adds, in[k].adds) ||
+        !SameStorage(out[k].dels, in[k].dels)) {
+      return false;
+    }
+  }
+  return k == in.size();
+}
+
 }  // namespace
 
-void Knowledgebase::Canonicalize() {
-  // A sequence that is strictly increasing is already sorted and free of
-  // duplicates: at most n − 1 adjacent comparisons recognize it, and it is
-  // kept as is. τ's outputs arrive so whenever μ leaves σ(kb) alone, and a
-  // decoded checkpoint always does.
-  const OverlayLess less{base_.get()};
-  if (std::adjacent_find(overlays_.begin(), overlays_.end(),
-                         [&less](const WorldOverlay& a, const WorldOverlay& b) {
-                           return !less(a, b);
-                         }) == overlays_.end()) {
-    return;
-  }
-  // Overlays are a unique representation relative to one base, so world
-  // equality is overlay equality: dedup needs no database comparisons. The
-  // hashes are O(delta) each; relation hashes are cached in the shared
-  // storage blocks.
-  std::unordered_map<size_t, std::vector<size_t>> buckets;
-  buckets.reserve(overlays_.size());
-  size_t keep = 0;
-  for (size_t i = 0; i < overlays_.size(); ++i) {
-    std::vector<size_t>& bucket = buckets[overlays_[i].Hash()];
-    bool duplicate = false;
-    for (size_t j : bucket) {
-      if (overlays_[j] == overlays_[i]) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    if (keep != i) overlays_[keep] = std::move(overlays_[i]);
-    bucket.push_back(keep);
-    ++keep;
-  }
-  overlays_.resize(keep);
-  std::sort(overlays_.begin(), overlays_.end(), less);
-}
+void Knowledgebase::Canonicalize() { SortUnique(*base_, &overlays_); }
 
 StatusOr<Knowledgebase> Knowledgebase::FromDatabases(std::vector<Database> databases) {
   Knowledgebase kb;
@@ -101,6 +156,60 @@ StatusOr<Knowledgebase> Knowledgebase::FromBaseAndOverlays(
   return kb;
 }
 
+StatusOr<Knowledgebase> Knowledgebase::FromWorldOutputs(
+    const Knowledgebase& input, std::shared_ptr<const Database> base,
+    std::vector<WorldOverlay> outputs, const std::vector<size_t>& first) {
+  if (base == nullptr) {
+    return Status::InvalidArgument("FromWorldOutputs: null base");
+  }
+  if (first.size() != input.size() + 1 || first.front() != 0 ||
+      first.back() != outputs.size() ||
+      !std::is_sorted(first.begin(), first.end())) {
+    return Status::InvalidArgument(
+        "FromWorldOutputs: output groups do not match the input worlds");
+  }
+  if (outputs.empty()) return Knowledgebase(base->schema());
+  // Checked, never assumed: every output keeps its input world's overlay at
+  // every σ(kb) position, in the same storage, and σ(kb) is a prefix of the
+  // base's schema with the same relations.
+  const size_t n = input.schema_.size();
+  bool structural = ExtendsByAppending(*input.base_, *base);
+  bool singles = true;  // No world has two outputs.
+  for (size_t i = 0; structural && i < input.size(); ++i) {
+    singles = singles && first[i + 1] - first[i] <= 1;
+    for (size_t k = first[i]; structural && k < first[i + 1]; ++k) {
+      structural = KeepsInputBelow(input.overlays_[i], outputs[k], n);
+    }
+  }
+  if (!structural) {
+    return FromBaseAndOverlays(std::move(base), std::move(outputs));
+  }
+  // Outputs of input worlds i < j first differ below n, where they are
+  // worlds i and j, which the input orders already: only one world's own
+  // outputs need ordering among themselves.
+  Knowledgebase kb;
+  kb.schema_ = base->schema();
+  kb.base_ = std::move(base);
+  if (singles) {
+    kb.overlays_ = std::move(outputs);
+    return kb;
+  }
+  kb.overlays_.reserve(outputs.size());
+  std::vector<WorldOverlay> group;
+  for (size_t i = 0; i < input.size(); ++i) {
+    auto begin = outputs.begin() + static_cast<ptrdiff_t>(first[i]);
+    auto end = outputs.begin() + static_cast<ptrdiff_t>(first[i + 1]);
+    if (end - begin == 1) {
+      kb.overlays_.push_back(std::move(*begin));
+      continue;
+    }
+    group.assign(std::make_move_iterator(begin), std::make_move_iterator(end));
+    SortUnique(*kb.base_, &group);
+    std::move(group.begin(), group.end(), std::back_inserter(kb.overlays_));
+  }
+  return kb;
+}
+
 Knowledgebase Knowledgebase::SelectWorlds(const std::vector<size_t>& indices) const {
   if (indices.empty()) return Knowledgebase(schema_);
   Knowledgebase out;
@@ -139,17 +248,6 @@ bool Knowledgebase::Contains(const Database& db) const {
   WorldOverlay probe = WorldOverlay::FromDiff(*base_, db);
   return std::binary_search(overlays_.begin(), overlays_.end(), probe,
                             OverlayLess{base_.get()});
-}
-
-StatusOr<Knowledgebase> Knowledgebase::WithDatabase(const Database& db) const {
-  if (empty()) return Singleton(db);
-  if (db.schema() != schema_) {
-    return Status::InvalidArgument("WithDatabase: schema mismatch");
-  }
-  Knowledgebase out = *this;
-  out.overlays_.push_back(WorldOverlay::FromDiff(*base_, db));
-  out.Canonicalize();
-  return out;
 }
 
 StatusOr<Knowledgebase> Knowledgebase::UnionAll(std::vector<Knowledgebase> parts) {

@@ -11,11 +11,13 @@
 ///
 /// Representation: one shared immutable base Database plus one WorldOverlay per
 /// world (rel/overlay.h) — worlds that differ from the base by a handful of
-/// tuples cost O(delta) memory, and canonicalization runs on overlays in
-/// O(worlds × delta) instead of O(worlds × database). An overlay sequence that
-/// already arrives strictly increasing (τ's outputs when μ leaves σ(kb) alone,
-/// a decoded checkpoint) is recognized with n − 1 adjacent comparisons and
-/// kept; any other is hash-deduplicated and sorted. World(i) materializes one
+/// tuples cost O(delta) memory, and canonicalization compares overlays in
+/// O(delta) instead of databases in O(database). Canonicalization splits an
+/// overlay sequence into maximal strictly increasing runs (n − 1 adjacent
+/// comparisons; a single run, such as a decoded checkpoint, is kept as is)
+/// and merges the runs pairwise, dropping duplicates: O(n log runs)
+/// comparisons. τ's outputs that extend their input worlds only at new
+/// relations skip even that (FromWorldOutputs). World(i) materializes one
 /// member on demand. A kb is a plain immutable value: copies share the base
 /// and the overlays' tuple buffers. See docs/worldset.md.
 
@@ -48,14 +50,28 @@ class Knowledgebase {
   /// Singleton knowledgebase.
   static Knowledgebase Singleton(Database db);
 
-  /// Builds from a shared base plus one overlay per world — the primary
-  /// constructor on the τ result path (no world is ever flattened). Each
-  /// overlay must satisfy the canonical invariants relative to `base`
-  /// (rel/overlay.h); duplicates collapse. `base` must be non-null; the kb
-  /// schema is the base's schema. Overlays already in canonical order are
-  /// kept as they are, in one pass.
+  /// Builds from a shared base plus one overlay per world (no world is ever
+  /// flattened). Each overlay must satisfy the canonical invariants relative
+  /// to `base` (rel/overlay.h); duplicates collapse. `base` must be non-null;
+  /// the kb schema is the base's schema. Overlays already in canonical order
+  /// are kept as they are, in one pass.
   static StatusOr<Knowledgebase> FromBaseAndOverlays(
       std::shared_ptr<const Database> base, std::vector<WorldOverlay> overlays);
+
+  /// τ's result constructor: `outputs[first[i] .. first[i + 1])` are the
+  /// worlds input world i maps to, as overlays of `base`, which extends
+  /// input.base() by appending relations (`first` has input.size() + 1
+  /// ascending entries, from 0 to outputs.size()). When every output keeps
+  /// its input world's delta at every σ(input) position — the same storage,
+  /// none changed, missing or extra — and `base` keeps input.base()'s
+  /// relations there, outputs of different input worlds are already in input
+  /// order: each world's own outputs are sorted and deduplicated, and no two
+  /// input worlds are compared. The check costs O(total deltas) and reads no
+  /// rows. Otherwise the outputs are canonicalized as FromBaseAndOverlays
+  /// does.
+  static StatusOr<Knowledgebase> FromWorldOutputs(
+      const Knowledgebase& input, std::shared_ptr<const Database> base,
+      std::vector<WorldOverlay> outputs, const std::vector<size_t>& first);
 
   const Schema& schema() const { return schema_; }
   /// Number of possible worlds.
@@ -84,16 +100,14 @@ class Knowledgebase {
   /// Membership test.
   bool Contains(const Database& db) const;
 
-  /// This kb with `db` added (schema must match; no-op if present).
-  StatusOr<Knowledgebase> WithDatabase(const Database& db) const;
-
   /// Set union of same-schema knowledgebases in one pass: overlays are moved
-  /// when parts share this kb's base (pointer or value equality) and rebased
-  /// via copy-on-write diff otherwise, then deduplicated through overlay
-  /// hashes and sorted once — τ's merge step over per-world μ results,
-  /// O(total · delta) when bases are shared. Parts that are empty (including
-  /// default-schema empties) contribute nothing; an all-empty input yields an
-  /// empty kb over the first part's schema.
+  /// when parts share the first non-empty part's base (pointer or value
+  /// equality) and rebased via copy-on-write diff otherwise, then
+  /// canonicalized once — each part arrives as one strictly increasing run,
+  /// so the merge costs O(total · log parts) comparisons of O(delta) each.
+  /// Parts that are empty (including default-schema empties) contribute
+  /// nothing; an all-empty input yields an empty kb over the first part's
+  /// schema.
   static StatusOr<Knowledgebase> UnionAll(std::vector<Knowledgebase> parts);
 
   /// The paper's ⊓: componentwise intersection of all members, as a singleton kb.
@@ -126,7 +140,7 @@ class Knowledgebase {
  private:
   /// Brings overlays into the canonical (flat-order-consistent) sequence:
   /// kept as is when adjacent pairs are already strictly increasing, else
-  /// deduplicated through their hashes and sorted.
+  /// its strictly increasing runs are merged, dropping duplicates.
   void Canonicalize();
 
   Schema schema_;

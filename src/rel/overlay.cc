@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "base/hash.h"
-
 namespace kbt {
 
 namespace {
@@ -243,16 +241,6 @@ size_t WorldOverlay::HeapBytes() const {
   return n;
 }
 
-size_t WorldOverlay::Hash() const {
-  size_t seed = 0x77a1c3b5;
-  for (const RelationDelta& d : deltas_) {
-    seed = HashCombine(seed, d.pos);
-    seed = HashCombine(seed, d.adds.Hash());
-    seed = HashCombine(seed, d.dels.Hash());
-  }
-  return seed;
-}
-
 Status WorldOverlay::Validate(const Database& base) const {
   size_t prev_pos = 0;
   bool first = true;
@@ -330,13 +318,27 @@ int CompareWorldsOnBase(const Database& base, const WorldOverlay& a,
                                     base_rel.arity()) < 0);
     TupleView x = from_adds ? x_adds : x_dels;
     bool in_a = from_adds ? adds_in_a : !dels_in_a;
-    // Rows of the world *not* containing x* that sort after x*.
+    // Does the world *not* containing x* hold a row after x*? Usually the
+    // base's last row answers in O(1): it lies past x* and that world keeps
+    // it (dels ⊆ base, so the world deletes it iff its dels end with it).
+    // Otherwise count the rows past x*.
     const Relation& other_adds = in_a ? ba : aa;
     const Relation& other_dels = in_a ? bd : ad;
-    size_t other_greater = RowsGreaterThan(base_rel, x) +
-                           RowsGreaterThan(other_adds, x) -
-                           RowsGreaterThan(other_dels, x);
-    bool a_less = in_a ? (other_greater > 0) : (other_greater == 0);
+    const size_t arity = base_rel.arity();
+    bool other_greater;
+    if (arity > 0 && !base_rel.empty() &&
+        CompareValues(base_rel.back().data(), x.data(), arity) > 0 &&
+        (other_dels.empty() ||
+         CompareValues(other_dels.back().data(), base_rel.back().data(),
+                       arity) != 0)) {
+      other_greater = true;
+    } else {
+      other_greater = RowsGreaterThan(base_rel, x) +
+                          RowsGreaterThan(other_adds, x) -
+                          RowsGreaterThan(other_dels, x) >
+                      0;
+    }
+    bool a_less = in_a ? other_greater : !other_greater;
     return a_less ? -1 : 1;
   }
   return 0;

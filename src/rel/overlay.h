@@ -12,11 +12,12 @@
 ///
 /// so the represented world is (base \ dels) ∪ adds per relation and the
 /// representation is *unique*: two worlds over one base are equal iff their
-/// overlays are equal, and hashing/ordering worlds costs O(delta) instead of
+/// overlays are equal, and comparing worlds costs O(delta) instead of
 /// O(database). Deltas are kept sorted by position and empty deltas are
 /// dropped. CompareWorldsOnBase reproduces the flat Database ordering without
 /// materializing either side, which is what keeps Knowledgebase
-/// canonicalization O(worlds × delta).
+/// canonicalization — a merge of strictly increasing runs — O(delta) per
+/// comparison.
 
 #include <cstdint>
 #include <vector>
@@ -101,10 +102,6 @@ class WorldOverlay {
   /// (shared buffers counted fully; deduplicate via Relation::StorageId).
   size_t HeapBytes() const;
 
-  /// Value hash: equal overlays hash equal. O(delta) with cached relation
-  /// hashes.
-  size_t Hash() const;
-
   /// Checks the canonical invariants against `base`: positions strictly
   /// ascending and in range, arities matching, adds disjoint from the base
   /// relation, dels contained in it, no empty delta. kDataLoss on violation
@@ -125,8 +122,8 @@ class WorldOverlay {
 /// Three-way comparison of the worlds `a` and `b` denote over `base`,
 /// *identical to the flat ordering* Database::operator< induces (including the
 /// nullary row-count tiebreak) but computed from the deltas: O(delta) relation
-/// work plus O(log base) row counting at the single deciding position.
-/// Returns <0, 0, >0.
+/// work, then at the single deciding position O(1) when the base relation's
+/// last row decides it, else O(log base) row counting. Returns <0, 0, >0.
 int CompareWorldsOnBase(const Database& base, const WorldOverlay& a,
                         const WorldOverlay& b);
 

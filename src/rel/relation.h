@@ -17,9 +17,10 @@
 /// Relation — and hence a Database, and hence materializing one world of an
 /// overlay-structured Knowledgebase — is a reference-count bump, not a data
 /// copy. Sharing is observable only through StorageId(), which set operations
-/// and comparisons use as an O(1) equality fast path, and through the Storage
-/// block's cached hash (computed once per distinct buffer, then reused by every
-/// sharing copy — the hash-dedup in Knowledgebase::Canonicalize leans on this).
+/// and comparisons use as an O(1) equality fast path (τ's result constructor,
+/// Knowledgebase::FromWorldOutputs, checks its outputs by it alone), and
+/// through the Storage block's cached hash (computed once per distinct buffer,
+/// then reused by every sharing copy and by Database::Hash).
 
 #include <atomic>
 #include <cstdint>
@@ -132,6 +133,8 @@ class Relation {
   }
   /// View of the first row; the relation must be non-empty.
   TupleView front() const { return (*this)[0]; }
+  /// View of the last row; the relation must be non-empty.
+  TupleView back() const { return (*this)[rows_ - 1]; }
 
   const_iterator begin() const {
     return const_iterator(data().data(), arity_, 0);

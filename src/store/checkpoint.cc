@@ -1,7 +1,6 @@
 #include "store/checkpoint.h"
 
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "base/interner.h"
@@ -74,13 +73,12 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
-/// Reads one adds/dels block and resolves it against `schema`.
-StatusOr<std::pair<size_t, Relation>> ReadDeltaBlock(PayloadReader& reader,
-                                                     const Schema& schema,
-                                                     const char* what) {
+/// Reads one adds/dels block straight into a relation of `schema`.
+StatusOr<DecodedDelta> ReadDeltaBlock(PayloadReader& reader,
+                                      const Schema& schema,
+                                      PayloadNames* names, const char* what) {
   KBT_ASSIGN_OR_RETURN(std::string_view block, reader.ReadBlock(what));
-  KBT_ASSIGN_OR_RETURN(TupleDelta delta, DecodeTupleDelta(block));
-  return ResolveTupleDelta(delta, schema);
+  return ParseTupleDelta(block, schema, names);
 }
 
 /// Parses the payload: base database once, then per-world overlays.
@@ -95,6 +93,8 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
     return Status::DataLoss("checkpoint world count exceeds payload size");
   }
   auto shared_base = std::make_shared<const Database>(std::move(base));
+  const Schema& schema = shared_base->schema();
+  PayloadNames names;  // Views into `payload`, which outlives the decode.
   std::vector<WorldOverlay> overlays;
   overlays.reserve(world_count);
   for (uint32_t w = 0; w < world_count; ++w) {
@@ -106,21 +106,19 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
     std::vector<RelationDelta> deltas;
     deltas.reserve(delta_count);
     for (uint32_t i = 0; i < delta_count; ++i) {
-      KBT_ASSIGN_OR_RETURN(auto adds, ReadDeltaBlock(reader,
-                                                     shared_base->schema(),
-                                                     "overlay adds"));
-      KBT_ASSIGN_OR_RETURN(auto dels, ReadDeltaBlock(reader,
-                                                     shared_base->schema(),
-                                                     "overlay dels"));
-      if (adds.first != dels.first) {
+      KBT_ASSIGN_OR_RETURN(
+          DecodedDelta adds,
+          ReadDeltaBlock(reader, schema, &names, "overlay adds"));
+      KBT_ASSIGN_OR_RETURN(
+          DecodedDelta dels,
+          ReadDeltaBlock(reader, schema, &names, "overlay dels"));
+      if (adds.pos != dels.pos) {
         return Status::DataLoss(
             "checkpoint overlay adds/dels name different relations");
       }
-      RelationDelta d;
-      d.pos = static_cast<uint32_t>(adds.first);
-      d.adds = std::move(adds.second);
-      d.dels = std::move(dels.second);
-      deltas.push_back(std::move(d));
+      deltas.push_back(RelationDelta{static_cast<uint32_t>(adds.pos),
+                                     std::move(adds.rows),
+                                     std::move(dels.rows)});
     }
     WorldOverlay overlay = WorldOverlay::FromDeltas(std::move(deltas));
     // Reject any payload whose overlay is not canonical relative to the base
@@ -138,35 +136,6 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
 }
 
 }  // namespace
-
-StatusOr<std::pair<size_t, Relation>> ResolveTupleDelta(const TupleDelta& delta,
-                                                        const Schema& schema) {
-  Symbol symbol = Name(delta.relation);
-  std::optional<size_t> pos = schema.PositionOf(symbol);
-  if (!pos.has_value()) {
-    return Status::DataLoss("tuple delta names undeclared relation " +
-                            delta.relation);
-  }
-  if (schema.decl(*pos).arity != delta.arity) {
-    return Status::DataLoss("tuple delta arity mismatch for " + delta.relation);
-  }
-  Relation::Builder builder(delta.arity);
-  builder.Reserve(delta.rows.size());
-  for (const auto& row : delta.rows) {
-    if (row.size() != delta.arity) {
-      return Status::DataLoss("tuple delta row width mismatch for " +
-                              delta.relation);
-    }
-    if (delta.arity == 0) {
-      // A present zero-ary row is the single empty tuple.
-      builder.Append(std::initializer_list<Value>{});
-      continue;
-    }
-    Value* out = builder.AppendRow();
-    for (size_t i = 0; i < delta.arity; ++i) out[i] = Name(row[i]);
-  }
-  return std::pair<size_t, Relation>(*pos, builder.Build());
-}
 
 std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn) {
   // The shared base once, each world as its sparse overlay.

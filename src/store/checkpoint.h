@@ -22,12 +22,14 @@
 ///              EncodeTupleDelta wire shape (store/wal.h)
 ///
 /// so checkpoint size is O(base + Σ deltas) instead of O(worlds × database).
-/// Decoding validates every overlay's canonical invariants against the base
-/// (WorldOverlay::Validate) before accepting the file. Version-1 files (a
-/// flat member list, written before the overlay representation) are refused
-/// as kDataLoss "unsupported checkpoint version 1". Unlike the WAL, a checkpoint is all-or-nothing: any truncation or
-/// corruption makes the file invalid (recovery falls back to an older
-/// checkpoint).
+/// Decoding reads each block straight into a relation at its schema position
+/// (ParseTupleDelta, store/wal.h), interning each distinct name of the
+/// payload once, and validates every overlay's canonical invariants against
+/// the base (WorldOverlay::Validate) before accepting the file. Version-1
+/// files (a flat member list, written before the overlay representation) are
+/// refused as kDataLoss "unsupported checkpoint version 1". Unlike the WAL, a
+/// checkpoint is all-or-nothing: any truncation or corruption makes the file
+/// invalid (recovery falls back to an older checkpoint).
 ///
 /// WriteCheckpoint is atomic under crashes: the bytes go to a temporary name,
 /// are synced, then renamed into place and the directory synced — a crash at
@@ -36,7 +38,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "base/status.h"
 #include "rel/knowledgebase.h"
@@ -69,13 +70,6 @@ Status WriteCheckpoint(Env* env, const std::string& dir,
 
 /// Reads and decodes the checkpoint at `path`.
 StatusOr<CheckpointContents> ReadCheckpoint(Env* env, const std::string& path);
-
-/// Resolves a decoded tuple delta against `schema`: interns the rows into a
-/// Relation and returns it with its schema position. kDataLoss on an
-/// undeclared relation, arity mismatch, or ragged rows. Shared by the
-/// checkpoint decoder and WAL replay.
-StatusOr<std::pair<size_t, Relation>> ResolveTupleDelta(const TupleDelta& delta,
-                                                        const Schema& schema);
 
 }  // namespace kbt::store
 

@@ -2,9 +2,11 @@
 #define KBT_STORE_CRC32_H_
 
 /// \file
-/// CRC-32C (Castagnoli) for guarding stored bytes: WAL records and checkpoint
-/// payloads. Software table implementation — the store's record sizes are
-/// dominated by serialization cost, not checksumming.
+/// CRC-32C (Castagnoli) for guarding stored and sent bytes: WAL records,
+/// checkpoint payloads, replication metadata and wire frames. Software
+/// slicing-by-8: eight table lookups fold eight bytes, loaded as two
+/// little-endian words (base/little_endian.h), so the values are the bytewise
+/// reflected CRC's on every host.
 
 #include <cstddef>
 #include <cstdint>

@@ -14,10 +14,12 @@ namespace {
 
 StatusOr<Knowledgebase> ApplyTupleDelta(const Knowledgebase& kb,
                                         WalRecordKind kind,
-                                        const TupleDelta& delta) {
-  KBT_ASSIGN_OR_RETURN(auto resolved, ResolveTupleDelta(delta, kb.schema()));
-  const size_t pos = resolved.first;
-  const Relation& change = resolved.second;
+                                        std::string_view payload) {
+  PayloadNames names;
+  KBT_ASSIGN_OR_RETURN(DecodedDelta decoded,
+                       ParseTupleDelta(payload, kb.schema(), &names));
+  const size_t pos = decoded.pos;
+  const Relation& change = decoded.rows;
   if (kb.empty()) return Knowledgebase(kb.schema());
 
   // The edit applies to every world W uniformly: W' = W ∪ C (insert) or
@@ -79,10 +81,8 @@ StatusOr<Knowledgebase> ApplyWalRecord(Engine& engine, const WalRecord& record,
     case WalRecordKind::kTransform:
       return engine.Apply(record.payload, kb);
     case WalRecordKind::kInsert:
-    case WalRecordKind::kDelete: {
-      KBT_ASSIGN_OR_RETURN(TupleDelta delta, DecodeTupleDelta(record.payload));
-      return ApplyTupleDelta(kb, record.kind, delta);
-    }
+    case WalRecordKind::kDelete:
+      return ApplyTupleDelta(kb, record.kind, record.payload);
   }
   return Status::Internal("unreachable wal record kind");
 }

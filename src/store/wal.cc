@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "base/little_endian.h"
 #include "store/crc32.h"
@@ -25,37 +26,6 @@ std::string EncodeRecord(const WalRecord& record) {
   out += body;
   return out;
 }
-
-/// Bounds-checked cursor over a delta payload.
-class DeltaReader {
- public:
-  explicit DeltaReader(std::string_view bytes) : bytes_(bytes) {}
-
-  StatusOr<uint32_t> ReadU32(const char* what) {
-    if (bytes_.size() - pos_ < 4) return Truncated(what);
-    uint32_t v = LoadU32(bytes_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-
-  StatusOr<std::string_view> ReadBytes(size_t n, const char* what) {
-    if (bytes_.size() - pos_ < n) return Truncated(what);
-    std::string_view v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  Status Truncated(const char* what) {
-    return Status::DataLoss(std::string("truncated tuple delta reading ") +
-                            what);
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -81,48 +51,81 @@ std::string EncodeTupleDelta(
   return out;
 }
 
-StatusOr<TupleDelta> DecodeTupleDelta(std::string_view payload) {
-  DeltaReader reader(payload);
-  TupleDelta delta;
-  KBT_ASSIGN_OR_RETURN(uint32_t name_len, reader.ReadU32("relation name size"));
-  if (name_len > reader.remaining()) {
-    return Status::DataLoss("truncated tuple delta reading relation name");
-  }
-  KBT_ASSIGN_OR_RETURN(std::string_view name,
-                       reader.ReadBytes(name_len, "relation name"));
-  delta.relation = std::string(name);
-  KBT_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32("arity"));
+Symbol PayloadNames::Intern(std::string_view name) {
+  auto [it, fresh] = symbols_.try_emplace(name, 0);
+  if (fresh) it->second = Name(name);
+  return it->second;
+}
+
+StatusOr<DecodedDelta> ParseTupleDelta(std::string_view payload,
+                                       const Schema& schema,
+                                       PayloadNames* names) {
+  size_t at = 0;
+  auto truncated = [](const char* what) {
+    return Status::DataLoss(std::string("truncated tuple delta reading ") +
+                            what);
+  };
+  // The next u32, or false when fewer than 4 bytes remain.
+  auto read_u32 = [&](uint32_t* v) {
+    if (payload.size() - at < 4) return false;
+    *v = LoadU32(payload.data() + at);
+    at += 4;
+    return true;
+  };
+  // The next `len` bytes, or false when fewer remain.
+  auto read_bytes = [&](uint32_t len, std::string_view* v) {
+    if (payload.size() - at < len) return false;
+    *v = payload.substr(at, len);
+    at += len;
+    return true;
+  };
+  uint32_t name_len = 0, arity = 0, rows = 0;
+  std::string_view name;
+  if (!read_u32(&name_len)) return truncated("relation name size");
+  if (!read_bytes(name_len, &name)) return truncated("relation name");
+  if (!read_u32(&arity)) return truncated("arity");
   if (arity > 1'000'000) return Status::DataLoss("tuple delta arity too large");
-  delta.arity = arity;
-  KBT_ASSIGN_OR_RETURN(uint32_t rows, reader.ReadU32("row count"));
+  if (!read_u32(&rows)) return truncated("row count");
   // Each value costs at least 4 length bytes, so bound rows before reserving.
   // A zero-ary relation holds at most the empty tuple (binary_io's rule), so
   // its row count needs its own bound — no per-value bytes back it.
   if (arity == 0 && rows > 1) {
     return Status::DataLoss("tuple delta row count exceeds payload size");
   }
-  if (arity > 0 && static_cast<uint64_t>(rows) * arity > reader.remaining() / 4) {
+  if (arity > 0 &&
+      static_cast<uint64_t>(rows) * arity > (payload.size() - at) / 4) {
     return Status::DataLoss("tuple delta row count exceeds payload size");
   }
-  delta.rows.reserve(rows);
-  for (uint32_t r = 0; r < rows; ++r) {
-    std::vector<std::string> row;
-    row.reserve(arity);
-    for (uint32_t c = 0; c < arity; ++c) {
-      KBT_ASSIGN_OR_RETURN(uint32_t len, reader.ReadU32("value size"));
-      if (len > reader.remaining()) {
-        return Status::DataLoss("truncated tuple delta reading value");
-      }
-      KBT_ASSIGN_OR_RETURN(std::string_view value,
-                           reader.ReadBytes(len, "value"));
-      row.emplace_back(value);
-    }
-    delta.rows.push_back(std::move(row));
+  const std::optional<size_t> pos = schema.PositionOf(names->Intern(name));
+  if (!pos.has_value()) {
+    return Status::DataLoss("tuple delta names undeclared relation " +
+                            std::string(name));
   }
-  if (reader.remaining() != 0) {
+  if (schema.decl(*pos).arity != arity) {
+    return Status::DataLoss("tuple delta arity mismatch for " +
+                            std::string(name));
+  }
+  Relation::Builder builder(arity);
+  if (arity == 0) {
+    // A present zero-ary row is the single empty tuple.
+    if (rows == 1) builder.Append(TupleView());
+  } else {
+    builder.Reserve(rows);
+    for (uint32_t r = 0; r < rows; ++r) {
+      Value* row = builder.AppendRow();
+      for (uint32_t c = 0; c < arity; ++c) {
+        uint32_t len = 0;
+        std::string_view value;
+        if (!read_u32(&len)) return truncated("value size");
+        if (!read_bytes(len, &value)) return truncated("value");
+        row[c] = names->Intern(value);
+      }
+    }
+  }
+  if (at != payload.size()) {
     return Status::DataLoss("trailing bytes after tuple delta");
   }
-  return delta;
+  return DecodedDelta{*pos, builder.Build()};
 }
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Create(

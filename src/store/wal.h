@@ -32,9 +32,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "base/interner.h"
 #include "base/status.h"
+#include "rel/relation.h"
+#include "rel/schema.h"
 #include "store/file.h"
 
 namespace kbt::store {
@@ -65,15 +70,34 @@ struct WalRecord {
 std::string EncodeTupleDelta(std::string_view relation, size_t arity,
                              const std::vector<std::vector<std::string>>& rows);
 
-/// Decoded form of a kInsert/kDelete payload.
-struct TupleDelta {
-  std::string relation;
-  size_t arity = 0;
-  std::vector<std::vector<std::string>> rows;
+/// Interns the names read from one encoded payload, each distinct name once:
+/// a payload repeats a handful of names thousands of times, and the
+/// process-wide interner takes a lock per call. Keys are views into the
+/// payload, which must outlive the cache.
+class PayloadNames {
+ public:
+  Symbol Intern(std::string_view name);
+
+ private:
+  std::unordered_map<std::string_view, Symbol> symbols_;
 };
 
-/// Parses a kInsert/kDelete payload (bounds-checked; clean errors).
-StatusOr<TupleDelta> DecodeTupleDelta(std::string_view payload);
+/// One decoded EncodeTupleDelta payload: its relation's schema position and
+/// its rows.
+struct DecodedDelta {
+  size_t pos = 0;
+  Relation rows;
+};
+
+/// Decodes an EncodeTupleDelta payload (a kInsert/kDelete record, or one
+/// block of a checkpoint overlay) straight into a relation of `schema`, with
+/// no string or vector per value. Bounds-checked; kDataLoss on a truncated
+/// name, arity, row count or value, an arity over 10^6, a zero-ary row count
+/// over 1, rows × arity beyond the payload, an undeclared relation, an arity
+/// mismatch with the schema, or trailing bytes.
+StatusOr<DecodedDelta> ParseTupleDelta(std::string_view payload,
+                                       const Schema& schema,
+                                       PayloadNames* names);
 
 /// Appends records to a WAL file. The caller owns commit policy: Append just
 /// buffers into the OS, Sync makes everything appended so far durable.

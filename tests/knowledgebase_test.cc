@@ -133,6 +133,179 @@ TEST(KnowledgebaseTest, FromBaseAndOverlaysKeepsCanonicalOrderAndSortsTheRest) {
   EXPECT_GT(checked, 30);
 }
 
+/// A random world over a binary, a unary and a nullary relation on four
+/// constants: small enough that random draws repeat.
+Database SmallWorld(std::mt19937_64* rng) {
+  std::bernoulli_distribution coin(0.3);
+  const char* constants[] = {"ka", "kb", "kc", "kd"};
+  Relation::Builder r(2), p(1), f(0);
+  for (const char* x : constants) {
+    if (coin(*rng)) p.Append({Name(x)});
+    for (const char* y : constants) {
+      if (coin(*rng)) r.Append({Name(x), Name(y)});
+    }
+  }
+  if (coin(*rng)) f.Append(TupleView());
+  Schema schema = *Schema::Of({{"R", 2}, {"P", 1}, {"F", 0}});
+  return *Database::Create(schema, {r.Build(), p.Build(), f.Build()});
+}
+
+TEST(KnowledgebaseTest, RunMergeMatchesTheFlatOrderOnEveryRunShape) {
+  // Canonicalization splits a sequence into strictly increasing runs and
+  // merges them, keeping one of two equal worlds. Over sequences of one run,
+  // two runs, many runs, reversed, and with duplicates inside and across
+  // runs, FromBaseAndOverlays must give FromDatabases's kb and the flat
+  // sort-and-unique order of the same worlds.
+  std::mt19937_64 rng(2107);
+  for (int iter = 0; iter < 30; ++iter) {
+    std::vector<Database> distinct;
+    for (int i = 0; i < 24; ++i) distinct.push_back(SmallWorld(&rng));
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    const size_t n = distinct.size();
+    ASSERT_GE(n, 4u);
+    auto base = std::make_shared<const Database>(distinct[n / 2]);
+    std::vector<WorldOverlay> sorted;
+    for (const Database& db : distinct) {
+      sorted.push_back(WorldOverlay::FromDiff(*base, db));
+    }
+    std::vector<std::pair<std::string, std::vector<WorldOverlay>>> shapes;
+    shapes.emplace_back("one run", sorted);
+    std::vector<WorldOverlay> two(sorted.begin() + n / 3, sorted.end());
+    two.insert(two.end(), sorted.begin(), sorted.begin() + n / 3);
+    shapes.emplace_back("two runs", two);
+    std::vector<WorldOverlay> many = sorted;
+    std::shuffle(many.begin(), many.end(), rng);
+    shapes.emplace_back("many runs", many);
+    shapes.emplace_back("reversed",
+                        std::vector<WorldOverlay>(sorted.rbegin(), sorted.rend()));
+    std::vector<WorldOverlay> inside = sorted;
+    inside.insert(inside.begin() + n / 2, sorted[n / 2]);
+    inside.insert(inside.begin() + 1, sorted[0]);
+    shapes.emplace_back("duplicates inside a run", inside);
+    std::vector<WorldOverlay> across = sorted;
+    across.insert(across.end(), sorted.begin(), sorted.begin() + n / 2);
+    across.insert(across.end(), sorted.begin() + n / 4, sorted.end());
+    shapes.emplace_back("duplicates across runs", across);
+    std::vector<WorldOverlay> shuffled_dups = across;
+    std::shuffle(shuffled_dups.begin(), shuffled_dups.end(), rng);
+    shapes.emplace_back("shuffled duplicates", shuffled_dups);
+
+    for (const auto& [what, overlays] : shapes) {
+      const std::string where = "iter " + std::to_string(iter) + ", " + what;
+      std::vector<Database> worlds;
+      for (const WorldOverlay& ov : overlays) worlds.push_back(ov.ApplyTo(*base));
+      StatusOr<Knowledgebase> got =
+          Knowledgebase::FromBaseAndOverlays(base, overlays);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(got->size(), n) << where;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got->World(i), distinct[i]) << where << ", world " << i;
+      }
+      EXPECT_EQ(*got, *Knowledgebase::FromDatabases(std::move(worlds)))
+          << where;
+    }
+  }
+}
+
+TEST(KnowledgebaseTest, FromWorldOutputsMatchesFromBaseAndOverlays) {
+  // τ-shaped outputs: each input world's overlay kept as it is at every σ(kb)
+  // position, plus deltas at relations the extended schema appends; zero to
+  // three outputs per world, in any order, with repeats. FromWorldOutputs
+  // must give FromBaseAndOverlays's kb, and must fall back to it when an
+  // output changes or drops a σ(kb) delta or re-creates one in new storage.
+  std::mt19937_64 rng(2108);
+  const Schema extended =
+      *Schema::Of({{"R", 2}, {"P", 1}, {"F", 0}, {"N", 1}, {"M", 0}});
+  const uint32_t n_pos = 3, m_pos = 4;
+  std::bernoulli_distribution coin(0.5);
+  std::uniform_int_distribution<int> outputs_of(0, 3);
+  int checked = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<Database> dbs;
+    for (int i = 0; i < 10; ++i) dbs.push_back(SmallWorld(&rng));
+    Knowledgebase input = *Knowledgebase::FromDatabases(std::move(dbs));
+    if (input.size() < 3) continue;
+    auto ext = std::make_shared<const Database>(*input.base()->ExtendTo(extended));
+    std::vector<WorldOverlay> outputs;
+    std::vector<size_t> first = {0};
+    for (const WorldOverlay& in : input.overlays()) {
+      int count = outputs_of(rng);
+      for (int k = 0; k < count; ++k) {
+        std::vector<RelationDelta> deltas = in.deltas();
+        Relation::Builder adds(1);
+        for (const char* x : {"ka", "kb"}) {
+          if (coin(rng)) adds.Append({Name(x)});
+        }
+        deltas.push_back(RelationDelta{n_pos, adds.Build(), Relation(1)});
+        if (coin(rng)) {
+          deltas.push_back(RelationDelta{m_pos, Relation(0, {Tuple{}}), Relation(0)});
+        }
+        outputs.push_back(WorldOverlay::FromDeltas(std::move(deltas)));
+      }
+      first.push_back(outputs.size());
+    }
+    if (outputs.empty()) continue;
+
+    auto check = [&](const std::vector<WorldOverlay>& outs, const std::string& what) {
+      StatusOr<Knowledgebase> got =
+          Knowledgebase::FromWorldOutputs(input, ext, outs, first);
+      StatusOr<Knowledgebase> want = Knowledgebase::FromBaseAndOverlays(ext, outs);
+      ASSERT_TRUE(got.ok() && want.ok()) << what;
+      EXPECT_EQ(got->schema(), extended) << what;
+      EXPECT_EQ(got->overlays(), want->overlays())
+          << "iter " << iter << ", " << what;
+    };
+    check(outputs, "outputs that keep σ(kb)");
+
+    // The first world's first output takes the last world's σ(kb) deltas:
+    // grouped under world 0, it belongs near the end.
+    const size_t worlds = input.size();
+    auto with_first_output_of = [&](size_t world, auto edit) {
+      std::vector<WorldOverlay> outs = outputs;
+      if (first[world] == first[world + 1]) return outs;
+      WorldOverlay& target = outs[first[world]];
+      std::vector<RelationDelta> deltas = edit(target.deltas());
+      target = WorldOverlay::FromDeltas(std::move(deltas));
+      return outs;
+    };
+    check(with_first_output_of(0, [&](const std::vector<RelationDelta>& d) {
+            std::vector<RelationDelta> out = input.overlays()[worlds - 1].deltas();
+            for (const RelationDelta& x : d) {
+              if (x.pos >= n_pos) out.push_back(x);
+            }
+            return out;
+          }),
+          "an output that changes its σ(kb) deltas");
+    check(with_first_output_of(worlds - 1, [&](const std::vector<RelationDelta>& d) {
+            std::vector<RelationDelta> out;
+            for (const RelationDelta& x : d) {
+              if (x.pos >= n_pos) out.push_back(x);
+            }
+            return out;
+          }),
+          "an output that drops its σ(kb) deltas");
+    check(with_first_output_of(worlds - 1, [&](const std::vector<RelationDelta>& d) {
+            std::vector<RelationDelta> out;
+            for (const RelationDelta& x : d) {
+              if (x.pos >= n_pos) {
+                out.push_back(x);
+                continue;
+              }
+              Relation::Builder adds(x.adds.arity()), dels(x.dels.arity());
+              for (TupleView t : x.adds) adds.Append(t);
+              for (TupleView t : x.dels) dels.Append(t);
+              out.push_back(RelationDelta{x.pos, adds.Build(), dels.Build()});
+            }
+            return out;
+          }),
+          "an output that re-creates its σ(kb) deltas in new storage");
+    ++checked;
+  }
+  EXPECT_GT(checked, 20);
+}
+
 TEST(KnowledgebaseTest, MixedSchemasRejected) {
   Database a = Db({{"a", "b"}});
   Database other = *MakeDatabase({{"S", 1}}, {});

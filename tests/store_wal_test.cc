@@ -201,8 +201,19 @@ TEST(WalTest, RandomGarbageFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple-delta payload codec.
+// Tuple-delta payload codec: EncodeTupleDelta, and ParseTupleDelta reading a
+// payload straight into a relation of a schema.
 // ---------------------------------------------------------------------------
+
+/// The schema every TupleDeltaTest payload is decoded against.
+Schema DeltaSchema() {
+  return *Schema::Of({{"Q", 2}, {"P", 1}, {"Marker", 0}, {"R", 3}, {"Huge", 1}});
+}
+
+StatusOr<DecodedDelta> Parse(std::string_view payload) {
+  PayloadNames names;
+  return ParseTupleDelta(payload, DeltaSchema(), &names);
+}
 
 TEST(TupleDeltaTest, RoundTrips) {
   struct Case {
@@ -216,26 +227,48 @@ TEST(TupleDeltaTest, RoundTrips) {
       {"Marker", 0, {{}}},  // Zero-ary relation holding the empty tuple.
       {"R", 3, {{"", "x", std::string("nul\0byte", 8)}}},
   };
+  const Schema schema = DeltaSchema();
   for (const Case& c : cases) {
     std::string payload = EncodeTupleDelta(c.relation, c.arity, c.rows);
-    auto delta = DecodeTupleDelta(payload);
+    auto delta = Parse(payload);
     ASSERT_TRUE(delta.ok()) << delta.status().message();
-    EXPECT_EQ(delta->relation, c.relation);
-    EXPECT_EQ(delta->arity, c.arity);
-    EXPECT_EQ(delta->rows, c.rows);
+    EXPECT_EQ(delta->pos, *schema.PositionOf(Name(c.relation)));
+    Relation::Builder expected(c.arity);
+    for (const auto& row : c.rows) {
+      std::vector<Value> values;
+      for (const std::string& v : row) values.push_back(Name(v));
+      expected.Append(TupleView(values.data(), values.size()));
+    }
+    EXPECT_EQ(delta->rows, expected.Build()) << c.relation;
   }
+}
+
+TEST(TupleDeltaTest, RepeatedNamesInternOncePerPayload) {
+  // One PayloadNames serves a whole checkpoint payload: a name met again in
+  // a later block resolves to the same symbol.
+  std::string first = EncodeTupleDelta("Q", 2, {{"a", "b"}, {"b", "a"}});
+  std::string second = EncodeTupleDelta("P", 1, {{"b"}, {"a"}});
+  PayloadNames names;
+  auto q = ParseTupleDelta(first, DeltaSchema(), &names);
+  auto p = ParseTupleDelta(second, DeltaSchema(), &names);
+  ASSERT_TRUE(q.ok() && p.ok());
+  EXPECT_EQ(q->rows, Relation(2, {Tuple({Name("a"), Name("b")}),
+                                  Tuple({Name("b"), Name("a")})}));
+  EXPECT_EQ(p->rows, Relation(1, {Tuple({Name("a")}), Tuple({Name("b")})}));
 }
 
 TEST(TupleDeltaTest, TruncationAtEveryBoundaryFailsCleanly) {
   std::string payload =
       EncodeTupleDelta("Q", 2, {{"alpha", "beta"}, {"gamma", "delta"}});
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    auto delta = DecodeTupleDelta(std::string_view(payload).substr(0, cut));
+    auto delta = Parse(std::string_view(payload).substr(0, cut));
     EXPECT_FALSE(delta.ok()) << "cut at " << cut;
+    EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss) << "cut at " << cut;
   }
   // Trailing garbage is rejected too: a payload is exactly one delta.
-  auto delta = DecodeTupleDelta(payload + "x");
+  auto delta = Parse(payload + "x");
   EXPECT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(TupleDeltaTest, HugeCountsRejectedBeforeAllocation) {
@@ -248,8 +281,19 @@ TEST(TupleDeltaTest, HugeCountsRejectedBeforeAllocation) {
   payload += "Huge";
   put_u32(0xFFFFFFFFu);  // arity
   put_u32(0xFFFFFFFFu);  // rows
-  auto delta = DecodeTupleDelta(payload);
+  auto delta = Parse(payload);
   EXPECT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss);
+  // A declared arity with a row count the payload cannot hold fails the same
+  // way, before the builder reserves.
+  payload.clear();
+  put_u32(4);
+  payload += "Huge";
+  put_u32(1);            // arity
+  put_u32(0xFFFFFFFFu);  // rows
+  delta = Parse(payload);
+  EXPECT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(TupleDeltaTest, ZeroAryHugeRowCountRejectedBeforeAllocation) {
@@ -263,7 +307,7 @@ TEST(TupleDeltaTest, ZeroAryHugeRowCountRejectedBeforeAllocation) {
   payload += "Marker";
   put_u32(0);            // arity
   put_u32(0xFFFFFFFFu);  // rows
-  auto delta = DecodeTupleDelta(payload);
+  auto delta = Parse(payload);
   EXPECT_FALSE(delta.ok());
   EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss);
 }
@@ -272,9 +316,22 @@ TEST(TupleDeltaTest, ZeroAryDuplicateRowsCanonicalizeToOne) {
   // Duplicate empty tuples carry no information; the encoder drops them so
   // every encodable delta stays decodable under the zero-ary bound.
   std::string payload = EncodeTupleDelta("Marker", 0, {{}, {}, {}});
-  auto delta = DecodeTupleDelta(payload);
+  auto delta = Parse(payload);
   ASSERT_TRUE(delta.ok()) << delta.status().message();
-  EXPECT_EQ(delta->rows, (std::vector<std::vector<std::string>>{{}}));
+  EXPECT_EQ(delta->rows.arity(), 0u);
+  EXPECT_EQ(delta->rows.size(), 1u);
+}
+
+TEST(TupleDeltaTest, UndeclaredRelationAndArityMismatchAreDataLoss) {
+  for (const std::string& payload :
+       {EncodeTupleDelta("Unknown", 1, {{"a"}}),
+        EncodeTupleDelta("Q", 1, {{"a"}}),
+        EncodeTupleDelta("Marker", 1, {}),
+        EncodeTupleDelta("P", 0, {{}})}) {
+    auto delta = Parse(payload);
+    EXPECT_FALSE(delta.ok());
+    EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(TupleDeltaTest, GarbageFuzzNeverCrashes) {
@@ -284,7 +341,7 @@ TEST(TupleDeltaTest, GarbageFuzzNeverCrashes) {
     std::uniform_int_distribution<size_t> len(0, 128);
     std::string garbage(len(rng), '\0');
     for (char& c : garbage) c = static_cast<char>(byte(rng));
-    auto delta = DecodeTupleDelta(garbage);
+    auto delta = Parse(garbage);
     (void)delta;  // Either outcome, as long as it returns.
   }
 }
