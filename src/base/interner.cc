@@ -6,7 +6,7 @@ namespace kbt {
 
 Symbol Interner::Intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   Symbol id = static_cast<Symbol>(names_.size());
   names_.emplace_back(name);
@@ -16,7 +16,7 @@ Symbol Interner::Intern(std::string_view name) {
 
 bool Interner::Lookup(std::string_view name, Symbol* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) return false;
   *out = it->second;
   return true;

@@ -46,10 +46,12 @@ class Interner {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Symbol> index_;
-  /// Deque, not vector: NameOf hands out references that must survive
-  /// concurrent interning from executor workers (deque never relocates
-  /// existing elements on growth).
+  /// Keyed by views of `names_`' own strings, so a lookup by string_view
+  /// builds no string.
+  std::unordered_map<std::string_view, Symbol> index_;
+  /// Deque, not vector: NameOf hands out references, and `index_` views,
+  /// that must survive concurrent interning from executor workers (deque
+  /// never relocates existing elements on growth).
   std::deque<std::string> names_;
 };
 

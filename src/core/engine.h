@@ -38,18 +38,19 @@ class TransformLog {
 
 struct EngineOptions {
   MuOptions mu;
-  /// Worker threads for τ's world fan-out (see TauOptions::threads):
-  /// 1 = sequential, 0 = one per hardware thread.
+  /// Width of τ's world fan-out (see TauOptions::threads): the calling
+  /// thread plus tau_threads − 1 helpers. 1 = sequential, 0 = one per
+  /// hardware thread.
   size_t tau_threads = 1;
 };
 
 /// High-level entry point: owns options, parses expressions, applies them.
-/// When tau_threads resolves to more than one worker, the engine starts one
+/// When tau_threads resolves to a width above one, the engine starts one
 /// persistent exec::ThreadPool on the first such Apply (restarted only when
 /// the setting changes) and lends it to every τ step — a serving loop calling
-/// Apply repeatedly pays the thread spawn once, not per call. The workers
-/// park idle when a step runs sequentially (e.g. singleton kbs). Engine is
-/// single-caller like before; the pool's workers are internal.
+/// Apply repeatedly pays the thread spawn once, not per call. The pool's
+/// tau_threads − 1 helpers sleep while no pass runs; the calling thread works
+/// as worker 0 of every pass. Engine is single-caller like before.
 class Engine {
  public:
   explicit Engine(EngineOptions options = EngineOptions());

@@ -74,24 +74,39 @@ Status EmitBlock(const Knowledgebase& kb, size_t begin,
   const size_t n = out.size();
   // Heads are new to σ(kb), so the extended schema appends them after every
   // σ(kb) position: in position order, their deltas follow the input
-  // overlay's.
-  std::vector<std::pair<uint32_t, const datalog::MaskedHead*>> at;
+  // overlay's. `worlds` marks the block's worlds holding any of the head's
+  // facts.
+  struct Head {
+    uint32_t pos;
+    const datalog::MaskedHead* head;
+    uint64_t worlds;
+  };
+  std::vector<Head> at;
+  at.reserve(heads.size());
   for (const datalog::MaskedHead& head : heads) {
     std::optional<size_t> pos = extended_schema.PositionOf(head.predicate);
     if (!pos) {
       return Status::NotFound("relation not in schema: " +
                               NameOf(head.predicate));
     }
-    at.emplace_back(static_cast<uint32_t>(*pos), &head);
+    uint64_t worlds = 0;
+    for (uint64_t m : head.masks) worlds |= m;
+    at.push_back(Head{static_cast<uint32_t>(*pos), &head, worlds});
   }
-  std::sort(at.begin(), at.end());
+  std::sort(at.begin(), at.end(),
+            [](const Head& a, const Head& b) { return a.pos < b.pos; });
   for (size_t w = 0; w < n; ++w) {
-    std::vector<RelationDelta> deltas = kb.overlays()[begin + w].deltas();
-    for (const auto& [pos, head] : at) {
+    const std::vector<RelationDelta>& input = kb.overlays()[begin + w].deltas();
+    size_t held = 0;
+    for (const Head& h : at) held += (h.worlds >> w) & 1;
+    std::vector<RelationDelta> deltas;
+    deltas.reserve(input.size() + held);
+    deltas.insert(deltas.end(), input.begin(), input.end());
+    for (const auto& [pos, head, worlds] : at) {
+      if (((worlds >> w) & 1) == 0) continue;
       const size_t arity = head->tuples.arity();
       size_t holds = 0;
       for (uint64_t m : head->masks) holds += (m >> w) & 1;
-      if (holds == 0) continue;
       RelationDelta d{pos, head->tuples, Relation(arity)};
       if (holds < head->masks.size()) {
         // A world holding every head fact shares the block's tuple buffer.

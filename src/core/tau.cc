@@ -44,8 +44,7 @@ size_t Words(size_t bits) { return (bits + 63) / 64; }
 /// What pass A keeps of one world: its domain B, B's grounding lookup, and
 /// `key`, its bits on each part in turn, each part's starting on a word
 /// boundary (CachedGrounding::key_bit). Pass A writes only the bits of the
-/// world's delta atoms into `key`; pass B XORs in the base's. Pass D fills
-/// `out`, the world's output worlds as overlays of the extended input base.
+/// world's delta atoms into `key`; pass B XORs in the base's.
 struct WorldSlot {
   /// B: the call's shared domain0, or `own_domain` when the world's differs,
   /// and its grounding and frozen prefix: the call's one lookup for domain0,
@@ -56,7 +55,6 @@ struct WorldSlot {
   const internal::MuGrounding* ground = nullptr;
   std::unique_ptr<internal::MuGrounding> own_ground;
   std::vector<uint64_t> key;
-  std::vector<WorldOverlay> out;
 };
 
 /// Marks a world's delta atoms in `key`, zeroed in the key layout: the
@@ -205,67 +203,81 @@ Status CheckAnchored(const Knowledgebase& mu, const WorldOverlay& input,
   return Status::OK();
 }
 
+/// Pass D's per-worker scratch: the odometer over a world's combinations,
+/// the models it picks, and UnionOfParts' deltas and rows.
+struct ComposeScratch {
+  std::vector<size_t> pick;
+  std::vector<const WorldOverlay*> chosen;
+  std::vector<const RelationDelta*> deltas;
+  std::vector<TupleView> rows;
+};
+
+/// One side (adds or dels) of the union of deltas at one position from
+/// distinct components: their rows are disjoint, so sorted they are strictly
+/// increasing, and the builder adopts its buffer without sorting it again.
+Relation UnionOfSide(std::span<const RelationDelta* const> deltas,
+                     Relation RelationDelta::*side,
+                     std::vector<TupleView>* rows) {
+  rows->clear();
+  for (const RelationDelta* d : deltas) {
+    for (TupleView row : d->*side) rows->push_back(row);
+  }
+  std::sort(rows->begin(), rows->end());
+  Relation::Builder out((deltas[0]->*side).arity());
+  out.Reserve(rows->size());
+  for (TupleView row : *rows) out.Append(row);
+  return out.Build();
+}
+
 /// The union of models of distinct components: they touch disjoint atoms,
 /// so per position the adds, and the dels, are disjoint.
-WorldOverlay UnionOfParts(std::span<const WorldOverlay* const> parts) {
-  std::vector<const RelationDelta*> deltas;
+WorldOverlay UnionOfParts(std::span<const WorldOverlay* const> parts,
+                          ComposeScratch* scratch) {
+  std::vector<const RelationDelta*>& deltas = scratch->deltas;
+  deltas.clear();
   for (const WorldOverlay* part : parts) {
     for (const RelationDelta& d : part->deltas()) deltas.push_back(&d);
   }
-  std::stable_sort(deltas.begin(), deltas.end(),
-                   [](const RelationDelta* a, const RelationDelta* b) {
-                     return a->pos < b->pos;
-                   });
+  std::sort(deltas.begin(), deltas.end(),
+            [](const RelationDelta* a, const RelationDelta* b) {
+              return a->pos < b->pos;
+            });
+  size_t positions = 0;
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    positions += i == 0 || deltas[i]->pos != deltas[i - 1]->pos;
+  }
   std::vector<RelationDelta> out;
+  out.reserve(positions);
   for (size_t i = 0; i < deltas.size();) {
     size_t j = i + 1;
-    size_t adds_rows = deltas[i]->adds.size();
-    size_t dels_rows = deltas[i]->dels.size();
-    for (; j < deltas.size() && deltas[j]->pos == deltas[i]->pos; ++j) {
-      adds_rows += deltas[j]->adds.size();
-      dels_rows += deltas[j]->dels.size();
-    }
+    while (j < deltas.size() && deltas[j]->pos == deltas[i]->pos) ++j;
     if (j == i + 1) {
       out.push_back(*deltas[i]);
     } else {
-      Relation::Builder adds(deltas[i]->adds.arity());
-      Relation::Builder dels(deltas[i]->dels.arity());
-      adds.Reserve(adds_rows);
-      dels.Reserve(dels_rows);
-      for (size_t k = i; k < j; ++k) {
-        for (TupleView row : deltas[k]->adds) adds.Append(row);
-        for (TupleView row : deltas[k]->dels) dels.Append(row);
-      }
-      out.push_back(RelationDelta{deltas[i]->pos, adds.Build(), dels.Build()});
+      const std::span<const RelationDelta* const> same(deltas.data() + i,
+                                                       j - i);
+      out.push_back(RelationDelta{
+          deltas[i]->pos,
+          UnionOfSide(same, &RelationDelta::adds, &scratch->rows),
+          UnionOfSide(same, &RelationDelta::dels, &scratch->rows)});
     }
     i = j;
   }
   return WorldOverlay::FromDeltas(std::move(out));
 }
 
-/// Pass D for a world on the grounded routes: its input overlay composed with
-/// every combination of one model per component, each taken from the world's
-/// class for that component. A class's models touch only its component's
-/// atoms, on which the world agrees with the class leader, and distinct
-/// components touch disjoint atoms; so the union of one model per component
-/// is canonical against the world, and one Compose applies it. The product
-/// is counted before it is built: max_models bounds each world's result, as
-/// it bounds plain μ's.
-struct ComposeScratch {
-  std::vector<size_t> pick;
-  std::vector<const WorldOverlay*> chosen;
-};
-
-Status ComposeProduct(const WorldOverlay& input,
-                      std::span<const uint32_t> classes,
-                      const std::vector<Knowledgebase>& class_mu,
-                      size_t max_models, ComposeScratch* scratch,
-                      std::vector<WorldOverlay>* out) {
+/// How many output worlds pass D composes for a world whose classes are
+/// `classes`: the product of their model counts, or 0 when one part has no
+/// model (then neither has φ). max_models bounds each world's result, as it
+/// bounds plain μ's.
+StatusOr<size_t> ProductCount(std::span<const uint32_t> classes,
+                              const std::vector<Knowledgebase>& class_mu,
+                              size_t max_models) {
   constexpr size_t kMax = std::numeric_limits<size_t>::max();
   size_t count = 1;
   for (uint32_t c : classes) {
     const size_t models = class_mu[c].size();
-    if (models == 0) return Status::OK();  // A part without models: so is φ.
+    if (models == 0) return size_t{0};
     count = count > kMax / models ? kMax : count * models;
   }
   if (count > max_models) {
@@ -273,36 +285,50 @@ Status ComposeProduct(const WorldOverlay& input,
                                      std::to_string(max_models) +
                                      " minimal models");
   }
-  out->reserve(count);
+  return count;
+}
+
+/// Pass D for a world on the grounded routes: its input overlay composed with
+/// every combination of one model per component, each taken from the world's
+/// class for that component, written to `out`, which ProductCount sized. A
+/// class's models touch only its component's atoms, on which the world
+/// agrees with the class leader, and distinct components touch disjoint
+/// atoms; so the union of one model per component is canonical against the
+/// world, and one Compose applies it.
+void ComposeProduct(const WorldOverlay& input,
+                    std::span<const uint32_t> classes,
+                    const std::vector<Knowledgebase>& class_mu,
+                    ComposeScratch* scratch, std::span<WorldOverlay> out) {
+  if (out.empty()) return;
   if (classes.size() == 1) {  // One part: no combinations to form.
-    for (const WorldOverlay& model : class_mu[classes[0]].overlays()) {
-      out->push_back(model.identity() ? input
-                                      : WorldOverlay::Compose(input, model));
+    const std::vector<WorldOverlay>& models = class_mu[classes[0]].overlays();
+    for (size_t k = 0; k < models.size(); ++k) {
+      out[k] = models[k].identity() ? input
+                                    : WorldOverlay::Compose(input, models[k]);
     }
-    return Status::OK();
+    return;
   }
   // An odometer over the combinations; identity models contribute nothing.
   std::vector<size_t>& pick = scratch->pick;
   std::vector<const WorldOverlay*>& chosen = scratch->chosen;
   pick.assign(classes.size(), 0);
-  while (true) {
+  for (WorldOverlay& slot : out) {
     chosen.clear();
     for (size_t c = 0; c < classes.size(); ++c) {
       const WorldOverlay& model = class_mu[classes[c]].overlays()[pick[c]];
       if (!model.identity()) chosen.push_back(&model);
     }
     if (chosen.empty()) {
-      out->push_back(input);
+      slot = input;
     } else if (chosen.size() == 1) {
-      out->push_back(WorldOverlay::Compose(input, *chosen[0]));
+      slot = WorldOverlay::Compose(input, *chosen[0]);
     } else {
-      out->push_back(WorldOverlay::Compose(input, UnionOfParts(chosen)));
+      slot = WorldOverlay::Compose(input, UnionOfParts(chosen, scratch));
     }
     size_t c = 0;
     while (c < classes.size() && ++pick[c] == class_mu[classes[c]].size()) {
       pick[c++] = 0;
     }
-    if (c == classes.size()) return Status::OK();
   }
 }
 
@@ -412,47 +438,25 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
                        : std::max<size_t>(1, std::thread::hardware_concurrency());
   threads = std::min(threads, kb.size());
 
-  // Per-worker μ resources. Sequentially: a session-pinned solver/scratch
-  // (serving reads) or per-call locals, so arena capacity and enumerator
-  // buffers stay warm across calls. In parallel: each worker owns a Solver
-  // reused (via Reset or a frozen-prefix fork) across every class it
-  // executes, plus a WorldScratch for the enumerator's per-world tables,
-  // on the caller's persistent pool (a serving loop re-entering
-  // Pipeline::Apply should not respawn threads per call) or one spawned for
-  // this call.
+  // In parallel, the passes run on the caller's persistent pool (a serving
+  // loop re-entering Pipeline::Apply should not respawn threads per call) or
+  // one started for this call; sequentially, as plain loops in the caller.
   exec::ThreadPool* pool = nullptr;
   std::unique_ptr<exec::ThreadPool> own_pool;
-  sat::Solver local_solver;
-  exec::WorldScratch local_scratch;
-  std::vector<std::unique_ptr<sat::Solver>> solvers;
-  std::vector<std::unique_ptr<exec::WorldScratch>> scratches;
-  std::vector<internal::MuExecContext> worker_exec;
-  if (threads <= 1) {
-    internal::MuExecContext exec = base_exec;
-    exec.solver = options.solver != nullptr ? options.solver : &local_solver;
-    exec.scratch = options.scratch != nullptr ? options.scratch : &local_scratch;
-    worker_exec.push_back(exec);
-    out->threads_used = 1;
-  } else {
+  out->threads_used = 1;
+  if (threads > 1) {
     pool = options.pool;
     if (pool == nullptr) {
       own_pool = std::make_unique<exec::ThreadPool>(threads);
       pool = own_pool.get();
     }
-    for (size_t t = 0; t < pool->workers(); ++t) {
-      solvers.push_back(std::make_unique<sat::Solver>());
-      scratches.push_back(std::make_unique<exec::WorldScratch>());
-      internal::MuExecContext exec = base_exec;
-      exec.solver = solvers.back().get();
-      exec.scratch = scratches.back().get();
-      worker_exec.push_back(exec);
-    }
     out->threads_used = std::min(pool->workers(), kb.size());
   }
+  const size_t width = pool != nullptr ? pool->workers() : 1;
 
   // Runs body(i, worker) for every i < n — in order in the calling thread,
-  // or on the pool; `worker` indexes worker_exec. After the first failure no
-  // further task starts: the error is going to be returned anyway.
+  // or on the pool; `worker` < width. After the first failure no further
+  // task starts: the error is going to be returned anyway.
   std::atomic<bool> failed{false};
   auto for_each = [&](size_t n, std::vector<Status>* statuses,
                       const auto& body) {
@@ -532,12 +536,39 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
     });
   }
 
+  // Per-worker μ resources for the grounded routes. Sequentially: a
+  // session-pinned solver/scratch (serving reads) or per-call locals, so
+  // arena capacity and enumerator buffers stay warm across calls. In
+  // parallel: each worker owns a Solver reused (via Reset or a frozen-prefix
+  // fork) across every class it executes, plus a WorldScratch for the
+  // enumerator's per-world tables.
+  sat::Solver local_solver;
+  exec::WorldScratch local_scratch;
+  std::vector<std::unique_ptr<sat::Solver>> solvers;
+  std::vector<std::unique_ptr<exec::WorldScratch>> scratches;
+  std::vector<internal::MuExecContext> worker_exec(width, base_exec);
+  if (pool == nullptr) {
+    worker_exec[0].solver =
+        options.solver != nullptr ? options.solver : &local_solver;
+    worker_exec[0].scratch =
+        options.scratch != nullptr ? options.scratch : &local_scratch;
+  } else {
+    for (internal::MuExecContext& exec : worker_exec) {
+      solvers.push_back(std::make_unique<sat::Solver>());
+      scratches.push_back(std::make_unique<exec::WorldScratch>());
+      exec.solver = solvers.back().get();
+      exec.scratch = scratches.back().get();
+    }
+  }
+
   // World classes in four passes (docs/exec.md, "World classes").
   const bool sat_route = route == MuStrategy::kSat;
   std::vector<WorldSlot> slots(kb.size());
   ClassTable table;
   std::vector<Knowledgebase> class_mu;
   std::vector<MuStats> class_stats;
+  std::vector<size_t> first;
+  std::vector<WorldOverlay> outputs;
   Status status = [&]() -> Status {
     // A — key, per world, from its overlay alone: B from the base's value
     // counts, B's grounding, and the world's delta atoms' bits, which pass B
@@ -615,17 +646,35 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
                                *ext_base, extended_schema);
         }));
 
+    // Each world's product count, in world order on this thread: the
+    // lowest-indexed world over max_models fails the call, as sequential μ
+    // would, and the one output array is sized before D writes into it.
+    auto classes_of = [&](size_t i) {
+      return std::span<const uint32_t>(table.of).subspan(
+          table.begin[i], table.begin[i + 1] - table.begin[i]);
+    };
+    first.reserve(kb.size() + 1);
+    size_t total = 0;
+    for (size_t i = 0; i < kb.size(); ++i) {
+      first.push_back(total);
+      KBT_ASSIGN_OR_RETURN(
+          size_t count,
+          ProductCount(classes_of(i), class_mu, options.mu.max_models));
+      total += count;
+    }
+    first.push_back(total);
+    outputs.resize(total);
+
     // D — compose, per world: the world's input overlay with the product of
-    // its classes' models.
-    std::vector<ComposeScratch> compose_scratch(worker_exec.size());
+    // its classes' models, into the world's range of `outputs`.
+    std::vector<ComposeScratch> compose_scratch(width);
     return for_each(
         kb.size(), &world_status, [&](size_t i, size_t worker) -> Status {
-          return ComposeProduct(
-              kb.overlays()[i],
-              std::span<const uint32_t>(table.of).subspan(
-                  table.begin[i], table.begin[i + 1] - table.begin[i]),
-              class_mu, options.mu.max_models, &compose_scratch[worker],
-              &slots[i].out);
+          ComposeProduct(kb.overlays()[i], classes_of(i), class_mu,
+                         &compose_scratch[worker],
+                         std::span<WorldOverlay>(outputs).subspan(
+                             first[i], first[i + 1] - first[i]));
+          return Status::OK();
         });
   }();
 
@@ -643,20 +692,6 @@ StatusOr<Knowledgebase> Tau(const Formula& sentence, const Knowledgebase& kb,
   // In class order: independent of execution interleaving.
   for (const MuStats& s : class_stats) out->mu.MergeFrom(s);
   class_mu.clear();
-
-  std::vector<size_t> first;
-  first.reserve(slots.size() + 1);
-  size_t total = 0;
-  for (const WorldSlot& slot : slots) {
-    first.push_back(total);
-    total += slot.out.size();
-  }
-  first.push_back(total);
-  std::vector<WorldOverlay> outputs;
-  outputs.reserve(total);
-  for (WorldSlot& slot : slots) {
-    for (WorldOverlay& ov : slot.out) outputs.push_back(std::move(ov));
-  }
   slots.clear();
   return merge(std::move(outputs), first);
 }

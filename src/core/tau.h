@@ -8,9 +8,10 @@
 /// Katsuno–Mendelzon update postulates; tests/tau_postulates_test.cc re-verifies
 /// them on randomized inputs against this implementation.
 ///
-/// The member updates are independent, so τ runs on the exec/ subsystem: worlds
-/// are partitioned into stealable chunks over a work-stealing thread pool, each
-/// worker owns a reusable Solver, worlds with identical active domains share
+/// The member updates are independent, so τ runs on the exec/ subsystem: each
+/// pass's worlds or classes are split into chunks that the calling thread and
+/// the pool's helpers claim from one index, each worker (the caller is worker
+/// 0) owns a reusable Solver, worlds with identical active domains share
 /// one grounded circuit through a domain-keyed cache, and μ runs once per
 /// world class: per atom-disjoint component of that circuit and per pattern
 /// of the worlds' values on the component's atoms (docs/exec.md). τ keys each
@@ -51,8 +52,9 @@ struct TauOptions {
   /// before the next world is keyed, class runs or block starts, and
   /// mid-search inside the SAT descent.
   MuOptions mu;
-  /// Worker threads for the world fan-out. 1 = sequential in the calling
-  /// thread; 0 = one per hardware thread.
+  /// Width of the world fan-out: the calling thread plus threads − 1
+  /// helpers. 1 = sequential in the calling thread; 0 = one per hardware
+  /// thread.
   size_t threads = 1;
   /// Borrowed persistent worker pool. When set (and the resolved thread count
   /// is > 1), τ fans out on this pool instead of spawning one per call — the

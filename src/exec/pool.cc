@@ -1,17 +1,36 @@
 #include "exec/pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
+#include <exception>
+#include <string>
 
 namespace kbt::exec {
 
+/// One ParallelFor call, on its caller's stack. Chunk c covers indices
+/// [n * c / chunks, n * (c + 1) / chunks); `next` hands chunks out.
+struct ThreadPool::Job {
+  const std::function<void(size_t, size_t)>* body = nullptr;
+  size_t n = 0;
+  size_t chunks = 0;
+  std::atomic<size_t> next{0};
+  std::mutex error_mu;
+  bool threw = false;  // Guarded by error_mu.
+  std::string error;   // The first exception's message. Guarded by error_mu.
+
+  void Fail(const char* what) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (threw) return;
+    threw = true;
+    error = what;
+  }
+};
+
 ThreadPool::ThreadPool(size_t workers) {
-  size_t n = std::max<size_t>(1, workers);
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<TaskQueue>());
-  threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+  const size_t width = std::max<size_t>(1, workers);
+  helpers_.reserve(width - 1);
+  for (size_t w = 1; w < width; ++w) {
+    helpers_.emplace_back([this, w] { HelperLoop(w); });
   }
 }
 
@@ -20,116 +39,78 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  wake_cv_.notify_all();
+  for (std::thread& t : helpers_) t.join();
 }
 
-void ThreadPool::Enqueue(size_t q, Task task) {
-  {
-    // The increment happens before the task is visible in any queue, so a
-    // thief's decrement after a successful pop can never underflow the
-    // counter. The lock pairs the increment with the cv wait predicate: a
-    // worker checking the predicate either sees the new count or has not yet
-    // started waiting, so no wakeup is lost. A worker that sees the count
-    // before the push lands merely retries its scan once.
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  queues_[q % queues_.size()]->PushBottom(std::move(task));
-  work_cv_.notify_one();
-}
-
-void ThreadPool::Submit(Task task) {
-  Enqueue(next_queue_.fetch_add(1, std::memory_order_relaxed), std::move(task));
-}
-
-bool ThreadPool::TryGet(size_t id, Task* out) {
-  if (queues_[id]->PopBottom(out)) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  size_t n = queues_.size();
-  for (size_t k = 1; k < n; ++k) {
-    if (queues_[(id + k) % n]->StealTop(out)) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t id) {
-  Task task;
-  while (true) {
-    if (TryGet(id, &task)) {
-      try {
-        task(id);
-      } catch (...) {
-        // A throwing task must not unwind the worker loop: that would leak
-        // every queued task and (being noexcept) terminate the process.
-        // Failure reporting is the task's own business (result slots,
-        // ParallelFor's error capture); here the exception is contained.
+void ThreadPool::Drain(Job& job, size_t worker) {
+  // The job's fields were published under mu_, and the caller reads what the
+  // bodies wrote only after busy_'s hand-off under mu_, so the index itself
+  // needs no ordering.
+  for (size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
+       c < job.chunks; c = job.next.fetch_add(1, std::memory_order_relaxed)) {
+    const size_t end = job.n * (c + 1) / job.chunks;
+    try {
+      for (size_t i = job.n * c / job.chunks; i < end; ++i) {
+        (*job.body)(i, worker);
       }
-      task = nullptr;  // Release captures before parking.
-      continue;
+    } catch (const std::exception& e) {
+      job.Fail(e.what());
+    } catch (...) {
+      job.Fail("non-standard exception");
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    // Drain semantics: exit only once stopped AND no task remains unclaimed.
-    if (stop_ && pending_.load(std::memory_order_relaxed) == 0) return;
-    work_cv_.wait(lock, [this] {
-      return stop_ || pending_.load(std::memory_order_relaxed) > 0;
+  }
+}
+
+void ThreadPool::HelperLoop(size_t worker) {
+  uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    // A helper joins each open job at most once; one that wakes after the
+    // caller closed its job goes back to sleep.
+    wake_cv_.wait(lock, [&] {
+      return stop_ || (job_ != nullptr && epoch_ != seen);
     });
-    if (stop_ && pending_.load(std::memory_order_relaxed) == 0) return;
+    if (stop_) return;
+    seen = epoch_;
+    Job* job = job_;
+    ++busy_;
+    lock.unlock();
+    Drain(*job, worker);
+    lock.lock();
+    if (--busy_ == 0) idle_cv_.notify_one();
   }
 }
 
 Status ThreadPool::ParallelFor(
     size_t n, const std::function<void(size_t index, size_t worker)>& body) {
   if (n == 0) return Status::OK();
-  size_t num_workers = queues_.size();
-  // More chunks than workers, so a worker finishing its share early can steal
-  // the tail of a slow sibling's; capped at n so chunks are never empty.
-  size_t chunks = std::min(n, num_workers * 4);
-
-  struct ForState {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t remaining;
-    std::string error;  // First exception message; empty = clean run.
-    bool threw = false;
-  };
-  auto state = std::make_shared<ForState>();
-  state->remaining = chunks;
-
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = n * c / chunks;
-    size_t end = n * (c + 1) / chunks;
-    Enqueue(c, [state, begin, end, &body](size_t worker) {
-      std::string error;
-      bool threw = false;
-      try {
-        for (size_t i = begin; i < end; ++i) body(i, worker);
-      } catch (const std::exception& e) {
-        threw = true;
-        error = e.what();
-      } catch (...) {
-        threw = true;
-        error = "non-standard exception";
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (threw && !state->threw) {
-        state->threw = true;
-        state->error = std::move(error);
-      }
-      if (--state->remaining == 0) state->done_cv.notify_all();
-    });
+  std::lock_guard<std::mutex> call(call_mu_);
+  Job job;
+  job.body = &body;
+  job.n = n;
+  // Four chunks per worker, so a worker that finishes early takes the tail of
+  // a slow sibling's share; never more chunks than indices.
+  job.chunks = std::min(n, 4 * workers());
+  const size_t wake = std::min(helpers_.size(), job.chunks - 1);
+  if (wake > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &job;
+      ++epoch_;
+    }
+    for (size_t k = 0; k < wake; ++k) wake_cv_.notify_one();
   }
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->remaining == 0; });
-  if (state->threw) {
-    return Status::Internal("parallel-for body threw: " + state->error);
+  Drain(job, 0);
+  if (wake > 0) {
+    // Every chunk is claimed; close the job to late helpers and wait for
+    // the ones inside it to finish theirs.
+    std::unique_lock<std::mutex> lock(mu_);
+    job_ = nullptr;
+    idle_cv_.wait(lock, [this] { return busy_ == 0; });
+  }
+  if (job.threw) {
+    return Status::Internal("parallel-for body threw: " + job.error);
   }
   return Status::OK();
 }

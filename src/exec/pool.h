@@ -2,58 +2,50 @@
 #define KBT_EXEC_POOL_H_
 
 /// \file
-/// A work-stealing thread pool for world-parallel τ execution.
+/// A caller-participating parallel-for for world-parallel τ execution.
 ///
-/// Design: one TaskQueue per worker. A worker services its own queue bottom-first
-/// and, when empty, steals the oldest task from a sibling queue; blocked workers
-/// park on a condition variable until work arrives or the pool stops. External
-/// submissions round-robin across the queues, and ParallelFor partitions an index
-/// range into more chunks than workers so stealing can rebalance skewed work
-/// (worlds whose μ call is expensive next to trivial siblings).
+/// Design: a pool of width w is the calling thread plus w − 1 helper threads.
+/// ParallelFor splits an index range into chunks, whose count depends only on
+/// the range and the width, and hands them out through one atomic index: the
+/// caller claims chunks like any helper, so it never sleeps while work is
+/// left, and then waits only for the chunks helpers have already claimed. A
+/// pass of one chunk runs inline on the caller and wakes no thread.
 ///
-/// Tasks receive the id of the worker that runs them, so callers can maintain
-/// per-worker resource pools (one Solver + encoder + scratch per worker, the
-/// PR 2 incremental machinery instantiated per thread instead of per process).
+/// Bodies receive the id of the worker that runs them — 0 for the calling
+/// thread, 1 .. w − 1 for helpers — so callers can keep per-worker resource
+/// pools (one Solver + scratch per worker) in arrays of size workers().
 ///
 /// The pool makes no fairness or ordering promises; τ's determinism comes from
-/// writing results into per-world slots, not from execution order.
+/// writing results into per-index slots, not from execution order.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "base/status.h"
-#include "exec/task.h"
 
 namespace kbt::exec {
 
 class ThreadPool {
  public:
-  /// Starts `workers` threads (at least one).
+  /// A pool of width `workers` (at least one): the calling thread of each
+  /// ParallelFor plus `workers` − 1 helper threads, started here.
   explicit ThreadPool(size_t workers);
 
-  /// Stops and joins. Pending submitted tasks are drained first, so every task
-  /// submitted before destruction runs exactly once.
+  /// Stops and joins the helpers. No ParallelFor may be running.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t workers() const { return threads_.size(); }
-
-  /// Enqueues a standalone task (round-robin across worker queues). A task
-  /// that throws does not take its worker (or the process) down: the
-  /// exception is swallowed at the worker loop — tasks that can fail should
-  /// report through their own channel (e.g. a result slot).
-  void Submit(Task task);
+  size_t workers() const { return helpers_.size() + 1; }
 
   /// Runs body(index, worker) for every index in [0, n), blocking until all
-  /// have completed. Indices are partitioned into contiguous chunks (several
-  /// per worker) that idle workers steal. `body` must not call back into
+  /// have completed; the calling thread runs chunks as worker 0. Calls from
+  /// several threads are served one at a time. `body` must not call back into
   /// ParallelFor on the same pool.
   ///
   /// Degrades gracefully when a body call throws: the exception is contained
@@ -64,30 +56,24 @@ class ThreadPool {
   Status ParallelFor(size_t n,
                      const std::function<void(size_t index, size_t worker)>& body);
 
-  /// Number of tasks executed by a worker other than the one whose queue they
-  /// were pushed to (monotone; for tests and instrumentation).
-  uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
-
  private:
-  void WorkerLoop(size_t id);
-  /// Pops a task from `id`'s queue, or steals one. Decrements pending_ on
-  /// success.
-  bool TryGet(size_t id, Task* out);
-  /// Publishes a task to queue `q` and wakes a worker.
-  void Enqueue(size_t q, Task task);
+  struct Job;
 
-  std::vector<std::unique_ptr<TaskQueue>> queues_;  // One per worker.
-  std::vector<std::thread> threads_;
+  void HelperLoop(size_t worker);
+  /// Claims and runs `job`'s chunks as `worker` until none is left.
+  void Drain(Job& job, size_t worker);
+
+  std::vector<std::thread> helpers_;
+  /// Held for a whole ParallelFor: one job at a time.
+  std::mutex call_mu_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;
-  /// Tasks pushed but not yet picked up. Guarded by mu_ for the cv protocol
-  /// (atomic so TryGet can decrement without the lock).
-  std::atomic<size_t> pending_{0};
-  bool stop_ = false;  // Guarded by mu_.
-
-  std::atomic<size_t> next_queue_{0};
-  std::atomic<uint64_t> steals_{0};
+  std::condition_variable wake_cv_;  ///< Helpers wait here for a job.
+  std::condition_variable idle_cv_;  ///< The caller waits for busy_ == 0.
+  Job* job_ = nullptr;               ///< The open job, if any. Guarded by mu_.
+  uint64_t epoch_ = 0;               ///< Jobs opened so far. Guarded by mu_.
+  size_t busy_ = 0;  ///< Helpers inside the current job. Guarded by mu_.
+  bool stop_ = false;                ///< Guarded by mu_.
 };
 
 }  // namespace kbt::exec

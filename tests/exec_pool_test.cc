@@ -1,7 +1,9 @@
 /// \file
-/// Tests for the exec/ work-stealing thread pool: queue semantics, start/stop
-/// drain guarantees, ParallelFor coverage under stress, and worker-id validity
-/// (the contract the per-worker solver pools in τ rely on).
+/// Tests for the exec/ caller-participating pool: the caller is worker 0, a
+/// pass of one chunk and a pool of width 1 run on the caller alone,
+/// ParallelFor covers every index once (under skew and from concurrent
+/// callers), and worker ids stay in range (the contract the per-worker solver
+/// pools in τ rely on).
 
 #include "exec/pool.h"
 
@@ -9,34 +11,22 @@
 
 #include <atomic>
 #include <chrono>
-#include <random>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "exec/task.h"
-
 namespace kbt::exec {
 namespace {
 
-TEST(TaskQueueTest, OwnerPopsLifoThievesStealFifo) {
-  TaskQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    q.PushBottom([&order, i](size_t) { order.push_back(i); });
-  }
-  EXPECT_EQ(q.size(), 3u);
-
-  Task t;
-  ASSERT_TRUE(q.StealTop(&t));
-  t(0);  // Oldest task first for thieves.
-  ASSERT_TRUE(q.PopBottom(&t));
-  t(0);  // Newest task first for the owner.
-  ASSERT_TRUE(q.PopBottom(&t));
-  t(0);
-  EXPECT_FALSE(q.PopBottom(&t));
-  EXPECT_FALSE(q.StealTop(&t));
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+/// The process's threads, or -1 where /proc/self/task is not available.
+int ProcessThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  int threads = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++threads;
+  return threads;
 }
 
 TEST(ThreadPoolTest, StartStopEmpty) {
@@ -56,18 +46,6 @@ TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
     ++ran;
   });
   EXPECT_EQ(ran.load(), 5);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsSubmittedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&ran](size_t) { ++ran; });
-    }
-    // Destructor must run every submitted task exactly once before joining.
-  }
-  EXPECT_EQ(ran.load(), 200);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
@@ -107,9 +85,9 @@ TEST(ThreadPoolTest, ParallelForReusableAcrossCalls) {
 }
 
 TEST(ThreadPoolTest, StealStressSkewedDurations) {
-  // Chunks land in fixed queues; skewed task durations force idle workers to
-  // steal. On a single-core host stealing still occurs via preemption, so only
-  // coverage is asserted deterministically; steals() is exercised, not pinned.
+  // Skewed durations: a worker held by a slow index leaves the chunks after
+  // its own to whichever workers are free, which claim them from the shared
+  // index. Only coverage is asserted; which worker runs what is scheduling.
   ThreadPool pool(4);
   constexpr size_t kN = 256;
   std::vector<std::atomic<int>> counts(kN);
@@ -126,21 +104,6 @@ TEST(ThreadPoolTest, StealStressSkewedDurations) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(counts[i].load(), 1) << "index " << i;
   }
-  // Monotone counter is readable and sane.
-  EXPECT_GE(pool.steals(), 0u);
-}
-
-TEST(ThreadPoolTest, ThrowingSubmittedTaskDoesNotKillWorkers) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([](size_t) { throw std::runtime_error("task boom"); });
-      pool.Submit([&ran](size_t) { ++ran; });
-    }
-    // Workers survived the throwing tasks and keep servicing the queue.
-  }
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolTest, ParallelForSurfacesBodyExceptionAsStatus) {
@@ -168,21 +131,125 @@ TEST(ThreadPoolTest, ParallelForSurfacesBodyExceptionAsStatus) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPoolTest, SubmitAndParallelForInterleaved) {
-  std::atomic<int> submitted_ran{0};
-  {
-    ThreadPool pool(2);
-    for (int round = 0; round < 10; ++round) {
-      for (int i = 0; i < 5; ++i) {
-        pool.Submit([&submitted_ran](size_t) { ++submitted_ran; });
-      }
-      std::atomic<int> loop_ran{0};
-      pool.ParallelFor(50, [&](size_t, size_t) { ++loop_ran; });
-      EXPECT_EQ(loop_ran.load(), 50);
+TEST(ThreadPoolTest, CallerIsWorkerZero) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    constexpr size_t kN = 512;
+    std::vector<size_t> worker_of(kN);
+    std::vector<std::thread::id> thread_of(kN);
+    pool.ParallelFor(kN, [&](size_t i, size_t worker) {
+      worker_of[i] = worker;
+      thread_of[i] = std::this_thread::get_id();
+    });
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_LT(worker_of[i], pool.workers());
+      // Worker 0 is the calling thread, and only it.
+      ASSERT_EQ(worker_of[i] == 0, thread_of[i] == caller) << "index " << i;
     }
   }
-  // Every submitted task ran by the time the destructor joined.
-  EXPECT_EQ(submitted_ran.load(), 50);
+}
+
+TEST(ThreadPoolTest, OneChunkRunsInlineOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 100; ++round) {
+    int ran = 0;  // Not atomic: only the caller may touch it.
+    Status s = pool.ParallelFor(1, [&](size_t i, size_t worker) {
+      EXPECT_EQ(i, 0u);
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++ran;
+    });
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(ran, 1);
+  }
+}
+
+TEST(ThreadPoolTest, WidthOneStartsNoThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t width : {size_t{0}, size_t{1}}) {
+    const int before = ProcessThreads();
+    ThreadPool pool(width);
+    EXPECT_EQ(pool.workers(), 1u);
+    if (before >= 0) {
+      EXPECT_LE(ProcessThreads(), before) << "width " << width;
+    }
+    size_t ran = 0;
+    pool.ParallelFor(100, [&](size_t, size_t worker) {
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++ran;
+    });
+    EXPECT_EQ(ran, 100u);
+  }
+}
+
+TEST(ThreadPoolTest, WidthFourRunsTheCallerAndThreeHelpersAtOnce) {
+  // Each worker's first index waits until all four workers are inside the
+  // pass, so the pass ends only if the caller and three distinct helper
+  // threads run at the same time.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<bool>> arrived(pool.workers());
+  std::vector<std::thread::id> thread_of(pool.workers());
+  std::atomic<size_t> present{0};
+  std::atomic<bool> timed_out{false};
+  pool.ParallelFor(64, [&](size_t, size_t worker) {
+    if (arrived[worker].exchange(true)) return;
+    thread_of[worker] = std::this_thread::get_id();
+    ++present;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (present.load() < pool.workers()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_FALSE(timed_out.load());
+  EXPECT_EQ(thread_of[0], caller);
+  for (size_t a = 0; a < thread_of.size(); ++a) {
+    for (size_t b = a + 1; b < thread_of.size(); ++b) {
+      EXPECT_NE(thread_of[a], thread_of[b]) << "workers " << a << ", " << b;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachSeeEveryIndexOnce) {
+  ThreadPool pool(3);
+  constexpr size_t kN = 300;
+  constexpr int kRounds = 50;
+  auto caller = [&](std::vector<int>* failures) {
+    const std::thread::id self = std::this_thread::get_id();
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::atomic<int>> counts(kN);
+      std::atomic<int> bad_worker{0};
+      Status s = pool.ParallelFor(kN, [&](size_t i, size_t worker) {
+        if (worker >= pool.workers()) ++bad_worker;
+        // Worker 0 of this job is this caller, never the other one.
+        if ((worker == 0) != (std::this_thread::get_id() == self)) {
+          ++bad_worker;
+        }
+        counts[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      if (!s.ok()) failures->push_back(-1);
+      if (bad_worker.load() != 0) failures->push_back(-2);
+      for (size_t i = 0; i < kN; ++i) {
+        if (counts[i].load() != 1) failures->push_back(static_cast<int>(i));
+      }
+    }
+  };
+  std::vector<int> failures_a;
+  std::vector<int> failures_b;
+  std::thread a(caller, &failures_a);
+  std::thread b(caller, &failures_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(failures_a.empty()) << failures_a.size() << " failures";
+  EXPECT_TRUE(failures_b.empty()) << failures_b.size() << " failures";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,6 +57,31 @@ TEST(InternerTest, ConcurrentInterningIsConsistent) {
     EXPECT_EQ(results[static_cast<size_t>(t)], results[0]);
   }
   EXPECT_EQ(interner.size(), static_cast<size_t>(kNames));
+}
+
+TEST(InternerTest, SlicedViewResolvesToItsOwnName) {
+  Interner interner;
+  const std::string buffer = "n123";
+  const Symbol longer = interner.Intern(buffer);
+  const std::string_view prefix = std::string_view(buffer).substr(0, 3);
+  Symbol out = 0;
+  EXPECT_FALSE(interner.Lookup(prefix, &out));
+  const Symbol shorter = interner.Intern(prefix);
+  EXPECT_NE(shorter, longer);
+  EXPECT_EQ(interner.NameOf(shorter), "n12");
+  ASSERT_TRUE(interner.Lookup(prefix, &out));
+  EXPECT_EQ(out, shorter);
+  ASSERT_TRUE(interner.Lookup(buffer, &out));
+  EXPECT_EQ(out, longer);
+
+  // The index keeps the interner's copy of a name, not the caller's buffer.
+  std::string scratch = "n1";
+  const Symbol n1 = interner.Intern(scratch);
+  scratch.assign("zz");
+  EXPECT_FALSE(interner.Lookup("zz", &out));
+  ASSERT_TRUE(interner.Lookup("n1", &out));
+  EXPECT_EQ(out, n1);
+  EXPECT_EQ(interner.size(), 3u);
 }
 
 }  // namespace
