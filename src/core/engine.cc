@@ -7,53 +7,37 @@
 
 namespace kbt {
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {}
+namespace {
+
+/// The pool for `threads` (0 = one per hardware thread), or nullptr when that
+/// resolves to a width of one.
+std::unique_ptr<exec::ThreadPool> StartPool(size_t threads) {
+  if (threads == 0) {
+    threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  if (threads <= 1) return nullptr;
+  return std::make_unique<exec::ThreadPool>(threads);
+}
+
+}  // namespace
+
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)), pool_(StartPool(options_.tau_threads)) {}
 
 Engine::~Engine() = default;
-
-exec::ThreadPool* Engine::Pool() {
-  size_t threads = options_.tau_threads != 0
-                       ? options_.tau_threads
-                       : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->workers() != threads) {
-    pool_ = std::make_unique<exec::ThreadPool>(threads);
-  }
-  return pool_.get();
-}
 
 StatusOr<Knowledgebase> Engine::Apply(std::string_view expression,
                                       const Knowledgebase& kb) {
   KBT_ASSIGN_OR_RETURN(Pipeline pipeline, ParsePipeline(expression));
-  KBT_ASSIGN_OR_RETURN(Knowledgebase result, ApplySteps(pipeline, kb));
-  if (log_ != nullptr) {
-    // Write-ahead discipline: a result whose commit failed is never returned
-    // as a success — the caller must treat the transformation as not applied.
-    KBT_RETURN_IF_ERROR(log_->Commit(expression, result));
-  }
-  return result;
+  return Apply(pipeline, kb);
 }
 
 StatusOr<Knowledgebase> Engine::Apply(const Pipeline& pipeline,
                                       const Knowledgebase& kb) {
-  KBT_ASSIGN_OR_RETURN(Knowledgebase result, ApplySteps(pipeline, kb));
-  if (log_ != nullptr) {
-    // Pre-built pipelines are as durable as text ones: the canonical rendering
-    // round-trips through ParsePipeline (property-tested in engine_test), so
-    // replay applies the identical transformation.
-    KBT_RETURN_IF_ERROR(log_->Commit(pipeline.ToString(), result));
-  }
-  return result;
-}
-
-StatusOr<Knowledgebase> Engine::ApplySteps(const Pipeline& pipeline,
-                                           const Knowledgebase& kb) {
   TauOptions tau_options;
   tau_options.mu = options_.mu;
   tau_options.threads = options_.tau_threads;
-  // Serving-style reuse: lend the lazily-started persistent pool to every τ
-  // step instead of letting each call spawn (and join) its own workers.
-  tau_options.pool = Pool();
+  tau_options.pool = pool_.get();
   return pipeline.Apply(kb, tau_options);
 }
 

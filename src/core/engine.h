@@ -21,21 +21,6 @@ class ThreadPool;
 
 namespace kbt {
 
-/// Commit hook for durable storage (implemented by store::DurableEngine).
-/// When attached to an Engine, every successful text-form Apply hands the
-/// expression and its result to Commit before the caller sees them — the
-/// write-ahead discipline: a transformation whose log commit fails is not
-/// acknowledged. Core stays storage-free; the store layer implements this.
-class TransformLog {
- public:
-  virtual ~TransformLog() = default;
-
-  /// Makes one committed transformation durable. `expression` is the concrete
-  /// pipeline syntax that produced `result`.
-  virtual Status Commit(std::string_view expression,
-                        const Knowledgebase& result) = 0;
-};
-
 struct EngineOptions {
   MuOptions mu;
   /// Width of τ's world fan-out (see TauOptions::threads): the calling
@@ -45,12 +30,13 @@ struct EngineOptions {
 };
 
 /// High-level entry point: owns options, parses expressions, applies them.
-/// When tau_threads resolves to a width above one, the engine starts one
-/// persistent exec::ThreadPool on the first such Apply (restarted only when
-/// the setting changes) and lends it to every τ step — a serving loop calling
-/// Apply repeatedly pays the thread spawn once, not per call. The pool's
-/// tau_threads − 1 helpers sleep while no pass runs; the calling thread works
-/// as worker 0 of every pass. Engine is single-caller like before.
+/// When tau_threads resolves to a width above one, the constructor starts one
+/// persistent exec::ThreadPool and the engine lends it to every τ step — a
+/// serving loop calling Apply repeatedly pays the thread spawn once, not per
+/// call. The pool's tau_threads − 1 helpers sleep while no pass runs; the
+/// calling thread works as worker 0 of every pass. Engine is single-caller.
+/// Durability is the store's business: store::DurableEngine logs each record
+/// it commits and replays it through this engine (store/recovery.h).
 class Engine {
  public:
   explicit Engine(EngineOptions options = EngineOptions());
@@ -58,43 +44,20 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Parses and applies a transformation expression to `kb`. With a log
-  /// attached, the result is committed to it before being returned; a failed
-  /// commit fails the Apply.
+  /// Parses and applies a transformation expression to `kb`.
   StatusOr<Knowledgebase> Apply(std::string_view expression,
                                 const Knowledgebase& kb);
 
-  /// Applies a pre-built pipeline to `kb`. With a log attached, the pipeline's
-  /// canonical concrete rendering (Pipeline::ToString, which round-trips
-  /// through ParsePipeline) is committed — pre-built and text-form applies are
-  /// equally durable.
+  /// Applies a pre-built pipeline to `kb`.
   StatusOr<Knowledgebase> Apply(const Pipeline& pipeline, const Knowledgebase& kb);
 
   /// Shorthand for a single τ step with the sentence in concrete syntax.
   StatusOr<Knowledgebase> Insert(std::string_view sentence, const Knowledgebase& kb);
 
-  const EngineOptions& options() const { return options_; }
-  EngineOptions& options() { return options_; }
-
-  /// Attaches a durability log (borrowed; nullptr detaches). Both Apply
-  /// overloads commit: text-form applies log their input verbatim, pre-built
-  /// pipelines log their canonical rendering.
-  void AttachLog(TransformLog* log) { log_ = log; }
-  TransformLog* log() const { return log_; }
-
  private:
-  /// The persistent pool for the current tau_threads setting (started on first
-  /// need, restarted if the setting changes), or nullptr when sequential.
-  exec::ThreadPool* Pool();
-
-  /// Runs the pipeline's steps (shared by both Apply overloads); commits are
-  /// the overloads' business, so each logs exactly once.
-  StatusOr<Knowledgebase> ApplySteps(const Pipeline& pipeline,
-                                     const Knowledgebase& kb);
-
-  EngineOptions options_;
+  const EngineOptions options_;
+  /// The persistent pool, or nullptr when τ runs sequentially.
   std::unique_ptr<exec::ThreadPool> pool_;
-  TransformLog* log_ = nullptr;
 };
 
 /// Builds a relation of the given arity from tuples of constant names, e.g.

@@ -63,10 +63,8 @@ class SatEnumerator {
     // shared by every world with this active domain (GroundForMu looked it
     // up); only the per-world defaults are recomputed. μ runs on ground.root
     // and its atoms: the whole root, or one component of it.
-    const std::shared_ptr<const exec::CachedGrounding>& shared =
-        ground.grounding;
     const exec::FrozenCnf* frozen = ground.frozen.get();
-    const Grounding* g = &shared->grounding;
+    const Grounding* g = &ground.grounding->grounding;
     const int root = ground.root;
     mentioned_ = ground.atoms;
     stats_->ground_nodes = g->circuit.size();
@@ -124,13 +122,6 @@ class SatEnumerator {
       Solver* s;
       ~LimitsGuard() { s->ClearLimits(); }
     } limits_guard{solver_};
-    // Valid previous evaluation of the same root on this worker: the next
-    // world's defaults differ in a handful of atoms, so the circuit walk below
-    // shrinks to the changed cone.
-    const bool warm_eval = s_.eval_owner.get() == shared.get() &&
-                           s_.eval_root == root &&
-                           s_.prev_default.size() == g->atoms.size() &&
-                           s_.node_value.size() == g->circuit.size();
     s_.default_value.assign(g->atoms.size(), 0);
     s_.value.assign(g->atoms.size(), 0);
     s_.old_atoms.clear();
@@ -148,29 +139,12 @@ class SatEnumerator {
     // first probe's decisions on gate variables steer the same direction as
     // the atoms below them instead of forcing arbitrary subcircuit values;
     // first models start near the Winslett minimum and descents are short.
-    // One circuit evaluation per world — incremental when the previous world
-    // on this worker shares the grounding (patching the changed-default cone
-    // is bit-identical to the full walk); later solves re-seed only the atoms
+    // One circuit evaluation per world; later solves re-seed only the atoms
     // (SeedDefaultPhases), gates then following their saved model phases.
     auto default_of = [&](int atom_id) {
       return s_.default_value[static_cast<size_t>(atom_id)] != 0;
     };
-    if (warm_eval) {
-      s_.dirty_atoms.clear();
-      for (int atom_id : *mentioned_) {
-        size_t a = static_cast<size_t>(atom_id);
-        if (s_.default_value[a] != s_.prev_default[a]) {
-          s_.dirty_atoms.push_back(atom_id);
-        }
-      }
-      g->circuit.ReevaluateInto(s_.dirty_atoms, default_of, shared->users,
-                                &s_.node_value, &s_.eval_heap);
-    } else {
-      g->circuit.EvaluateAllInto(root, default_of, &s_.node_value);
-    }
-    s_.prev_default = s_.default_value;
-    s_.eval_owner = shared;
-    s_.eval_root = root;
+    g->circuit.EvaluateAllInto(root, default_of, &s_.node_value);
     for (size_t id = 0; id < node_lits->size(); ++id) {
       sat::Lit lit = (*node_lits)[id];
       int8_t value = s_.node_value[id];

@@ -101,8 +101,6 @@ StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
     }
     cached->key_words += (c.atoms.size() + 63) / 64;
   }
-  // After the split: the component ANDs are users of their children too.
-  cached->users = cached->grounding.circuit.BuildUsers();
   return std::shared_ptr<const CachedGrounding>(std::move(cached));
 }
 

@@ -53,9 +53,6 @@ struct CachedGrounding {
   std::vector<uint32_t> key_bit;
   /// 64-bit words of a key.
   size_t key_words = 0;
-  /// Child → parent adjacency of the circuit, for incremental default
-  /// re-evaluation across the worlds sharing this grounding (PR 7).
-  CircuitUsers users;
 };
 
 /// Grounds `sentence` over `domain` and wraps the result in the immutable
@@ -91,15 +88,13 @@ class GroundingCache {
   /// growth under domain churn; lookups still return identical values.
   void set_max_entries(size_t n) { cache_.set_max_entries(n); }
   /// Estimated bytes held by completed entries (circuit nodes, atom table,
-  /// adjacency — a sizing heuristic, not an exact meter).
+  /// key layout — a sizing heuristic, not an exact meter).
   size_t approx_bytes() const {
     return cache_.ApproxBytes([](const CachedGrounding& g) {
       size_t bytes = g.grounding.circuit.size() * 16 +
                      g.grounding.atoms.size() * 24 +
                      g.mentioned.size() * sizeof(int) +
-                     g.key_bit.size() * sizeof(uint32_t) +
-                     g.users.offset.size() * sizeof(uint32_t) +
-                     g.users.data.size() * sizeof(int32_t);
+                     g.key_bit.size() * sizeof(uint32_t);
       for (const GroundingComponent& c : g.components) {
         bytes += sizeof(c) + c.atoms.size() * sizeof(int);
       }

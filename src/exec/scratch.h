@@ -41,16 +41,6 @@ struct WorldScratch {
   std::vector<int8_t> value;           ///< Atom id → current model snapshot.
   std::vector<int8_t> node_value;      ///< Circuit-evaluation scratch.
 
-  // --- Incremental default evaluation (PR 7): the previous world's defaults
-  // and circuit evaluation, valid for the grounding identified by eval_owner
-  // and the node eval_root. When the next world on this worker shares both,
-  // only the changed-default cone of the circuit is re-evaluated. ---
-  std::vector<int8_t> prev_default;    ///< Defaults node_value was computed at.
-  std::vector<int> dirty_atoms;        ///< Atoms whose default changed.
-  std::vector<int> eval_heap;          ///< ReevaluateInto worklist scratch.
-  std::shared_ptr<const void> eval_owner;  ///< Grounding node_value belongs to.
-  int eval_root = -1;                  ///< Node node_value was evaluated from.
-
   // --- μ/SAT descend-and-block loop scratch. ---
   std::vector<int> deviating;          ///< Atoms deviating from the default.
   std::vector<int> clause_lits;        ///< Clause under construction (sat::Lit).

@@ -277,88 +277,6 @@ void Circuit::EvaluateAllInto(int root, const std::function<bool(int)>& var_valu
   }
 }
 
-CircuitUsers Circuit::BuildUsers() const {
-  CircuitUsers u;
-  u.offset.assign(nodes_.size() + 1, 0);
-  for (const NodeData& n : nodes_) {
-    for (uint32_t i = 0; i < n.child_count; ++i) {
-      ++u.offset[static_cast<size_t>(child_arena_[n.child_begin + i]) + 1];
-    }
-  }
-  for (size_t i = 1; i < u.offset.size(); ++i) u.offset[i] += u.offset[i - 1];
-  u.data.resize(u.offset.back());
-  std::vector<uint32_t> cursor(u.offset.begin(), u.offset.end() - 1);
-  for (size_t id = 0; id < nodes_.size(); ++id) {
-    const NodeData& n = nodes_[id];
-    for (uint32_t i = 0; i < n.child_count; ++i) {
-      size_t c = static_cast<size_t>(child_arena_[n.child_begin + i]);
-      u.data[cursor[c]++] = static_cast<int32_t>(id);
-    }
-  }
-  return u;
-}
-
-void Circuit::ReevaluateInto(std::span<const int> changed_vars,
-                             const std::function<bool(int)>& var_value,
-                             const CircuitUsers& users,
-                             std::vector<int8_t>* memo,
-                             std::vector<int>* heap) const {
-  // Children are always interned before their parents, so node ids are a
-  // topological order: draining the worklist smallest-id-first guarantees a
-  // node recomputes only after every child below it has settled. Duplicate
-  // entries are harmless — a later pop of an already-updated node finds its
-  // value unchanged and the wave stops there.
-  auto by_min = std::greater<int>();
-  heap->clear();
-  auto push_users = [&](size_t id) {
-    for (uint32_t k = users.offset[id]; k < users.offset[id + 1]; ++k) {
-      heap->push_back(users.data[k]);
-      std::push_heap(heap->begin(), heap->end(), by_min);
-    }
-  };
-  for (int var_id : changed_vars) {
-    if (static_cast<size_t>(var_id) >= var_nodes_.size()) continue;
-    int id = var_nodes_[static_cast<size_t>(var_id)];
-    if (id < 0) continue;  // Variable never interned.
-    size_t idx = static_cast<size_t>(id);
-    if ((*memo)[idx] == 0) continue;  // Outside the evaluated cone.
-    int8_t next = var_value(var_id) ? 2 : 1;
-    if ((*memo)[idx] == next) continue;
-    (*memo)[idx] = next;
-    push_users(idx);
-  }
-  while (!heap->empty()) {
-    std::pop_heap(heap->begin(), heap->end(), by_min);
-    int id = heap->back();
-    heap->pop_back();
-    size_t idx = static_cast<size_t>(id);
-    int8_t old = (*memo)[idx];
-    if (old == 0) continue;  // A parent outside the evaluated cone.
-    const NodeData& n = nodes_[idx];
-    int8_t next;
-    if (n.kind == NodeKind::kNot) {
-      next =
-          (*memo)[static_cast<size_t>(child_arena_[n.child_begin])] == 2 ? 1
-                                                                         : 2;
-    } else {
-      // kAnd / kOr; every child of a reached gate holds a value (the full
-      // evaluation never short-circuits), so the gate recomputes locally.
-      int8_t decisive = n.kind == NodeKind::kAnd ? 1 : 2;
-      next = decisive == 1 ? 2 : 1;
-      for (uint32_t i = 0; i < n.child_count; ++i) {
-        if ((*memo)[static_cast<size_t>(child_arena_[n.child_begin + i])] ==
-            decisive) {
-          next = decisive;
-          break;
-        }
-      }
-    }
-    if (next == old) continue;
-    (*memo)[idx] = next;
-    push_users(idx);
-  }
-}
-
 std::vector<int> Circuit::CollectVars(int root) const {
   std::vector<int> out;
   std::vector<int> stack{root};

@@ -28,14 +28,6 @@
 
 namespace kbt {
 
-/// Child → parent adjacency of a finished circuit, CSR-packed. Built once per
-/// circuit (Circuit::BuildUsers) and read concurrently by ReevaluateInto —
-/// the incremental form of EvaluateAllInto.
-struct CircuitUsers {
-  std::vector<uint32_t> offset;  ///< Node id → first user index (size()+1 long).
-  std::vector<int32_t> data;     ///< Concatenated parent node ids.
-};
-
 /// A boolean circuit with structural sharing. Node ids are dense ints; ids 0 and 1
 /// are reserved for the constants false and true.
 class Circuit {
@@ -103,21 +95,6 @@ class Circuit {
   /// candidate instead of wandering through unconstrained gate decisions.
   void EvaluateAllInto(int root, const std::function<bool(int)>& var_value,
                        std::vector<int8_t>* memo) const;
-
-  /// Child → parent adjacency for ReevaluateInto; O(nodes + edges).
-  CircuitUsers BuildUsers() const;
-
-  /// Patches a previous EvaluateAllInto result in place after some external
-  /// variables changed value, re-walking only the affected cone. `memo` must
-  /// hold an unmodified EvaluateAllInto result for this circuit, `users` a
-  /// BuildUsers adjacency, and `var_value` the *new* assignment; `heap` is
-  /// caller-owned worklist scratch (kept warm across calls). The result is
-  /// bit-identical to a fresh EvaluateAllInto under the new assignment —
-  /// worlds sharing a grounding pay O(|changed cone|), not O(circuit).
-  void ReevaluateInto(std::span<const int> changed_vars,
-                      const std::function<bool(int)>& var_value,
-                      const CircuitUsers& users, std::vector<int8_t>* memo,
-                      std::vector<int>* heap) const;
 
   /// External variable ids reachable from `root`, sorted and deduplicated.
   std::vector<int> CollectVars(int root) const;

@@ -103,28 +103,6 @@ StatusOr<uint64_t> Server::Apply(std::string_view expression) {
   return version;
 }
 
-StatusOr<uint64_t> Server::Apply(const Pipeline& pipeline) {
-  uint64_t version = 0;
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    KBT_RETURN_IF_ERROR(RefuseWhenReadOnly());
-    Knowledgebase result;
-    if (durable_ != nullptr) {
-      KBT_ASSIGN_OR_RETURN(result, durable_->Apply(pipeline));
-      lsn = durable_->lsn();
-    } else {
-      KBT_ASSIGN_OR_RETURN(
-          result, own_engine_->Apply(pipeline, registry_.Current()->kb));
-    }
-    version = FinishCommit(std::move(result));
-  }
-  if (commit_waiter_ != nullptr && durable_ != nullptr) {
-    KBT_RETURN_IF_ERROR(commit_waiter_(lsn));
-  }
-  return version;
-}
-
 StatusOr<uint64_t> Server::ApplyReplicated(const store::WalRecord& record) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (durable_ == nullptr) {

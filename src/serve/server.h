@@ -148,7 +148,6 @@ class Server {
   /// published version. Readers are never blocked: they stay on the previous
   /// snapshot until Publish lands.
   StatusOr<uint64_t> Apply(std::string_view expression);
-  StatusOr<uint64_t> Apply(const Pipeline& pipeline);
 
   /// Durable mode: checkpoint + WAL rotation (no-op without a store).
   Status Checkpoint();

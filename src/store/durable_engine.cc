@@ -8,6 +8,35 @@
 
 namespace kbt::store {
 
+namespace {
+
+/// The kInsert/kDelete record of `rows` for `relation`, validated against
+/// `schema` up front so a bad call never reaches the log.
+StatusOr<WalRecord> TupleDeltaRecord(
+    const Schema& schema, WalRecordKind kind, std::string_view relation,
+    const std::vector<std::vector<std::string>>& rows) {
+  std::optional<size_t> pos = schema.PositionOf(Name(relation));
+  if (!pos.has_value()) {
+    return Status::NotFound("no relation " + std::string(relation) +
+                            " in the store's schema");
+  }
+  const size_t arity = schema.decl(*pos).arity;
+  for (const auto& row : rows) {
+    if (row.size() != arity) {
+      return Status::InvalidArgument("tuple of width " +
+                                     std::to_string(row.size()) + " for " +
+                                     std::string(relation) + "/" +
+                                     std::to_string(arity));
+    }
+  }
+  WalRecord record;
+  record.kind = kind;
+  record.payload = EncodeTupleDelta(relation, arity, rows);
+  return record;
+}
+
+}  // namespace
+
 DurableEngine::DurableEngine(std::string dir, StoreOptions store_options,
                              EngineOptions engine_options)
     : dir_(std::move(dir)),
@@ -16,7 +45,6 @@ DurableEngine::DurableEngine(std::string dir, StoreOptions store_options,
       engine_(std::move(engine_options)) {}
 
 DurableEngine::~DurableEngine() {
-  engine_.AttachLog(nullptr);
   if (wal_ != nullptr) {
     Status ignored = wal_->Close();
     (void)ignored;
@@ -31,7 +59,6 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   Env* env = store->env_;
   KBT_RETURN_IF_ERROR(env->CreateDir(dir));
 
-  // Recovery runs before the log hook is attached, so replay does not re-log.
   StatusOr<RecoveredStore> recovered = RecoverStore(env, dir, store->engine_);
   if (recovered.ok()) {
     store->kb_ = std::move(recovered->kb);
@@ -57,8 +84,6 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   } else {
     return recovered.status();
   }
-
-  store->engine_.AttachLog(store.get());
   return store;
 }
 
@@ -79,48 +104,23 @@ Status DurableEngine::OpenWal(uint64_t existing_bytes) {
 }
 
 StatusOr<Knowledgebase> DurableEngine::Apply(std::string_view expression) {
-  // engine_.Apply calls back into Commit (the TransformLog hook) on success,
-  // which appends to the WAL and advances kb_/lsn_ before this returns.
-  return engine_.Apply(expression, kb_);
-}
-
-StatusOr<Knowledgebase> DurableEngine::Apply(const Pipeline& pipeline) {
-  // Same hook as the text path; engine_ commits the canonical rendering.
-  return engine_.Apply(pipeline, kb_);
-}
-
-Status DurableEngine::Commit(std::string_view expression,
-                             const Knowledgebase& result) {
-  if (replicated_apply_) {
-    // ApplyReplicated is replaying a primary's kTransform record through the
-    // engine; it commits the original record bytes itself. Logging the
-    // re-rendering here would double-commit (and could differ byte-wise).
-    return Status::OK();
-  }
   WalRecord record;
   record.kind = WalRecordKind::kTransform;
   record.payload = std::string(expression);
-  return CommitRecord(record, result);
+  KBT_RETURN_IF_ERROR(Commit(record));
+  return kb_;
 }
 
 Status DurableEngine::ApplyReplicated(const WalRecord& record) {
-  if (broken_) {
-    return Status::IOError("store at " + dir_ +
-                           " is broken; reopen to recover");
-  }
-  replicated_apply_ = true;
-  StatusOr<Knowledgebase> next = ApplyWalRecord(engine_, record, kb_);
-  replicated_apply_ = false;
-  KBT_RETURN_IF_ERROR(next.status());
-  return CommitRecord(record, *next);
+  return Commit(record);
 }
 
-Status DurableEngine::CommitRecord(const WalRecord& record,
-                                   const Knowledgebase& next) {
-  if (broken_) {
-    return Status::IOError("store at " + dir_ +
-                           " is broken; reopen to recover");
-  }
+Status DurableEngine::Commit(const WalRecord& record) {
+  KBT_RETURN_IF_ERROR(RefuseWhenBroken());
+  // The function recovery replays with, so replay is bit-identical by
+  // construction.
+  KBT_ASSIGN_OR_RETURN(Knowledgebase next,
+                       ApplyWalRecord(engine_, record, kb_));
   Status s = wal_->Append(record);
   bool synced = false;
   if (s.ok()) {
@@ -136,11 +136,16 @@ Status DurableEngine::CommitRecord(const WalRecord& record,
     return s;
   }
   last_good_wal_bytes_ += kWalRecordHeadSize + record.payload.size();
-  kb_ = next;
+  kb_ = std::move(next);
   ++lsn_;
   unsynced_commits_ = synced ? 0 : unsynced_commits_ + 1;
   if (commit_listener_ != nullptr) commit_listener_(lsn_, record);
   return Status::OK();
+}
+
+Status DurableEngine::RefuseWhenBroken() const {
+  if (!broken_) return Status::OK();
+  return Status::IOError("store at " + dir_ + " is broken; reopen to recover");
 }
 
 void DurableEngine::SelfHeal() {
@@ -164,52 +169,26 @@ void DurableEngine::SelfHeal() {
   broken_ = true;
 }
 
-Status DurableEngine::CommitDelta(
-    WalRecordKind kind, std::string_view relation,
-    const std::vector<std::vector<std::string>>& rows) {
-  // Validate against the schema up front so a bad call never reaches the log.
-  Symbol symbol = Name(relation);
-  std::optional<size_t> pos = kb_.schema().PositionOf(symbol);
-  if (!pos.has_value()) {
-    return Status::NotFound("no relation " + std::string(relation) +
-                            " in the store's schema");
-  }
-  const size_t arity = kb_.schema().decl(*pos).arity;
-  for (const auto& row : rows) {
-    if (row.size() != arity) {
-      return Status::InvalidArgument("tuple of width " +
-                                     std::to_string(row.size()) + " for " +
-                                     std::string(relation) + "/" +
-                                     std::to_string(arity));
-    }
-  }
-  WalRecord record;
-  record.kind = kind;
-  record.payload = EncodeTupleDelta(relation, arity, rows);
-  // Apply through the same code path recovery replays, so replay is
-  // bit-identical by construction.
-  KBT_ASSIGN_OR_RETURN(Knowledgebase next,
-                       ApplyWalRecord(engine_, record, kb_));
-  return CommitRecord(record, next);
-}
-
 Status DurableEngine::InsertTuples(
     std::string_view relation,
     const std::vector<std::vector<std::string>>& rows) {
-  return CommitDelta(WalRecordKind::kInsert, relation, rows);
+  KBT_ASSIGN_OR_RETURN(
+      WalRecord record,
+      TupleDeltaRecord(kb_.schema(), WalRecordKind::kInsert, relation, rows));
+  return Commit(record);
 }
 
 Status DurableEngine::DeleteTuples(
     std::string_view relation,
     const std::vector<std::vector<std::string>>& rows) {
-  return CommitDelta(WalRecordKind::kDelete, relation, rows);
+  KBT_ASSIGN_OR_RETURN(
+      WalRecord record,
+      TupleDeltaRecord(kb_.schema(), WalRecordKind::kDelete, relation, rows));
+  return Commit(record);
 }
 
 Status DurableEngine::Sync() {
-  if (broken_) {
-    return Status::IOError("store at " + dir_ +
-                           " is broken; reopen to recover");
-  }
+  KBT_RETURN_IF_ERROR(RefuseWhenBroken());
   Status s = wal_->Sync();
   if (!s.ok()) {
     // Nothing was torn (all appended records are whole), but the handle may
@@ -222,10 +201,7 @@ Status DurableEngine::Sync() {
 }
 
 Status DurableEngine::Checkpoint() {
-  if (broken_) {
-    return Status::IOError("store at " + dir_ +
-                           " is broken; reopen to recover");
-  }
+  KBT_RETURN_IF_ERROR(RefuseWhenBroken());
   const uint64_t lsn = lsn_;
   KBT_RETURN_IF_ERROR(WriteCheckpoint(
       env_, dir_, dir_ + "/" + CheckpointFileName(lsn), kb_, lsn));

@@ -4,22 +4,25 @@
 /// \file
 /// A knowledgebase engine whose state survives crashes.
 ///
-/// DurableEngine wraps a core Engine, keeps the current knowledgebase in
-/// memory, and implements the Engine's TransformLog hook: every successful
-/// transformation is appended to the semantic WAL (and synced per the
-/// configured durability mode) *before* the caller is told it succeeded.
+/// DurableEngine wraps a core Engine and keeps the current knowledgebase in
+/// memory. Every commit is one semantic WAL record, appended (and synced per
+/// the configured durability mode) *before* the caller is told it succeeded.
 /// Recovery on Open loads the newest valid checkpoint and replays the WAL's
-/// valid prefix through the same deterministic engine, so the recovered state
-/// is bit-identical to what was committed.
+/// valid prefix through ApplyWalRecord, the same function every commit
+/// applies its record with, so the recovered state is bit-identical to what
+/// was committed.
 ///
-/// Commit protocol (Apply):
-///   1. engine applies the expression to the in-memory kb;
-///   2. the WAL record is appended; in kEveryCommit mode the file is fsynced
+/// Commit protocol — one path for Apply, InsertTuples, DeleteTuples and
+/// ApplyReplicated, each of which builds one WalRecord (Apply's holds the
+/// expression verbatim):
+///   1. a broken store refuses the record;
+///   2. ApplyWalRecord applies it to the in-memory kb;
+///   3. the record is appended; in kEveryCommit mode the file is fsynced
 ///      (kGroupCommit fsyncs every group_commit_interval commits, kManual only
 ///      on Sync()/Checkpoint());
-///   3. only then do the in-memory kb and lsn advance.
+///   4. only then do the in-memory kb and lsn advance.
 /// A failed append or sync leaves the in-memory state unchanged and the
-/// transformation unacknowledged; the writer self-heals by truncating the WAL
+/// record unacknowledged; the writer self-heals by truncating the WAL
 /// back to its last good byte and reopening, so a *transient* I/O error does
 /// not poison the log for later commits. If the self-heal itself fails the
 /// store is marked broken and every later commit is refused — reopening (a
@@ -58,7 +61,7 @@ struct StoreOptions {
   Env* env = nullptr;
 };
 
-class DurableEngine final : private TransformLog {
+class DurableEngine final {
  public:
   /// Opens (or creates) the store in `dir`. An empty directory is initialized
   /// with `initial` as checkpoint 0; an existing store recovers its committed
@@ -68,27 +71,19 @@ class DurableEngine final : private TransformLog {
       StoreOptions store_options = StoreOptions(),
       EngineOptions engine_options = EngineOptions());
 
-  ~DurableEngine() override;
+  ~DurableEngine();
   DurableEngine(const DurableEngine&) = delete;
   DurableEngine& operator=(const DurableEngine&) = delete;
 
   /// Applies a transformation expression to the current kb, committing it to
-  /// the WAL. On success the durable and in-memory states advanced together;
-  /// on error neither did (the expression is not acknowledged).
+  /// the WAL verbatim. On success the durable and in-memory states advanced
+  /// together; on error neither did (the expression is not acknowledged).
   StatusOr<Knowledgebase> Apply(std::string_view expression);
 
-  /// Applies a pre-built pipeline to the current kb. The WAL records the
-  /// pipeline's canonical concrete rendering (which round-trips through
-  /// ParsePipeline), so recovery replays the identical transformation — the
-  /// pre-built path is as durable as the text path.
-  StatusOr<Knowledgebase> Apply(const Pipeline& pipeline);
-
-  /// Replication: applies a record shipped from a primary through the exact
-  /// replay path recovery uses (ApplyWalRecord) and commits the *primary's*
-  /// record bytes — not a re-rendering — to this store's own WAL. The
-  /// TransformLog hook is suppressed for the duration so the record is logged
-  /// once, verbatim; follower state is therefore bit-identical to the
-  /// primary's at every lsn by construction.
+  /// Replication: commits a record shipped from a primary — the *primary's*
+  /// record bytes, not a re-rendering — through the same path as every local
+  /// commit; follower state is therefore bit-identical to the primary's at
+  /// every lsn by construction.
   Status ApplyReplicated(const WalRecord& record);
 
   /// Replication: called after every successful commit with the new lsn and
@@ -134,28 +129,17 @@ class DurableEngine final : private TransformLog {
   Env* env() const { return env_; }
   /// True once a failed self-heal left the log unusable (see file comment).
   bool broken() const { return broken_; }
-  /// The wrapped engine — exposed for options tweaks between commits. Note
-  /// text-form Apply calls made directly on it also commit to the store (it
-  /// has this object attached as its TransformLog); go through
-  /// DurableEngine::Apply so the committed expression is applied to the
-  /// store's own kb.
-  Engine& engine() { return engine_; }
 
  private:
   DurableEngine(std::string dir, StoreOptions store_options,
                 EngineOptions engine_options);
 
-  // TransformLog: called by engine_ inside Apply, after the transformation
-  // succeeded and before the caller sees the result.
-  Status Commit(std::string_view expression,
-                const Knowledgebase& result) override;
-
-  /// Appends `record` and applies the sync policy; on success adopts `next`
-  /// as the committed state.
-  Status CommitRecord(const WalRecord& record, const Knowledgebase& next);
-  /// Validates, applies, and commits an explicit tuple delta.
-  Status CommitDelta(WalRecordKind kind, std::string_view relation,
-                     const std::vector<std::vector<std::string>>& rows);
+  /// The one commit path: refuses when broken, applies `record` to kb_ with
+  /// ApplyWalRecord, appends it and applies the sync policy, and on success
+  /// adopts the result as the committed state.
+  Status Commit(const WalRecord& record);
+  /// kIOError when a failed self-heal broke the store, else OK.
+  Status RefuseWhenBroken() const;
   /// After a failed append/sync: truncate the WAL to last_good_wal_bytes_ and
   /// reopen it, or mark the store broken.
   void SelfHeal();
@@ -176,9 +160,6 @@ class DurableEngine final : private TransformLog {
   uint64_t last_good_wal_bytes_ = 0;
   size_t unsynced_commits_ = 0;
   bool broken_ = false;
-  /// True while ApplyReplicated replays through the engine; suppresses the
-  /// TransformLog hook so the replicated record is committed once, verbatim.
-  bool replicated_apply_ = false;
   std::function<void(uint64_t, const WalRecord&)> commit_listener_;
   std::function<std::optional<uint64_t>()> retain_lsn_hook_;
 };

@@ -43,9 +43,11 @@ std::string WalFileName(uint64_t lsn);
 std::optional<uint64_t> ParseStoreLsnSuffix(std::string_view name,
                                             std::string_view prefix);
 
-/// Applies one WAL record to `kb`: kTransform replays the expression through
+/// Applies one WAL record to `kb`: kTransform applies the expression through
 /// `engine`, kInsert/kDelete fold the tuple delta into the shared base and
 /// repair each world's overlay in place (O(worlds × delta), not × database).
+/// DurableEngine commits every record through it and recovery replays every
+/// record through it, so a replayed state is the committed one bit for bit.
 StatusOr<Knowledgebase> ApplyWalRecord(Engine& engine, const WalRecord& record,
                                        const Knowledgebase& kb);
 

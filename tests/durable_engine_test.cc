@@ -94,6 +94,40 @@ TEST(DurableEngineTest, FailedApplyCommitsNothing) {
   EXPECT_EQ(reopened->kb(), InitialKb());
 }
 
+TEST(DurableEngineTest, EachCommitAppendsOneVerbatimRecord) {
+  FaultInjectionEnv env;
+  auto primary = MustOpen("primary", InitialKb(), WithEnv(&env));
+  const std::string expression = "tau{  P(a)|P(b) }>>glb";  // Odd spacing kept.
+  ASSERT_TRUE(primary->Apply(expression).ok());
+  ASSERT_TRUE(primary->InsertTuples("Q", {{"a", "b"}, {"b", "c"}}).ok());
+  ASSERT_TRUE(primary->DeleteTuples("Q", {{"b", "c"}}).ok());
+
+  auto wal_bytes = env.ReadFile("primary/wal-0");
+  ASSERT_TRUE(wal_bytes.ok());
+  auto wal = ReadWal(*wal_bytes);
+  ASSERT_TRUE(wal.ok()) << wal.status().message();
+  ASSERT_EQ(wal->records.size(), 3u);
+  EXPECT_EQ(wal->records[0].kind, WalRecordKind::kTransform);
+  EXPECT_EQ(wal->records[0].payload, expression);
+  EXPECT_EQ(wal->records[1].kind, WalRecordKind::kInsert);
+  EXPECT_EQ(wal->records[1].payload,
+            EncodeTupleDelta("Q", 2, {{"a", "b"}, {"b", "c"}}));
+  EXPECT_EQ(wal->records[2].kind, WalRecordKind::kDelete);
+  EXPECT_EQ(wal->records[2].payload, EncodeTupleDelta("Q", 2, {{"b", "c"}}));
+
+  // A follower fed the same records through ApplyReplicated ends on the same
+  // kb with a byte-identical log.
+  auto follower = MustOpen("follower", InitialKb(), WithEnv(&env));
+  for (const WalRecord& record : wal->records) {
+    ASSERT_TRUE(follower->ApplyReplicated(record).ok());
+  }
+  EXPECT_EQ(follower->kb(), primary->kb());
+  EXPECT_EQ(follower->lsn(), 3u);
+  auto follower_bytes = env.ReadFile("follower/wal-0");
+  ASSERT_TRUE(follower_bytes.ok());
+  EXPECT_EQ(*follower_bytes, *wal_bytes);
+}
+
 TEST(DurableEngineTest, TupleDeltasRoundTripThroughCrash) {
   FaultInjectionEnv env;
   Knowledgebase committed{Schema()};

@@ -164,16 +164,6 @@ TEST(ServeServerTest, FailedApplyPublishesNothing) {
   EXPECT_EQ(server.stats().commits, 0u);
 }
 
-TEST(ServeServerTest, PipelineApplyMatchesTextApply) {
-  Server text_server(SmallKb());
-  Server pipe_server(SmallKb());
-  ASSERT_TRUE(text_server.Apply("tau{P(b) | Q(b, b)} >> glb").ok());
-  Pipeline pipeline;
-  pipeline.Tau("P(b) | Q(b, b)").Glb();
-  ASSERT_TRUE(pipe_server.Apply(pipeline).ok());
-  EXPECT_EQ(text_server.CurrentSnapshot()->kb, pipe_server.CurrentSnapshot()->kb);
-}
-
 // ---------------------------------------------------------------------------
 // Server: read path
 
@@ -469,7 +459,7 @@ TEST(ServeServerTest, DurablePipelineApplyIsReplayed) {
     ASSERT_TRUE(server.ok());
     Pipeline pipeline;
     pipeline.Tau("P(b) | P(c)").Glb();
-    ASSERT_TRUE((*server)->Apply(pipeline).ok());
+    ASSERT_TRUE((*server)->Apply(pipeline.ToString()).ok());
     committed = (*server)->CurrentSnapshot()->kb;
   }
   auto server = Server::OpenDurable(dir, Knowledgebase(Schema()));

@@ -252,9 +252,10 @@ TEST(TauParallelTest, PipelineAndEnginePlumbThreadCount) {
   for (int i = 0; i < 4; ++i) dbs.push_back(RandomDatabase(&rng));
   Knowledgebase kb = *Knowledgebase::FromDatabases(std::move(dbs));
 
+  EngineOptions options;
+  options.tau_threads = 4;
   Engine sequential;
-  Engine parallel;
-  parallel.options().tau_threads = 4;
+  Engine parallel(options);
   const char* expr = "tau{ forall x: P(x) -> N(x) } >> pi[N]";
   StatusOr<Knowledgebase> seq = sequential.Apply(expr, kb);
   StatusOr<Knowledgebase> par = parallel.Apply(expr, kb);
