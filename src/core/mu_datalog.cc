@@ -149,7 +149,8 @@ Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
       datalog::MaskedFacts& facts = it->second;
       const Relation& rel = base.relation_at(*pos);
       facts.arity = rel.arity();
-      facts.values = rel.flat();
+      const std::span<const Value> rows = rel.flat();
+      facts.values.assign(rows.begin(), rows.end());
       facts.masks.assign(rel.size(), all);
       for (size_t w = 0; w < n; ++w) {
         const RelationDelta* d = kb.overlays()[begin + w].FindDelta(*pos);

@@ -44,6 +44,9 @@ struct RelationDelta {
   }
 };
 
+static_assert(sizeof(RelationDelta) == 40,
+              "a delta is its position and two 16-byte relation handles");
+
 /// (base ∪ adds) \ dels in one stride-aware merge pass. `adds` must be
 /// disjoint from `base` and `dels` a subset of it (the overlay invariants).
 Relation ApplyDelta(const Relation& base, const Relation& adds,

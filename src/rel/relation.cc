@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <numeric>
 
 #include "base/hash.h"
@@ -21,64 +24,124 @@ bool IsStrictlySorted(const Value* data, size_t rows, size_t arity) {
   return true;
 }
 
+/// Walks the row-sorted, duplicate-free flat arrays [a, ae) and [b, be) in
+/// step and passes each run of kept rows to emit(first_row, row_count), in
+/// row order: rows only in a when `left_only`, only in b when `right_only`,
+/// in both when `both`.
+template <typename Emit>
+void MergeRows(const Value* a, const Value* ae, const Value* b, const Value* be,
+               size_t arity, bool left_only, bool right_only, bool both,
+               Emit emit) {
+  while (a != ae && b != be) {
+    int c = CompareValues(a, b, arity);
+    if (c < 0) {
+      if (left_only) emit(a, 1);
+      a += arity;
+    } else if (c > 0) {
+      if (right_only) emit(b, 1);
+      b += arity;
+    } else {
+      if (both) emit(a, 1);
+      a += arity;
+      b += arity;
+    }
+  }
+  if (left_only && a != ae) emit(a, static_cast<size_t>(ae - a) / arity);
+  if (right_only && b != be) emit(b, static_cast<size_t>(be - b) / arity);
+}
+
 }  // namespace
+
+Relation::Block* Relation::Allocate(size_t values) {
+  assert(values > 0 && "only non-empty relations hold a block");
+  return new (::operator new(BlockBytes(values))) Block{{1}, {0}};
+}
+
+void Relation::Free(Block* block) { ::operator delete(block); }
+
+Relation::Relation(Block* block, size_t arity, size_t rows)
+    : block_(block),
+      arity_(static_cast<uint32_t>(arity)),
+      rows_(static_cast<uint32_t>(rows)) {
+  // Row counts are 32-bit: 2^32 rows of even arity 1 would need 16 GiB of
+  // values, far past any workload here (limit is debug-asserted, not checked
+  // in release builds).
+  assert(rows < UINT32_MAX && arity < UINT32_MAX && "relation too large");
+  assert((block != nullptr) == (rows * arity > 0));
+}
+
+void Relation::Builder::Reallocate(size_t capacity) {
+  Block* block = Allocate(capacity * arity_);
+  if (rows_ > 0) std::copy_n(block_->values(), rows_ * arity_, block->values());
+  Free(block_);
+  block_ = block;
+  capacity_ = capacity;
+}
+
+void Relation::Builder::Reserve(size_t rows) {
+  if (arity_ > 0 && rows_ + rows > capacity_) Reallocate(rows_ + rows);
+}
 
 void Relation::Builder::Append(TupleView t) {
   assert(t.arity() == arity_ && "tuple arity mismatch");
-  data_.insert(data_.end(), t.begin(), t.end());
-  ++rows_;
+  if (arity_ == 0) {
+    ++rows_;
+    return;
+  }
+  std::copy_n(t.data(), arity_, AppendRow());
 }
 
 Value* Relation::Builder::AppendRow() {
   assert(arity_ > 0 && "AppendRow requires positive arity");
-  data_.resize(data_.size() + arity_);
-  ++rows_;
-  return data_.data() + data_.size() - arity_;
+  if (rows_ == capacity_) Reallocate(std::max<size_t>(1, 2 * capacity_));
+  return block_->values() + rows_++ * arity_;
 }
 
 void Relation::Builder::DropLastRow() {
   assert(rows_ > 0);
-  data_.resize(data_.size() - arity_);
   --rows_;
 }
 
 Relation Relation::Builder::Build() {
-  size_t arity = arity_;
-  size_t rows = rows_;
-  std::vector<Value> data = std::move(data_);
-  data_.clear();
+  Relation out(arity_);
+  if (arity_ == 0) {
+    out = Nullary(rows_ > 0);
+  } else if (rows_ > 0) {
+    const Value* d = block_->values();
+    if (!IsStrictlySorted(d, rows_, arity_)) {
+      // Sort row ids, dropping duplicates, then copy rows out in order.
+      assert(rows_ < UINT32_MAX && "relation exceeds 2^32 rows");
+      std::vector<uint32_t> order(rows_);
+      std::iota(order.begin(), order.end(), 0u);
+      const size_t arity = arity_;
+      auto row = [&](uint32_t r) { return d + size_t{r} * arity; };
+      std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+        return CompareValues(row(x), row(y), arity) < 0;
+      });
+      auto same = [&](uint32_t x, uint32_t y) {
+        return CompareValues(row(x), row(y), arity) == 0;
+      };
+      order.erase(std::unique(order.begin(), order.end(), same), order.end());
+      Block* exact = Allocate(order.size() * arity);
+      Value* to = exact->values();
+      for (uint32_t r : order) to = std::copy_n(row(r), arity, to);
+      out = Relation(exact, arity, order.size());
+    } else if (rows_ == capacity_) {
+      out = Relation(std::exchange(block_, nullptr), arity_, rows_);
+    } else {
+      Block* exact = Allocate(rows_ * arity_);
+      std::copy_n(d, rows_ * arity_, exact->values());
+      out = Relation(exact, arity_, rows_);
+    }
+  }
+  Free(std::exchange(block_, nullptr));
   rows_ = 0;
-  if (arity == 0) {
-    return Relation(0, rows > 0 ? 1 : 0, {});
-  }
-  if (IsStrictlySorted(data.data(), rows, arity)) {
-    return Relation(arity, rows, std::move(data));
-  }
-  // Sort row ids, then write rows out in order, skipping adjacent duplicates.
-  // Row ids are 32-bit: 2^32 rows of even arity 1 would need 16 GiB of values,
-  // far past any workload here (limit is debug-asserted, not checked in
-  // release builds).
-  assert(rows < UINT32_MAX && "relation exceeds 2^32 rows");
-  std::vector<uint32_t> order(rows);
-  std::iota(order.begin(), order.end(), 0u);
-  const Value* d = data.data();
-  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    return CompareValues(d + size_t{x} * arity, d + size_t{y} * arity, arity) < 0;
-  });
-  std::vector<Value> out;
-  out.reserve(data.size());
-  const Value* prev = nullptr;
-  for (uint32_t r : order) {
-    const Value* row = d + size_t{r} * arity;
-    if (prev != nullptr && CompareValues(prev, row, arity) == 0) continue;
-    out.insert(out.end(), row, row + arity);
-    prev = row;
-  }
-  size_t unique_rows = out.size() / arity;
-  return Relation(arity, unique_rows, std::move(out));
+  capacity_ = 0;
+  return out;
 }
 
-Relation::Relation(size_t arity, const std::vector<Tuple>& tuples) : arity_(arity) {
+Relation::Relation(size_t arity, const std::vector<Tuple>& tuples)
+    : Relation(arity) {
   Builder b(arity);
   b.Reserve(tuples.size());
   for (const Tuple& t : tuples) b.Append(t);
@@ -86,7 +149,7 @@ Relation::Relation(size_t arity, const std::vector<Tuple>& tuples) : arity_(arit
 }
 
 size_t Relation::LowerBoundRow(TupleView t) const {
-  const Value* d = data().data();
+  const Value* d = data();
   size_t lo = 0, hi = rows_;
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
@@ -103,169 +166,126 @@ bool Relation::Contains(TupleView t) const {
   assert(t.arity() == arity_);
   if (arity_ == 0) return rows_ > 0;
   size_t r = LowerBoundRow(t);
-  return r < rows_ &&
-         CompareValues(data().data() + r * arity_, t.data(), arity_) == 0;
+  return r < rows_ && CompareValues(data() + r * arity_, t.data(), arity_) == 0;
 }
 
 Relation Relation::WithTuple(TupleView t) const {
   assert(t.arity() == arity_);
-  if (arity_ == 0) return rows_ > 0 ? *this : Relation(0, 1, {});
-  const std::vector<Value>& d = data();
+  if (arity_ == 0) return rows_ > 0 ? *this : Nullary(true);
   size_t r = LowerBoundRow(t);
-  if (r < rows_ && CompareValues(d.data() + r * arity_, t.data(), arity_) == 0) {
+  if (r < rows_ && CompareValues(data() + r * arity_, t.data(), arity_) == 0) {
     return *this;
   }
-  std::vector<Value> out;
-  out.reserve(d.size() + arity_);
-  out.insert(out.end(), d.begin(), d.begin() + r * arity_);
-  out.insert(out.end(), t.begin(), t.end());
-  out.insert(out.end(), d.begin() + r * arity_, d.end());
-  return Relation(arity_, rows_ + 1, std::move(out));
+  const std::span<const Value> rows = flat();
+  const size_t split = r * arity_;
+  Block* block = Allocate(rows.size() + arity_);
+  Value* out = std::copy_n(rows.data(), split, block->values());
+  out = std::copy_n(t.data(), arity_, out);
+  std::copy(rows.begin() + split, rows.end(), out);
+  return Relation(block, arity_, rows_ + 1);
 }
 
 Relation Relation::WithoutTuple(TupleView t) const {
   assert(t.arity() == arity_);
   if (arity_ == 0) return rows_ > 0 ? Relation(0) : *this;
-  const std::vector<Value>& d = data();
   size_t r = LowerBoundRow(t);
-  if (r == rows_ || CompareValues(d.data() + r * arity_, t.data(), arity_) != 0) {
+  if (r == rows_ || CompareValues(data() + r * arity_, t.data(), arity_) != 0) {
     return *this;
   }
-  std::vector<Value> out;
-  out.reserve(d.size() - arity_);
-  out.insert(out.end(), d.begin(), d.begin() + r * arity_);
-  out.insert(out.end(), d.begin() + (r + 1) * arity_, d.end());
-  return Relation(arity_, rows_ - 1, std::move(out));
+  if (rows_ == 1) return Relation(arity_);
+  const std::span<const Value> rows = flat();
+  const size_t split = r * arity_;
+  Block* block = Allocate(rows.size() - arity_);
+  Value* out = std::copy_n(rows.data(), split, block->values());
+  std::copy(rows.begin() + split + arity_, rows.end(), out);
+  return Relation(block, arity_, rows_ - 1);
+}
+
+Relation Relation::Merge(const Relation& other, Keep keep) const {
+  const size_t arity = arity_;
+  const Value* a = data();
+  const Value* ae = a + flat().size();
+  const Value* b = other.data();
+  const Value* be = b + other.flat().size();
+  // One merge into room for the most rows the result can have: a stack
+  // buffer when that fits, else a heap block of that size.
+  const size_t bound =
+      keep.left_only ? rows_ + (keep.right_only ? other.rows_ : 0)
+                     : std::min(rows_, other.rows_);
+  Value local[256] = {};
+  std::unique_ptr<Block, void (*)(Block*)> heap(nullptr, &Free);
+  Value* merged = local;
+  if (bound * arity > std::size(local)) {
+    heap.reset(Allocate(bound * arity));
+    merged = heap->values();
+  }
+  Value* out = merged;
+  MergeRows(a, ae, b, be, arity, keep.left_only, keep.right_only, keep.both,
+            [&](const Value* first, size_t n) {
+              out = std::copy_n(first, n * arity, out);
+            });
+  const size_t rows = static_cast<size_t>(out - merged) / arity;
+  // A result as large as an operand is that operand when it lies within it
+  // (keeps no row only the other side has) or contains it (keeps all of its
+  // rows): share the operand's block.
+  if (rows == rows_ && (!keep.right_only || (keep.left_only && keep.both))) {
+    return *this;
+  }
+  if (rows == other.rows_ &&
+      (!keep.left_only || (keep.right_only && keep.both))) {
+    return other;
+  }
+  if (rows == 0) return Relation(arity);
+  if (heap != nullptr && rows == bound) {
+    return Relation(heap.release(), arity, rows);
+  }
+  Block* exact = Allocate(rows * arity);
+  std::copy_n(merged, rows * arity, exact->values());
+  return Relation(exact, arity, rows);
 }
 
 Relation Relation::Union(const Relation& other) const {
   assert(arity_ == other.arity_);
-  if (arity_ == 0) {
-    return Relation(0, (rows_ > 0 || other.rows_ > 0) ? 1 : 0, {});
-  }
-  if (other.rows_ == 0) return *this;
+  if (arity_ == 0) return Nullary(rows_ > 0 || other.rows_ > 0);
+  if (other.rows_ == 0 || block_ == other.block_) return *this;
   if (rows_ == 0) return other;
-  if (storage_ == other.storage_) return *this;  // Identical shared buffer.
-  std::vector<Value> out;
-  out.reserve(data().size() + other.data().size());
-  const Value* a = data().data();
-  const Value* ae = a + data().size();
-  const Value* b = other.data().data();
-  const Value* be = b + other.data().size();
-  while (a != ae && b != be) {
-    int c = CompareValues(a, b, arity_);
-    if (c <= 0) {
-      out.insert(out.end(), a, a + arity_);
-      a += arity_;
-      if (c == 0) b += arity_;
-    } else {
-      out.insert(out.end(), b, b + arity_);
-      b += arity_;
-    }
-  }
-  out.insert(out.end(), a, ae);
-  out.insert(out.end(), b, be);
-  size_t out_rows = out.size() / arity_;
-  return Relation(arity_, out_rows, std::move(out));
+  return Merge(other, {.left_only = true, .right_only = true, .both = true});
 }
 
 Relation Relation::Intersect(const Relation& other) const {
   assert(arity_ == other.arity_);
-  if (arity_ == 0) {
-    return Relation(0, (rows_ > 0 && other.rows_ > 0) ? 1 : 0, {});
-  }
-  if (storage_ != nullptr && storage_ == other.storage_) return *this;
-  std::vector<Value> out;
-  const Value* a = data().data();
-  const Value* ae = a + data().size();
-  const Value* b = other.data().data();
-  const Value* be = b + other.data().size();
-  while (a != ae && b != be) {
-    int c = CompareValues(a, b, arity_);
-    if (c < 0) {
-      a += arity_;
-    } else if (c > 0) {
-      b += arity_;
-    } else {
-      out.insert(out.end(), a, a + arity_);
-      a += arity_;
-      b += arity_;
-    }
-  }
-  size_t out_rows = out.size() / arity_;
-  return Relation(arity_, out_rows, std::move(out));
+  if (arity_ == 0) return Nullary(rows_ > 0 && other.rows_ > 0);
+  if (rows_ == 0 || block_ == other.block_) return *this;
+  if (other.rows_ == 0) return other;
+  return Merge(other, {.left_only = false, .right_only = false, .both = true});
 }
 
 Relation Relation::Difference(const Relation& other) const {
   assert(arity_ == other.arity_);
-  if (arity_ == 0) {
-    return Relation(0, (rows_ > 0 && other.rows_ == 0) ? 1 : 0, {});
-  }
-  if (other.rows_ == 0 || rows_ == 0) return *this;
-  if (storage_ == other.storage_) return Relation(arity_);
-  std::vector<Value> out;
-  out.reserve(data().size());
-  const Value* a = data().data();
-  const Value* ae = a + data().size();
-  const Value* b = other.data().data();
-  const Value* be = b + other.data().size();
-  while (a != ae && b != be) {
-    int c = CompareValues(a, b, arity_);
-    if (c < 0) {
-      out.insert(out.end(), a, a + arity_);
-      a += arity_;
-    } else if (c > 0) {
-      b += arity_;
-    } else {
-      a += arity_;
-      b += arity_;
-    }
-  }
-  out.insert(out.end(), a, ae);
-  size_t out_rows = out.size() / arity_;
-  return Relation(arity_, out_rows, std::move(out));
+  if (arity_ == 0) return Nullary(rows_ > 0 && other.rows_ == 0);
+  if (rows_ == 0 || other.rows_ == 0) return *this;
+  if (block_ == other.block_) return Relation(arity_);
+  return Merge(other, {.left_only = true, .right_only = false, .both = false});
 }
 
 Relation Relation::SymmetricDifference(const Relation& other) const {
   assert(arity_ == other.arity_);
-  if (arity_ == 0) {
-    return Relation(0, ((rows_ > 0) != (other.rows_ > 0)) ? 1 : 0, {});
-  }
-  if (storage_ != nullptr && storage_ == other.storage_) return Relation(arity_);
-  std::vector<Value> out;
-  out.reserve(data().size() + other.data().size());
-  const Value* a = data().data();
-  const Value* ae = a + data().size();
-  const Value* b = other.data().data();
-  const Value* be = b + other.data().size();
-  while (a != ae && b != be) {
-    int c = CompareValues(a, b, arity_);
-    if (c < 0) {
-      out.insert(out.end(), a, a + arity_);
-      a += arity_;
-    } else if (c > 0) {
-      out.insert(out.end(), b, b + arity_);
-      b += arity_;
-    } else {
-      a += arity_;
-      b += arity_;
-    }
-  }
-  out.insert(out.end(), a, ae);
-  out.insert(out.end(), b, be);
-  size_t out_rows = out.size() / arity_;
-  return Relation(arity_, out_rows, std::move(out));
+  if (arity_ == 0) return Nullary((rows_ > 0) != (other.rows_ > 0));
+  if (other.rows_ == 0) return *this;
+  if (rows_ == 0) return other;
+  if (block_ == other.block_) return Relation(arity_);
+  return Merge(other, {.left_only = true, .right_only = true, .both = false});
 }
 
 bool Relation::IsSubsetOf(const Relation& other) const {
   assert(arity_ == other.arity_);
   if (arity_ == 0) return rows_ == 0 || other.rows_ > 0;
   if (rows_ > other.rows_) return false;
-  if (storage_ == other.storage_) return true;  // Equal (or both empty).
-  const Value* a = data().data();
-  const Value* ae = a + data().size();
-  const Value* b = other.data().data();
-  const Value* be = b + other.data().size();
+  if (block_ == other.block_) return true;  // Equal (or both empty).
+  const Value* a = data();
+  const Value* ae = a + flat().size();
+  const Value* b = other.data();
+  const Value* be = b + other.flat().size();
   while (a != ae) {
     if (b == be) return false;
     int c = CompareValues(a, b, arity_);
@@ -277,7 +297,8 @@ bool Relation::IsSubsetOf(const Relation& other) const {
 }
 
 void Relation::CollectValues(std::vector<Value>* out) const {
-  out->insert(out->end(), data().begin(), data().end());
+  const std::span<const Value> values = flat();
+  out->insert(out->end(), values.begin(), values.end());
 }
 
 std::string Relation::ToString() const {
@@ -292,9 +313,9 @@ std::string Relation::ToString() const {
 
 bool operator<(const Relation& a, const Relation& b) {
   if (a.arity_ != b.arity_) return a.arity_ < b.arity_;
-  if (a.storage_ != nullptr && a.storage_ == b.storage_) return false;  // Equal.
-  const std::vector<Value>& da = a.data();
-  const std::vector<Value>& db = b.data();
+  if (a.block_ != nullptr && a.block_ == b.block_) return false;  // Equal.
+  std::span<const Value> da = a.flat();
+  std::span<const Value> db = b.flat();
   auto cmp = std::lexicographical_compare_three_way(da.begin(), da.end(),
                                                     db.begin(), db.end());
   if (cmp != 0) return cmp < 0;
@@ -302,15 +323,15 @@ bool operator<(const Relation& a, const Relation& b) {
 }
 
 size_t Relation::Hash() const {
-  if (storage_ != nullptr) {
-    size_t cached = storage_->hash.load(std::memory_order_relaxed);
+  if (block_ != nullptr) {
+    size_t cached = block_->hash.load(std::memory_order_relaxed);
     if (cached != 0) return cached;
   }
   size_t seed = HashCombine(0x51ab5f1e, arity_);
   for (size_t r = 0; r < rows_; ++r) seed = HashCombine(seed, (*this)[r].Hash());
-  if (storage_ != nullptr) {
+  if (block_ != nullptr) {
     if (seed == 0) seed = 1;  // Reserve 0 for "not yet computed".
-    storage_->hash.store(seed, std::memory_order_relaxed);
+    block_->hash.store(seed, std::memory_order_relaxed);
   }
   return seed;
 }

@@ -4,29 +4,36 @@
 /// \file
 /// Finite relations: sorted duplicate-free sets of same-arity tuples.
 ///
-/// A relation r_i in the paper is a finite subset of A^α(i). The representation is
-/// a single flat `std::vector<Value>` with an arity stride — row r occupies
-/// [r*arity, (r+1)*arity) — kept row-sorted and duplicate-free. Iteration yields
-/// non-owning TupleViews into that buffer, so the set operations the paper leans
-/// on — union, intersection, difference and the symmetric difference Δ of
-/// Definition 2.1 — are cache-friendly stride-aware merges with no per-tuple heap
-/// traffic. Bulk construction goes through Relation::Builder, which appends rows
-/// into one buffer and sorts + dedups once at Build time.
+/// A relation r_i in the paper is a finite subset of A^α(i). The rows live in
+/// one flat array with an arity stride — row r occupies [r*arity, (r+1)*arity)
+/// — kept row-sorted and duplicate-free. Iteration yields non-owning
+/// TupleViews into that array, so the set operations the paper leans on —
+/// union, intersection, difference and the symmetric difference Δ of
+/// Definition 2.1 — are cache-friendly stride-aware merges with no per-tuple
+/// heap traffic. Bulk construction goes through Relation::Builder, which
+/// appends rows into one buffer and sorts + dedups once at Build time.
 ///
-/// The flat buffer is held behind a shared immutable Storage block, so copying a
-/// Relation — and hence a Database, and hence materializing one world of an
-/// overlay-structured Knowledgebase — is a reference-count bump, not a data
-/// copy. Sharing is observable only through StorageId(), which set operations
-/// and comparisons use as an O(1) equality fast path (τ's result constructor,
+/// A non-empty relation is one heap block: a reference count, the cached
+/// hash, then exactly size() * arity() values, with no spare capacity. The
+/// Relation itself is a 16-byte handle (block pointer, arity, row count), so
+/// copying a Relation — and hence a Database, and hence materializing one
+/// world of an overlay-structured Knowledgebase — is a reference-count bump,
+/// not a data copy. Empty and nullary relations hold no block. Every producer
+/// (Builder::Build, the set operations, WithTuple/WithoutTuple) ends in one
+/// exact-size block or shares an operand's. Sharing is observable only
+/// through StorageId(), which set operations and comparisons use as an O(1)
+/// equality fast path (τ's result constructor,
 /// Knowledgebase::FromWorldOutputs, checks its outputs by it alone), and
-/// through the Storage block's cached hash (computed once per distinct buffer,
-/// then reused by every sharing copy and by Database::Hash).
+/// through the block's cached hash (computed once per distinct block, then
+/// reused by every sharing copy and by Database::Hash).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
-#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rel/tuple.h"
@@ -35,14 +42,31 @@ namespace kbt {
 
 /// An immutable-after-construction finite relation of fixed arity.
 class Relation {
+  struct Block;
+
  public:
-  /// Accumulates rows into a flat buffer; sorts and deduplicates once on Build.
+  /// Accumulates rows into one growable block; sorts and deduplicates once on
+  /// Build. A build whose rows arrive sorted into exactly the reserved
+  /// capacity hands that block to the relation without copying it.
   class Builder {
    public:
     explicit Builder(size_t arity) : arity_(arity) {}
+    Builder(Builder&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)),
+          arity_(other.arity_),
+          rows_(std::exchange(other.rows_, 0)),
+          capacity_(std::exchange(other.capacity_, 0)) {}
+    Builder& operator=(Builder&& other) noexcept {
+      std::swap(block_, other.block_);
+      std::swap(arity_, other.arity_);
+      std::swap(rows_, other.rows_);
+      std::swap(capacity_, other.capacity_);
+      return *this;
+    }
+    ~Builder() { Free(block_); }
 
     /// Pre-allocates space for `rows` additional rows.
-    void Reserve(size_t rows) { data_.reserve(data_.size() + rows * arity_); }
+    void Reserve(size_t rows);
 
     /// Appends one row; `t.arity()` must equal the builder arity.
     void Append(TupleView t);
@@ -63,14 +87,18 @@ class Relation {
     /// Rows appended so far (before dedup).
     size_t rows() const { return rows_; }
 
-    /// Finalizes: sorts rows, removes duplicates, and returns the relation.
-    /// The builder is left empty.
+    /// Finalizes: sorts rows, removes duplicates, and returns the relation in
+    /// one block of exactly its rows. The builder is left empty.
     Relation Build();
 
    private:
+    /// Moves the rows into a block of `capacity` rows (>= rows_).
+    void Reallocate(size_t capacity);
+
+    Block* block_ = nullptr;  // capacity_ rows; the first rows_ are appended.
     size_t arity_;
     size_t rows_ = 0;
-    std::vector<Value> data_;
+    size_t capacity_ = 0;
   };
 
   /// Forward iterator over rows, yielding TupleViews into the flat buffer.
@@ -112,11 +140,40 @@ class Relation {
   };
 
   /// Empty relation of the given arity.
-  explicit Relation(size_t arity = 0) : arity_(arity) {}
+  explicit Relation(size_t arity = 0)
+      : arity_(static_cast<uint32_t>(arity)) {}
 
   /// Relation from tuples; deduplicates and sorts. All tuples must have `arity`
   /// components (asserted).
   Relation(size_t arity, const std::vector<Tuple>& tuples);
+
+  /// Copies share the block (a reference-count bump); a moved-from relation
+  /// is empty, of the same arity.
+  Relation(const Relation& other) noexcept
+      : block_(other.block_), arity_(other.arity_), rows_(other.rows_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Relation(Relation&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)),
+        arity_(other.arity_),
+        rows_(std::exchange(other.rows_, 0)) {}
+  Relation& operator=(const Relation& other) noexcept {
+    if (other.block_ != nullptr) {
+      other.block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    Unref(block_);
+    block_ = other.block_;
+    arity_ = other.arity_;
+    rows_ = other.rows_;
+    return *this;
+  }
+  Relation& operator=(Relation&& other) noexcept {
+    std::swap(block_, other.block_);
+    std::swap(arity_, other.arity_);
+    std::swap(rows_, other.rows_);
+    return *this;
+  }
+  ~Relation() { Unref(block_); }
 
   /// Number of components of every tuple.
   size_t arity() const { return arity_; }
@@ -125,23 +182,21 @@ class Relation {
   /// True iff the relation holds no tuples.
   bool empty() const { return rows_ == 0; }
   /// The flat row-major storage (size() * arity() values, row-sorted).
-  const std::vector<Value>& flat() const { return data(); }
+  std::span<const Value> flat() const {
+    return std::span<const Value>(data(), size_t{rows_} * arity_);
+  }
 
   /// View of row `r` (< size()); rows are in ascending lexicographic order.
   TupleView operator[](size_t r) const {
-    return TupleView(data().data() + r * arity_, arity_);
+    return TupleView(data() + r * arity_, arity_);
   }
   /// View of the first row; the relation must be non-empty.
   TupleView front() const { return (*this)[0]; }
   /// View of the last row; the relation must be non-empty.
   TupleView back() const { return (*this)[rows_ - 1]; }
 
-  const_iterator begin() const {
-    return const_iterator(data().data(), arity_, 0);
-  }
-  const_iterator end() const {
-    return const_iterator(data().data(), arity_, rows_);
-  }
+  const_iterator begin() const { return const_iterator(data(), arity_, 0); }
+  const_iterator end() const { return const_iterator(data(), arity_, rows_); }
 
   /// Membership test (binary search over rows, O(log n) row comparisons).
   bool Contains(TupleView t) const;
@@ -150,17 +205,18 @@ class Relation {
   /// overlay world-ordering uses to count rows past a pivot without merging).
   size_t LowerBoundRow(TupleView t) const;
 
-  /// Identity of the shared flat buffer: two relations with equal non-null
-  /// StorageId hold the same rows (same arity included — buffers are never
-  /// shared across arities). Null for relations without a buffer (empty, or
+  /// Identity of the shared block: two relations with equal non-null
+  /// StorageId hold the same rows (same arity included — blocks are never
+  /// shared across arities). Null for relations without a block (empty, or
   /// nullary which stores no values). Copy-on-write diffing uses this to skip
   /// untouched relations in O(1).
-  const void* StorageId() const { return storage_.get(); }
+  const void* StorageId() const { return block_; }
 
-  /// Bytes of flat tuple storage held by this relation's buffer (not divided
-  /// by the buffer's sharing count — callers deduplicate via StorageId).
+  /// Bytes of the heap block holding this relation's rows, header included
+  /// (not divided by the block's sharing count — callers deduplicate via
+  /// StorageId); 0 without a block.
   size_t HeapBytes() const {
-    return storage_ != nullptr ? storage_->data.size() * sizeof(Value) : 0;
+    return block_ != nullptr ? BlockBytes(size_t{rows_} * arity_) : 0;
   }
 
   /// Returns this relation with `t` inserted (no-op if present).
@@ -188,7 +244,7 @@ class Relation {
 
   friend bool operator==(const Relation& a, const Relation& b) {
     return a.arity_ == b.arity_ && a.rows_ == b.rows_ &&
-           (a.storage_ == b.storage_ || a.data() == b.data());
+           (a.block_ == b.block_ || std::ranges::equal(a.flat(), b.flat()));
   }
   friend bool operator!=(const Relation& a, const Relation& b) { return !(a == b); }
   /// Arbitrary total order (arity, then lexicographic rows); used for canonical
@@ -198,33 +254,60 @@ class Relation {
   size_t Hash() const;
 
  private:
-  /// The shared immutable flat buffer plus its lazily cached hash. The hash
-  /// slot is written at most to one value (0 means "not yet computed"; a
-  /// computed hash of 0 is remapped to 1), so relaxed atomics suffice: racing
-  /// writers store the same value.
-  struct Storage {
-    explicit Storage(std::vector<Value> d) : data(std::move(d)) {}
-    const std::vector<Value> data;
-    mutable std::atomic<size_t> hash{0};
+  /// The header of a relation's heap block; exactly size() * arity() values
+  /// follow it. The hash slot is written at most to one value (0 means "not
+  /// yet computed"; a computed hash of 0 is remapped to 1), so relaxed
+  /// atomics suffice: racing writers store the same value.
+  struct Block {
+    std::atomic<size_t> refs;
+    std::atomic<size_t> hash;
+
+    Value* values() { return reinterpret_cast<Value*>(this + 1); }
   };
 
-  /// Adopts an already sorted, deduplicated flat buffer.
-  Relation(size_t arity, size_t rows, std::vector<Value> data)
-      : storage_(data.empty() ? nullptr
-                              : std::make_shared<const Storage>(std::move(data))),
-        arity_(arity),
-        rows_(rows) {}
-
-  /// The flat buffer (a shared static empty vector when storage is null).
-  const std::vector<Value>& data() const {
-    static const std::vector<Value> kEmpty;
-    return storage_ != nullptr ? storage_->data : kEmpty;
+  static constexpr size_t BlockBytes(size_t values) {
+    return sizeof(Block) + values * sizeof(Value);
+  }
+  /// A block for `values` values, held once, hash not yet computed.
+  static Block* Allocate(size_t values);
+  static void Free(Block* block);
+  static void Unref(Block* block) {
+    if (block != nullptr &&
+        block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Free(block);
+    }
   }
 
-  std::shared_ptr<const Storage> storage_;  // Row-major, row-sorted, unique.
-  size_t arity_;
-  size_t rows_ = 0;
+  /// Adopts `block` (null iff the relation stores no values) holding `rows`
+  /// sorted, deduplicated rows.
+  Relation(Block* block, size_t arity, size_t rows);
+  /// The nullary relation: {()} if `holds`, else {}.
+  static Relation Nullary(bool holds) {
+    return Relation(nullptr, 0, holds ? 1 : 0);
+  }
+
+  /// A set operation, as the classes of rows it keeps: those only in this
+  /// relation, those only in the other, and those in both.
+  struct Keep {
+    bool left_only;
+    bool right_only;
+    bool both;
+  };
+  /// `keep` of two non-empty positive-arity relations by one merge, ending in
+  /// one exact block (or an operand's block when the result equals that
+  /// operand).
+  Relation Merge(const Relation& other, Keep keep) const;
+
+  const Value* data() const {
+    return block_ != nullptr ? block_->values() : nullptr;
+  }
+
+  Block* block_ = nullptr;  // Row-major, row-sorted, unique.
+  uint32_t arity_;
+  uint32_t rows_ = 0;
 };
+
+static_assert(sizeof(Relation) == 16, "a Relation is a 16-byte handle");
 
 }  // namespace kbt
 

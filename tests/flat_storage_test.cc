@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "rel/relation.h"
+#include "testutil.h"
 
 namespace kbt {
 namespace {
@@ -138,41 +139,10 @@ TEST(FlatStorageTest, IterationYieldsRowsInOrder) {
 // Property test: flat merges agree with a naive set-of-vectors reference.
 // ---------------------------------------------------------------------------
 
-using RefSet = std::set<std::vector<Value>>;
-
-Relation FromRef(size_t arity, const RefSet& ref) {
-  Relation::Builder b(arity);
-  for (const auto& row : ref) {
-    if (arity == 0) {
-      b.Append(TupleView());
-    } else {
-      b.Append(TupleView(row.data(), row.size()));
-    }
-  }
-  return b.Build();
-}
-
-RefSet ToRef(const Relation& r) {
-  RefSet out;
-  for (TupleView t : r) out.insert(std::vector<Value>(t.begin(), t.end()));
-  return out;
-}
-
-RefSet RandomRef(size_t arity, size_t max_rows, std::mt19937_64* rng) {
-  std::uniform_int_distribution<size_t> rows(0, max_rows);
-  std::uniform_int_distribution<int> val(0, 3);
-  RefSet out;
-  size_t n = rows(*rng);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<Value> row;
-    row.reserve(arity);
-    for (size_t k = 0; k < arity; ++k) {
-      row.push_back(Name(std::string(1, static_cast<char>('a' + val(*rng)))));
-    }
-    out.insert(std::move(row));
-  }
-  return out;
-}
+using testutil::FromRef;
+using testutil::RandomRef;
+using testutil::RefSet;
+using testutil::ToRef;
 
 class FlatSetOpsPropertyTest : public ::testing::TestWithParam<int> {};
 

@@ -201,6 +201,47 @@ inline Graph CompleteGraph(int n) {
 // Random inputs for property tests.
 // ---------------------------------------------------------------------------
 
+/// A relation's rows as a set of value vectors: the naive reference the flat
+/// relation storage is checked against.
+using RefSet = std::set<std::vector<Value>>;
+
+/// The relation holding `ref`'s rows, built row by row.
+inline Relation FromRef(size_t arity, const RefSet& ref) {
+  Relation::Builder b(arity);
+  for (const auto& row : ref) {
+    if (arity == 0) {
+      b.Append(TupleView());
+    } else {
+      b.Append(TupleView(row.data(), row.size()));
+    }
+  }
+  return b.Build();
+}
+
+/// `r`'s rows as a reference set.
+inline RefSet ToRef(const Relation& r) {
+  RefSet out;
+  for (TupleView t : r) out.insert(std::vector<Value>(t.begin(), t.end()));
+  return out;
+}
+
+/// Up to `max_rows` random rows of `arity` values over {a, b, c, d}.
+inline RefSet RandomRef(size_t arity, size_t max_rows, std::mt19937_64* rng) {
+  std::uniform_int_distribution<size_t> rows(0, max_rows);
+  std::uniform_int_distribution<int> val(0, 3);
+  RefSet out;
+  size_t n = rows(*rng);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Value> row;
+    row.reserve(arity);
+    for (size_t k = 0; k < arity; ++k) {
+      row.push_back(Name(std::string(1, static_cast<char>('a' + val(*rng)))));
+    }
+    out.insert(std::move(row));
+  }
+  return out;
+}
+
 /// Fixed three-constant domain used by the randomized μ/τ tests; every generated
 /// database stores all three in a unary Dom relation so the active domain B is
 /// constant across members and updates (see tau_postulates_test.cc).
