@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <unordered_map>
 
 #include "base/cancel.h"
@@ -75,23 +77,60 @@ Status EmitBlock(const Knowledgebase& kb, size_t begin,
   // Heads are new to σ(kb), so the extended schema appends them after every
   // σ(kb) position: in position order, their deltas follow the input
   // overlay's. `worlds` marks the block's worlds holding any of the head's
-  // facts.
+  // facts, and world w of them holds relation shared[of[w]]: worlds whose
+  // bits over the head's tuples are equal hold one relation.
   struct Head {
     uint32_t pos;
-    const datalog::MaskedHead* head;
+    size_t arity;
     uint64_t worlds;
+    std::vector<Relation> shared;
+    std::array<uint8_t, 64> of;
   };
   std::vector<Head> at;
   at.reserve(heads.size());
+  std::vector<uint64_t> classes;
   for (const datalog::MaskedHead& head : heads) {
     std::optional<size_t> pos = extended_schema.PositionOf(head.predicate);
     if (!pos) {
       return Status::NotFound("relation not in schema: " +
                               NameOf(head.predicate));
     }
-    uint64_t worlds = 0;
-    for (uint64_t m : head.masks) worlds |= m;
-    at.push_back(Head{static_cast<uint32_t>(*pos), &head, worlds});
+    Head& h = at.emplace_back(Head{static_cast<uint32_t>(*pos),
+                                   head.tuples.arity(), 0, {}, {}});
+    for (uint64_t m : head.masks) h.worlds |= m;
+    // The worlds split into classes of equal bits, tuple by tuple; each class
+    // is a mask of worlds, at most 64 of them.
+    classes.clear();
+    if (h.worlds != 0) classes.push_back(h.worlds);
+    for (uint64_t m : head.masks) {
+      for (size_t c = 0, count = classes.size(); c < count; ++c) {
+        const uint64_t held = classes[c] & m;
+        if (held != 0 && held != classes[c]) {
+          classes.push_back(classes[c] & ~m);
+          classes[c] = held;
+        }
+      }
+    }
+    h.shared.reserve(classes.size());
+    for (uint64_t worlds : classes) {
+      const int w = std::countr_zero(worlds);
+      size_t holds = 0;
+      for (uint64_t m : head.masks) holds += (m >> w) & 1;
+      if (holds == head.masks.size()) {
+        h.shared.push_back(head.tuples);  // Every head fact: the block's own.
+      } else {
+        Relation::Builder adds(h.arity);
+        adds.Reserve(holds);
+        for (size_t k = 0; k < head.masks.size(); ++k) {
+          if (((head.masks[k] >> w) & 1) != 0) adds.Append(head.tuples[k]);
+        }
+        h.shared.push_back(adds.Build());
+      }
+      for (; worlds != 0; worlds &= worlds - 1) {
+        h.of[static_cast<size_t>(std::countr_zero(worlds))] =
+            static_cast<uint8_t>(h.shared.size() - 1);
+      }
+    }
   }
   std::sort(at.begin(), at.end(),
             [](const Head& a, const Head& b) { return a.pos < b.pos; });
@@ -102,22 +141,10 @@ Status EmitBlock(const Knowledgebase& kb, size_t begin,
     std::vector<RelationDelta> deltas;
     deltas.reserve(input.size() + held);
     deltas.insert(deltas.end(), input.begin(), input.end());
-    for (const auto& [pos, head, worlds] : at) {
-      if (((worlds >> w) & 1) == 0) continue;
-      const size_t arity = head->tuples.arity();
-      size_t holds = 0;
-      for (uint64_t m : head->masks) holds += (m >> w) & 1;
-      RelationDelta d{pos, head->tuples, Relation(arity)};
-      if (holds < head->masks.size()) {
-        // A world holding every head fact shares the block's tuple buffer.
-        Relation::Builder adds(arity);
-        adds.Reserve(holds);
-        for (size_t k = 0; k < head->masks.size(); ++k) {
-          if (((head->masks[k] >> w) & 1) != 0) adds.Append(head->tuples[k]);
-        }
-        d.adds = adds.Build();
-      }
-      deltas.push_back(std::move(d));
+    for (const Head& h : at) {
+      if (((h.worlds >> w) & 1) == 0) continue;
+      deltas.push_back(
+          RelationDelta{h.pos, h.shared[h.of[w]], Relation(h.arity)});
     }
     out[w] = WorldOverlay::FromDeltas(std::move(deltas));
   }

@@ -228,9 +228,9 @@ Status MuDatalogBlock(const DatalogPlan& plan, const Knowledgebase& kb,
 /// `extended_schema`, its input overlay followed by one pure-add delta per
 /// head of `heads` holding the head's tuples whose mask has bit w. Heads are
 /// new to σ(kb), so their positions follow every σ(kb) position and each
-/// overlay is canonical against the extended base by construction. A world
-/// holding every tuple of a head shares one tuple buffer with the other such
-/// worlds.
+/// overlay is canonical against the extended base by construction. Worlds
+/// whose bits over a head's tuples are equal hold one relation, built once
+/// for the block; worlds holding every tuple share the head's own.
 Status EmitBlock(const Knowledgebase& kb, size_t begin,
                  const Schema& extended_schema,
                  const std::vector<datalog::MaskedHead>& heads,
