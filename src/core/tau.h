@@ -73,10 +73,10 @@ struct TauOptions {
   exec::CnfCache* cnf_cache = nullptr;
   /// Borrowed session-pinned solver + scratch, used by the sequential path
   /// (resolved thread count 1, the serving read shape): consecutive τ calls
-  /// keep the solver's arena capacity and the enumerator's buffers warm
-  /// instead of reallocating per call. Ignored by the parallel path, whose
-  /// workers own pooled solvers. Must outlive the call; a solver/scratch pair
-  /// belongs to one session thread at a time.
+  /// keep the solver's arena capacity, the enumerator's buffers and pass A's
+  /// flip array warm instead of reallocating per call. Ignored by the
+  /// parallel path, whose workers own pooled solvers. Must outlive the call;
+  /// a solver/scratch pair belongs to one session thread at a time.
   sat::Solver* solver = nullptr;
   exec::WorldScratch* scratch = nullptr;
 };

@@ -48,6 +48,11 @@ struct WorldScratch {
   std::vector<int> assumption_lits;    ///< Assumption vector (sat::Lit).
   std::vector<int> retired_acts;       ///< Activation vars awaiting retirement.
 
+  // --- τ's world keys (core/tau.cc, pass A). ---
+  /// Each world's flipped key bits, one entry per delta tuple; kept on the
+  /// calling thread's scratch, so a lent one keeps the room across calls.
+  std::vector<uint32_t> key_flips;
+
   /// Strategy-private slot (the μ/SAT enumerator's ModelMaterializer lives
   /// here so its group/merge buffers survive across worlds too).
   std::unique_ptr<Attachment> attachment;
