@@ -26,7 +26,7 @@ StatusOr<Database> MaterializeModel(
   // Group deviations per relation, then rebuild each touched relation once.
   std::map<Symbol, std::pair<std::vector<Tuple>, std::vector<Tuple>>> edits;
   for (int id : mentioned_atom_ids) {
-    const GroundAtom& atom = atoms.AtomOf(id);
+    const GroundAtom atom = atoms.AtomOf(id);
     const Relation* current = ctx.extended_base.FindRelation(atom.relation);
     if (current == nullptr) {
       return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
@@ -35,7 +35,7 @@ StatusOr<Database> MaterializeModel(
     bool wanted = atom_value(id);
     if (present == wanted) continue;
     auto& [adds, removes] = edits[atom.relation];
-    (wanted ? adds : removes).push_back(atom.tuple);
+    (wanted ? adds : removes).push_back(atom.tuple.ToTuple());
   }
   Database out = ctx.extended_base;
   for (auto& [symbol, add_remove] : edits) {
@@ -54,7 +54,7 @@ StatusOr<WorldOverlay> MaterializeOverlayModel(
     const std::function<bool(int)>& atom_value) {
   std::map<Symbol, std::pair<std::vector<Tuple>, std::vector<Tuple>>> edits;
   for (int id : mentioned_atom_ids) {
-    const GroundAtom& atom = atoms.AtomOf(id);
+    const GroundAtom atom = atoms.AtomOf(id);
     const Relation* current = ctx.extended_base.FindRelation(atom.relation);
     if (current == nullptr) {
       return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
@@ -63,7 +63,7 @@ StatusOr<WorldOverlay> MaterializeOverlayModel(
     bool wanted = atom_value(id);
     if (present == wanted) continue;
     auto& [adds, removes] = edits[atom.relation];
-    (wanted ? adds : removes).push_back(atom.tuple);
+    (wanted ? adds : removes).push_back(atom.tuple.ToTuple());
   }
   // The deviations ARE the overlay: atoms wanted true but absent are the adds
   // (disjoint from the base by the membership test above), atoms wanted false
@@ -99,17 +99,18 @@ Status ModelMaterializer::Rebuild(const UpdateContext& ctx,
   keyed_.clear();
   keyed_.reserve(mentioned_atom_ids.size());
   for (int id : mentioned_atom_ids) {
-    const GroundAtom& atom = atoms.AtomOf(id);
+    const GroundAtom atom = atoms.AtomOf(id);
     std::optional<size_t> pos = ctx.schema.PositionOf(atom.relation);
     if (!pos) {
       ctx_ = nullptr;  // Half-built state must not be Materialized.
       return Status::NotFound("relation not in schema: " + NameOf(atom.relation));
     }
     const Relation& base = ctx.extended_base.relation_at(*pos);
-    // The TupleView borrows the AtomIndex's owning tuple — stable for the
-    // materializer's lifetime because the grounding is immutable once built.
-    TupleView t(atom.tuple);
-    keyed_.push_back({*pos, AtomEntry{id, t, base.Contains(t)}});
+    // The TupleView borrows the AtomIndex's value buffer — stable for the
+    // materializer's lifetime because the grounding interns nothing more
+    // once built.
+    keyed_.push_back(
+        {*pos, AtomEntry{id, atom.tuple, base.Contains(atom.tuple)}});
   }
   // Sorting by tuple within a relation makes each model's add/remove
   // subsequences sorted, so MaterializeOverlay emits them as they come and

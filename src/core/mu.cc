@@ -106,7 +106,7 @@ StatusOr<std::vector<uint64_t>> AtomBits(const exec::CachedGrounding& g,
   std::vector<uint64_t> bits(
       key_layout ? g.key_words : (mentioned.size() + 63) / 64, 0);
   for (size_t k = 0; k < mentioned.size(); ++k) {
-    const GroundAtom& atom = g.grounding.atoms.AtomOf(mentioned[k]);
+    const GroundAtom atom = g.grounding.atoms.AtomOf(mentioned[k]);
     const Relation* r = extended_base.FindRelation(atom.relation);
     if (r == nullptr) {
       return Status::NotFound("relation not in schema: " + NameOf(atom.relation));

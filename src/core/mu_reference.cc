@@ -73,7 +73,7 @@ StatusOr<Knowledgebase> MuReference(const Database& db, const UpdateContext& ctx
   if (k > 0) masks.default_mask = ground.bits[0];
   std::map<Symbol, uint64_t> old_groups;
   for (size_t i = 0; i < k; ++i) {
-    const GroundAtom& atom = g.atoms.AtomOf(vars[i]);
+    const GroundAtom atom = g.atoms.AtomOf(vars[i]);
     uint64_t bit = uint64_t{1} << i;
     if (IsOldAtom(atom, db)) {
       old_groups[atom.relation] |= bit;

@@ -51,6 +51,15 @@ struct FrozenCnf {
   /// encoder's table at freeze time. The enumerator seeds per-world branching
   /// phases for gate variables from it.
   std::vector<sat::Lit> node_lit;
+
+  /// Heap bytes held: this struct, the prefix and the two tables, by
+  /// capacity. The shared grounding is not counted: it is billed to the
+  /// GroundingCache that owns it.
+  size_t HeapBytes() const {
+    return sizeof(*this) + prefix.HeapBytes() +
+           atom_var.capacity() * sizeof(sat::Var) +
+           node_lit.capacity() * sizeof(sat::Lit);
+  }
 };
 
 /// Builds the frozen prefix of `sentence` over `domain`: grounds (through
@@ -86,16 +95,10 @@ class CnfCache {
   /// Caps distinct cached domains with LRU eviction (0 = unbounded). Bounds
   /// growth under domain churn; lookups still return identical values.
   void set_max_entries(size_t n) { cache_.set_max_entries(n); }
-  /// Estimated bytes held by completed entries. Counts the frozen solver
-  /// state and the dense tables; the shared grounding is *not* counted (it is
-  /// billed to the GroundingCache that owns it).
+  /// Bytes held by the cache's entries: each completed prefix's HeapBytes
+  /// plus its domain key. The map and LRU nodes are not counted.
   size_t approx_bytes() const {
-    return cache_.ApproxBytes([](const FrozenCnf& f) {
-      return f.prefix.arena_words() * sizeof(uint32_t) +
-             static_cast<size_t>(f.prefix.num_vars()) * 40 +
-             f.atom_var.size() * sizeof(sat::Var) +
-             f.node_lit.size() * sizeof(sat::Lit);
-    });
+    return cache_.ApproxBytes([](const FrozenCnf& f) { return f.HeapBytes(); });
   }
 
  private:

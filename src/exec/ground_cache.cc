@@ -69,11 +69,24 @@ std::vector<GroundingComponent> SplitComponents(Grounding* g) {
     component.root = parts[c].size() == 1 ? parts[c][0]
                                           : circuit.AndNode(std::move(parts[c]));
     std::sort(component.atoms.begin(), component.atoms.end());
+    component.atoms.shrink_to_fit();
   }
   return components;
 }
 
 }  // namespace
+
+size_t CachedGrounding::HeapBytes() const {
+  size_t bytes = sizeof(*this) + grounding.circuit.HeapBytes() +
+                 grounding.atoms.HeapBytes() +
+                 mentioned.capacity() * sizeof(int) +
+                 components.capacity() * sizeof(GroundingComponent) +
+                 key_bit.capacity() * sizeof(uint32_t);
+  for (const GroundingComponent& c : components) {
+    bytes += c.atoms.capacity() * sizeof(int);
+  }
+  return bytes;
+}
 
 StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
     const Formula& sentence, const std::vector<Value>& domain,
@@ -83,7 +96,12 @@ StatusOr<std::shared_ptr<const CachedGrounding>> MakeCachedGrounding(
                        GroundSentence(sentence, domain, options));
   cached->mentioned =
       cached->grounding.circuit.CollectVars(cached->grounding.root);
+  cached->mentioned.shrink_to_fit();
   cached->components = SplitComponents(&cached->grounding);
+  // SplitComponents interned the last node: from here on the grounding is
+  // only read, so it keeps no interning state and no spare capacity.
+  cached->grounding.circuit.Seal();
+  cached->grounding.atoms.ShrinkToFit();
   // The key layout: a one-part root keys `mentioned` in order; a split root
   // keys each component's atoms in turn, from a fresh word.
   cached->key_bit.assign(cached->grounding.atoms.size(), kNoKeyBit);

@@ -53,6 +53,10 @@ struct CachedGrounding {
   std::vector<uint32_t> key_bit;
   /// 64-bit words of a key.
   size_t key_words = 0;
+
+  /// Heap bytes held: this struct (cache entries are heap-allocated) and
+  /// every array it owns, by capacity.
+  size_t HeapBytes() const;
 };
 
 /// Grounds `sentence` over `domain` and wraps the result in the immutable
@@ -87,19 +91,11 @@ class GroundingCache {
   /// Caps distinct cached domains with LRU eviction (0 = unbounded). Bounds
   /// growth under domain churn; lookups still return identical values.
   void set_max_entries(size_t n) { cache_.set_max_entries(n); }
-  /// Estimated bytes held by completed entries (circuit nodes, atom table,
-  /// key layout — a sizing heuristic, not an exact meter).
+  /// Bytes held by the cache's entries: each completed grounding's
+  /// HeapBytes plus its domain key. The map and LRU nodes are not counted.
   size_t approx_bytes() const {
-    return cache_.ApproxBytes([](const CachedGrounding& g) {
-      size_t bytes = g.grounding.circuit.size() * 16 +
-                     g.grounding.atoms.size() * 24 +
-                     g.mentioned.size() * sizeof(int) +
-                     g.key_bit.size() * sizeof(uint32_t);
-      for (const GroundingComponent& c : g.components) {
-        bytes += sizeof(c) + c.atoms.size() * sizeof(int);
-      }
-      return bytes;
-    });
+    return cache_.ApproxBytes(
+        [](const CachedGrounding& g) { return g.HeapBytes(); });
   }
 
  private:

@@ -6,12 +6,9 @@
 namespace kbt {
 
 Circuit::Circuit() {
-  table_.assign(256, kEmptySlot);
-  table_mask_ = table_.size() - 1;
   nodes_.push_back(NodeData{NodeKind::kConst, 0, 0, 0});  // id 0: false
   nodes_.push_back(NodeData{NodeKind::kConst, 1, 0, 0});  // id 1: true
-  hashes_.push_back(0);  // Constants are never looked up through the table.
-  hashes_.push_back(0);
+  Reindex();
 }
 
 uint64_t Circuit::NodeHash(NodeKind kind, int var, std::span<const int> children) {
@@ -31,20 +28,51 @@ bool Circuit::NodeEquals(int id, NodeKind kind, int var,
                     child_arena_.data() + n.child_begin);
 }
 
-void Circuit::GrowTable() {
-  std::vector<int32_t> grown(table_.size() * 2, kEmptySlot);
-  size_t mask = grown.size() - 1;
-  for (int32_t id : table_) {
-    if (id == kEmptySlot) continue;
-    size_t slot = hashes_[static_cast<size_t>(id)] & mask;
-    while (grown[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    grown[slot] = id;
+void Circuit::Reindex() {
+  if (hashes_.size() != nodes_.size()) {  // New, or sealed.
+    // Constants are never looked up through the table.
+    hashes_.assign(nodes_.size(), 0);
+    for (size_t id = 2; id < nodes_.size(); ++id) {
+      const NodeData& n = nodes_[id];
+      hashes_[id] = NodeHash(
+          n.kind, n.var,
+          std::span<const int>(child_arena_.data() + n.child_begin,
+                               n.child_count));
+    }
   }
-  table_ = std::move(grown);
-  table_mask_ = mask;
+  size_t slots = 256;
+  while (nodes_.size() * 10 > slots * 7) slots *= 2;
+  table_.assign(slots, kEmptySlot);
+  table_mask_ = slots - 1;
+  for (size_t id = 2; id < nodes_.size(); ++id) {
+    size_t slot = hashes_[id] & table_mask_;
+    while (table_[slot] != kEmptySlot) slot = (slot + 1) & table_mask_;
+    table_[slot] = static_cast<int32_t>(id);
+  }
+}
+
+void Circuit::Seal() {
+  // Move-assigning a fresh vector frees the block; `= {}` would keep it.
+  table_ = std::vector<int32_t>();
+  table_mask_ = 0;
+  hashes_ = std::vector<uint64_t>();
+  var_nodes_ = std::vector<int>();
+  gate_scratch_ = std::vector<int>();
+  nodes_.shrink_to_fit();
+  child_arena_.shrink_to_fit();
+}
+
+size_t Circuit::HeapBytes() const {
+  return nodes_.capacity() * sizeof(NodeData) +
+         child_arena_.capacity() * sizeof(int) +
+         hashes_.capacity() * sizeof(uint64_t) +
+         table_.capacity() * sizeof(int32_t) +
+         var_nodes_.capacity() * sizeof(int) +
+         gate_scratch_.capacity() * sizeof(int);
 }
 
 int Circuit::Intern(NodeKind kind, int var, std::span<const int> children) {
+  if (table_.empty()) Reindex();  // Sealed: only reads were expected.
   uint64_t hash = NodeHash(kind, var, children);
   size_t slot = hash & table_mask_;
   while (table_[slot] != kEmptySlot) {
@@ -66,7 +94,7 @@ int Circuit::Intern(NodeKind kind, int var, std::span<const int> children) {
   hashes_.push_back(hash);
   table_[slot] = static_cast<int32_t>(id);
   // Keep the load factor below ~0.7 (constants never enter the table).
-  if ((nodes_.size() * 10) > (table_.size() * 7)) GrowTable();
+  if ((nodes_.size() * 10) > (table_.size() * 7)) Reindex();
   return id;
 }
 

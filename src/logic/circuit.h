@@ -17,6 +17,11 @@
 /// allocation. The hash-consing table is open-addressed (linear probing over a
 /// power-of-two id table) — no `unordered_map` node allocation on the grounding
 /// hot path.
+///
+/// What only interning needs — the table, each node's hash, the var-node map
+/// and the gate scratch — can be released once a circuit is complete (Seal).
+/// A cached grounding is sealed before it is published (exec/ground_cache.h),
+/// so the grounding caches keep only the nodes and their children.
 
 #include <cstdint>
 #include <functional>
@@ -102,6 +107,15 @@ class Circuit {
   /// Debug rendering of the subcircuit at `root` (s-expression).
   std::string ToString(int root) const;
 
+  /// Releases the hash-consing state and the node arrays' spare capacity.
+  /// Every read above answers as before. Interning after Seal first rebuilds
+  /// the table from the nodes, so ids stay hash-consed either way. Seal moves
+  /// the child buffer: no Node::children span taken before it stays valid.
+  void Seal();
+
+  /// Heap bytes the circuit holds, from its arrays' capacities.
+  size_t HeapBytes() const;
+
  private:
   /// Flat node record: children live in child_arena_[child_begin, +child_count).
   struct NodeData {
@@ -117,16 +131,19 @@ class Circuit {
   /// Returns the id of the structurally identical node, interning a new one if
   /// absent. `children` is copied into the shared child buffer on insert.
   int Intern(NodeKind kind, int var, std::span<const int> children);
-  void GrowTable();
+  /// Builds a table that holds every node below ~70% load, recomputing the
+  /// node hashes first when there are none (a new or sealed circuit).
+  void Reindex();
   /// Shared gate-simplification body for AndNode/OrNode.
   int GateNode(NodeKind kind, const std::vector<int>& children,
                int absorbing_const, int identity_const);
 
   std::vector<NodeData> nodes_;
   std::vector<int> child_arena_;
-  std::vector<uint64_t> hashes_;  ///< Parallel to nodes_ (rehash without recompute).
+  /// Parallel to nodes_ (rehash without recompute); empty once sealed.
+  std::vector<uint64_t> hashes_;
   /// Open-addressed hash-cons table: node ids, kEmptySlot when free. Power-of-two
-  /// size, linear probing, grown at ~70% load.
+  /// size, linear probing, grown at ~70% load. Empty only once sealed.
   std::vector<int32_t> table_;
   size_t table_mask_ = 0;
   /// Dense var-id → node-id map (ground atom ids are dense by construction).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <type_traits>
 
 namespace kbt::sat {
 
@@ -129,6 +130,16 @@ void Solver::Freeze(Frozen* out) const {
   out->saved_phase = saved_phase_;
   out->model = model_;
   out->frozen_stats = stats_;
+}
+
+size_t Solver::Frozen::HeapBytes() const {
+  auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  return bytes(arena) + bytes(learned) + bytes(watch_begin) +
+         bytes(watch_data) + bytes(values) + bytes(levels) + bytes(reasons) +
+         bytes(trail) + bytes(activity) + bytes(heap) + bytes(heap_pos) +
+         bytes(saved_phase) + bytes(model);
 }
 
 void Solver::InitFromFrozen(const Frozen& frozen) {

@@ -138,6 +138,8 @@ class Solver {
     size_t num_clauses() const { return num_problem_clauses + learned.size(); }
     /// Arena words occupied by the frozen state.
     size_t arena_words() const { return arena.size(); }
+    /// Heap bytes the snapshot holds, from its arrays' capacities.
+    size_t HeapBytes() const;
 
    private:
     friend class Solver;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace kbt {
 namespace {
@@ -147,6 +150,99 @@ TEST(CircuitTest, EvaluateAllIntoMatchesEvaluateAndCoversAllNodes) {
           break;
       }
     }
+  }
+}
+
+
+/// Appends `steps` random gates over `nodes` to `c` (And and Or of two to
+/// four nodes, or Not of one), each drawn from `rng`.
+void GrowRandom(Circuit& c, std::vector<int>& nodes, int steps,
+                std::mt19937_64& rng) {
+  for (int step = 0; step < steps; ++step) {
+    std::uniform_int_distribution<size_t> pick(0, nodes.size() - 1);
+    const uint64_t kind = rng() % 3;
+    std::vector<int> children;
+    for (uint64_t k = 2 + rng() % 3; k > 0; --k) {
+      children.push_back(nodes[pick(rng)]);
+    }
+    nodes.push_back(kind == 0   ? c.AndNode(children)
+                    : kind == 1 ? c.OrNode(children)
+                                : c.NotNode(children[0]));
+  }
+}
+
+/// Everything a reader can ask of a circuit, for every node.
+struct Answers {
+  std::vector<Circuit::NodeKind> kinds;
+  std::vector<int> vars;
+  std::vector<std::vector<int>> children;
+  std::vector<bool> values;
+  std::vector<int8_t> all;
+  std::vector<std::vector<int>> collected;
+  std::vector<std::string> rendered;
+
+  friend bool operator==(const Answers&, const Answers&) = default;
+};
+
+Answers Ask(const Circuit& c, int root, uint64_t mask) {
+  auto value = [&](int v) { return ((mask >> v) & 1) != 0; };
+  Answers a;
+  for (size_t id = 0; id < c.size(); ++id) {
+    const Circuit::Node n = c.node(static_cast<int>(id));
+    a.kinds.push_back(n.kind);
+    a.vars.push_back(n.var);
+    a.children.emplace_back(n.children.begin(), n.children.end());
+    a.values.push_back(c.Evaluate(static_cast<int>(id), value));
+    a.collected.push_back(c.CollectVars(static_cast<int>(id)));
+    a.rendered.push_back(c.ToString(static_cast<int>(id)));
+  }
+  c.EvaluateAllInto(root, value, &a.all);
+  return a;
+}
+
+TEST(CircuitTest, SealedCircuitAnswersAsBefore) {
+  std::mt19937_64 rng(2929);
+  for (int iter = 0; iter < 40; ++iter) {
+    Circuit c;
+    std::vector<int> nodes;
+    for (int v = 0; v < 8; ++v) nodes.push_back(c.VarNode(v));
+    GrowRandom(c, nodes, 30, rng);
+    const int root = c.AndNode({nodes.end()[-1], nodes.end()[-2]});
+    const uint64_t mask = rng();
+    const Answers before = Ask(c, root, mask);
+    const size_t held = c.HeapBytes();
+    c.Seal();
+    EXPECT_LT(c.HeapBytes(), held) << "iter " << iter;
+    EXPECT_EQ(c.size(), before.kinds.size());
+    EXPECT_TRUE(Ask(c, root, mask) == before) << "iter " << iter;
+  }
+}
+
+TEST(CircuitTest, InterningAfterSealMatchesAnUnsealedTwin) {
+  std::mt19937_64 rng(3131);
+  for (int iter = 0; iter < 20; ++iter) {
+    // Same construction on both; only `sealed` is sealed halfway.
+    const uint64_t seed = rng();
+    Circuit sealed, twin;
+    std::vector<int> sealed_nodes, twin_nodes;
+    std::mt19937_64 sealed_rng(seed), twin_rng(seed);
+    for (int v = 0; v < 6; ++v) {
+      sealed_nodes.push_back(sealed.VarNode(v));
+      twin_nodes.push_back(twin.VarNode(v));
+    }
+    GrowRandom(sealed, sealed_nodes, 15, sealed_rng);
+    GrowRandom(twin, twin_nodes, 15, twin_rng);
+    sealed.Seal();
+    // Existing variables and gates are found, not interned again.
+    for (int v = 0; v < 8; ++v) {
+      EXPECT_EQ(sealed.VarNode(v), twin.VarNode(v));
+    }
+    GrowRandom(sealed, sealed_nodes, 15, sealed_rng);
+    GrowRandom(twin, twin_nodes, 15, twin_rng);
+    EXPECT_EQ(sealed_nodes, twin_nodes) << "iter " << iter;
+    ASSERT_EQ(sealed.size(), twin.size());
+    EXPECT_TRUE(Ask(sealed, sealed_nodes.back(), seed) ==
+                Ask(twin, twin_nodes.back(), seed));
   }
 }
 

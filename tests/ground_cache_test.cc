@@ -1,7 +1,8 @@
 /// \file
 /// Tests for the domain-keyed grounding cache: hit/miss accounting, value
 /// sharing (one grounding per distinct domain), agreement with a direct
-/// GroundSentence call, error caching, and concurrent access through the pool.
+/// GroundSentence call, error caching, concurrent access through the pool, and
+/// concurrent reads of one sealed grounding.
 
 #include "exec/ground_cache.h"
 
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "exec/pool.h"
@@ -163,6 +165,79 @@ TEST(GroundCacheTest, ConcurrentLookupsGroundOnce) {
   for (size_t i = 1; i < kLookups; ++i) {
     EXPECT_EQ(seen[i].get(), seen[0].get());
   }
+}
+
+TEST(GroundCacheTest, FourThreadsReadOneSealedGrounding) {
+  // τ's pass A shape: every worker looks its world's delta tuples up in the
+  // one shared grounding, reads their key bits and atoms, and μ walks the
+  // circuit. The answers come from an unsealed grounding of the same
+  // sentence, whose atom ids and nodes are the same.
+  Formula phi = *ParseSentence("forall x, y: R(x, y) -> (S(y, x) | T(x))");
+  std::vector<Value> domain = Domain({"a", "b", "c", "d", "e"});
+  auto made = MakeCachedGrounding(phi, domain, GrounderOptions());
+  ASSERT_TRUE(made.ok());
+  const CachedGrounding& g = **made;
+  StatusOr<Grounding> reference = GroundSentence(phi, domain);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(g.grounding.circuit.size(), reference->circuit.size());
+
+  struct Probe {
+    Symbol relation;
+    std::vector<Value> values;
+    int want;
+  };
+  std::vector<Probe> probes;
+  for (Value x : domain) {
+    for (const char* r : {"T", "U"}) probes.push_back({Name(r), {x}, -1});
+    for (Value y : domain) {
+      for (const char* r : {"R", "S", "T"}) {
+        probes.push_back({Name(r), {x, y}, -1});
+      }
+    }
+  }
+  for (Probe& p : probes) {
+    p.want = reference->atoms.Find(p.relation, TupleView(p.values.data(),
+                                                          p.values.size()));
+  }
+  constexpr int kThreads = 4;
+  constexpr uint64_t kRounds = 64;
+  auto value = [](uint64_t round) {
+    return [round](int atom) {
+      return ((Mix64(round + 1) >> (static_cast<unsigned>(atom) % 64)) & 1) !=
+             0;
+    };
+  };
+  std::vector<bool> want_root;
+  for (uint64_t round = 0; round < kThreads * kRounds; ++round) {
+    want_root.push_back(
+        reference->circuit.Evaluate(reference->root, value(round)));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t k = 0; k < kRounds; ++k) {
+        for (const Probe& p : probes) {
+          const TupleView view(p.values.data(), p.values.size());
+          const int id = g.grounding.atoms.Find(p.relation, view);
+          if (id != p.want) ++mismatches;
+          if (id < 0) continue;
+          if (g.grounding.atoms.AtomOf(id) != GroundAtom{p.relation, view} ||
+              g.key_bit[static_cast<size_t>(id)] == kNoKeyBit) {
+            ++mismatches;
+          }
+        }
+        const uint64_t round = k * kThreads + static_cast<uint64_t>(t);
+        if (g.grounding.circuit.Evaluate(g.grounding.root, value(round)) !=
+            want_root[round]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
