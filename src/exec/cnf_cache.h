@@ -92,11 +92,8 @@ class CnfCache {
   Stats stats() const { return cache_.stats(); }
   /// Number of distinct domains seen.
   size_t entries() const { return cache_.entries(); }
-  /// Caps distinct cached domains with LRU eviction (0 = unbounded). Bounds
-  /// growth under domain churn; lookups still return identical values.
-  void set_max_entries(size_t n) { cache_.set_max_entries(n); }
-  /// Bytes held by the cache's entries: each completed prefix's HeapBytes
-  /// plus its domain key. The map and LRU nodes are not counted.
+  /// Bytes held by the cache: each completed prefix's HeapBytes plus the
+  /// per-domain bookkeeping DomainKeyedOnceCache::ApproxBytes counts.
   size_t approx_bytes() const {
     return cache_.ApproxBytes([](const FrozenCnf& f) { return f.HeapBytes(); });
   }

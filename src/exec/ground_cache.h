@@ -88,11 +88,8 @@ class GroundingCache {
   Stats stats() const { return cache_.stats(); }
   /// Number of distinct domains seen.
   size_t entries() const { return cache_.entries(); }
-  /// Caps distinct cached domains with LRU eviction (0 = unbounded). Bounds
-  /// growth under domain churn; lookups still return identical values.
-  void set_max_entries(size_t n) { cache_.set_max_entries(n); }
-  /// Bytes held by the cache's entries: each completed grounding's
-  /// HeapBytes plus its domain key. The map and LRU nodes are not counted.
+  /// Bytes held by the cache: each completed grounding's HeapBytes plus the
+  /// per-domain bookkeeping DomainKeyedOnceCache::ApproxBytes counts.
   size_t approx_bytes() const {
     return cache_.ApproxBytes(
         [](const CachedGrounding& g) { return g.HeapBytes(); });

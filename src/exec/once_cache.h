@@ -16,14 +16,12 @@
 ///
 /// Boundedness: a serving workload with a churning active domain (every
 /// commit growing or shifting the domain) makes each lookup a fresh key, so
-/// an unbounded map grows linearly with commits. set_max_entries caps the
-/// table with LRU eviction — borrowers keep their shared_ptr, so eviction
-/// never invalidates a computation in flight — and ApproxBytes lets owners
-/// budget by memory rather than entry count.
+/// the map grows linearly with commits. The cache never evicts; ApproxBytes
+/// meters everything it holds, so its owner can bound it in bytes (the
+/// serving bank drops a sentence's whole entry over its byte budget).
 
 #include <cstdint>
 #include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -58,17 +56,7 @@ class DomainKeyedOnceCache {
   struct Stats {
     uint64_t hits = 0;    ///< Lookups served by an existing entry.
     uint64_t misses = 0;  ///< Lookups that created (and computed) an entry.
-    uint64_t evictions = 0;  ///< Entries dropped by the max_entries LRU cap.
   };
-
-  /// Caps the number of cached keys (0 = unbounded, the default). Beyond
-  /// the cap the least-recently-used entry is dropped when a new one is
-  /// created. Setting a cap only changes *retention*: every lookup still
-  /// returns the same value it would have computed uncached.
-  void set_max_entries(size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_entries_ = n;
-  }
 
   /// Returns the cached value for `key`, computing it via `build` on first
   /// use. `build` is `StatusOr<std::shared_ptr<const V>>()`; a failed build is
@@ -82,20 +70,9 @@ class DomainKeyedOnceCache {
       auto it = map_.find(key);
       if (it == map_.end()) {
         ++stats_.misses;
-        if (max_entries_ > 0 && map_.size() >= max_entries_) {
-          // Evict the coldest key. A borrower mid-computation keeps its
-          // own shared_ptr<Entry>; only the cache's reference goes away.
-          auto victim = map_.find(*lru_.back());
-          lru_.pop_back();
-          map_.erase(victim);
-          ++stats_.evictions;
-        }
         it = map_.emplace(key, std::make_shared<Entry>()).first;
-        lru_.push_front(&it->first);
-        it->second->lru_pos = lru_.begin();
       } else {
         ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second->lru_pos);
       }
       entry = it->second;
     }
@@ -129,15 +106,18 @@ class DomainKeyedOnceCache {
     return map_.size();
   }
 
-  /// Estimated bytes held by completed entries, as Σ cost(value). Entries
-  /// still computing (or that failed) count zero. `cost` must not lock this
-  /// cache.
+  /// Heap bytes the cache holds: the map's bucket array and, per key, its
+  /// map node, its domain array and its Entry block, plus cost(value) for
+  /// each completed entry. Entries still computing (or that failed) add no
+  /// value bytes. `cost` must not lock this cache.
   template <typename CostFn>
   size_t ApproxBytes(CostFn&& cost) const {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t total = 0;
+    // One bucket has no array: the map keeps it inline.
+    size_t total =
+        map_.bucket_count() > 1 ? map_.bucket_count() * sizeof(void*) : 0;
     for (const auto& [key, entry] : map_) {
-      total += key.capacity() * sizeof(Value);
+      total += kNodeBytes + kEntryBlockBytes + key.capacity() * sizeof(Value);
       if (entry->done.load(std::memory_order_acquire) && entry->status.ok() &&
           entry->value != nullptr) {
         total += cost(*entry->value);
@@ -155,16 +135,20 @@ class DomainKeyedOnceCache {
     std::atomic<bool> done{false};
     Status status;
     std::shared_ptr<const V> value;
-    typename std::list<const Key*>::iterator lru_pos;
   };
+  using Map = std::unordered_map<Key, std::shared_ptr<Entry>, DomainHash>;
+
+  /// A map node: the next-node link, the key and entry handle, and the
+  /// hash the map caches beside them (DomainHash may throw).
+  static constexpr size_t kNodeBytes =
+      sizeof(void*) + sizeof(typename Map::value_type) + sizeof(size_t);
+  /// make_shared's one block: the control block (a vtable pointer and the
+  /// two reference counts) followed by the Entry.
+  static constexpr size_t kEntryBlockBytes =
+      sizeof(void*) + 2 * sizeof(int) + sizeof(Entry);
 
   mutable std::mutex mu_;
-  size_t max_entries_ = 0;
-  std::unordered_map<Key, std::shared_ptr<Entry>, DomainHash> map_;
-  /// The map's keys in recency order; back() is the eviction candidate.
-  /// Unordered-map nodes never move, so the pointers stay valid until their
-  /// entry is erased.
-  std::list<const Key*> lru_;
+  Map map_;
   Stats stats_;
 };
 

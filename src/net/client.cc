@@ -50,7 +50,7 @@ void Client::Backoff(size_t attempt, uint32_t server_hint_ms) {
     backoff = std::min(backoff * 2, options_.max_backoff_ms);
   }
   backoff = std::max<uint64_t>(backoff, server_hint_ms);
-  if (options_.sleep_on_backoff && backoff > 0) {
+  if (backoff > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
   }
 }

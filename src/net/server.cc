@@ -428,7 +428,7 @@ Status NetServer::Shutdown() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) {
     // Another caller runs the drain; wait for it and report the same result
-    // (a store-sync failure must reach every caller, not just the winner).
+    // (a broken store must reach every caller, not just the winner).
     std::unique_lock<std::mutex> lock(shutdown_mu_);
     shutdown_cv_.wait(lock, [this] { return shutdown_done_; });
     return shutdown_status_;
@@ -476,16 +476,21 @@ Status NetServer::Shutdown() {
     live_transports_.clear();
   }
 
-  // 4. Durability barrier: every acknowledged commit is already in the WAL
-  // (Apply writes before replying); Sync covers group-commit/manual modes.
-  Status sync = server_->Sync();
+  // 4. Nothing to flush: every acknowledged commit was fsynced before its
+  // reply left. A broken store still fails the drain, so the process exits
+  // non-zero.
+  Status drained = Status::OK();
+  const store::DurableEngine* store = server_->store();
+  if (store != nullptr && store->broken()) {
+    drained = Status::IOError("store at " + store->dir() + " is broken");
+  }
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     shutdown_done_ = true;
-    shutdown_status_ = sync;
+    shutdown_status_ = drained;
   }
   shutdown_cv_.notify_all();
-  return sync;
+  return drained;
 }
 
 NetServer::NetStats NetServer::net_stats() const {

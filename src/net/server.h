@@ -21,9 +21,10 @@
 ///   * Drain: Shutdown() stops accepting, lets in-flight requests finish for
 ///     `drain_grace_ms`, then cancels the drain token (in-flight requests
 ///     unwind with kDeadlineExceeded at their next check), joins every
-///     worker, and syncs the durable store. An acknowledged commit is on
-///     disk before its reply frame leaves, so SIGTERM → Shutdown() never
-///     loses acknowledged work (crash-matrix tested).
+///     worker, and fails when the durable store is broken. An acknowledged
+///     commit was fsynced before its reply frame left, so the drain has
+///     nothing to flush and SIGTERM → Shutdown() never loses acknowledged
+///     work (crash-matrix tested).
 ///
 /// A worker that finishes (peer hung up, fatal frame error) deregisters
 /// itself: it drops the connection's transport — closing the socket right
@@ -162,9 +163,9 @@ class NetServer {
   CancelToken drain_token_;
 
   /// Drain result shared with every Shutdown/WaitForShutdown caller: the
-  /// winner stores the store-Sync status here, losers wait on the condvar
-  /// and report the same Status (a sync failure must not be visible to only
-  /// one of two concurrent callers).
+  /// winner stores it here, losers wait on the condvar and report the same
+  /// Status (a broken store must not be visible to only one of two
+  /// concurrent callers).
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
   bool shutdown_done_ = false;   // Guarded by shutdown_mu_.

@@ -187,12 +187,12 @@ Status Follower::Subscribe() {
   }
 
   if (reply.need_snapshot != 0) {
-    if (opened_ && !options_.reseed_after_open) {
-      // The embedder holds server() somewhere long-lived; swapping it out
-      // under them is worse than stopping. kLost here means "restart me".
+    if (opened_) {
+      // Embedders hold server() for the follower's life (the net front, a
+      // shell session), so it is never swapped out. kLost here means
+      // "restart me": a fresh Open re-seeds.
       return Status::DataLoss(
-          "catch-up needs a re-seed but reseed_after_open is off; restart "
-          "the follower");
+          "catch-up needs a re-seed after Open; restart the follower");
     }
     KBT_RETURN_IF_ERROR(InstallSnapshot(reply.snapshot_lsn));
   } else if (server_ == nullptr) {
@@ -358,7 +358,8 @@ Status Follower::PollOnce() {
           subscribed_ = false;
           break;
         case StatusCode::kNotFound:
-          // Fell below the GC horizon: resubscribe, which will re-seed.
+          // Fell below the GC horizon: the resubscribe's re-seed demand
+          // makes the follower kLost.
           subscribed_ = false;
           break;
         case StatusCode::kInvalidArgument:
@@ -451,7 +452,6 @@ Status Follower::Lost(Status why) {
 }
 
 void Follower::Backoff() {
-  if (!options_.sleep_on_backoff) return;
   if (stop_.load(std::memory_order_acquire)) return;
   std::this_thread::sleep_for(
       std::chrono::milliseconds(options_.reconnect_backoff_ms));

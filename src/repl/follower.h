@@ -16,9 +16,9 @@
 /// Catch-up: the subscribe reply says whether the follower's position is
 /// still fetchable from the primary's log (stream records) or below its GC
 /// horizon / fresh / forked by a promotion it missed (install a checkpoint —
-/// chunked transfer — then stream from there). Installing a snapshot
-/// replaces the follower's serve::Server; sessions on the old one must be
-/// recreated.
+/// chunked transfer — then stream from there). Only Open installs a
+/// checkpoint. A re-seed demanded later is terminal (kLost, kDataLoss), so
+/// server() never changes after Open; reopening the follower re-seeds it.
 ///
 /// Fencing: the follower persists the primary's epoch history at subscribe
 /// and stamps its adopted epoch on every fetch. A batch from an older epoch
@@ -31,9 +31,9 @@
 ///
 /// Driving it: Start() spawns a pull thread (production); tests call
 /// PollOnce() directly for deterministic single-threaded rounds. Transient
-/// trouble (connection died, primary restarted, fell below the horizon)
-/// heals inside PollOnce via reconnect/resubscribe; only divergence — real
-/// data loss — is terminal (state kLost).
+/// trouble (connection died, primary restarted) heals inside PollOnce via
+/// reconnect/resubscribe; divergence and a re-seed after Open are terminal
+/// (state kLost).
 
 #include <atomic>
 #include <cstdint>
@@ -68,19 +68,11 @@ struct FollowerOptions {
   std::function<StatusOr<std::unique_ptr<net::Transport>>()> connect;
   /// Long-poll window per fetch (server clamps its own bound).
   uint32_t poll_wait_ms = 1'000;
-  /// Pause between reconnect/resubscribe attempts.
+  /// Pause between reconnect/resubscribe attempts (0 = retry at once).
   uint64_t reconnect_backoff_ms = 50;
   /// Advertised to writing clients in kReadOnly rejections ("host:port" of
   /// the primary; empty = no hint).
   std::string redirect_hint;
-  /// Test hook: false makes backoffs immediate (deterministic runs).
-  bool sleep_on_backoff = true;
-  /// When false, a re-seed demanded *after* Open (falling below the GC
-  /// horizon mid-life) is terminal (kLost) instead of replacing server_ in
-  /// place — for embedders that hand server() to something long-lived (the
-  /// net front) and would rather restart than chase a swapped pointer. The
-  /// initial catch-up inside Open may always install a snapshot.
-  bool reseed_after_open = true;
 };
 
 enum class FollowerState : uint8_t {
@@ -123,8 +115,7 @@ class Follower {
   StatusOr<uint64_t> Promote();
 
   /// The follower's own server (reads; writes get kReadOnly until Promote).
-  /// Replaced when a re-seed installs a fresh checkpoint — do not cache
-  /// across PollOnce calls.
+  /// Fixed from Open on: callers may hold it for the follower's life.
   serve::Server* server() { return server_.get(); }
 
   uint64_t applied_lsn() const {
@@ -166,7 +157,8 @@ class Follower {
   /// Subscribe over the pinned transport: adopt the primary's epoch history
   /// (persisted), install a checkpoint when told to, sync applied_lsn_.
   Status Subscribe();
-  /// Chunked checkpoint download + atomic install + store reopen.
+  /// Chunked checkpoint download + atomic install + store reopen (Open's
+  /// catch-up only).
   Status InstallSnapshot(uint64_t snapshot_lsn);
   /// (Re)opens server_ over the follower's store directory, read-only.
   Status OpenServer();
@@ -185,7 +177,7 @@ class Follower {
   std::mutex transport_mu_;
   std::shared_ptr<net::Transport> transport_;
   bool subscribed_ = false;  ///< Pull-thread-only (like seq_).
-  bool opened_ = false;      ///< Open() finished (re-seed policy boundary).
+  bool opened_ = false;      ///< Open() finished; a re-seed is now terminal.
   uint16_t next_seq_ = 1;
 
   std::atomic<uint64_t> applied_lsn_{0};

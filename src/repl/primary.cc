@@ -9,6 +9,14 @@ namespace kbt::repl {
 
 namespace {
 
+/// Server-side clamp on a fetch's long-poll wait.
+constexpr uint32_t kMaxWaitMs = 10'000;
+/// Batch bounds when the fetch leaves them 0.
+constexpr uint32_t kDefaultMaxRecords = 128;
+constexpr uint32_t kDefaultMaxBytes = 1u << 20;
+/// Checkpoint transfer chunk bound (and clamp on the fetch's max_bytes).
+constexpr uint32_t kCkptChunkBytes = 256u * 1024;
+
 /// Smallest wal-<lsn> and largest checkpoint-<lsn> in a store directory.
 /// The wal minimum is the GC horizon: records with lsn > horizon are
 /// fetchable from files; the checkpoint maximum is what a re-seeding
@@ -238,8 +246,7 @@ StatusOr<net::WireReplRecords> Primary::HandleFetch(
   // though a commit notifies the condvar directly.
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(std::min<uint32_t>(fetch.wait_ms,
-                                                   options_.max_wait_ms));
+      std::chrono::milliseconds(std::min<uint32_t>(fetch.wait_ms, kMaxWaitMs));
   while (last_lsn_ <= fetch.after_lsn && !fenced_) {
     if (cancel != nullptr && cancel->cancelled()) break;
     const auto now = std::chrono::steady_clock::now();
@@ -250,10 +257,10 @@ StatusOr<net::WireReplRecords> Primary::HandleFetch(
   }
 
   const size_t max_records = std::min<size_t>(
-      fetch.max_records != 0 ? fetch.max_records : options_.default_max_records,
+      fetch.max_records != 0 ? fetch.max_records : kDefaultMaxRecords,
       net::kMaxReplBatch);
   const size_t max_bytes =
-      fetch.max_bytes != 0 ? fetch.max_bytes : options_.default_max_bytes;
+      fetch.max_bytes != 0 ? fetch.max_bytes : kDefaultMaxBytes;
 
   net::WireReplRecords reply;
   reply.epoch = meta_.epoch();
@@ -359,8 +366,8 @@ StatusOr<net::WireReplCkptChunk> Primary::HandleCkptFetch(
                                    std::to_string(bytes.size()));
   }
   const size_t cap = std::min<size_t>(
-      fetch.max_bytes != 0 ? fetch.max_bytes : options_.ckpt_chunk_bytes,
-      options_.ckpt_chunk_bytes);
+      fetch.max_bytes != 0 ? fetch.max_bytes : kCkptChunkBytes,
+      kCkptChunkBytes);
   net::WireReplCkptChunk chunk;
   chunk.lsn = fetch.lsn;
   chunk.offset = fetch.offset;

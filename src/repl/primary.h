@@ -67,13 +67,6 @@ struct PrimaryOptions {
   /// Recent commits kept in the in-memory feed; older fetches fall back to
   /// reading the store's wal files.
   size_t feed_capacity = 1024;
-  /// Server-side clamp on a fetch's long-poll wait.
-  uint32_t max_wait_ms = 10'000;
-  /// Batch bounds when the fetch leaves them 0.
-  uint32_t default_max_records = 128;
-  uint32_t default_max_bytes = 1u << 20;
-  /// Checkpoint transfer chunk bound (and clamp on the fetch's max_bytes).
-  uint32_t ckpt_chunk_bytes = 256u * 1024;
 };
 
 class Primary : public net::ReplHandler {

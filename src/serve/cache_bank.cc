@@ -8,11 +8,9 @@
 
 namespace kbt::serve {
 
-QueryCacheBank::QueryCacheBank(size_t capacity, size_t entry_byte_budget,
-                               size_t entry_max_domains)
+QueryCacheBank::QueryCacheBank(size_t capacity, size_t entry_byte_budget)
     : capacity_(std::max<size_t>(1, capacity)),
-      entry_byte_budget_(entry_byte_budget),
-      entry_max_domains_(entry_max_domains) {}
+      entry_byte_budget_(entry_byte_budget) {}
 
 StatusOr<std::shared_ptr<SentenceCaches>> QueryCacheBank::Get(
     std::string_view sentence_text) {
@@ -45,10 +43,6 @@ StatusOr<std::shared_ptr<SentenceCaches>> QueryCacheBank::Get(
   }
   auto caches = std::make_shared<SentenceCaches>();
   caches->sentence = std::move(parsed);
-  if (entry_max_domains_ > 0) {
-    caches->ground.set_max_entries(entry_max_domains_);
-    caches->cnf.set_max_entries(entry_max_domains_);
-  }
   lru_.push_front(key);
   entries_.emplace(std::move(key), Slot{caches, lru_.begin()});
   return caches;

@@ -18,15 +18,14 @@
 /// re-parse — so two textual spellings that print alike can never mix two
 /// circuit structures inside one cache.
 ///
-/// The bank is bounded two ways. Across sentences, entries are evicted LRU
-/// beyond `capacity`. Within a sentence, the grounding/CNF caches are keyed
-/// by active domain — a workload whose domain churns (every commit growing
-/// the domain) makes each read a fresh key, so unbounded per-sentence caches
-/// grow linearly with commits. `entry_max_domains` caps the domains inside a
-/// sentence's caches (LRU), and `entry_byte_budget` evicts the whole
-/// sentence entry when its memory estimate exceeds the budget — the next
-/// request rebuilds it fresh. Entries are handed out as shared_ptr, so
-/// eviction never invalidates a request in flight.
+/// Across sentences, entries are evicted LRU beyond `capacity`. Within a
+/// sentence, the grounding/CNF caches are keyed by active domain — a
+/// workload whose domain churns (every commit growing the domain) makes each
+/// read a fresh key, so a sentence's caches grow linearly with commits.
+/// `entry_byte_budget` bounds that growth: it evicts the whole sentence
+/// entry when its byte meter exceeds the budget, and the next request
+/// rebuilds it fresh. Entries are handed out as shared_ptr, so eviction
+/// never invalidates a request in flight.
 
 #include <cstdint>
 #include <list>
@@ -52,7 +51,9 @@ struct SentenceCaches {
   exec::GroundingCache ground;
   exec::CnfCache cnf;
 
-  /// Estimated bytes held by both caches (heuristic; see the caches).
+  /// Bytes held by both caches, their bookkeeping included (see
+  /// DomainKeyedOnceCache::ApproxBytes): the meter `entry_byte_budget`
+  /// budgets by.
   size_t ApproxBytes() const {
     return ground.approx_bytes() + cnf.approx_bytes();
   }
@@ -62,10 +63,8 @@ class QueryCacheBank {
  public:
   /// `capacity` bounds the number of distinct sentences cached (≥ 1).
   /// `entry_byte_budget` (0 = unbounded) evicts a sentence entry whose caches
-  /// exceed the budget; `entry_max_domains` (0 = unbounded) caps the domains
-  /// cached inside each sentence's grounding/CNF caches.
-  explicit QueryCacheBank(size_t capacity = 64, size_t entry_byte_budget = 0,
-                          size_t entry_max_domains = 0);
+  /// exceed the budget.
+  explicit QueryCacheBank(size_t capacity = 64, size_t entry_byte_budget = 0);
 
   /// Returns the shared entry for `sentence_text`, parsing and inserting it on
   /// first use. The key is the canonical rendering of the parse, so textual
@@ -89,7 +88,6 @@ class QueryCacheBank {
   mutable std::mutex mu_;
   const size_t capacity_;
   const size_t entry_byte_budget_;
-  const size_t entry_max_domains_;
   std::unordered_map<std::string, Slot> entries_;
   /// Canonical keys in recency order; back() is the eviction candidate.
   std::list<std::string> lru_;

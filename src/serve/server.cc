@@ -40,8 +40,7 @@ StatusOr<uint64_t> Session::Apply(std::string_view expression) {
 Server::Server(ServerOptions options, Knowledgebase initial)
     : options_(std::move(options)),
       registry_(std::move(initial)),
-      bank_(kCacheBankCapacity, options_.cache_entry_byte_budget,
-            options_.cache_entry_max_domains) {}
+      bank_(kCacheBankCapacity, options_.cache_entry_byte_budget) {}
 
 Server::Server(Knowledgebase initial, ServerOptions options)
     : Server(std::move(options), std::move(initial)) {
@@ -151,12 +150,6 @@ Status Server::Checkpoint() {
   KBT_RETURN_IF_ERROR(durable_->Checkpoint());
   commits_since_checkpoint_ = 0;
   return Status::OK();
-}
-
-Status Server::Sync() {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (durable_ == nullptr) return Status::OK();
-  return durable_->Sync();
 }
 
 StatusOr<ReadResult> Server::ExecuteRead(Session& session, const Snapshot& snap,

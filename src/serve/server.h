@@ -65,8 +65,6 @@ struct ServerOptions {
   /// Byte budget for one sentence's caches in the bank (0 = unbounded).
   /// See QueryCacheBank; bounds per-sentence growth under domain churn.
   size_t cache_entry_byte_budget = 0;
-  /// Max distinct domains cached inside one sentence entry (0 = unbounded).
-  size_t cache_entry_max_domains = 0;
 };
 
 /// One read: insert the antecedents left to right (hypothetically — the
@@ -151,8 +149,6 @@ class Server {
 
   /// Durable mode: checkpoint + WAL rotation (no-op without a store).
   Status Checkpoint();
-  /// Durable mode: group-commit/manual-mode durability barrier.
-  Status Sync();
 
   /// Replication: commits a record shipped from a primary (through the same
   /// ApplyWalRecord path recovery replays — see DurableEngine) and publishes
@@ -208,8 +204,9 @@ class Server {
   ServerStats stats() const;
 
   const ServerOptions& options() const { return options_; }
-  /// Durable-mode store handle (nullptr in-memory). Exposed for tests and the
-  /// shell's `lsn`/introspection commands; writes must still go through Apply.
+  /// Durable-mode store handle (nullptr in-memory). Exposed for tests, the
+  /// shell's `lsn`/introspection commands and the net drain's broken-store
+  /// check; writes must still go through Apply.
   store::DurableEngine* store() { return durable_.get(); }
 
  private:

@@ -40,7 +40,6 @@ StatusOr<WalRecord> TupleDeltaRecord(
 DurableEngine::DurableEngine(std::string dir, StoreOptions store_options,
                              EngineOptions engine_options)
     : dir_(std::move(dir)),
-      store_options_(store_options),
       env_(store_options.env != nullptr ? store_options.env : Env::Default()),
       engine_(std::move(engine_options)) {}
 
@@ -122,13 +121,7 @@ Status DurableEngine::Commit(const WalRecord& record) {
   KBT_ASSIGN_OR_RETURN(Knowledgebase next,
                        ApplyWalRecord(engine_, record, kb_));
   Status s = wal_->Append(record);
-  bool synced = false;
-  if (s.ok()) {
-    synced = store_options_.sync_mode == SyncMode::kEveryCommit ||
-             (store_options_.sync_mode == SyncMode::kGroupCommit &&
-              unsynced_commits_ + 1 >= store_options_.group_commit_interval);
-    if (synced) s = wal_->Sync();
-  }
+  if (s.ok()) s = wal_->Sync();
   if (!s.ok()) {
     // The record is torn or of unknown durability, and the in-memory state
     // will not adopt it — cut it back out so the log matches the state.
@@ -138,7 +131,6 @@ Status DurableEngine::Commit(const WalRecord& record) {
   last_good_wal_bytes_ += kWalRecordHeadSize + record.payload.size();
   kb_ = std::move(next);
   ++lsn_;
-  unsynced_commits_ = synced ? 0 : unsynced_commits_ + 1;
   if (commit_listener_ != nullptr) commit_listener_(lsn_, record);
   return Status::OK();
 }
@@ -194,10 +186,8 @@ Status DurableEngine::Sync() {
     // Nothing was torn (all appended records are whole), but the handle may
     // be wedged; reopen it on the intact log.
     SelfHeal();
-    return s;
   }
-  unsynced_commits_ = 0;
-  return Status::OK();
+  return s;
 }
 
 Status DurableEngine::Checkpoint() {
@@ -221,7 +211,6 @@ Status DurableEngine::Checkpoint() {
     broken_ = true;
     return opened;
   }
-  unsynced_commits_ = 0;
 
   // Garbage-collect superseded files (best effort — leftovers are ignored by
   // recovery and retried on the next checkpoint).

@@ -5,8 +5,9 @@
 /// A knowledgebase engine whose state survives crashes.
 ///
 /// DurableEngine wraps a core Engine and keeps the current knowledgebase in
-/// memory. Every commit is one semantic WAL record, appended (and synced per
-/// the configured durability mode) *before* the caller is told it succeeded.
+/// memory. Every commit is one semantic WAL record, appended and fsynced
+/// *before* the caller is told it succeeded, so an acknowledged commit
+/// survives any crash.
 /// Recovery on Open loads the newest valid checkpoint and replays the WAL's
 /// valid prefix through ApplyWalRecord, the same function every commit
 /// applies its record with, so the recovered state is bit-identical to what
@@ -17,9 +18,7 @@
 /// expression verbatim):
 ///   1. a broken store refuses the record;
 ///   2. ApplyWalRecord applies it to the in-memory kb;
-///   3. the record is appended; in kEveryCommit mode the file is fsynced
-///      (kGroupCommit fsyncs every group_commit_interval commits, kManual only
-///      on Sync()/Checkpoint());
+///   3. the record is appended and the file fsynced;
 ///   4. only then do the in-memory kb and lsn advance.
 /// A failed append or sync leaves the in-memory state unchanged and the
 /// record unacknowledged; the writer self-heals by truncating the WAL
@@ -28,6 +27,7 @@
 /// store is marked broken and every later commit is refused — reopening (a
 /// fresh Open, which re-runs recovery) is the only way back.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,20 +43,7 @@
 
 namespace kbt::store {
 
-/// When WAL appends become durable.
-enum class SyncMode {
-  /// fsync on every commit: an acknowledged commit survives any crash.
-  kEveryCommit,
-  /// fsync every group_commit_interval commits: bounded-loss group commit.
-  kGroupCommit,
-  /// fsync only on explicit Sync()/Checkpoint() calls.
-  kManual,
-};
-
 struct StoreOptions {
-  SyncMode sync_mode = SyncMode::kEveryCommit;
-  /// Commits between fsyncs in kGroupCommit mode (≥ 1).
-  size_t group_commit_interval = 8;
   /// Storage backend; nullptr means Env::Default() (the real filesystem).
   Env* env = nullptr;
 };
@@ -109,8 +96,8 @@ class DurableEngine final {
   Status DeleteTuples(std::string_view relation,
                       const std::vector<std::vector<std::string>>& rows);
 
-  /// Forces everything committed so far to durable storage (a group-commit /
-  /// manual-mode barrier; a no-op after kEveryCommit commits).
+  /// fsyncs the open WAL. Every commit already did, so this only makes a
+  /// fresh log's header durable (after Open or Checkpoint).
   Status Sync();
 
   /// Writes a checkpoint of the current state, starts a fresh WAL, and
@@ -128,15 +115,16 @@ class DurableEngine final {
   /// The storage backend (never nullptr).
   Env* env() const { return env_; }
   /// True once a failed self-heal left the log unusable (see file comment).
-  bool broken() const { return broken_; }
+  /// Safe from any thread: a net drain reads it beside a replica's commits.
+  bool broken() const { return broken_.load(std::memory_order_acquire); }
 
  private:
   DurableEngine(std::string dir, StoreOptions store_options,
                 EngineOptions engine_options);
 
   /// The one commit path: refuses when broken, applies `record` to kb_ with
-  /// ApplyWalRecord, appends it and applies the sync policy, and on success
-  /// adopts the result as the committed state.
+  /// ApplyWalRecord, appends and fsyncs it, and on success adopts the result
+  /// as the committed state.
   Status Commit(const WalRecord& record);
   /// kIOError when a failed self-heal broke the store, else OK.
   Status RefuseWhenBroken() const;
@@ -147,7 +135,6 @@ class DurableEngine final {
   Status OpenWal(uint64_t existing_bytes);
 
   const std::string dir_;
-  const StoreOptions store_options_;
   Env* const env_;
   Engine engine_;
 
@@ -158,8 +145,7 @@ class DurableEngine final {
   /// Bytes of wal-<checkpoint_lsn_> known to hold whole records (the truncate
   /// target for self-healing).
   uint64_t last_good_wal_bytes_ = 0;
-  size_t unsynced_commits_ = 0;
-  bool broken_ = false;
+  std::atomic<bool> broken_{false};
   std::function<void(uint64_t, const WalRecord&)> commit_listener_;
   std::function<std::optional<uint64_t>()> retain_lsn_hook_;
 };

@@ -1,7 +1,7 @@
 /// \file
 /// Tests for DurableEngine: the write-ahead commit protocol (state and log
-/// advance together or not at all), recovery on reopen, the three sync modes'
-/// durability windows, self-healing after transient I/O errors, checkpoint
+/// advance together or not at all), recovery on reopen, acknowledged commits
+/// surviving a crash, self-healing after transient I/O errors, checkpoint
 /// rotation with garbage collection, and the broken-store terminal state.
 
 #include "store/durable_engine.h"
@@ -31,12 +31,9 @@ Knowledgebase InitialKb() {
   return *Knowledgebase::FromDatabases({db});
 }
 
-StoreOptions WithEnv(FaultInjectionEnv* env, SyncMode mode = SyncMode::kEveryCommit,
-                     size_t interval = 8) {
+StoreOptions WithEnv(FaultInjectionEnv* env) {
   StoreOptions options;
   options.env = env;
-  options.sync_mode = mode;
-  options.group_commit_interval = interval;
   return options;
 }
 
@@ -158,67 +155,6 @@ TEST(DurableEngineTest, BadDeltasAreRejectedBeforeTheLog) {
   EXPECT_EQ(store->kb(), InitialKb());
 }
 
-TEST(DurableEngineTest, ManualModeLosesUnsyncedCommitsInACrash) {
-  FaultInjectionEnv env;
-  {
-    auto store = MustOpen("db", InitialKb(), WithEnv(&env, SyncMode::kManual));
-    ASSERT_TRUE(store->Apply("tau{ P(a) }").ok());
-    ASSERT_TRUE(store->Apply("tau{ P(b) }").ok());
-    EXPECT_EQ(store->lsn(), 2u);
-    // No Sync: the appends live only in the OS.
-  }
-  env.Crash();
-  env.RecoverFromCrash();
-  auto store = MustOpen("db", Knowledgebase(testutil::TestSchema()),
-                        WithEnv(&env, SyncMode::kManual));
-  EXPECT_EQ(store->kb(), InitialKb());
-  EXPECT_EQ(store->lsn(), 0u);
-}
-
-TEST(DurableEngineTest, ManualModeSyncIsADurabilityBarrier) {
-  FaultInjectionEnv env;
-  Knowledgebase after_first{Schema()};
-  {
-    auto store = MustOpen("db", InitialKb(), WithEnv(&env, SyncMode::kManual));
-    ASSERT_TRUE(store->Apply("tau{ P(a) }").ok());
-    after_first = store->kb();
-    ASSERT_TRUE(store->Sync().ok());
-    ASSERT_TRUE(store->Apply("tau{ P(b) }").ok());  // Unsynced; dies below.
-  }
-  env.Crash();
-  env.RecoverFromCrash();
-  auto store = MustOpen("db", Knowledgebase(testutil::TestSchema()),
-                        WithEnv(&env, SyncMode::kManual));
-  EXPECT_EQ(store->kb(), after_first);
-  EXPECT_EQ(store->lsn(), 1u);
-}
-
-TEST(DurableEngineTest, GroupCommitSyncsAtTheInterval) {
-  // Interval 2: commit 1 is in the loss window, commit 2 closes the group.
-  for (int commits : {1, 2}) {
-    FaultInjectionEnv env;
-    Knowledgebase committed{Schema()};
-    {
-      auto store = MustOpen("db", InitialKb(),
-                            WithEnv(&env, SyncMode::kGroupCommit, 2));
-      ASSERT_TRUE(store->Apply("tau{ P(a) }").ok());
-      if (commits == 2) ASSERT_TRUE(store->Apply("tau{ P(b) }").ok());
-      committed = store->kb();
-    }
-    env.Crash();
-    env.RecoverFromCrash();
-    auto store = MustOpen("db", Knowledgebase(testutil::TestSchema()),
-                          WithEnv(&env, SyncMode::kGroupCommit, 2));
-    if (commits == 1) {
-      EXPECT_EQ(store->kb(), InitialKb());
-      EXPECT_EQ(store->lsn(), 0u);
-    } else {
-      EXPECT_EQ(store->kb(), committed);
-      EXPECT_EQ(store->lsn(), 2u);
-    }
-  }
-}
-
 TEST(DurableEngineTest, TransientAppendFailureSelfHealsAndRetrySucceeds) {
   FaultInjectionEnv env;
   auto store = MustOpen("db", InitialKb(), WithEnv(&env));
@@ -335,23 +271,6 @@ TEST(DurableEngineTest, IdleCheckpointKeepsLaterCommitsRecoverable) {
                            WithEnv(&env));
   EXPECT_EQ(reopened->kb(), committed);
   EXPECT_EQ(reopened->lsn(), 2u);
-}
-
-TEST(DurableEngineTest, CheckpointAloneMakesManualModeCommitsDurable) {
-  FaultInjectionEnv env;
-  Knowledgebase committed{Schema()};
-  {
-    auto store = MustOpen("db", InitialKb(), WithEnv(&env, SyncMode::kManual));
-    ASSERT_TRUE(store->Apply("tau{ P(a) }").ok());
-    ASSERT_TRUE(store->Checkpoint().ok());
-    committed = store->kb();
-  }
-  env.Crash();
-  env.RecoverFromCrash();
-  auto store = MustOpen("db", Knowledgebase(testutil::TestSchema()),
-                        WithEnv(&env, SyncMode::kManual));
-  EXPECT_EQ(store->kb(), committed);
-  EXPECT_EQ(store->lsn(), 1u);
 }
 
 TEST(DurableEngineTest, BrokenStoreRefusesEverythingUntilReopened) {

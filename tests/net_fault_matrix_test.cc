@@ -72,7 +72,7 @@ class FaultHarness {
 
   Client MakeClient() {
     ClientOptions options;
-    options.sleep_on_backoff = false;
+    options.initial_backoff_ms = 0;
     options.max_attempts = 6;
     return Client([this] { return Factory(); }, options);
   }

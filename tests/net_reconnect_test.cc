@@ -49,7 +49,7 @@ class ReconnectHarness {
 
   Client MakeClient(size_t max_attempts = 4) {
     ClientOptions options;
-    options.sleep_on_backoff = false;
+    options.initial_backoff_ms = 0;
     options.max_attempts = max_attempts;
     return Client([this] { return Factory(); }, options);
   }

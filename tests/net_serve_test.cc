@@ -69,7 +69,7 @@ class PipeHarness {
 
   Client MakeClient() {
     ClientOptions options;
-    options.sleep_on_backoff = false;  // Deterministic, instant retries.
+    options.initial_backoff_ms = 0;  // Deterministic, instant retries.
     return Client(
         [this] { return StatusOr<std::unique_ptr<Transport>>(Connect()); },
         options);
@@ -444,45 +444,61 @@ TEST(NetServeTcpTest, DialConnectTimeoutDoesNotLeakIntoWrites) {
 // Durable drain: acknowledged commits survive a crash after Shutdown.
 
 TEST(NetServeDrainTest, AcknowledgedCommitsSurviveCrashAfterDrain) {
-  // Matrix over sync modes: in kEveryCommit the WAL write is durable before
-  // the ack; in kManual only the drain's Sync makes it durable — either way,
-  // after a clean Shutdown every acknowledged commit must be recoverable.
-  for (store::SyncMode mode :
-       {store::SyncMode::kEveryCommit, store::SyncMode::kManual}) {
-    store::FaultInjectionEnv env;
-    store::StoreOptions store_options;
-    store_options.env = &env;
-    store_options.sync_mode = mode;
+  // Every commit is fsynced before its ack, so after a clean Shutdown every
+  // acknowledged commit must be recoverable.
+  store::FaultInjectionEnv env;
+  store::StoreOptions store_options;
+  store_options.env = &env;
 
-    uint64_t acked = 0;
+  uint64_t acked = 0;
+  {
+    auto server = serve::Server::OpenDurable("db", SmallKb(), store_options);
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    PipeHarness h(std::move(*server));
     {
-      auto server = serve::Server::OpenDurable("db", SmallKb(), store_options);
-      ASSERT_TRUE(server.ok()) << server.status().message();
-      PipeHarness h(std::move(*server));
-      {
-        Client client = h.MakeClient();
-        for (int i = 0; i < 3; ++i) {
-          auto version = client.Apply("tau{P(b)}");
-          ASSERT_TRUE(version.ok()) << version.status().message();
-          acked = *version;
-        }
+      Client client = h.MakeClient();
+      for (int i = 0; i < 3; ++i) {
+        auto version = client.Apply("tau{P(b)}");
+        ASSERT_TRUE(version.ok()) << version.status().message();
+        acked = *version;
       }
-      Status drained = h.net().Shutdown();
-      ASSERT_TRUE(drained.ok()) << drained.ToString();
     }
-    // The process dies after the drain; whatever was not fsynced is gone.
-    env.Crash();
-    env.RecoverFromCrash();
-
-    auto reopened = serve::Server::OpenDurable("db", SmallKb(), store_options);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-    EXPECT_EQ((*reopened)->store()->lsn(), acked)
-        << "sync mode " << static_cast<int>(mode);
-    auto session = (*reopened)->StartSession();
-    auto holds = session->Holds("P(b)");
-    ASSERT_TRUE(holds.ok());
-    EXPECT_TRUE(holds->holds);
+    Status drained = h.net().Shutdown();
+    ASSERT_TRUE(drained.ok()) << drained.ToString();
   }
+  // The process dies after the drain; whatever was not fsynced is gone.
+  env.Crash();
+  env.RecoverFromCrash();
+
+  auto reopened = serve::Server::OpenDurable("db", SmallKb(), store_options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ((*reopened)->store()->lsn(), acked);
+  auto session = (*reopened)->StartSession();
+  auto holds = session->Holds("P(b)");
+  ASSERT_TRUE(holds.ok());
+  EXPECT_TRUE(holds->holds);
+}
+
+TEST(NetServeDrainTest, BrokenStoreFailsTheDrain) {
+  store::FaultInjectionEnv env;
+  store::StoreOptions store_options;
+  store_options.env = &env;
+  auto server = serve::Server::OpenDurable("db", SmallKb(), store_options);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  PipeHarness h(std::move(*server));
+  {
+    Client client = h.MakeClient();
+    ASSERT_TRUE(client.Apply("tau{P(b)}").ok());
+    // The commit fails and so does its self-heal: the store is broken.
+    env.Crash();
+    EXPECT_FALSE(client.Apply("tau{P(c)}").ok());
+  }
+  ASSERT_TRUE(h.server().store()->broken());
+  Status drained = h.net().Shutdown();
+  EXPECT_EQ(drained.code(), StatusCode::kIOError) << drained.ToString();
+  // A second caller sees the same verdict.
+  EXPECT_EQ(h.net().Shutdown().code(), StatusCode::kIOError);
+  env.RecoverFromCrash();
 }
 
 }  // namespace

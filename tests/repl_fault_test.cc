@@ -113,7 +113,7 @@ class ChaosHarness {
     fopts.store.env = &fenv_;
     fopts.connect = [this] { return Connect(); };
     fopts.poll_wait_ms = 0;
-    fopts.sleep_on_backoff = false;
+    fopts.reconnect_backoff_ms = 0;
     return fopts;
   }
 
@@ -440,7 +440,7 @@ TEST(ReplFaultTest, SemiSyncAckedCommitsSurviveKillAndPromotion) {
   a_opts.store.env = &h.penv();
   a_opts.connect = connect_b;
   a_opts.poll_wait_ms = 0;
-  a_opts.sleep_on_backoff = false;
+  a_opts.reconnect_backoff_ms = 0;
   auto reborn = Follower::Open(std::move(a_opts));
   ASSERT_TRUE(reborn.ok()) << reborn.status().ToString();
   for (int i = 0; i < 500 && (*reborn)->applied_lsn() < 3; ++i) {
@@ -531,7 +531,7 @@ TEST(ReplFaultTest, StaleEpochBatchIsRefusedUnapplied) {
   fopts.initial = InitialKb();
   fopts.store.env = &fenv;
   fopts.poll_wait_ms = 0;
-  fopts.sleep_on_backoff = false;
+  fopts.reconnect_backoff_ms = 0;
   fopts.connect = [&]() -> StatusOr<std::unique_ptr<net::Transport>> {
     auto [client_end, server_end] = net::MakePipePair();
     std::shared_ptr<net::Transport> shared = std::move(server_end);

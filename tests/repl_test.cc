@@ -20,6 +20,8 @@
 ///     re-seeded, one inside the common prefix is streamed;
 ///   * promote: the new epoch is durable in the follower's replmeta, writes
 ///     open up;
+///   * a follower that falls below the GC horizon after Open goes kLost,
+///     keeps the server it handed out, and re-seeds when reopened;
 ///   * the GC retention pin: Checkpoint() keeps WAL files a subscriber still
 ///     needs, and collects them once the subscriber is dropped.
 
@@ -89,7 +91,7 @@ class ReplHarness {
     fopts.store.env = &fenv_;
     fopts.connect = [this] { return Connect(); };
     fopts.poll_wait_ms = 0;
-    fopts.sleep_on_backoff = false;
+    fopts.reconnect_backoff_ms = 0;
     fopts.redirect_hint = "primary.example:7777";
     return fopts;
   }
@@ -421,43 +423,25 @@ TEST(ReplTest, PromotePersistsEpochThenOpensWrites) {
 
 // --- Mid-life re-seed (falling below the GC horizon) -------------------------
 
-TEST(ReplTest, FallingBelowHorizonReseedsByDefault) {
+TEST(ReplTest, MidLifeReseedIsTerminalAndServerStaysPut) {
   ReplHarness h;
-  h.OpenFollower();  // Seeded at lsn 0; then stops pulling.
+  ASSERT_TRUE(h.pserver().Apply("tau{P(b)}").ok());
+  h.OpenFollower();  // Default options.
+  h.CatchUp(1);
+  serve::Server* before = h.follower->server();
+  const uint64_t version = before->stats().snapshot_version;
 
   // The primary moves on and garbage-collects the log the follower needs
   // (its pin must be released first — a dead follower is dropped).
-  for (const char* e : {"tau{P(b)}", "tau{P(c)}", "tau{Q(d)}"}) {
+  for (const char* e : {"tau{P(c)}", "tau{Q(d)}"}) {
     ASSERT_TRUE(h.pserver().Apply(e).ok());
   }
   h.primary().DropSubscriber("replica");
   ASSERT_TRUE(h.pserver().Checkpoint().ok());
   ASSERT_FALSE(h.penv().FileExists("primary/wal-0"));
 
-  // Catch-up now needs a fresh checkpoint: the default policy installs it
-  // in place (server() is replaced) and streaming resumes.
-  h.CatchUp(3);
-  EXPECT_EQ(h.follower->stats().snapshot_installs, 2u);
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
-}
-
-TEST(ReplTest, ReseedAfterOpenOffMakesMidLifeReseedTerminal) {
-  ReplHarness h;
-  FollowerOptions fopts = h.MakeFollowerOptions("replica");
-  fopts.reseed_after_open = false;
-  auto opened = Follower::Open(std::move(fopts));
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  h.follower = std::move(*opened);
-
-  for (const char* e : {"tau{P(b)}", "tau{P(c)}", "tau{Q(d)}"}) {
-    ASSERT_TRUE(h.pserver().Apply(e).ok());
-  }
-  h.primary().DropSubscriber("replica");
-  ASSERT_TRUE(h.pserver().Checkpoint().ok());
-
-  // Embedders holding server() long-lived asked for a restart instead of a
-  // swapped pointer: the demanded re-seed is terminal.
+  // Catch-up now needs a fresh checkpoint, which only Open installs: the
+  // follower goes kLost, asking to be restarted.
   Status s = Status::OK();
   for (int i = 0; i < 300 && s.ok() &&
                   h.follower->state() != FollowerState::kLost;
@@ -465,8 +449,30 @@ TEST(ReplTest, ReseedAfterOpenOffMakesMidLifeReseedTerminal) {
     s = h.follower->PollOnce();
   }
   EXPECT_EQ(h.follower->state(), FollowerState::kLost);
-  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(h.follower->applied_lsn(), 0u);  // Nothing half-applied.
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_EQ(h.follower->applied_lsn(), 1u);  // Nothing half-applied.
+
+  // The server a caller held is the follower's server still, and it answers
+  // at the last applied version.
+  ASSERT_EQ(h.follower->server(), before);
+  {
+    auto session = before->StartSession();
+    auto applied = session->Holds("P(b)");
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_TRUE(applied->holds);
+    EXPECT_EQ(applied->snapshot_version, version);
+    auto missed = session->Holds("Q(d)");
+    ASSERT_TRUE(missed.ok()) << missed.status().ToString();
+    EXPECT_FALSE(missed->holds);
+  }
+
+  // Restarting the follower over the same directory re-seeds it.
+  h.follower.reset();
+  h.OpenFollower();
+  EXPECT_EQ(h.follower->stats().snapshot_installs, 1u);
+  EXPECT_EQ(h.follower->applied_lsn(), 3u);
+  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
+            KbBytes(h.pserver().store()->kb()));
 }
 
 // --- GC retention pin --------------------------------------------------------

@@ -103,45 +103,6 @@ TEST(QueryCacheBankTest, ParseErrorsPropagate) {
   EXPECT_EQ(bank.entries(), 0u);
 }
 
-TEST(QueryCacheBankTest, DomainCapBoundsPerSentenceGrowthUnderChurn) {
-  // Rotating active domains — the shape a domain-churning workload produces:
-  // every commit adds a constant, so every read is a fresh domain key. With
-  // entry_max_domains = 2 the per-sentence grounding cache must stay at ≤ 2
-  // entries no matter how many distinct domains pass through, and an evicted
-  // domain must recompute to an identical grounding.
-  QueryCacheBank bank(4, /*entry_byte_budget=*/0, /*entry_max_domains=*/2);
-  auto entry = bank.Get("P(a)");
-  ASSERT_TRUE(entry.ok());
-  GrounderOptions gopts;
-
-  std::vector<Value> first_domain = {Name("a")};
-  auto first = (*entry)->ground.GetOrGround((*entry)->sentence, first_domain,
-                                            gopts);
-  ASSERT_TRUE(first.ok());
-  const size_t first_circuit = (*first)->grounding.circuit.size();
-
-  for (int i = 0; i < 10; ++i) {
-    std::vector<Value> domain = {Name("a")};
-    for (int j = 0; j <= i; ++j) {
-      domain.push_back(Name("c" + std::to_string(j)));
-    }
-    auto g = (*entry)->ground.GetOrGround((*entry)->sentence, domain, gopts);
-    ASSERT_TRUE(g.ok()) << g.status().message();
-    EXPECT_LE((*entry)->ground.entries(), 2u) << "round " << i;
-  }
-  EXPECT_GE((*entry)->ground.stats().evictions, 8u);
-
-  // The first domain was evicted long ago; recomputing it yields the same
-  // grounding shape.
-  auto again = (*entry)->ground.GetOrGround((*entry)->sentence, first_domain,
-                                            gopts);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*again)->grounding.circuit.size(), first_circuit);
-}
-
-// ---------------------------------------------------------------------------
-// Server: write path and snapshots
-
 TEST(ServeServerTest, ApplyPublishesMonotoneVersions) {
   Server server(SmallKb());
   EXPECT_EQ(server.CurrentSnapshot()->version, 0u);

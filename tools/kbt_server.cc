@@ -15,7 +15,6 @@
 //   --read-timeout-ms MS    per-connection idle timeout
 //   --sat-budget N          per-read SAT conflict budget (0 = unlimited)
 //   --cache-bytes N         per-sentence cache byte budget (0 = unbounded)
-//   --cache-domains N       per-sentence cached-domain cap (0 = unbounded)
 //
 // Replication (see docs/replication.md):
 //   --repl-primary          serve the replication protocol (requires --store)
@@ -29,9 +28,11 @@
 //
 // The bound port is printed as "listening on HOST:PORT" once ready — the
 // smoke test scrapes it. SIGTERM and SIGINT request a graceful drain: stop
-// accepting, finish or cancel in-flight requests, fsync the store, exit 0.
-// A replica also exits (nonzero) if it diverges from its primary — restart
-// it to re-seed.
+// accepting, finish or cancel in-flight requests, exit 0. The drain does not
+// fsync: every acknowledged commit was fsynced before its reply. A broken
+// store makes the drain, and the exit, fail. A replica also exits (nonzero)
+// if it diverges from its primary, or falls below its primary's GC horizon
+// — restart it to re-seed.
 
 #include <atomic>
 #include <chrono>
@@ -126,8 +127,6 @@ int main(int argc, char** argv) {
       serve_options.read_sat_conflict_budget = std::strtoull(v, nullptr, 10);
     } else if (arg == "--cache-bytes" && (v = next())) {
       serve_options.cache_entry_byte_budget = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--cache-domains" && (v = next())) {
-      serve_options.cache_entry_max_domains = std::strtoull(v, nullptr, 10);
     } else if (arg == "--repl-primary") {
       repl_primary = true;
     } else if (arg == "--semi-sync") {
@@ -175,9 +174,6 @@ int main(int argc, char** argv) {
     follower_options.connect = [host, port]() {
       return kbt::net::DialTcp(host, static_cast<uint16_t>(port));
     };
-    // The net front holds server() for its whole life; a mid-life re-seed
-    // must restart the process rather than swap the server out from under it.
-    follower_options.reseed_after_open = false;
     kbt::StatusOr<std::unique_ptr<kbt::repl::Follower>> opened =
         kbt::repl::Follower::Open(std::move(follower_options));
     if (!opened.ok()) return Fail("replica: " + opened.status().ToString());
@@ -257,7 +253,10 @@ int main(int argc, char** argv) {
     lost = follower->state() == kbt::repl::FollowerState::kLost;
   }
   if (!drained.ok()) return Fail("drain: " + drained.ToString());
-  if (lost) return Fail("replica diverged from its primary; re-seed required");
+  if (lost) {
+    return Fail("replica lost its primary (diverged, or fell below its GC "
+                "horizon); restart it to re-seed");
+  }
   std::cout << "drained cleanly\n";
   return 0;
 }

@@ -20,7 +20,8 @@
 //   expect-error CMD...     assert that CMD fails (its error becomes success)
 //   show                    print the current snapshot's knowledgebase
 //   worlds                  world count + snapshot version
-//   checkpoint | sync       durable-mode barriers (no-ops in memory)
+//   checkpoint              durable mode: checkpoint + WAL rotation (no-op in
+//                           memory)
 //   stats                   server counters
 //   replica DIR HOST:PORT   become a read replica of that primary (store in
 //                           DIR); reads serve locally, writes are refused
@@ -229,8 +230,6 @@ struct Shell {
     options.connect = [host, port]() {
       return kbt::net::DialTcp(host, static_cast<uint16_t>(port));
     };
-    // The shell's session pins server(); a mid-life re-seed must not swap it.
-    options.reseed_after_open = false;
     KBT_ASSIGN_OR_RETURN(std::unique_ptr<kbt::repl::Follower> next,
                          kbt::repl::Follower::Open(std::move(options)));
     session.reset();
@@ -317,7 +316,7 @@ struct Shell {
     }
     if (cmd == "help") {
       std::cout << "commands: init load open insert apply query possibly if if? "
-                   "expect expect-error show worlds checkpoint sync stats "
+                   "expect expect-error show worlds checkpoint stats "
                    "replica repl-wait promote repl-stats help quit\n";
       return Status::OK();
     }
@@ -365,12 +364,6 @@ struct Shell {
     if (cmd == "checkpoint") {
       KBT_RETURN_IF_ERROR(RequireServer());
       KBT_RETURN_IF_ERROR(srv()->Checkpoint());
-      std::cout << "ok\n";
-      return Status::OK();
-    }
-    if (cmd == "sync") {
-      KBT_RETURN_IF_ERROR(RequireServer());
-      KBT_RETURN_IF_ERROR(srv()->Sync());
       std::cout << "ok\n";
       return Status::OK();
     }
