@@ -9,6 +9,13 @@ namespace kbt::net {
 
 namespace {
 
+/// Cap on the doubling backoff between attempts.
+constexpr uint64_t kMaxBackoffMs = 1'000;
+/// Socket timeouts of a dialed connection.
+constexpr uint64_t kConnectTimeoutMs = 2'000;
+constexpr uint64_t kReadTimeoutMs = 30'000;
+constexpr uint64_t kWriteTimeoutMs = 10'000;
+
 /// True for errors where the request provably produced no observable effect
 /// on this connection attempt (safe to retry idempotent *and* — when the
 /// request never left — non-idempotent calls).
@@ -23,10 +30,9 @@ Client::Client(TransportFactory factory, ClientOptions options)
     : factory_(std::move(factory)), options_(options) {}
 
 Client Client::Dial(std::string host, uint16_t port, ClientOptions options) {
-  ClientOptions opts = options;
-  TransportFactory factory = [host = std::move(host), port, opts] {
-    return DialTcp(host, port, opts.connect_timeout_ms, opts.read_timeout_ms,
-                   opts.write_timeout_ms);
+  TransportFactory factory = [host = std::move(host), port] {
+    return DialTcp(host, port, kConnectTimeoutMs, kReadTimeoutMs,
+                   kWriteTimeoutMs);
   };
   return Client(std::move(factory), options);
 }
@@ -47,7 +53,7 @@ Status Client::EnsureConnected() {
 void Client::Backoff(size_t attempt, uint32_t server_hint_ms) {
   uint64_t backoff = options_.initial_backoff_ms;
   for (size_t i = 0; i < attempt; ++i) {
-    backoff = std::min(backoff * 2, options_.max_backoff_ms);
+    backoff = std::min(backoff * 2, kMaxBackoffMs);
   }
   backoff = std::max<uint64_t>(backoff, server_hint_ms);
   if (backoff > 0) {

@@ -40,14 +40,9 @@ namespace kbt::net {
 struct ClientOptions {
   /// Attempts per call (first try + retries).
   size_t max_attempts = 4;
-  /// Backoff before retry k (doubles each retry; the server's retry-after
-  /// hint overrides when larger). 0 with no hint retries at once.
+  /// Backoff before retry k (doubles each retry up to 1 s; the server's
+  /// retry-after hint overrides when larger). 0 with no hint retries at once.
   uint64_t initial_backoff_ms = 10;
-  uint64_t max_backoff_ms = 1'000;
-  /// Socket timeouts for dialed connections (0 = none).
-  uint64_t connect_timeout_ms = 2'000;
-  uint64_t read_timeout_ms = 30'000;
-  uint64_t write_timeout_ms = 10'000;
 };
 
 struct ClientReadResult {

@@ -81,38 +81,6 @@ Status VerifyPayload(std::string_view header, std::string_view payload) {
   return Status::OK();
 }
 
-StatusOr<uint8_t> PayloadReader::GetU8() {
-  if (pos_ + 1 > data_.size()) return Status::DataLoss("payload underrun (u8)");
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-StatusOr<uint32_t> PayloadReader::GetU32() {
-  if (pos_ + 4 > data_.size()) return Status::DataLoss("payload underrun (u32)");
-  uint32_t v = LoadU32(data_.data() + pos_);
-  pos_ += 4;
-  return v;
-}
-
-StatusOr<uint64_t> PayloadReader::GetU64() {
-  if (pos_ + 8 > data_.size()) return Status::DataLoss("payload underrun (u64)");
-  uint64_t v = LoadU64(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
-StatusOr<std::string> PayloadReader::GetString(size_t max_len) {
-  KBT_ASSIGN_OR_RETURN(uint32_t len, GetU32());
-  if (len > max_len) {
-    return Status::DataLoss("string field over cap: " + std::to_string(len));
-  }
-  if (pos_ + len > data_.size()) {
-    return Status::DataLoss("payload underrun (string)");
-  }
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Messages
 
@@ -127,23 +95,23 @@ std::string EncodeReadRequest(const WireReadRequest& r) {
 }
 
 StatusOr<WireReadRequest> DecodeReadRequest(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "read request");
   WireReadRequest r;
-  KBT_ASSIGN_OR_RETURN(r.deadline_ms, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.modality, reader.GetU8());
+  KBT_ASSIGN_OR_RETURN(r.deadline_ms, reader.ReadU64("deadline_ms"));
+  KBT_ASSIGN_OR_RETURN(r.modality, reader.ReadU8("modality"));
   if (r.modality > 1) {
     return Status::DataLoss("bad modality byte " + std::to_string(r.modality));
   }
-  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32("antecedent count"));
   if (n > kMaxChainDepth) {
     return Status::DataLoss("antecedent chain over cap: " + std::to_string(n));
   }
   r.antecedents.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    KBT_ASSIGN_OR_RETURN(std::string a, reader.GetString());
-    r.antecedents.push_back(std::move(a));
+    KBT_ASSIGN_OR_RETURN(std::string_view a, reader.ReadString("antecedent"));
+    r.antecedents.emplace_back(a);
   }
-  KBT_ASSIGN_OR_RETURN(r.consequent, reader.GetString());
+  KBT_ASSIGN_OR_RETURN(r.consequent, reader.ReadString("consequent"));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in read request");
   return r;
 }
@@ -156,12 +124,12 @@ std::string EncodeReadReply(const WireReadReply& r) {
 }
 
 StatusOr<WireReadReply> DecodeReadReply(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "read reply");
   WireReadReply r;
-  KBT_ASSIGN_OR_RETURN(uint8_t holds, reader.GetU8());
+  KBT_ASSIGN_OR_RETURN(uint8_t holds, reader.ReadU8("holds"));
   if (holds > 1) return Status::DataLoss("bad holds byte");
   r.holds = holds == 1;
-  KBT_ASSIGN_OR_RETURN(r.snapshot_version, reader.GetU64());
+  KBT_ASSIGN_OR_RETURN(r.snapshot_version, reader.ReadU64("snapshot_version"));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in read reply");
   return r;
 }
@@ -173,9 +141,9 @@ std::string EncodeApplyRequest(const WireApplyRequest& r) {
 }
 
 StatusOr<WireApplyRequest> DecodeApplyRequest(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "apply request");
   WireApplyRequest r;
-  KBT_ASSIGN_OR_RETURN(r.expression, reader.GetString());
+  KBT_ASSIGN_OR_RETURN(r.expression, reader.ReadString("expression"));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in apply request");
   return r;
 }
@@ -187,9 +155,9 @@ std::string EncodeApplyReply(const WireApplyReply& r) {
 }
 
 StatusOr<WireApplyReply> DecodeApplyReply(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "apply reply");
   WireApplyReply r;
-  KBT_ASSIGN_OR_RETURN(r.version, reader.GetU64());
+  KBT_ASSIGN_OR_RETURN(r.version, reader.ReadU64("version"));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in apply reply");
   return r;
 }
@@ -204,12 +172,12 @@ std::string EncodeError(const WireError& e) {
 }
 
 StatusOr<WireError> DecodeError(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "error frame");
   WireError e;
-  KBT_ASSIGN_OR_RETURN(e.code, reader.GetU8());
-  KBT_ASSIGN_OR_RETURN(e.retry_after_ms, reader.GetU32());
-  KBT_ASSIGN_OR_RETURN(e.message, reader.GetString());
-  KBT_ASSIGN_OR_RETURN(e.redirect, reader.GetString(4096));
+  KBT_ASSIGN_OR_RETURN(e.code, reader.ReadU8("code"));
+  KBT_ASSIGN_OR_RETURN(e.retry_after_ms, reader.ReadU32("retry_after_ms"));
+  KBT_ASSIGN_OR_RETURN(e.message, reader.ReadString("message"));
+  KBT_ASSIGN_OR_RETURN(e.redirect, reader.ReadString("redirect", 4096));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in error frame");
   return e;
 }
@@ -262,15 +230,16 @@ std::string EncodeStatsReply(const WireStatsReply& r) {
 }
 
 StatusOr<WireStatsReply> DecodeStatsReply(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "stats reply");
   WireStatsReply r;
-  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32("counter count"));
   if (n > 4096) return Status::DataLoss("stats counter count over cap");
   r.counters.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    KBT_ASSIGN_OR_RETURN(std::string name, reader.GetString(4096));
-    KBT_ASSIGN_OR_RETURN(uint64_t value, reader.GetU64());
-    r.counters.emplace_back(std::move(name), value);
+    KBT_ASSIGN_OR_RETURN(std::string_view name,
+                         reader.ReadString("counter name", 4096));
+    KBT_ASSIGN_OR_RETURN(uint64_t value, reader.ReadU64("counter value"));
+    r.counters.emplace_back(name, value);
   }
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in stats reply");
   return r;
@@ -289,12 +258,12 @@ std::string EncodeReplSubscribe(const WireReplSubscribe& r) {
 }
 
 StatusOr<WireReplSubscribe> DecodeReplSubscribe(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "repl subscribe");
   WireReplSubscribe r;
-  KBT_ASSIGN_OR_RETURN(r.follower_id, reader.GetString(4096));
-  KBT_ASSIGN_OR_RETURN(r.epoch, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.start_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.has_state, reader.GetU8());
+  KBT_ASSIGN_OR_RETURN(r.follower_id, reader.ReadString("follower_id", 4096));
+  KBT_ASSIGN_OR_RETURN(r.epoch, reader.ReadU64("epoch"));
+  KBT_ASSIGN_OR_RETURN(r.start_lsn, reader.ReadU64("start_lsn"));
+  KBT_ASSIGN_OR_RETURN(r.has_state, reader.ReadU8("has_state"));
   if (r.has_state > 1) return Status::DataLoss("bad has_state byte");
   if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes in repl subscribe");
@@ -320,23 +289,23 @@ std::string EncodeReplSubscribeReply(const WireReplSubscribeReply& r) {
 
 StatusOr<WireReplSubscribeReply> DecodeReplSubscribeReply(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "repl subscribe reply");
   WireReplSubscribeReply r;
-  KBT_ASSIGN_OR_RETURN(r.primary_id, reader.GetString(4096));
-  KBT_ASSIGN_OR_RETURN(r.epoch, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.primary_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.horizon_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.need_snapshot, reader.GetU8());
+  KBT_ASSIGN_OR_RETURN(r.primary_id, reader.ReadString("primary_id", 4096));
+  KBT_ASSIGN_OR_RETURN(r.epoch, reader.ReadU64("epoch"));
+  KBT_ASSIGN_OR_RETURN(r.primary_lsn, reader.ReadU64("primary_lsn"));
+  KBT_ASSIGN_OR_RETURN(r.horizon_lsn, reader.ReadU64("horizon_lsn"));
+  KBT_ASSIGN_OR_RETURN(r.need_snapshot, reader.ReadU8("need_snapshot"));
   if (r.need_snapshot > 1) return Status::DataLoss("bad need_snapshot byte");
-  KBT_ASSIGN_OR_RETURN(r.snapshot_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(r.snapshot_lsn, reader.ReadU64("snapshot_lsn"));
+  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32("epoch history count"));
   if (n > kMaxEpochHistory) {
     return Status::DataLoss("epoch history over cap: " + std::to_string(n));
   }
   r.epoch_history.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    KBT_ASSIGN_OR_RETURN(uint64_t epoch, reader.GetU64());
-    KBT_ASSIGN_OR_RETURN(uint64_t start_lsn, reader.GetU64());
+    KBT_ASSIGN_OR_RETURN(uint64_t epoch, reader.ReadU64("epoch"));
+    KBT_ASSIGN_OR_RETURN(uint64_t start_lsn, reader.ReadU64("start_lsn"));
     r.epoch_history.emplace_back(epoch, start_lsn);
   }
   if (!reader.AtEnd()) {
@@ -357,14 +326,14 @@ std::string EncodeReplFetch(const WireReplFetch& r) {
 }
 
 StatusOr<WireReplFetch> DecodeReplFetch(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "repl fetch");
   WireReplFetch r;
-  KBT_ASSIGN_OR_RETURN(r.follower_id, reader.GetString(4096));
-  KBT_ASSIGN_OR_RETURN(r.epoch, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.after_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.wait_ms, reader.GetU32());
-  KBT_ASSIGN_OR_RETURN(r.max_records, reader.GetU32());
-  KBT_ASSIGN_OR_RETURN(r.max_bytes, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(r.follower_id, reader.ReadString("follower_id", 4096));
+  KBT_ASSIGN_OR_RETURN(r.epoch, reader.ReadU64("epoch"));
+  KBT_ASSIGN_OR_RETURN(r.after_lsn, reader.ReadU64("after_lsn"));
+  KBT_ASSIGN_OR_RETURN(r.wait_ms, reader.ReadU32("wait_ms"));
+  KBT_ASSIGN_OR_RETURN(r.max_records, reader.ReadU32("max_records"));
+  KBT_ASSIGN_OR_RETURN(r.max_bytes, reader.ReadU32("max_bytes"));
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in repl fetch");
   return r;
 }
@@ -383,24 +352,24 @@ std::string EncodeReplRecords(const WireReplRecords& r) {
 }
 
 StatusOr<WireReplRecords> DecodeReplRecords(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "repl records");
   WireReplRecords r;
-  KBT_ASSIGN_OR_RETURN(r.epoch, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.start_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.primary_lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(r.epoch, reader.ReadU64("epoch"));
+  KBT_ASSIGN_OR_RETURN(r.start_lsn, reader.ReadU64("start_lsn"));
+  KBT_ASSIGN_OR_RETURN(r.primary_lsn, reader.ReadU64("primary_lsn"));
+  KBT_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32("record count"));
   if (n > kMaxReplBatch) {
     return Status::DataLoss("repl batch over cap: " + std::to_string(n));
   }
   r.records.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    KBT_ASSIGN_OR_RETURN(uint8_t kind, reader.GetU8());
+    KBT_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8("record kind"));
     // Must be a store::WalRecordKind (kTransform/kInsert/kDelete).
     if (kind < 1 || kind > 3) {
       return Status::DataLoss("bad WAL record kind " + std::to_string(kind));
     }
-    KBT_ASSIGN_OR_RETURN(std::string bytes, reader.GetString());
-    r.records.emplace_back(kind, std::move(bytes));
+    KBT_ASSIGN_OR_RETURN(std::string_view bytes, reader.ReadString("record"));
+    r.records.emplace_back(kind, bytes);
   }
   if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes in repl records");
@@ -417,11 +386,11 @@ std::string EncodeReplCkptFetch(const WireReplCkptFetch& r) {
 }
 
 StatusOr<WireReplCkptFetch> DecodeReplCkptFetch(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "ckpt fetch");
   WireReplCkptFetch r;
-  KBT_ASSIGN_OR_RETURN(r.lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.offset, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.max_bytes, reader.GetU32());
+  KBT_ASSIGN_OR_RETURN(r.lsn, reader.ReadU64("lsn"));
+  KBT_ASSIGN_OR_RETURN(r.offset, reader.ReadU64("offset"));
+  KBT_ASSIGN_OR_RETURN(r.max_bytes, reader.ReadU32("max_bytes"));
   if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes in ckpt fetch");
   }
@@ -438,12 +407,12 @@ std::string EncodeReplCkptChunk(const WireReplCkptChunk& r) {
 }
 
 StatusOr<WireReplCkptChunk> DecodeReplCkptChunk(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "ckpt chunk");
   WireReplCkptChunk r;
-  KBT_ASSIGN_OR_RETURN(r.lsn, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.offset, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.total_size, reader.GetU64());
-  KBT_ASSIGN_OR_RETURN(r.bytes, reader.GetString());
+  KBT_ASSIGN_OR_RETURN(r.lsn, reader.ReadU64("lsn"));
+  KBT_ASSIGN_OR_RETURN(r.offset, reader.ReadU64("offset"));
+  KBT_ASSIGN_OR_RETURN(r.total_size, reader.ReadU64("total_size"));
+  KBT_ASSIGN_OR_RETURN(r.bytes, reader.ReadString("bytes"));
   if (r.offset + r.bytes.size() > r.total_size) {
     return Status::DataLoss("ckpt chunk overruns its total size");
   }

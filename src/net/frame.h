@@ -30,7 +30,7 @@
 /// payload buffer is only sized after the length passed its cap.
 ///
 /// Payloads are flat little-endian fields (base/little_endian.h) and
-/// u32-length-prefixed strings, read back through PayloadReader. Hard caps —
+/// u32-length-prefixed strings, read back through ByteReader. Hard caps —
 /// frame length, antecedent chain depth, replication batch size — are
 /// enforced at both encode and decode time, so a malicious or corrupt peer
 /// cannot make the server allocate unboundedly.
@@ -104,29 +104,6 @@ StatusOr<FrameHeader> DecodeHeader(std::string_view header);
 /// Verifies the payload against the header's CRC. `header` must have passed
 /// DecodeHeader; fails with kDataLoss on mismatch.
 Status VerifyPayload(std::string_view header, std::string_view payload);
-
-// ---------------------------------------------------------------------------
-// Payload reads (little-endian, bounds-checked).
-
-/// Cursor over a payload; every Get* checks bounds and fails with kDataLoss
-/// instead of reading past the end.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : data_(payload) {}
-
-  StatusOr<uint8_t> GetU8();
-  StatusOr<uint32_t> GetU32();
-  StatusOr<uint64_t> GetU64();
-  /// Reads a u32-prefixed string; `max_len` guards against corrupt prefixes.
-  StatusOr<std::string> GetString(size_t max_len = kMaxPayload);
-
-  /// True when the cursor consumed every byte (trailing garbage = corrupt).
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Message payloads. Encode/Decode pairs for each frame type; decode is total.

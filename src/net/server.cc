@@ -15,6 +15,14 @@ namespace kbt::net {
 
 namespace {
 
+/// listen(2) backlog: the kernel-side accept queue bound.
+constexpr int kAcceptBacklog = 64;
+/// Per-connection socket write timeout.
+constexpr uint64_t kWriteTimeoutMs = 10'000;
+/// Shutdown(): how long in-flight requests may run before the drain token
+/// cancels them.
+constexpr uint64_t kDrainGraceMs = 2'000;
+
 /// RAII in-flight slot: try-acquire against the cap, release on scope exit.
 class InFlightSlot {
  public:
@@ -69,7 +77,7 @@ Status NetServer::Start() {
     listen_fd_ = -1;
     return s;
   }
-  if (::listen(listen_fd_, options_.accept_backlog) != 0) {
+  if (::listen(listen_fd_, kAcceptBacklog) != 0) {
     Status s = Status::IOErrorFromErrno("listen", errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -110,7 +118,7 @@ void NetServer::AcceptLoop() {
       break;
     }
     auto transport = std::make_shared<SocketTransport>(
-        fd, options_.read_timeout_ms, options_.write_timeout_ms);
+        fd, options_.read_timeout_ms, kWriteTimeoutMs);
     // Reject-early beyond the connection cap: one typed frame, then close.
     // The client backs off and retries instead of parking in a queue that
     // only grows.
@@ -445,7 +453,7 @@ Status NetServer::Shutdown() {
 
   // 2. Grace period: in-flight requests finish normally.
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(options_.drain_grace_ms);
+                  std::chrono::milliseconds(kDrainGraceMs);
   while (in_flight_.load(std::memory_order_acquire) > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

@@ -19,7 +19,7 @@
 ///   * Deadlines: each read request's deadline_ms becomes a CancelToken
 ///     parented on the server-wide drain token and rides serve → τ → μ → SAT.
 ///   * Drain: Shutdown() stops accepting, lets in-flight requests finish for
-///     `drain_grace_ms`, then cancels the drain token (in-flight requests
+///     up to 2 s, then cancels the drain token (in-flight requests
 ///     unwind with kDeadlineExceeded at their next check), joins every
 ///     worker, and fails when the durable store is broken. An acknowledged
 ///     commit was fsynced before its reply frame left, so the drain has
@@ -57,8 +57,6 @@ struct NetServerOptions {
   /// Bind address; port 0 picks a free port (see NetServer::port()).
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// listen(2) backlog — the kernel-side accept queue bound.
-  int accept_backlog = 64;
   /// Connections served concurrently; beyond it new connections are rejected
   /// early with kUnavailable + retry-after. 0 = unlimited.
   size_t max_connections = 64;
@@ -66,15 +64,12 @@ struct NetServerOptions {
   /// request is rejected with kUnavailable + retry-after (the connection
   /// stays open). 0 = unlimited.
   size_t max_in_flight = 32;
-  /// Per-connection socket timeouts (0 = none). An idle client costs a
-  /// blocked thread, so production configs should set the read timeout.
+  /// Per-connection socket read timeout (0 = none; writes time out after
+  /// 10 s). An idle client costs a blocked thread, so production configs
+  /// should set it.
   uint64_t read_timeout_ms = 0;
-  uint64_t write_timeout_ms = 10'000;
   /// Retry-after hint sent with kUnavailable rejects.
   uint32_t retry_after_ms = 50;
-  /// Shutdown(): how long in-flight requests may run before the drain token
-  /// cancels them.
-  uint64_t drain_grace_ms = 2'000;
   /// Replication primary hook (borrowed; must outlive the server). When set,
   /// the three repl request frames are delegated to it; when nullptr they are
   /// refused with kUnsupported. Repl frames bypass the in-flight cap — a

@@ -9,20 +9,6 @@ namespace kbt::repl {
 
 namespace {
 
-bool GetU32(std::string_view data, size_t* pos, uint32_t* v) {
-  if (data.size() - *pos < 4) return false;
-  *v = LoadU32(data.data() + *pos);
-  *pos += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* pos, uint64_t* v) {
-  if (data.size() - *pos < 8) return false;
-  *v = LoadU64(data.data() + *pos);
-  *pos += 8;
-  return true;
-}
-
 Status Corrupt(const std::string& what) {
   return Status::DataLoss("replmeta: " + what);
 }
@@ -46,42 +32,33 @@ std::string EncodeReplMeta(const ReplMeta& meta) {
 }
 
 StatusOr<ReplMeta> DecodeReplMeta(std::string_view bytes) {
-  const size_t header = sizeof(kReplMetaMagic) + 1 + 4 + 4;
-  if (bytes.size() < header) return Corrupt("truncated header");
-  if (std::memcmp(bytes.data(), kReplMetaMagic, sizeof(kReplMetaMagic)) != 0) {
+  if (bytes.size() < sizeof(kReplMetaMagic) ||
+      std::memcmp(bytes.data(), kReplMetaMagic, sizeof(kReplMetaMagic)) != 0) {
     return Corrupt("bad magic");
   }
-  size_t pos = sizeof(kReplMetaMagic);
-  const uint8_t version = static_cast<uint8_t>(bytes[pos++]);
+  ByteReader reader(bytes.substr(sizeof(kReplMetaMagic)), "replmeta");
+  KBT_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8("version"));
   if (version != kReplMetaVersion) {
     return Corrupt("unknown version " + std::to_string(version));
   }
-  uint32_t crc = 0;
-  uint32_t payload_len = 0;
-  if (!GetU32(bytes, &pos, &crc) || !GetU32(bytes, &pos, &payload_len)) {
-    return Corrupt("truncated header");
-  }
-  if (bytes.size() - pos != payload_len) {
+  KBT_ASSIGN_OR_RETURN(uint32_t crc, reader.ReadU32("crc"));
+  KBT_ASSIGN_OR_RETURN(uint32_t payload_len, reader.ReadU32("payload length"));
+  if (reader.remaining() != payload_len) {
     return Corrupt("payload length mismatch");
   }
-  std::string_view payload = bytes.substr(pos);
-  if (store::Crc32c(payload) != crc) return Corrupt("payload CRC mismatch");
-
-  size_t ppos = 0;
-  uint32_t count = 0;
-  if (!GetU32(payload, &ppos, &count)) return Corrupt("truncated payload");
-  if (static_cast<uint64_t>(count) * 16 != payload.size() - ppos) {
+  if (store::Crc32c(bytes.substr(bytes.size() - payload_len)) != crc) {
+    return Corrupt("payload CRC mismatch");
+  }
+  KBT_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32("entry count"));
+  if (static_cast<uint64_t>(count) * 16 != reader.remaining()) {
     return Corrupt("entry count mismatch");
   }
   ReplMeta meta;
   meta.history.reserve(count);
   uint64_t prev_epoch = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    uint64_t epoch = 0;
-    uint64_t start_lsn = 0;
-    if (!GetU64(payload, &ppos, &epoch) || !GetU64(payload, &ppos, &start_lsn)) {
-      return Corrupt("truncated entry");
-    }
+    KBT_ASSIGN_OR_RETURN(uint64_t epoch, reader.ReadU64("epoch"));
+    KBT_ASSIGN_OR_RETURN(uint64_t start_lsn, reader.ReadU64("start lsn"));
     if (i > 0 && epoch <= prev_epoch) {
       return Corrupt("epochs not strictly increasing");
     }

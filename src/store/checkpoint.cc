@@ -5,7 +5,6 @@
 
 #include "base/interner.h"
 #include "base/little_endian.h"
-#include "rel/binary_io.h"
 #include "rel/overlay.h"
 #include "store/crc32.h"
 
@@ -41,60 +40,62 @@ void AppendDeltaBlock(std::string& out, std::string_view name,
   out += block;
 }
 
-/// Bounds-checked cursor over the payload.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-
-  StatusOr<uint32_t> ReadU32(const char* what) {
-    if (bytes_.size() - pos_ < 4) return Truncated(what);
-    uint32_t v = LoadU32(bytes_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-
-  StatusOr<std::string_view> ReadBlock(const char* what) {
-    KBT_ASSIGN_OR_RETURN(uint32_t len, ReadU32(what));
-    if (bytes_.size() - pos_ < len) return Truncated(what);
-    std::string_view v = bytes_.substr(pos_, len);
-    pos_ += len;
-    return v;
-  }
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  Status Truncated(const char* what) {
-    return Status::DataLoss(std::string("truncated checkpoint reading ") +
-                            what);
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
 /// Reads one adds/dels block straight into a relation of `schema`.
-StatusOr<DecodedDelta> ReadDeltaBlock(PayloadReader& reader,
-                                      const Schema& schema,
+StatusOr<DecodedDelta> ReadDeltaBlock(ByteReader& reader, const Schema& schema,
                                       PayloadNames* names, const char* what) {
-  KBT_ASSIGN_OR_RETURN(std::string_view block, reader.ReadBlock(what));
+  KBT_ASSIGN_OR_RETURN(std::string_view block, reader.ReadString(what));
   return ParseTupleDelta(block, schema, names);
 }
 
-/// Parses the payload: base database once, then per-world overlays.
+/// Declares the relation a base block holds at the next schema position.
+Status DeclareBaseRelation(std::string_view block, Schema* schema,
+                           PayloadNames* names) {
+  ByteReader reader(block, "checkpoint base relation");
+  KBT_ASSIGN_OR_RETURN(std::string_view name, reader.ReadString("name"));
+  KBT_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32("arity"));
+  if (!schema->Append(RelationDecl{names->Intern(name), arity}).ok()) {
+    return Status::DataLoss("checkpoint base declares relation " +
+                            std::string(name) + " twice");
+  }
+  return Status::OK();
+}
+
+/// Parses the payload: the base relations in schema order, then per-world
+/// overlays.
 StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, "checkpoint");
   KBT_ASSIGN_OR_RETURN(uint32_t world_count, reader.ReadU32("world count"));
-  KBT_ASSIGN_OR_RETURN(std::string_view base_bytes,
-                       reader.ReadBlock("base database"));
-  KBT_ASSIGN_OR_RETURN(Database base, ParseBinaryDatabase(base_bytes));
+  KBT_ASSIGN_OR_RETURN(uint32_t decl_count,
+                       reader.ReadU32("declaration count"));
+  // Each base block costs at least its 4-byte length; bound before reserving.
+  if (decl_count > reader.remaining() / 4) {
+    return Status::DataLoss(
+        "checkpoint declaration count exceeds payload size");
+  }
+  PayloadNames names;  // Views into `payload`, which outlives the decode.
+  Schema schema;
+  std::vector<Relation> relations;
+  relations.reserve(decl_count);
+  for (uint32_t i = 0; i < decl_count; ++i) {
+    KBT_ASSIGN_OR_RETURN(std::string_view block,
+                         reader.ReadString("base relation"));
+    KBT_RETURN_IF_ERROR(DeclareBaseRelation(block, &schema, &names));
+    KBT_ASSIGN_OR_RETURN(DecodedDelta decoded,
+                         ParseTupleDelta(block, schema, &names));
+    relations.push_back(std::move(decoded.rows));
+  }
+  KBT_ASSIGN_OR_RETURN(
+      Database base, Database::Create(std::move(schema), std::move(relations)));
+  // EncodeCheckpoint writes an empty kb over an empty base.
+  if (world_count == 0 && base.TupleCount() != 0) {
+    return Status::DataLoss("checkpoint without worlds has a non-empty base");
+  }
   // Each world costs at least its 4-byte delta count; bound before reserving.
   if (world_count > reader.remaining() / 4 + 1) {
     return Status::DataLoss("checkpoint world count exceeds payload size");
   }
   auto shared_base = std::make_shared<const Database>(std::move(base));
-  const Schema& schema = shared_base->schema();
-  PayloadNames names;  // Views into `payload`, which outlives the decode.
+  const Schema& base_schema = shared_base->schema();
   std::vector<WorldOverlay> overlays;
   overlays.reserve(world_count);
   for (uint32_t w = 0; w < world_count; ++w) {
@@ -108,10 +109,10 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
     for (uint32_t i = 0; i < delta_count; ++i) {
       KBT_ASSIGN_OR_RETURN(
           DecodedDelta adds,
-          ReadDeltaBlock(reader, schema, &names, "overlay adds"));
+          ReadDeltaBlock(reader, base_schema, &names, "overlay adds"));
       KBT_ASSIGN_OR_RETURN(
           DecodedDelta dels,
-          ReadDeltaBlock(reader, schema, &names, "overlay dels"));
+          ReadDeltaBlock(reader, base_schema, &names, "overlay dels"));
       if (adds.pos != dels.pos) {
         return Status::DataLoss(
             "checkpoint overlay adds/dels name different relations");
@@ -127,10 +128,10 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
     KBT_RETURN_IF_ERROR(overlay.Validate(*shared_base));
     overlays.push_back(std::move(overlay));
   }
-  if (reader.remaining() != 0) {
+  if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes after checkpoint payload");
   }
-  if (world_count == 0) return Knowledgebase(shared_base->schema());
+  if (world_count == 0) return Knowledgebase(base_schema);
   return Knowledgebase::FromBaseAndOverlays(std::move(shared_base),
                                             std::move(overlays));
 }
@@ -138,18 +139,23 @@ StatusOr<Knowledgebase> DecodeOverlayPayload(std::string_view payload) {
 }  // namespace
 
 std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn) {
-  // The shared base once, each world as its sparse overlay.
+  // The shared base once, relation by relation, then each world as its sparse
+  // overlay: every relation in the same block shape.
+  const Schema& schema = kb.schema();
+  const Database empty_base(schema);
+  const Database& base =
+      kb.base() != nullptr && !kb.empty() ? *kb.base() : empty_base;
   std::string payload;
   AppendU32(&payload, static_cast<uint32_t>(kb.size()));
-  const Database empty_base(kb.schema());
-  const Database& base = kb.base() != nullptr ? *kb.base() : empty_base;
-  std::string base_bytes = SerializeDatabase(base);
-  AppendU32(&payload, static_cast<uint32_t>(base_bytes.size()));
-  payload += base_bytes;
+  AppendU32(&payload, static_cast<uint32_t>(schema.size()));
+  for (size_t i = 0; i < schema.size(); ++i) {
+    AppendDeltaBlock(payload, NameOf(schema.decl(i).symbol),
+                     base.relation_at(i));
+  }
   for (const WorldOverlay& overlay : kb.overlays()) {
     AppendU32(&payload, static_cast<uint32_t>(overlay.deltas().size()));
     for (const RelationDelta& d : overlay.deltas()) {
-      const std::string name = NameOf(kb.schema().decl(d.pos).symbol);
+      const std::string name = NameOf(schema.decl(d.pos).symbol);
       AppendDeltaBlock(payload, name, d.adds);
       AppendDeltaBlock(payload, name, d.dels);
     }

@@ -11,25 +11,27 @@
 ///   magic "KBTCKPT" (7 bytes), u8 version, u64 lsn,
 ///   u32 crc32c(payload), u32 payload_len, payload
 ///
-/// (integers little-endian). The payload (version 2) mirrors the in-memory
+/// (integers little-endian). The payload (version 3) mirrors the in-memory
 /// delta-structured representation (rel/overlay.h) — the shared base database
-/// is written once and each world as its sparse overlay:
+/// is written once and each world as its sparse overlay — and holds every
+/// relation as a length-prefixed block (u32 len, block) in the WAL's
+/// EncodeTupleDelta shape (store/wal.h):
 ///
 ///   u32 world_count,
-///   u32 base_len, base (rel/binary_io.h SerializeDatabase),
-///   per world: u32 delta_count, per delta two length-prefixed blocks
-///              (u32 len, block) for adds then dels, each in the WAL's
-///              EncodeTupleDelta wire shape (store/wal.h)
+///   u32 decl_count, then decl_count blocks: the base relation at each
+///              schema position, in schema order (each block declares its
+///              relation's name and arity),
+///   per world: u32 delta_count, per delta two blocks, adds then dels
 ///
 /// so checkpoint size is O(base + Σ deltas) instead of O(worlds × database).
 /// Decoding reads each block straight into a relation at its schema position
 /// (ParseTupleDelta, store/wal.h), interning each distinct name of the
 /// payload once, and validates every overlay's canonical invariants against
-/// the base (WorldOverlay::Validate) before accepting the file. Version-1
-/// files (a flat member list, written before the overlay representation) are
-/// refused as kDataLoss "unsupported checkpoint version 1". Unlike the WAL, a
-/// checkpoint is all-or-nothing: any truncation or corruption makes the file
-/// invalid (recovery falls back to an older checkpoint).
+/// the base (WorldOverlay::Validate) before accepting the file. Files of
+/// versions 1 (a flat member list) and 2 (the base in a dictionary format)
+/// are refused as kDataLoss "unsupported checkpoint version N". Unlike the
+/// WAL, a checkpoint is all-or-nothing: any truncation or corruption makes
+/// the file invalid (recovery falls back to an older checkpoint).
 ///
 /// WriteCheckpoint is atomic under crashes: the bytes go to a temporary name,
 /// are synced, then renamed into place and the directory synced — a crash at
@@ -48,7 +50,7 @@ namespace kbt::store {
 
 inline constexpr char kCheckpointMagic[7] = {'K', 'B', 'T', 'C', 'K', 'P', 'T'};
 /// The one version EncodeCheckpoint writes and DecodeCheckpoint accepts.
-inline constexpr uint8_t kCheckpointVersion = 2;
+inline constexpr uint8_t kCheckpointVersion = 3;
 
 /// The checkpoint file image for `kb` at log position `lsn`.
 std::string EncodeCheckpoint(const Knowledgebase& kb, uint64_t lsn);

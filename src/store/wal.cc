@@ -38,7 +38,7 @@ std::string EncodeTupleDelta(
   AppendU32(&out, static_cast<uint32_t>(arity));
   // A zero-ary relation holds at most the empty tuple, so duplicate empty rows
   // carry no information; canonicalize them away so the decoder can enforce
-  // the matching rows <= 1 bound (binary_io's ReadRelation rule).
+  // the matching rows <= 1 bound.
   const size_t row_count =
       arity == 0 ? std::min<size_t>(rows.size(), 1) : rows.size();
   AppendU32(&out, static_cast<uint32_t>(row_count));
@@ -60,40 +60,20 @@ Symbol PayloadNames::Intern(std::string_view name) {
 StatusOr<DecodedDelta> ParseTupleDelta(std::string_view payload,
                                        const Schema& schema,
                                        PayloadNames* names) {
-  size_t at = 0;
-  auto truncated = [](const char* what) {
-    return Status::DataLoss(std::string("truncated tuple delta reading ") +
-                            what);
-  };
-  // The next u32, or false when fewer than 4 bytes remain.
-  auto read_u32 = [&](uint32_t* v) {
-    if (payload.size() - at < 4) return false;
-    *v = LoadU32(payload.data() + at);
-    at += 4;
-    return true;
-  };
-  // The next `len` bytes, or false when fewer remain.
-  auto read_bytes = [&](uint32_t len, std::string_view* v) {
-    if (payload.size() - at < len) return false;
-    *v = payload.substr(at, len);
-    at += len;
-    return true;
-  };
-  uint32_t name_len = 0, arity = 0, rows = 0;
-  std::string_view name;
-  if (!read_u32(&name_len)) return truncated("relation name size");
-  if (!read_bytes(name_len, &name)) return truncated("relation name");
-  if (!read_u32(&arity)) return truncated("arity");
+  ByteReader reader(payload, "tuple delta");
+  KBT_ASSIGN_OR_RETURN(std::string_view name,
+                       reader.ReadString("relation name"));
+  KBT_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32("arity"));
   if (arity > 1'000'000) return Status::DataLoss("tuple delta arity too large");
-  if (!read_u32(&rows)) return truncated("row count");
+  KBT_ASSIGN_OR_RETURN(uint32_t rows, reader.ReadU32("row count"));
   // Each value costs at least 4 length bytes, so bound rows before reserving.
-  // A zero-ary relation holds at most the empty tuple (binary_io's rule), so
-  // its row count needs its own bound — no per-value bytes back it.
+  // A zero-ary relation holds at most the empty tuple, so its row count needs
+  // its own bound — no per-value bytes back it.
   if (arity == 0 && rows > 1) {
     return Status::DataLoss("tuple delta row count exceeds payload size");
   }
   if (arity > 0 &&
-      static_cast<uint64_t>(rows) * arity > (payload.size() - at) / 4) {
+      static_cast<uint64_t>(rows) * arity > reader.remaining() / 4) {
     return Status::DataLoss("tuple delta row count exceeds payload size");
   }
   const std::optional<size_t> pos = schema.PositionOf(names->Intern(name));
@@ -114,15 +94,13 @@ StatusOr<DecodedDelta> ParseTupleDelta(std::string_view payload,
     for (uint32_t r = 0; r < rows; ++r) {
       Value* row = builder.AppendRow();
       for (uint32_t c = 0; c < arity; ++c) {
-        uint32_t len = 0;
         std::string_view value;
-        if (!read_u32(&len)) return truncated("value size");
-        if (!read_bytes(len, &value)) return truncated("value");
+        if (!reader.TryReadString(&value)) return reader.Truncated("value");
         row[c] = names->Intern(value);
       }
     }
   }
-  if (at != payload.size()) {
+  if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes after tuple delta");
   }
   return DecodedDelta{*pos, builder.Build()};

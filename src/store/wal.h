@@ -27,7 +27,9 @@
 ///   kDelete    — an explicit tuple delta against one relation: cheap bulk
 ///                loads and deletions that skip the μ machinery on replay.
 ///                Payload: u32 name_len, name, u32 arity, u32 rows, then
-///                rows × arity × (u32 len, bytes) constant names.
+///                rows × arity × (u32 len, bytes) constant names. The same
+///                block holds every relation of a checkpoint, base and
+///                overlay alike (store/checkpoint.h).
 
 #include <cstdint>
 #include <memory>
@@ -66,7 +68,8 @@ struct WalRecord {
   }
 };
 
-/// Builds the payload of a kInsert/kDelete record.
+/// Builds the payload of a kInsert/kDelete record, and each relation block of
+/// a checkpoint.
 std::string EncodeTupleDelta(std::string_view relation, size_t arity,
                              const std::vector<std::vector<std::string>>& rows);
 
@@ -90,7 +93,7 @@ struct DecodedDelta {
 };
 
 /// Decodes an EncodeTupleDelta payload (a kInsert/kDelete record, or one
-/// block of a checkpoint overlay) straight into a relation of `schema`, with
+/// relation block of a checkpoint) straight into a relation of `schema`, with
 /// no string or vector per value. Bounds-checked; kDataLoss on a truncated
 /// name, arity, row count or value, an arity over 10^6, a zero-ary row count
 /// over 1, rows × arity beyond the payload, an undeclared relation, an arity

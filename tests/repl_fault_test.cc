@@ -11,7 +11,7 @@
 ///   * FaultInjectionEnv crash matrices on both stores: every crash flavor
 ///     (before/after/torn) at every write-side syscall index of a fixed
 ///     workload, followed by recovery + reopen. Invariant: the pair
-///     reconverges to bit-identical state (binary serialization equality).
+///     reconverges to identical state (knowledgebase equality).
 ///   * A kill/partition/failover chaos scenario: semi-sync acked commits
 ///     survive primary kill -9 + follower promotion; the deposed primary is
 ///     fenced on first contact with the new epoch; its divergent unacked
@@ -32,7 +32,6 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/transport.h"
-#include "rel/binary_io.h"
 #include "repl/follower.h"
 #include "repl/meta.h"
 #include "repl/primary.h"
@@ -45,10 +44,6 @@ namespace {
 
 Knowledgebase InitialKb() {
   return *MakeSingletonKb({{"P", 1}, {"Q", 1}}, {{"P", {{"a"}}}});
-}
-
-std::string KbBytes(const Knowledgebase& kb) {
-  return SerializeKnowledgebase(kb);
 }
 
 const char* KindName(net::NetFaultKind k) {
@@ -212,8 +207,8 @@ TEST(ReplFaultTest, StreamingSurvivesEveryWireFaultInBothDirections) {
       // follower never declared divergence, and state reconverged exactly.
       EXPECT_GE(link.faults_fired(), 1u);
       EXPECT_NE(h.follower->state(), FollowerState::kLost);
-      EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-                KbBytes(h.pserver().store()->kb()));
+      EXPECT_EQ(h.follower->server()->store()->kb(),
+                h.pserver().store()->kb());
     }
   }
 }
@@ -236,8 +231,8 @@ TEST(ReplFaultTest, SubscribeHandshakeSurvivesEveryWireFault) {
     h.CatchUp(2);
     EXPECT_GE(h.follower->stats().resubscribes, 1u);
     EXPECT_NE(h.follower->state(), FollowerState::kLost);
-    EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-              KbBytes(h.pserver().store()->kb()));
+    EXPECT_EQ(h.follower->server()->store()->kb(),
+              h.pserver().store()->kb());
   }
 }
 
@@ -295,8 +290,8 @@ TEST(ReplFaultTest, FollowerCrashMatrixReconvergesBitIdentical) {
       h.fenv().RecoverFromCrash();
       h.OpenFollower();
       h.CatchUp(3);
-      EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-                KbBytes(h.pserver().store()->kb()));
+      EXPECT_EQ(h.follower->server()->store()->kb(),
+                h.pserver().store()->kb());
     }
   }
 }
@@ -323,8 +318,8 @@ TEST(ReplFaultTest, PrimaryCrashMatrixReconvergesBitIdentical) {
       if (!h.penv().crashed()) {
         h.penv().ClearFault();
         h.CatchUp(3);
-        EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-                  KbBytes(h.pserver().store()->kb()));
+        EXPECT_EQ(h.follower->server()->store()->kb(),
+                  h.pserver().store()->kb());
         break;
       }
 
@@ -339,8 +334,8 @@ TEST(ReplFaultTest, PrimaryCrashMatrixReconvergesBitIdentical) {
       uint64_t recovered = h.pserver().store()->lsn();
       h.CatchUp(recovered);
       EXPECT_NE(h.follower->state(), FollowerState::kLost);
-      EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-                KbBytes(h.pserver().store()->kb()));
+      EXPECT_EQ(h.follower->server()->store()->kb(),
+                h.pserver().store()->kb());
     }
   }
 }
@@ -454,8 +449,8 @@ TEST(ReplFaultTest, SemiSyncAckedCommitsSurviveKillAndPromotion) {
     EXPECT_FALSE((*session->Holds("P(lost)")).holds);  // Divergence gone.
     EXPECT_TRUE((*session->Holds("Q(post)")).holds);   // New lineage adopted.
   }
-  EXPECT_EQ(KbBytes((*reborn)->server()->store()->kb()),
-            KbBytes(h.follower->server()->store()->kb()));
+  EXPECT_EQ((*reborn)->server()->store()->kb(),
+            h.follower->server()->store()->kb());
 
   reborn->reset();
   for (auto& t : b_ends) t->Shutdown();

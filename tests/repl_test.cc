@@ -6,8 +6,8 @@
 ///
 /// Covered here:
 ///   * epoch-history meta file: roundtrip, typed rejection of every defect;
-///   * fresh-follower checkpoint seeding + streaming, with bit-identity
-///     (binary serialization equality) against the primary at every sync;
+///   * fresh-follower checkpoint seeding + streaming, with identity
+///     (knowledgebase equality) against the primary at every sync;
 ///   * catch-up from the primary's on-disk WAL once the in-memory feed has
 ///     wrapped;
 ///   * semi-sync acks: a pulling follower unblocks Apply; an idle subscriber
@@ -37,7 +37,6 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/transport.h"
-#include "rel/binary_io.h"
 #include "repl/follower.h"
 #include "repl/meta.h"
 #include "repl/primary.h"
@@ -49,10 +48,6 @@ namespace {
 
 Knowledgebase InitialKb() {
   return *MakeSingletonKb({{"P", 1}, {"Q", 1}}, {{"P", {{"a"}}}});
-}
-
-std::string KbBytes(const Knowledgebase& kb) {
-  return SerializeKnowledgebase(kb);
 }
 
 /// A primary (durable serve::Server + Primary + NetServer frame loop) over a
@@ -204,10 +199,10 @@ TEST(ReplTest, FreshFollowerSeedsFromCheckpointThenStreams) {
   EXPECT_EQ(h.follower->epoch(), 1u);
   EXPECT_EQ(h.follower->state(), FollowerState::kIdle);  // PollOnce-driven.
 
-  // Bit-identity: the replicated state's binary serialization equals the
-  // primary's, not just "the same answers".
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
+  // Identity: the replicated state equals the primary's (the same schema
+  // and world set), not just "the same answers".
+  EXPECT_EQ(h.follower->server()->store()->kb(),
+            h.pserver().store()->kb());
 
   // Replica reads serve the caught-up snapshot.
   auto session = h.follower->server()->StartSession();
@@ -218,8 +213,8 @@ TEST(ReplTest, FreshFollowerSeedsFromCheckpointThenStreams) {
   // New commits flow through.
   ASSERT_TRUE(h.pserver().Apply("tau{P(d)}").ok());
   h.CatchUp(3);
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
+  EXPECT_EQ(h.follower->server()->store()->kb(),
+            h.pserver().store()->kb());
 }
 
 TEST(ReplTest, FollowerIsReadOnlyWithRedirect) {
@@ -248,8 +243,8 @@ TEST(ReplTest, CatchUpFromDiskOncePastTheFeed) {
 
   h.CatchUp(6);
   EXPECT_EQ(h.follower->stats().snapshot_installs, 1u);  // No re-seed needed.
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
+  EXPECT_EQ(h.follower->server()->store()->kb(),
+            h.pserver().store()->kb());
 }
 
 // --- Semi-sync ---------------------------------------------------------------
@@ -296,8 +291,8 @@ TEST(ReplTest, SemiSyncTimeoutIsDurableLocallyNeverRolledBack) {
   EXPECT_EQ(h.pserver().store()->lsn(), 1u);
   EXPECT_EQ(h.pserver().stats().snapshot_version, 1u);
   h.CatchUp(1);  // And the idle follower can still pick it up afterwards.
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
+  EXPECT_EQ(h.follower->server()->store()->kb(),
+            h.pserver().store()->kb());
 }
 
 // --- Fencing -----------------------------------------------------------------
@@ -471,8 +466,8 @@ TEST(ReplTest, MidLifeReseedIsTerminalAndServerStaysPut) {
   h.OpenFollower();
   EXPECT_EQ(h.follower->stats().snapshot_installs, 1u);
   EXPECT_EQ(h.follower->applied_lsn(), 3u);
-  EXPECT_EQ(KbBytes(h.follower->server()->store()->kb()),
-            KbBytes(h.pserver().store()->kb()));
+  EXPECT_EQ(h.follower->server()->store()->kb(),
+            h.pserver().store()->kb());
 }
 
 // --- GC retention pin --------------------------------------------------------

@@ -1,11 +1,12 @@
 /// \file
 /// The bytes the store puts on disk and on the wire stay readable across
 /// versions. CRC-32C is checked against the RFC 3720 §B.4 known answers and a
-/// bitwise reference; a checkpoint and a WAL written by an earlier version's
-/// encoder are checked in as byte literals and must decode to the expected
-/// knowledgebase and lsn, and re-encode byte for byte. A checksum or decoder
-/// change that is merely self-consistent passes round-trip tests but fails
-/// these.
+/// bitwise reference; a checkpoint and a WAL are checked in as byte literals
+/// and must decode to the expected knowledgebase and lsn, and re-encode byte
+/// for byte. A checksum or decoder change that is merely self-consistent
+/// passes round-trip tests but fails these. The same checkpoint as the
+/// version-2 encoder wrote it is checked in too: it is refused, and its
+/// overlay blocks equal the current image's byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "base/little_endian.h"
 #include "core/kbt.h"
 #include "store/checkpoint.h"
 #include "store/crc32.h"
@@ -118,9 +120,65 @@ std::vector<Database> GoldenWorlds() {
   };
 }
 
-/// EncodeCheckpoint(FromDatabases(GoldenWorlds()), 7), as written before
-/// checkpoint decoding read blocks in place and CRC-32C went slicing-by-8.
+/// EncodeCheckpoint(FromDatabases(GoldenWorlds()), 7) at checkpoint version 3:
+/// the base as one block per declaration.
 const std::string& GoldenCheckpoint() {
+  static const std::string bytes(
+    "\x4b\x42\x54\x43\x4b\x50\x54\x03\x07\x00\x00\x00\x00\x00\x00\x00"
+    "\x2f\x16\xf8\xc8\xd2\x02\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00"
+    "\x2e\x00\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x45\x64"
+    "\x67\x65\x02\x00\x00\x00\x01\x00\x00\x00\x08\x00\x00\x00\x67\x6f"
+    "\x6c\x64\x65\x6e\x5f\x61\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e"
+    "\x5f\x62\x22\x00\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e"
+    "\x4e\x6f\x64\x65\x01\x00\x00\x00\x01\x00\x00\x00\x08\x00\x00\x00"
+    "\x67\x6f\x6c\x64\x65\x6e\x5f\x61\x16\x00\x00\x00\x0a\x00\x00\x00"
+    "\x47\x6f\x6c\x64\x65\x6e\x4d\x61\x72\x6b\x00\x00\x00\x00\x01\x00"
+    "\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x2e\x00\x00\x00\x0a\x00"
+    "\x00\x00\x47\x6f\x6c\x64\x65\x6e\x45\x64\x67\x65\x02\x00\x00\x00"
+    "\x01\x00\x00\x00\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x62"
+    "\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x63\x16\x00\x00\x00"
+    "\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x45\x64\x67\x65\x02\x00"
+    "\x00\x00\x00\x00\x00\x00\x22\x00\x00\x00\x0a\x00\x00\x00\x47\x6f"
+    "\x6c\x64\x65\x6e\x4e\x6f\x64\x65\x01\x00\x00\x00\x01\x00\x00\x00"
+    "\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x62\x16\x00\x00\x00"
+    "\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x4e\x6f\x64\x65\x01\x00"
+    "\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00\x0a\x00\x00\x00\x47\x6f"
+    "\x6c\x64\x65\x6e\x4d\x61\x72\x6b\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x16\x00\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x4d\x61"
+    "\x72\x6b\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x46\x00"
+    "\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x45\x64\x67\x65"
+    "\x02\x00\x00\x00\x02\x00\x00\x00\x08\x00\x00\x00\x67\x6f\x6c\x64"
+    "\x65\x6e\x5f\x62\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x63"
+    "\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x63\x08\x00\x00\x00"
+    "\x67\x6f\x6c\x64\x65\x6e\x5f\x64\x16\x00\x00\x00\x0a\x00\x00\x00"
+    "\x47\x6f\x6c\x64\x65\x6e\x45\x64\x67\x65\x02\x00\x00\x00\x00\x00"
+    "\x00\x00\x22\x00\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e"
+    "\x4e\x6f\x64\x65\x01\x00\x00\x00\x01\x00\x00\x00\x08\x00\x00\x00"
+    "\x67\x6f\x6c\x64\x65\x6e\x5f\x62\x16\x00\x00\x00\x0a\x00\x00\x00"
+    "\x47\x6f\x6c\x64\x65\x6e\x4e\x6f\x64\x65\x01\x00\x00\x00\x00\x00"
+    "\x00\x00\x03\x00\x00\x00\x2e\x00\x00\x00\x0a\x00\x00\x00\x47\x6f"
+    "\x6c\x64\x65\x6e\x45\x64\x67\x65\x02\x00\x00\x00\x01\x00\x00\x00"
+    "\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x62\x08\x00\x00\x00"
+    "\x67\x6f\x6c\x64\x65\x6e\x5f\x63\x2e\x00\x00\x00\x0a\x00\x00\x00"
+    "\x47\x6f\x6c\x64\x65\x6e\x45\x64\x67\x65\x02\x00\x00\x00\x01\x00"
+    "\x00\x00\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x61\x08\x00"
+    "\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x62\x2e\x00\x00\x00\x0a\x00"
+    "\x00\x00\x47\x6f\x6c\x64\x65\x6e\x4e\x6f\x64\x65\x01\x00\x00\x00"
+    "\x02\x00\x00\x00\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x62"
+    "\x08\x00\x00\x00\x67\x6f\x6c\x64\x65\x6e\x5f\x64\x16\x00\x00\x00"
+    "\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x4e\x6f\x64\x65\x01\x00"
+    "\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00\x0a\x00\x00\x00\x47\x6f"
+    "\x6c\x64\x65\x6e\x4d\x61\x72\x6b\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x16\x00\x00\x00\x0a\x00\x00\x00\x47\x6f\x6c\x64\x65\x6e\x4d\x61"
+    "\x72\x6b\x00\x00\x00\x00\x01\x00\x00\x00",
+      746);
+  return bytes;
+}
+
+/// The same checkpoint at version 2 (the base in a dictionary format), as
+/// written before checkpoint decoding read blocks in place and CRC-32C went
+/// slicing-by-8.
+const std::string& GoldenV2Checkpoint() {
   static const std::string bytes(
     "\x4b\x42\x54\x43\x4b\x50\x54\x02\x07\x00\x00\x00\x00\x00\x00\x00"
     "\x97\x8f\xfb\xc4\xda\x02\x00\x00\x04\x00\x00\x00\x7a\x00\x00\x00"
@@ -175,7 +233,7 @@ const std::string& GoldenCheckpoint() {
 }
 
 /// A WAL starting at lsn 7 with one transform, one insert and one delete
-/// record, written by the same version.
+/// record, written by the version-2 store (the WAL has not changed since).
 const std::string& GoldenWal() {
   static const std::string bytes(
     "\x4b\x42\x54\x57\x41\x4c\x01\x00\x07\x00\x00\x00\x00\x00\x00\x00"
@@ -214,6 +272,34 @@ TEST(StoreGoldenBytesTest, CheckpointDecodesAndReencodesByteForByte) {
   EXPECT_EQ(decoded->kb, expected);
   EXPECT_EQ(EncodeCheckpoint(decoded->kb, decoded->lsn), GoldenCheckpoint());
   EXPECT_EQ(EncodeCheckpoint(expected, 7), GoldenCheckpoint());
+}
+
+/// Where the per-world overlays start in a checkpoint image: past the header,
+/// the world count and the base section of `version`.
+size_t OverlayOffset(const std::string& image, uint8_t version) {
+  size_t at = 24 + 4;  // Header, world count.
+  if (version == 2) return at + 4 + LoadU32(image.data() + at);
+  const uint32_t decls = LoadU32(image.data() + at);
+  at += 4;
+  for (uint32_t i = 0; i < decls; ++i) at += 4 + LoadU32(image.data() + at);
+  return at;
+}
+
+TEST(StoreGoldenBytesTest, Version2CheckpointIsRefusedAndItsOverlaysAreKept) {
+  const std::string& v2 = GoldenV2Checkpoint();
+  StatusOr<CheckpointContents> decoded = DecodeCheckpoint(v2);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "unsupported checkpoint version 2");
+
+  // Only the version byte, the CRC, the payload length and the base section
+  // changed: the lsn, the world count and every overlay block are the same
+  // bytes.
+  const std::string& v3 = GoldenCheckpoint();
+  EXPECT_EQ(v3[7], 3);
+  EXPECT_EQ(v3.substr(8, 8), v2.substr(8, 8));
+  EXPECT_EQ(v3.substr(24, 4), v2.substr(24, 4));
+  EXPECT_EQ(v3.substr(OverlayOffset(v3, 3)), v2.substr(OverlayOffset(v2, 2)));
 }
 
 TEST(StoreGoldenBytesTest, WalReplaysAndReencodesByteForByte) {

@@ -4,9 +4,9 @@
 /// indistinguishable — equality, flat member sequence, printing, lattice ops,
 /// membership, projection/extension, and μ/τ results — from the same world set
 /// built flat (FromDatabases), over randomized delta workloads. Plus the store
-/// side: version-2 base+overlay checkpoints round-trip bit-identically, legacy
-/// version-1 images are refused (by decode, recovery and fsck), and
-/// non-canonical overlay payloads are rejected even when the CRC is intact.
+/// side: version-3 base+overlay checkpoints round-trip bit-identically, legacy
+/// version-1 and version-2 images are refused (by decode, recovery and fsck),
+/// and non-canonical payloads are rejected even when the CRC is intact.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/kbt.h"
-#include "rel/binary_io.h"
 #include "store/checkpoint.h"
 #include "store/crc32.h"
 #include "store/fault_env.h"
@@ -168,7 +167,7 @@ TEST(WorldsetPropertyTest, MuAgreesOnSingletonConstructions) {
 }
 
 // ---------------------------------------------------------------------------
-// Store: version-2 checkpoints and legacy decode.
+// Store: version-3 checkpoints and legacy decode.
 
 /// A checkpoint image with an arbitrary version byte and payload (the CRC is
 /// computed honestly, so only the payload semantics are under test).
@@ -197,37 +196,41 @@ TEST(WorldsetPropertyTest, CheckpointRoundTripIsBitIdentical) {
     auto decoded = store::DecodeCheckpoint(image);
     ASSERT_TRUE(decoded.ok()) << decoded.status().message();
     ASSERT_EQ(decoded->kb, kbs.flat);
-    // The decoded kb serializes to the same flat bytes as the flat build —
-    // the bit-identity the crash-recovery matrix compares.
-    ASSERT_EQ(SerializeKnowledgebase(decoded->kb),
-              SerializeKnowledgebase(kbs.flat));
     // And re-encoding reproduces the checkpoint image byte for byte.
     ASSERT_EQ(store::EncodeCheckpoint(decoded->kb, trial), image);
   }
 }
 
+/// The payload of `EncodeCheckpoint(kb, 0)`: the image past its header.
+std::string CurrentPayload(const Knowledgebase& kb) {
+  return store::EncodeCheckpoint(kb, 0).substr(24);
+}
+
 TEST(WorldsetPropertyTest, LegacyVersion1CheckpointsAreRefused) {
   // Version-1 images (the flat member list, written before the overlay
-  // representation) are refused with a typed error, whatever they hold.
+  // representation) and version-2 images (the base in a dictionary format)
+  // are refused with a typed error, whatever they hold: the version byte
+  // alone decides, so even a current payload under an old version fails.
   std::mt19937_64 rng(99);
   for (int trial = 0; trial < 10; ++trial) {
     Knowledgebase kb = RandomKnowledgebase(&rng);
-    auto decoded =
-        store::DecodeCheckpoint(MakeImage(1, 7, SerializeKnowledgebase(kb)));
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
-    EXPECT_EQ(decoded.status().message(), "unsupported checkpoint version 1");
+    for (uint8_t version : {1, 2}) {
+      auto decoded =
+          store::DecodeCheckpoint(MakeImage(version, 7, CurrentPayload(kb)));
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+      EXPECT_EQ(decoded.status().message(),
+                "unsupported checkpoint version " + std::to_string(version));
+    }
   }
 }
 
 TEST(WorldsetPropertyTest, RejectsNonCanonicalOverlayPayload) {
-  // A syntactically well-formed v2 payload whose overlay breaks the canonical
-  // invariant (adds overlapping the base) must be kDataLoss even though the
-  // CRC is valid — WorldOverlay::Validate gates acceptance.
-  Schema schema = *Schema::Of({{"P", 1}});
-  Database base(schema);
-  base.ReplaceRelation(0, MakeRelation(1, {{"a"}}));
-
+  // Syntactically well-formed v3 payloads that no EncodeCheckpoint writes
+  // must be kDataLoss even though the CRC is valid: an overlay that breaks
+  // the canonical invariant (adds overlapping the base; WorldOverlay::Validate
+  // gates acceptance), a base that declares one relation twice, and a
+  // non-empty base under no worlds.
   auto put_u32 = [](std::string& out, uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -237,75 +240,106 @@ TEST(WorldsetPropertyTest, RejectsNonCanonicalOverlayPayload) {
     put_u32(out, static_cast<uint32_t>(block.size()));
     out += block;
   };
-  std::string payload;
-  put_u32(payload, 1);  // One world.
-  put_block(payload, SerializeDatabase(base));
-  put_u32(payload, 1);  // One delta.
-  // adds = {a} which is already in the base: invariant violation.
-  put_block(payload, store::EncodeTupleDelta("P", 1, {{"a"}}));
-  put_block(payload, store::EncodeTupleDelta("P", 1, {}));
+  std::vector<std::string> payloads;
+  {
+    std::string payload;
+    put_u32(payload, 1);  // One world.
+    put_u32(payload, 1);  // Base: P = {a}.
+    put_block(payload, store::EncodeTupleDelta("P", 1, {{"a"}}));
+    put_u32(payload, 1);  // One delta.
+    // adds = {a} which is already in the base: invariant violation.
+    put_block(payload, store::EncodeTupleDelta("P", 1, {{"a"}}));
+    put_block(payload, store::EncodeTupleDelta("P", 1, {}));
+    payloads.push_back(payload);
+  }
+  for (size_t second_arity : {1, 2}) {
+    std::string payload;
+    put_u32(payload, 1);  // One world.
+    put_u32(payload, 2);  // Base: P declared twice.
+    put_block(payload, store::EncodeTupleDelta("P", 1, {{"a"}}));
+    put_block(payload, store::EncodeTupleDelta("P", second_arity, {}));
+    put_u32(payload, 0);  // No deltas.
+    payloads.push_back(payload);
+  }
+  {
+    std::string payload;
+    put_u32(payload, 0);  // No worlds.
+    put_u32(payload, 1);  // Base: P = {a}.
+    put_block(payload, store::EncodeTupleDelta("P", 1, {{"a"}}));
+    payloads.push_back(payload);
+  }
 
-  auto decoded = store::DecodeCheckpoint(
-      MakeImage(store::kCheckpointVersion, 3, payload));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  for (const std::string& payload : payloads) {
+    auto decoded = store::DecodeCheckpoint(
+        MakeImage(store::kCheckpointVersion, 3, payload));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << decoded.status();
+  }
 }
 
 TEST(WorldsetPropertyTest, RecoveryAndFsckRefuseLegacyVersion1Store) {
-  // A store directory written before the overlay representation (a v1
-  // checkpoint + a tuple-delta WAL suffix) does not open: recovery fails
-  // with kDataLoss and fsck reports the same cause, rather than either
-  // silently starting from an empty or partial state.
+  // A store directory whose checkpoint an older encoder wrote (v1: a flat
+  // member list; v2: the base in a dictionary format), followed by a
+  // tuple-delta WAL suffix, does not open: recovery fails with kDataLoss and
+  // fsck reports the same cause, rather than either silently starting from
+  // an empty or partial state.
   std::mt19937_64 rng(31337);
   Knowledgebase kb = RandomKnowledgebase(&rng);
 
-  store::FaultInjectionEnv env;
-  ASSERT_TRUE(env.CreateDir("store").ok());
-  {
-    auto file = env.NewTruncatedFile("store/checkpoint-4");
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE((*file)->Append(MakeImage(1, 4, SerializeKnowledgebase(kb))).ok());
-    ASSERT_TRUE((*file)->Sync().ok());
-    ASSERT_TRUE((*file)->Close().ok());
-  }
-  {
-    auto file = env.NewTruncatedFile("store/wal-4");
-    ASSERT_TRUE(file.ok());
-    auto writer = store::WalWriter::Create(std::move(*file), 0, 4);
-    ASSERT_TRUE(writer.ok());
-    store::WalRecord record;
-    record.kind = store::WalRecordKind::kInsert;
-    record.payload = store::EncodeTupleDelta("P", 1, {{"b"}, {"c"}});
-    ASSERT_TRUE((*writer)->Append(record).ok());
-    ASSERT_TRUE((*writer)->Sync().ok());
-    ASSERT_TRUE((*writer)->Close().ok());
-  }
-  const std::string cause = "unsupported checkpoint version 1";
+  for (uint8_t version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    store::FaultInjectionEnv env;
+    ASSERT_TRUE(env.CreateDir("store").ok());
+    {
+      auto file = env.NewTruncatedFile("store/checkpoint-4");
+      ASSERT_TRUE(file.ok());
+      ASSERT_TRUE(
+          (*file)->Append(MakeImage(version, 4, CurrentPayload(kb))).ok());
+      ASSERT_TRUE((*file)->Sync().ok());
+      ASSERT_TRUE((*file)->Close().ok());
+    }
+    {
+      auto file = env.NewTruncatedFile("store/wal-4");
+      ASSERT_TRUE(file.ok());
+      auto writer = store::WalWriter::Create(std::move(*file), 0, 4);
+      ASSERT_TRUE(writer.ok());
+      store::WalRecord record;
+      record.kind = store::WalRecordKind::kInsert;
+      record.payload = store::EncodeTupleDelta("P", 1, {{"b"}, {"c"}});
+      ASSERT_TRUE((*writer)->Append(record).ok());
+      ASSERT_TRUE((*writer)->Sync().ok());
+      ASSERT_TRUE((*writer)->Close().ok());
+    }
+    const std::string cause =
+        "unsupported checkpoint version " + std::to_string(version);
 
-  Engine engine;
-  auto recovered = store::RecoverStore(&env, "store", engine);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(recovered.status().message().find(cause), std::string::npos)
-      << recovered.status().message();
+    Engine engine;
+    auto recovered = store::RecoverStore(&env, "store", engine);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(recovered.status().message().find(cause), std::string::npos)
+        << recovered.status().message();
 
-  store::FsckOptions options;
-  options.deep = true;
-  auto report = store::CheckStore(&env, "store", options);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_FALSE(report->clean());
-  EXPECT_EQ(report->checkpoints_seen, 1u);
-  EXPECT_EQ(report->checkpoints_valid, 0u);
-  // The newest (only) checkpoint's finding names the version; deep mode
-  // replays recovery and reports its kDataLoss cause.
-  std::vector<std::string> expected = {
-      "checkpoint-4: " + cause + " (newest checkpoint)",
-      "no checkpoint decodes; recovery would fail",
-      "deep replay: " + recovered.status().message()};
-  for (const std::string& finding : expected) {
-    EXPECT_NE(std::find(report->errors.begin(), report->errors.end(), finding),
-              report->errors.end())
-        << finding << "\n" << store::FormatFsckReport(*report);
+    store::FsckOptions options;
+    options.deep = true;
+    auto report = store::CheckStore(&env, "store", options);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_FALSE(report->clean());
+    EXPECT_EQ(report->checkpoints_seen, 1u);
+    EXPECT_EQ(report->checkpoints_valid, 0u);
+    // The newest (only) checkpoint's finding names the version; deep mode
+    // replays recovery and reports its kDataLoss cause.
+    std::vector<std::string> expected = {
+        "checkpoint-4: " + cause + " (newest checkpoint)",
+        "no checkpoint decodes; recovery would fail",
+        "deep replay: " + recovered.status().message()};
+    for (const std::string& finding : expected) {
+      EXPECT_NE(
+          std::find(report->errors.begin(), report->errors.end(), finding),
+          report->errors.end())
+          << finding << "\n" << store::FormatFsckReport(*report);
+    }
   }
 }
 
